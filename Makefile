@@ -41,8 +41,13 @@
 # check), and the crash-without-reboot scenario under --flight, which
 # must still breach (inverted with `!`) while leaving a complete
 # post-mortem bundle.
+# `make golden GOLDEN=DIR` writes every determinism-gated output into
+# DIR: `all` (table and JSON) at jobs 1 and 2, `slo`, `chaos --scale
+# quick` and `fuzz --seeds 15`.  A change that must leave simulated
+# output alone passes when `diff -r` of the parent's and the change's
+# directories is empty.
 
-.PHONY: all build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate bench-baseline perf-gate perf-baseline profile-smoke check clean
+.PHONY: all build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate bench-baseline perf-gate perf-baseline profile-smoke golden check clean
 
 all: build
 
@@ -108,6 +113,15 @@ profile-smoke: build
 	test -s /tmp/renofs-flight/*/reason.txt
 	test -s /tmp/renofs-flight/*/trace_tail.jsonl
 	test -s /tmp/renofs-flight/*/profile.json
+
+golden: build
+	@test -n "$(GOLDEN)" || { echo "usage: make golden GOLDEN=DIR" >&2; exit 2; }
+	mkdir -p $(GOLDEN)
+	dune exec bin/nfsbench.exe -- all --jobs 1 --json $(GOLDEN)/all-jobs1.json > $(GOLDEN)/all-jobs1.txt
+	dune exec bin/nfsbench.exe -- all --jobs 2 --json $(GOLDEN)/all-jobs2.json > $(GOLDEN)/all-jobs2.txt
+	dune exec bin/nfsbench.exe -- slo --jobs 2 > $(GOLDEN)/slo.txt
+	dune exec bin/nfsbench.exe -- chaos --scale quick --jobs 2 > $(GOLDEN)/chaos-quick.txt
+	dune exec bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 > $(GOLDEN)/fuzz-15.txt
 
 check: build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate perf-gate profile-smoke
 

@@ -132,22 +132,6 @@ let ultrix_mount =
     write_policy = Async;
   }
 
-(* Symmetric to [Nfs_server.config]: a default value plus [with_*]
-   derivation over the option record. *)
-type config = mount_opts
-
-let default_config = reno_mount
-let with_transport c transport = { c with transport }
-let with_timeo c timeo = { c with timeo }
-let with_mss c mss = { c with mss }
-let with_write_policy c write_policy = { c with write_policy }
-let with_num_biods c num_biods = { c with num_biods }
-let with_consistency c consistency = { c with consistency }
-let with_leases c use_leases = { c with use_leases }
-let with_soft c ~retrans = { c with soft = true; retrans }
-let with_adaptive_transfer c adaptive_transfer = { c with adaptive_transfer }
-let with_v3 c v3 = { c with v3 }
-
 exception Nfs_error of P.stat
 
 let fail st = raise (Nfs_error st)

@@ -91,33 +91,6 @@ val v3_mount : mount_opts
 
 val ultrix_mount : mount_opts
 
-(** {2 Config records}
-
-    [config] is [mount_opts] under the name shared with
-    {!Renofs_core.Nfs_server.config}: a [default_config] value plus
-    [with_*] derivation, so experiment- and fault-schedule-driven
-    reconfiguration reads symmetrically on both ends of the wire.  The
-    presets above remain the idiomatic starting points. *)
-
-type config = mount_opts
-
-val default_config : config
-(** {!reno_mount}. *)
-
-val with_transport : config -> [ `Udp_fixed | `Udp_dynamic | `Tcp ] -> config
-val with_timeo : config -> float -> config
-val with_mss : config -> int -> config
-val with_write_policy : config -> write_policy -> config
-val with_num_biods : config -> int -> config
-val with_consistency : config -> bool -> config
-val with_leases : config -> bool -> config
-
-val with_soft : config -> retrans:int -> config
-(** Switch to a soft mount giving up after [retrans] retransmissions. *)
-
-val with_adaptive_transfer : config -> bool -> config
-val with_v3 : config -> bool -> config
-
 exception Nfs_error of Nfs_proto.stat
 
 type t

@@ -48,19 +48,6 @@ let reference_port_profile =
     xdr_layer_instructions = 900.0;
   }
 
-(* Symmetric to [Nfs_client.config]: a default value plus [with_*]
-   derivation, so schedule- and experiment-driven reconfiguration reads
-   the same on both ends of the wire. *)
-type config = profile
-
-let default_config = reno_profile
-let with_fs_config c fs_config = { c with fs_config }
-let with_nfsd_count c nfsd_count = { c with nfsd_count }
-let with_duplicate_cache c duplicate_cache = { c with duplicate_cache }
-
-let with_xdr_layer_instructions c xdr_layer_instructions =
-  { c with xdr_layer_instructions }
-
 (* A recent-request cache entry [Juszczak89]: requests still executing
    must also be recognised, or a retransmission arriving mid-execution
    would re-run a non-idempotent operation. *)

@@ -24,23 +24,6 @@ val reno_profile : profile
 val reference_port_profile : profile
 (** The Ultrix-2.2-shaped server used in Graphs 8-9 and Tables 2-4. *)
 
-(** {2 Config records}
-
-    [config] is [profile] under the name shared with
-    {!Renofs_core.Nfs_client.config}: a [default_config] value plus
-    [with_*] derivation, so experiment- and fault-schedule-driven
-    reconfiguration reads symmetrically on both ends of the wire. *)
-
-type config = profile
-
-val default_config : config
-(** {!reno_profile}. *)
-
-val with_fs_config : config -> Renofs_vfs.Fs.config -> config
-val with_nfsd_count : config -> int -> config
-val with_duplicate_cache : config -> bool -> config
-val with_xdr_layer_instructions : config -> float -> config
-
 type t
 
 val create :

@@ -22,7 +22,8 @@
 
 val harness : int  (** 0 — driver, world build, measurement (the base) *)
 
-val scheduler : int  (** event-queue bookkeeping inside [Sim.run] *)
+val scheduler : int
+(** event-queue work: [Sim.run]'s loop, scheduling and cancelling *)
 
 val cpu : int  (** simulated-CPU completion dispatch *)
 

@@ -1,13 +1,9 @@
-(* The event queue is a calendar queue (Brown, CACM 1988): an array of
-   buckets, each a sorted intrusive doubly-linked list, indexed by
-   event time modulo a "year" of [nbuckets * width] seconds.  For the
-   timer-heavy simulation workload (most scheduling is a short hop
-   forward from [now]) push, pop and cancel are all O(1) on average:
-   insertion appends at a bucket tail, the minimum is at the head of
-   the current bucket, and cancellation unlinks the node outright —
-   cancelled events never reach a pop.  Ordering is exactly (time,
-   seq): same-time events share a bucket, where insertion keeps them
-   FIFO by sequence number. *)
+(* The event queue is an array-backed binary min-heap ordered by
+   (tkey, time, seq).  Each event records its own heap index, so
+   cancellation removes it in place in O(log n) — cancelled events never
+   reach a pop — and schedule and fire are O(log n) whatever the mix of
+   near and far times.  Ordering is exactly (time, seq): [tkey] is
+   monotone in [time], and [seq] breaks every remaining tie. *)
 
 type event = {
   time : float;
@@ -22,246 +18,135 @@ type event = {
       (* the probe slot active when the event was scheduled; 0 when no
          probe is attached.  Lets the profiler attribute each fire to
          the subsystem that requested it. *)
-  mutable queued : bool;
-  mutable vb : int;  (* virtual bucket, cached by [insert] *)
-  mutable prev : event;
-  mutable next : event;
-  count : int ref;  (* the owning queue's size, so [cancel] can maintain it *)
+  mutable idx : int;  (* position in [owner.heap]; -1 once fired or cancelled *)
+  owner : t;  (* so [cancel] can reach the queue *)
 }
 
-type timer = event
-
-type t = {
-  mutable buckets : event array;  (* circular lists, one sentinel each *)
-  mutable nbuckets : int;  (* power of two *)
-  mutable mask : int;
-  mutable width : float;  (* seconds per bucket *)
-  mutable inv_width : float;  (* 1 / width: multiply beats divide *)
-  mutable vcur : int;
-      (* search cursor: a lower bound on the least virtual bucket
-         (floor (time / width)) over queued events *)
-  size : int ref;
+and t = {
+  mutable heap : event array;  (* slots [0, len) hold the queue *)
+  mutable len : int;
   mutable clock : float;
   mutable next_seq : int;
   mutable processed : int;
   mutable probe : Probe.t option;
 }
 
-let dummy_count = ref 0
+type timer = event
 
-let sentinel () =
-  let rec s =
-    { time = nan; tkey = max_int; seq = -1; fn = ignore; tag = 0;
-      queued = false; vb = -1; prev = s; next = s; count = dummy_count }
-  in
-  s
+(* Fills vacated heap slots, so the array never keeps a fired event's
+   closure alive. *)
+let rec dummy =
+  { time = nan; tkey = max_int; seq = -1; fn = ignore; tag = 0; idx = -1;
+    owner = nobody }
 
-let min_buckets = 16
+and nobody =
+  { heap = [||]; len = 0; clock = 0.0; next_seq = 0; processed = 0;
+    probe = None }
 
 let create () =
-  {
-    buckets = Array.init min_buckets (fun _ -> sentinel ());
-    nbuckets = min_buckets;
-    mask = min_buckets - 1;
-    width = 1e-3;
-    inv_width = 1e3;
-    vcur = 0;
-    size = ref 0;
-    clock = 0.0;
-    next_seq = 0;
-    processed = 0;
-    probe = None;
-  }
+  { heap = Array.make 64 dummy; len = 0; clock = 0.0; next_seq = 0;
+    processed = 0; probe = None }
 
 let now t = t.clock
 let set_probe t p = t.probe <- p
 let probe t = t.probe
-
-(* Virtual bucket of a time: all times are >= 0, so truncation is
-   floor.  The same expression indexes inserts and pops, so boundary
-   rounding is self-consistent (and monotone in time, which is all
-   correctness needs — the exact boundary only shifts which bucket a
-   borderline event lands in). *)
-let vbucket t time = int_of_float (time *. t.inv_width)
 
 let before a b =
   a.tkey < b.tkey
   || (a.tkey = b.tkey
      && (a.time < b.time || (a.time = b.time && a.seq < b.seq)))
 
-(* Sorted insertion scanning from the tail: the common case (an event
-   later than everything already in its bucket) appends in O(1),
-   branch-predictably, with no scan state. *)
-let insert t ev =
-  let vb = vbucket t ev.time in
-  ev.vb <- vb;
-  let s = t.buckets.(vb land t.mask) in
-  let tail = s.prev in
-  if tail == s || before tail ev then begin
-    ev.prev <- tail;
-    ev.next <- s;
-    tail.next <- ev;
-    s.prev <- ev;
-    ev.queued <- true
+let place h i ev =
+  h.(i) <- ev;
+  ev.idx <- i
+
+(* Move the hole at [i] towards the root until [ev] fits in it. *)
+let rec sift_up h i ev =
+  let p = (i - 1) / 2 in
+  if i > 0 && before ev h.(p) then begin
+    place h i h.(p);
+    sift_up h p ev
   end
-  else begin
-    let p = ref tail.prev in
-    while not (!p == s || before !p ev) do
-      p := !p.prev
-    done;
-    let p = !p in
-    ev.prev <- p;
-    ev.next <- p.next;
-    p.next.prev <- ev;
-    p.next <- ev;
-    ev.queued <- true
-  end
+  else place h i ev
 
-let unlink ev =
-  ev.prev.next <- ev.next;
-  ev.next.prev <- ev.prev;
-  ev.prev <- ev;
-  ev.next <- ev;
-  ev.queued <- false
+(* Move the hole at [i] towards the leaves of [h.(0 .. len-1)] until
+   [ev] fits in it. *)
+let rec sift_down h len i ev =
+  let l = (2 * i) + 1 in
+  if l >= len then place h i ev
+  else
+    let c = if l + 1 < len && before h.(l + 1) h.(l) then l + 1 else l in
+    if before h.(c) ev then begin
+      place h i h.(c);
+      sift_down h len c ev
+    end
+    else place h i ev
 
-(* ------------------------------------------------------------------ *)
-(* Resizing                                                           *)
-(* ------------------------------------------------------------------ *)
+let push t ev =
+  if t.len = Array.length t.heap then begin
+    let h = Array.make (2 * t.len) dummy in
+    Array.blit t.heap 0 h 0 t.len;
+    t.heap <- h
+  end;
+  t.len <- t.len + 1;
+  sift_up t.heap (t.len - 1) ev
 
-(* Bucket width from a sample of pending event times: the mean gap
-   across the middle half of the sorted sample, so a tail of far-future
-   timers cannot stretch every bucket.  A few events per bucket keeps
-   both the insertion scans and the year sweeps short. *)
-let choose_width t evs =
-  let n = Array.length evs in
-  if n < 2 then t.width
-  else begin
-    let k = min n 64 in
-    let sample = Array.init k (fun i -> evs.(i * n / k).time) in
-    Array.sort compare sample;
-    let lo = k / 4 and hi = k - 1 - (k / 4) in
-    if hi <= lo then t.width
-    else
-      let w = 4.0 *. ((sample.(hi) -. sample.(lo)) /. float_of_int (hi - lo)) in
-      if Float.is_finite w && w > 1e-9 then w else t.width
-  end
-
-let resize t nbuckets =
-  let evs = Array.make !(t.size) (sentinel ()) in
-  let i = ref 0 in
-  Array.iter
-    (fun s ->
-      let p = ref s.next in
-      while !p != s do
-        let nx = (!p).next in
-        evs.(!i) <- !p;
-        incr i;
-        p := nx
-      done)
-    t.buckets;
-  t.width <- choose_width t evs;
-  t.inv_width <- 1.0 /. t.width;
-  t.nbuckets <- nbuckets;
-  t.mask <- nbuckets - 1;
-  t.buckets <- Array.init nbuckets (fun _ -> sentinel ());
-  t.vcur <- max_int;
-  Array.iter
-    (fun ev ->
-      ev.prev <- ev;
-      ev.next <- ev;
-      insert t ev;
-      let vb = vbucket t ev.time in
-      if vb < t.vcur then t.vcur <- vb)
-    evs
-
-let maybe_grow t = if !(t.size) > 2 * t.nbuckets then resize t (2 * t.nbuckets)
-
-let maybe_shrink t =
-  if t.nbuckets > min_buckets && !(t.size) < t.nbuckets / 2 then
-    resize t (t.nbuckets / 2)
-
-(* ------------------------------------------------------------------ *)
-(* Finding the minimum                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Fallback when a whole year of buckets holds nothing due this year
-   (the pending set is sparse): each bucket head is that bucket's
-   minimum, so one pass over the heads finds the global minimum and
-   jumps the cursor straight to its year. *)
-let direct_search t =
-  let best = ref None in
-  Array.iter
-    (fun s ->
-      let h = s.next in
-      if h != s then
-        match !best with
-        | Some b when not (before h b) -> ()
-        | _ -> best := Some h)
-    t.buckets;
-  let b = Option.get !best in
-  t.vcur <- b.vb;
-  b
-
-(* The head of bucket [vcur land mask] is the minimum iff it is due in
-   the cursor's year; otherwise no event of that year exists in the
-   bucket (later years sort after it) and the cursor advances. *)
-let find_min t =
-  if !(t.size) = 0 then None
-  else begin
-    let rec scan vcur n =
-      if n = t.nbuckets then direct_search t
-      else
-        let s = t.buckets.(vcur land t.mask) in
-        let h = s.next in
-        if h != s && h.vb = vcur then begin
-          t.vcur <- vcur;
-          h
-        end
-        else scan (vcur + 1) (n + 1)
-    in
-    Some (scan t.vcur 0)
-  end
-
-let pop t =
-  match find_min t with
-  | None -> None
-  | Some ev ->
-      unlink ev;
-      decr t.size;
-      maybe_shrink t;
-      Some ev
+(* Fill [ev]'s slot with the last event, which may belong above or
+   below it. *)
+let remove t ev =
+  let h = t.heap and i = ev.idx and n = t.len - 1 in
+  ev.idx <- -1;
+  let last = h.(n) in
+  h.(n) <- dummy;
+  t.len <- n;
+  if i < n then
+    if i > 0 && before last h.((i - 1) / 2) then sift_up h i last
+    else sift_down h n i last
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let make t time fn tag =
+  let ev =
+    { time; tkey = int_of_float (time *. 1e9); seq = t.next_seq; fn; tag;
+      idx = -1; owner = t }
+  in
+  t.next_seq <- t.next_seq + 1;
+  ev
+
 let schedule t time fn =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.at: time %g is before now %g" time t.clock);
-  let tag = match t.probe with None -> 0 | Some p -> p.Probe.current () in
-  let rec ev =
-    { time; tkey = int_of_float (time *. 1e9); seq = t.next_seq;
-      fn; tag; queued = false; vb = 0; prev = ev; next = ev; count = t.size }
-  in
-  t.next_seq <- t.next_seq + 1;
-  insert t ev;
-  if ev.vb < t.vcur || !(t.size) = 0 then t.vcur <- ev.vb;
-  incr t.size;
-  maybe_grow t;
-  ev
+  match t.probe with
+  | None ->
+      let ev = make t time fn 0 in
+      push t ev;
+      ev
+  | Some p ->
+      (* The tag is read before entering, so it names the caller. *)
+      let ev = make t time fn (p.Probe.current ()) in
+      let d = p.Probe.enter Probe.scheduler in
+      push t ev;
+      p.Probe.leave d;
+      ev
 
 let at t time fn = ignore (schedule t time fn)
 let after t delay fn = ignore (schedule t (t.clock +. delay) fn)
 let timer_after t delay fn = schedule t (t.clock +. delay) fn
 
 let cancel ev =
-  if ev.queued then begin
-    unlink ev;
-    decr ev.count
-  end
+  if ev.idx >= 0 then
+    let t = ev.owner in
+    match t.probe with
+    | None -> remove t ev
+    | Some p ->
+        let d = p.Probe.enter Probe.scheduler in
+        remove t ev;
+        p.Probe.leave d
 
-let pending ev = ev.queued
+let pending ev = ev.idx >= 0
 
 (* One branch when detached; when probed, the fire is bracketed so the
    profiler can charge the event's wall time to the slot that scheduled
@@ -275,39 +160,29 @@ let fire t ev =
       p.Probe.fire_leave d
 
 let step t =
-  match pop t with
-  | None -> false
-  | Some ev ->
-      t.clock <- ev.time;
-      t.processed <- t.processed + 1;
-      fire t ev;
-      true
+  if t.len = 0 then false
+  else begin
+    let ev = t.heap.(0) in
+    remove t ev;
+    t.clock <- ev.time;
+    t.processed <- t.processed + 1;
+    fire t ev;
+    true
+  end
 
 let run ?until t =
   let body () =
     match until with
     | None -> while step t do () done
     | Some limit ->
-        (* One [find_min] per event: peek, and only if the minimum is due
-           within the horizon unlink and fire it directly — going through
-           [step] would scan for the same minimum twice. *)
-        let rec loop () =
-          match find_min t with
-          | Some ev when ev.time <= limit ->
-              unlink ev;
-              decr t.size;
-              maybe_shrink t;
-              t.clock <- ev.time;
-              t.processed <- t.processed + 1;
-              fire t ev;
-              loop ()
-          | Some _ | None -> if t.clock < limit then t.clock <- limit
-        in
-        loop ()
+        while t.len > 0 && t.heap.(0).time <= limit do
+          ignore (step t)
+        done;
+        if t.clock < limit then t.clock <- limit
   in
-  (* The run loop itself is the "scheduler" slot: queue scans, resizes
-     and clock advances between fires are charged to it, while each
-     fire's body is charged to its own tag by [fire]. *)
+  (* The run loop itself is the "scheduler" slot: pops and clock
+     advances between fires are charged to it, while each fire's body
+     is charged to its own tag by [fire]. *)
   match t.probe with
   | None -> body ()
   | Some p ->
@@ -316,4 +191,4 @@ let run ?until t =
       p.Probe.leave d
 
 let events_processed t = t.processed
-let pending_events t = !(t.size)
+let pending_events t = t.len

@@ -5,12 +5,17 @@
     deliveries, timer expiries — is driven by this queue, which makes every
     run deterministic for a given seed.
 
-    The queue is a calendar queue (Brown, CACM 1988): an array of
-    time-bucketed sorted lists that resizes with the pending-event
-    population, giving O(1) average schedule, fire and cancel for the
-    timer-wheel-like distributions a network simulation produces.
-    Ordering is exactly [(time, sequence)] — an event scheduled earlier
-    for the same instant always fires first, at any queue size. *)
+    The queue is an array-backed binary min-heap in which every event
+    records its own index, so schedule, fire and cancel are each
+    O(log n) in the pending population and a cancelled event leaves the
+    queue at once.  It replaced a calendar queue (Brown, CACM 1988),
+    which sampled one bucket width for all pending events: in a large
+    fleet, packet hops microseconds ahead shared buckets with thousands
+    of RTO and think timers seconds ahead, and each insert scanned
+    hundreds of them.  A heap has no width to tune.  Ordering is exactly
+    [(time, sequence)] — an event scheduled earlier for the same instant
+    always fires first, at any queue size — so the two queues fire
+    identical sequences. *)
 
 type t
 
@@ -57,10 +62,11 @@ val pending_events : t -> int
 
     A {!Probe.t} attached here is visible to every layer holding the
     sim, so instrumented sites need no extra plumbing.  When attached,
-    {!run} charges queue bookkeeping to the [scheduler] slot, every
-    event fire is bracketed and attributed to the slot that scheduled
-    it, and {!schedule} stamps each event with the active slot.  When
-    detached (the default) each hook is a single [match] branch. *)
+    {!run}, {!at}, {!after}, {!timer_after} and {!cancel} charge their
+    heap work to the [scheduler] slot, every event fire is bracketed and
+    attributed to the slot that scheduled it, and scheduling stamps each
+    event with the slot active at the call.  When detached (the default)
+    each hook is a single [match] branch. *)
 
 val set_probe : t -> Probe.t option -> unit
 (** Attach or detach a profiler probe. *)

@@ -9,14 +9,6 @@ type profile = {
   sizes : (int * float) array;
 }
 
-let office_lan =
-  {
-    on_rate = 120.0;
-    on_mean = 0.4;
-    off_mean = 1.2;
-    sizes = [| (90, 0.6); (300, 0.2); (1400, 0.2) |];
-  }
-
 let campus_backbone =
   {
     on_rate = 2800.0;

@@ -12,9 +12,6 @@ type profile = {
   sizes : (int * float) array;  (** (datagram bytes, weight) mixture *)
 }
 
-val office_lan : profile
-(** Light chatter: mostly small packets, occasional bulk. *)
-
 val campus_backbone : profile
 (** Heavier bursts of bulk transfers that can briefly exceed an
     80 Mbit/s ring's drain rate and overflow router queues. *)

@@ -748,25 +748,6 @@ let rec recv conn ~max =
     recv conn ~max
   end
 
-let debug_dump c =
-  let state =
-    match c.state with
-    | Syn_sent -> "syn_sent"
-    | Syn_received -> "syn_rcvd"
-    | Established -> "estab"
-    | Closing -> "closing"
-    | Closed -> "closed"
-  in
-  Printf.sprintf
-    "%s una=%d nxt=%d buf=%d wnd=%d cwnd=%.0f ssthresh=%.0f dup=%d rcv_nxt=%d \
-     rcvbuf=%d ooo=%d rexmt=%b persist=%b waiters=s%d/r%d fin_s=%b fin_r=%b"
-    state c.snd_una c.snd_nxt (Mbuf.length c.snd_buf) c.snd_wnd c.cwnd
-    c.ssthresh c.dup_acks c.rcv_nxt (Mbuf.length c.rcv_buf) (List.length c.ooo)
-    (c.rexmt <> None) (c.persist <> None)
-    (List.length c.send_waiters)
-    (List.length c.rcv_waiters)
-    c.fin_sent c.fin_rcvd
-
 let close conn =
   match conn.state with
   | Established ->

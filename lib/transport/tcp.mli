@@ -86,7 +86,3 @@ val peer : conn -> int
 (** Remote host id. *)
 
 val peer_port : conn -> int
-
-val debug_dump : conn -> string
-(** One-line internal state summary (sequence space, windows, timers);
-    for tests and troubleshooting. *)

@@ -41,6 +41,7 @@ let unit_name = function
   | Bytes -> "bytes"
   | Count -> "count"
 
+(* The single place measurement values become strings. *)
 let render_value = function
   | Text s -> s
   | Int (v, _) -> string_of_int v

@@ -28,14 +28,6 @@ val unit_name : unit_of_measure -> string
 (** Stable lowercase names ("ms", "s", "per_s", "percent", "bytes",
     "count") used by the JSON export. *)
 
-val render_value : value -> string
-(** The single place measurement values become strings: fixed-precision
-    decimal, a ["%"] suffix for {!Percent}. *)
-
-val float_of_value : value -> float
-(** The numeric payload (parses {!Text}; raises [Failure] when it is
-    not numeric). *)
-
 (** {2 Rendered tables} *)
 
 type table = {
@@ -174,7 +166,8 @@ val run_specs :
     sweep so short experiments overlap long ones. *)
 
 val render : results -> table
-(** Pure rendering of typed results via {!render_value}. *)
+(** Pure rendering of typed results: fixed-precision decimals, a ["%"]
+    suffix for {!Percent}. *)
 
 exception Driver_stuck of string
 (** An experiment driver failed to finish; the message carries the run

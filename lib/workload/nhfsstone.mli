@@ -91,12 +91,6 @@ type program = {
   pg_seed : int;
 }
 
-val program_duration : program -> float
-(** Total virtual seconds over all segments. *)
-
-val program_mean_rate : program -> float
-(** Time-weighted mean offered rate (ramps count their midpoint). *)
-
 val run_program :
   ?latency_hist:Renofs_engine.Stats.Hist.t ->
   Renofs_core.Nfs_client.t ->
@@ -106,7 +100,7 @@ val run_program :
 (** As {!run}, but pacing follows the program: each child draws its
     next inter-arrival gap from the instantaneous per-child rate, an op
     uses the mix of the segment it fires in, and zero-rate segments are
-    skipped to their boundary.  [offered] in the result is
-    {!program_mean_rate}; [achieved] and [read_rate] divide by
-    {!program_duration}.  Raises [Invalid_argument] on an empty
-    program. *)
+    skipped to their boundary.  [offered] in the result is the
+    time-weighted mean offered rate (ramps count their midpoint);
+    [achieved] and [read_rate] divide by the total duration of all
+    segments.  Raises [Invalid_argument] on an empty program. *)

@@ -48,25 +48,9 @@ val of_json : ctx:string -> (string * Renofs_json.Json.json) list -> t
     wrong shapes, so a typo in a scenario file fails loudly instead of
     silently running with defaults. *)
 
-val check_writable : string -> string option
-(** Probe-open a path for writing; [Some msg] on failure.  Runs before
-    the sweep so a mistyped output path does not cost minutes of
-    simulation. *)
-
 val check_outputs : (string * string option) list -> string option
-(** [check_outputs [("json", t.rs_json); ...]] — first failure message,
-    if any. *)
-
-val effective_jobs : ?cells:int -> int option -> int
-(** The domain count actually used: the machine's recommended count by
-    default, clamped to the cell count; an explicit larger value still
-    runs, oversubscribed, with a warning on stderr. *)
-
-val resolve_faults :
-  string option -> (Renofs_fault.Fault.schedule option, string) result
-
-val export_metrics : Renofs_metrics.Metrics.t -> string -> unit
-(** CSV when the path ends in [.csv], JSONL otherwise. *)
+(** [check_outputs [("json", t.rs_json); ...]] probe-opens each set
+    path for writing and returns the first failure message, if any. *)
 
 val execute_many :
   ?print:(Experiments.table -> unit) ->

@@ -72,62 +72,127 @@ let test_events_processed () =
   Sim.run sim;
   Alcotest.(check int) "count" 10 (Sim.events_processed sim)
 
-(* Oracle check of the calendar queue against the (time, seq) contract:
-   a randomized script of nested schedules and cancels — thousands of
-   events across many bucket-array growths and shrinks, with same-time
-   ties, same-bucket churn and multi-year jumps — must fire in exactly
-   sorted (time, insertion order).  The local [id] counter advances in
-   lockstep with Sim's internal sequence number because every schedule
-   in this simulator goes through [spawn]. *)
-let test_sim_oracle_order () =
-  let rng = Rng.create 97 in
-  let sim = Sim.create () in
-  let next_id = ref 0 in
-  let fired = ref [] in
-  let live = Hashtbl.create 64 in (* id -> timer *)
-  let cancelled = ref 0 in
-  let cancel_youngest () =
-    let victim = Hashtbl.fold (fun id _ acc -> max id acc) live (-1) in
-    match Hashtbl.find_opt live victim with
-    | None -> ()
-    | Some tm ->
-        Sim.cancel tm;
-        Hashtbl.remove live victim;
-        incr cancelled
+(* Oracle check of the event heap against the (time, seq) contract: a
+   randomized script of schedules and cancels, one per delay mix below,
+   must fire in exactly sorted (time, insertion order).  After every
+   fire the queue holds exactly the live timers, and a fired or
+   cancelled timer reads not-pending and ignores a second cancel.  The
+   local [id] counter advances in lockstep with Sim's internal sequence
+   number because every schedule in these scripts goes through
+   [spawn]. *)
+type oracle = {
+  sim : Sim.t;
+  rng : Rng.t;
+  live : (int, Sim.timer) Hashtbl.t;  (* neither fired nor cancelled *)
+  mutable next_id : int;
+  mutable fired : (float * int) list;  (* newest first *)
+  mutable cancelled : int;
+}
+
+let check_retired o what id tm =
+  let n = Sim.pending_events o.sim in
+  if Sim.pending tm then Alcotest.failf "%s timer %d still pending" what id;
+  Sim.cancel tm;
+  if Sim.pending_events o.sim <> n then
+    Alcotest.failf "second cancel of %s timer %d changed the queue" what id
+
+let spawn o delay on_fire =
+  let id = o.next_id in
+  o.next_id <- id + 1;
+  let time = Sim.now o.sim +. delay in
+  let tm =
+    Sim.timer_after o.sim delay (fun () ->
+        let tm = Hashtbl.find o.live id in
+        Hashtbl.remove o.live id;
+        o.fired <- (time, id) :: o.fired;
+        check_retired o "fired" id tm;
+        on_fire ())
   in
-  let rec spawn depth =
-    let id = !next_id in
-    incr next_id;
+  Hashtbl.replace o.live id tm;
+  id
+
+let cancel o id =
+  match Hashtbl.find_opt o.live id with
+  | None -> ()
+  | Some tm ->
+      Sim.cancel tm;
+      Hashtbl.remove o.live id;
+      o.cancelled <- o.cancelled + 1;
+      check_retired o "cancelled" id tm
+
+(* Nested schedules with same-time ties, sub-millisecond churn and jumps
+   of up to 80 s; one fire in eight cancels the youngest live timer. *)
+let churn_mix o =
+  let cancel_youngest () =
+    cancel o (Hashtbl.fold (fun id _ acc -> max id acc) o.live (-1))
+  in
+  let rec churn depth =
     let delay =
-      match Rng.int rng 4 with
-      | 0 -> Rng.float rng 1e-4 (* same-bucket churn *)
-      | 1 -> Rng.float rng 2.0
-      | 2 -> Rng.float rng 80.0 (* several bucket-years ahead *)
+      match Rng.int o.rng 4 with
+      | 0 -> Rng.float o.rng 1e-4
+      | 1 -> Rng.float o.rng 2.0
+      | 2 -> Rng.float o.rng 80.0
       | _ -> 0.0 (* same instant: seq tie-break *)
     in
-    let time = Sim.now sim +. delay in
-    let tm =
-      Sim.timer_after sim delay (fun () ->
-          Hashtbl.remove live id;
-          fired := (time, id) :: !fired;
-          if depth < 3 then
-            for _ = 1 to Rng.int rng 3 do
-              spawn (depth + 1)
-            done;
-          if Rng.int rng 8 = 0 then cancel_youngest ())
-    in
-    Hashtbl.replace live id tm
+    ignore
+      (spawn o delay (fun () ->
+           if depth < 3 then
+             for _ = 1 to Rng.int o.rng 3 do
+               churn (depth + 1)
+             done;
+           if Rng.int o.rng 8 = 0 then cancel_youngest ()))
   in
   for _ = 1 to 400 do
-    spawn 0
+    churn 0
+  done
+
+(* A past-the-knee fleet's queue, the population that cost the calendar
+   queue this heap replaced ~790 scan steps per insert (one bucket width
+   cannot suit both kinds of event): ~2,000 RTO and think timers
+   50 ms-5 s ahead that re-arm when they fire, 16 packet-hop chains
+   10 us-1 ms ahead, and one hop in four cancelling and re-arming a far
+   timer, for two simulated seconds. *)
+let fleet_mix o =
+  let horizon = 2.0 in
+  let far = Array.make 2000 (-1) in
+  let rec arm k =
+    far.(k) <-
+      spawn o (0.05 +. Rng.float o.rng 4.95) (fun () ->
+          if Sim.now o.sim < horizon then arm k)
+  in
+  let rec hop () =
+    ignore
+      (spawn o (1e-5 +. Rng.float o.rng 0.99e-3) (fun () ->
+           if Rng.int o.rng 4 = 0 then begin
+             let k = Rng.int o.rng (Array.length far) in
+             cancel o far.(k);
+             arm k
+           end;
+           if Sim.now o.sim < horizon then hop ()))
+  in
+  Array.iteri (fun k _ -> arm k) far;
+  for _ = 1 to 16 do
+    hop ()
+  done
+
+let test_sim_oracle_order mix () =
+  let o =
+    { sim = Sim.create (); rng = Rng.create 97; live = Hashtbl.create 64;
+      next_id = 0; fired = []; cancelled = 0 }
+  in
+  mix o;
+  while Sim.step o.sim do
+    let live = Hashtbl.length o.live in
+    if Sim.pending_events o.sim <> live then
+      Alcotest.failf "%d pending events but %d live timers"
+        (Sim.pending_events o.sim) live
   done;
-  Sim.run sim;
-  let order = List.rev !fired in
+  let order = List.rev o.fired in
   Alcotest.(check int) "every event fired or was cancelled"
-    !next_id
-    (List.length order + !cancelled);
-  Alcotest.(check bool) "a real population ran" true (!next_id > 1000);
-  Alcotest.(check bool) "some cancels happened" true (!cancelled > 10);
+    o.next_id
+    (List.length order + o.cancelled);
+  Alcotest.(check bool) "a real population ran" true (o.next_id > 1000);
+  Alcotest.(check bool) "some cancels happened" true (o.cancelled > 10);
   Alcotest.(check
                (list (pair (float 0.0) int)))
     "fired in (time, seq) order" (List.sort compare order) order
@@ -514,7 +579,9 @@ let () =
           Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
           Alcotest.test_case "events processed" `Quick test_events_processed;
           Alcotest.test_case "oracle order under churn" `Quick
-            test_sim_oracle_order;
+            (test_sim_oracle_order churn_mix);
+          Alcotest.test_case "oracle order under fleet timers" `Quick
+            (test_sim_oracle_order fleet_mix);
         ] );
       ( "proc",
         [

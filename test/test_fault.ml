@@ -418,7 +418,9 @@ let test_v3_crash_replay () =
 
 let test_soft_v3_commit_never_wedges () =
   let w = make_v3_world () in
-  let soft = Nfs_client.with_soft Nfs_client.v3_mount ~retrans:2 in
+  let soft =
+    { Nfs_client.v3_mount with Nfs_client.soft = true; retrans = 2 }
+  in
   let wsize = soft.Nfs_client.wsize in
   let payload = Bytes.make wsize 's' in
   let finished = ref false in
@@ -486,7 +488,9 @@ let double_create_verdict ~dup_cache =
   List.iter (fun n -> Net.Node.attach n { Net.Node.detached with trace = Some tr }) topo.Net.Topology.all;
   let sudp = Udp.install topo.Net.Topology.server in
   let stcp = Tcp.install topo.Net.Topology.server in
-  let profile = Nfs_server.with_duplicate_cache Nfs_server.default_config dup_cache in
+  let profile =
+    { Nfs_server.reno_profile with Nfs_server.duplicate_cache = dup_cache }
+  in
   let server =
     Nfs_server.create topo.Net.Topology.server ~profile ~udp:sudp ~tcp:stcp ()
   in

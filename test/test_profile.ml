@@ -6,6 +6,7 @@
    breach). *)
 
 module Probe = Renofs_engine.Probe
+module Sim = Renofs_engine.Sim
 module Profile = Renofs_profile.Profile
 module Perfetto = Renofs_profile.Perfetto
 module Flight = Renofs_profile.Flight
@@ -110,6 +111,40 @@ let test_fire_counts_and_durations () =
     "fire duration summed" 0.5 link.Profile.ss_fire_s;
   Alcotest.(check int) "one histogram entry" 1
     (Array.fold_left ( + ) 0 link.Profile.ss_hist)
+
+(* Sim.schedule and Sim.cancel charge their heap work to the scheduler,
+   while the event keeps the caller's slot as its tag.  Every clock read
+   advances the fake clock one second, so each bracket with no read
+   inside charges exactly one second. *)
+let test_heap_work_charged_to_scheduler () =
+  let now = ref 0.0 in
+  let tick () =
+    now := !now +. 1.0;
+    !now
+  in
+  let p = Profile.create ~clock:tick () in
+  let pr = Profile.probe p in
+  let sim = Sim.create () in
+  Sim.set_probe sim (Some pr);
+  Profile.start p;
+  let d = pr.Probe.enter Probe.cpu in
+  let tm = Sim.timer_after sim 1.0 ignore in
+  Sim.after sim 2.0 ignore;
+  Sim.cancel tm;
+  Sim.cancel tm (* already cancelled: no heap work, nothing charged *);
+  pr.Probe.leave d;
+  Alcotest.(check bool) "the surviving event fires" true (Sim.step sim);
+  Profile.stop p;
+  let s = Profile.snapshot p in
+  let sched = slot s "scheduler" in
+  Alcotest.(check int) "two schedules and one cancel entered" 3
+    sched.Profile.ss_enters;
+  Alcotest.(check (float 1e-9))
+    "one tick per heap operation" 3.0 sched.Profile.ss_self_s;
+  Alcotest.(check int) "the fire keeps the caller's slot" 1
+    (slot s "cpu").Profile.ss_fires;
+  Alcotest.(check int) "no fire tagged scheduler" 0 sched.Profile.ss_fires;
+  Alcotest.(check (float 1e-9)) "conserved" s.Profile.p_wall_s (self_sum s)
 
 (* ------------------------------------------------------------------ *)
 (* A real profiled run: determinism and conservation                   *)
@@ -400,6 +435,8 @@ let () =
           Alcotest.test_case "scoped self-time" `Quick test_scoped_attribution;
           Alcotest.test_case "leave truncates" `Quick test_leave_truncates;
           Alcotest.test_case "fire counts" `Quick test_fire_counts_and_durations;
+          Alcotest.test_case "heap work charged to scheduler" `Quick
+            test_heap_work_charged_to_scheduler;
         ] );
       ( "real run",
         [
