@@ -43,9 +43,11 @@
 # post-mortem bundle.
 # `make golden GOLDEN=DIR` writes every determinism-gated output into
 # DIR: `all` (table and JSON) at jobs 1 and 2, `slo`, `chaos --scale
-# quick` and `fuzz --seeds 15`.  A change that must leave simulated
-# output alone passes when `diff -r` of the parent's and the change's
-# directories is empty.
+# quick`, `fuzz --seeds 15`, and table5 with its trace, whose write
+# records carry data digests (run from inside DIR, so the trace path
+# table5 prints is the same for any DIR).  A change that must leave
+# simulated output alone passes when `diff -r` of the parent's and the
+# change's directories is empty.
 
 .PHONY: all build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate bench-baseline perf-gate perf-baseline profile-smoke golden check clean
 
@@ -122,6 +124,7 @@ golden: build
 	dune exec bin/nfsbench.exe -- slo --jobs 2 > $(GOLDEN)/slo.txt
 	dune exec bin/nfsbench.exe -- chaos --scale quick --jobs 2 > $(GOLDEN)/chaos-quick.txt
 	dune exec bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 > $(GOLDEN)/fuzz-15.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table5 --jobs 2 --trace table5-trace.jsonl > table5.txt
 
 check: build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate perf-gate profile-smoke
 

@@ -11,10 +11,12 @@
 
    2. A Bechamel suite with one Test.make per paper artifact (how much
       wall time one Quick regeneration costs) plus microbenchmarks of
-      the substrate hot paths (XDR encode, checksum, fragmentation,
-      event loop).
+      the substrate hot paths (XDR encode, checksum, data digest,
+      fragmentation, event loop).  The per-byte kernels run over 8192
+      bytes, so ns/byte is the printed ns/run over 8192.
 
-     dune exec bench/main.exe *)
+     dune exec bench/main.exe
+     dune exec bench/main.exe -- micro    # the microbenchmarks alone *)
 
 open Bechamel
 open Toolkit
@@ -23,6 +25,7 @@ module Mbuf = Renofs_mbuf.Mbuf
 module Xdr = Renofs_xdr.Xdr
 module Packet = Renofs_net.Packet
 module Sim = Renofs_engine.Sim
+module Trace = Renofs_trace.Trace
 
 let scale =
   match Sys.getenv_opt "RENOFS_BENCH_SCALE" with
@@ -89,6 +92,20 @@ let micro_tests =
     Test.make ~name:"checksum-8K"
       (let chain = Mbuf.of_bytes payload in
        Staged.stage (fun () -> ignore (Mbuf.checksum chain)));
+    Test.make ~name:"checksum-8K-pooled-split"
+      (* Pooled storage, a small mbuf ahead of the clusters, and a cut at
+         an odd offset rejoined: the straddling cluster becomes two views
+         that end and start at odd offsets, so the odd byte carries
+         across an mbuf boundary and the wide loads run unaligned. *)
+      (let pool = Mbuf.Pool.create () in
+       Mbuf.release ~pool (Mbuf.of_bytes ~pool payload);
+       let chain = Mbuf.of_bytes ~pool (Bytes.sub payload 0 40) in
+       Mbuf.append_chain chain (Mbuf.of_bytes ~pool (Bytes.sub payload 40 8152));
+       let front, back = Mbuf.split chain 4097 in
+       Mbuf.append_chain front back;
+       Staged.stage (fun () -> ignore (Mbuf.checksum front)));
+    Test.make ~name:"digest-8K"
+      (Staged.stage (fun () -> ignore (Trace.digest payload)));
     Test.make ~name:"xdr-encode-write-rpc"
       (Staged.stage (fun () ->
            let enc = Xdr.Enc.create () in
@@ -141,8 +158,12 @@ let run_bechamel tests =
     rows
 
 let () =
-  regenerate ();
-  Format.printf "=== Bechamel: per-artifact regeneration cost ===@.";
-  run_bechamel experiment_tests;
-  Format.printf "@.=== Bechamel: substrate microbenchmarks ===@.";
+  let micro_only = Array.length Sys.argv > 1 && Sys.argv.(1) = "micro" in
+  if not micro_only then begin
+    regenerate ();
+    Format.printf "=== Bechamel: per-artifact regeneration cost ===@.";
+    run_bechamel experiment_tests;
+    Format.printf "@."
+  end;
+  Format.printf "=== Bechamel: substrate microbenchmarks ===@.";
   run_bechamel micro_tests

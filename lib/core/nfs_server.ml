@@ -64,8 +64,10 @@ type lease_holder = {
 }
 
 (* One buffered unstable extent: data a v3 WRITE left in volatile
-   memory, in arrival order, awaiting COMMIT. *)
-type uext = { ue_off : int; ue_data : bytes }
+   memory, in arrival order, awaiting COMMIT.  [ue_digest] is the data's
+   [Trace.digest], computed on first use (-1 until then), so a traced
+   UNSTABLE write and its COMMIT echo hash the bytes once between them. *)
+type uext = { ue_off : int; ue_data : bytes; mutable ue_digest : int }
 
 type t = {
   node : Node.t;
@@ -205,6 +207,10 @@ let set_lie_on_commit t v = t.lie_on_commit <- v
 
 let uext_end e = e.ue_off + Bytes.length e.ue_data
 
+let uext_digest e =
+  if e.ue_digest < 0 then e.ue_digest <- Trace.digest e.ue_data;
+  e.ue_digest
+
 let unstable_append t fh ~off data =
   let r =
     match Hashtbl.find_opt t.unstable fh with
@@ -214,7 +220,9 @@ let unstable_append t fh ~off data =
         Hashtbl.replace t.unstable fh r;
         r
   in
-  r := { ue_off = off; ue_data = data } :: !r
+  let e = { ue_off = off; ue_data = data; ue_digest = -1 } in
+  r := e :: !r;
+  e
 
 let unstable_size t fh =
   match Hashtbl.find_opt t.unstable fh with
@@ -385,6 +393,12 @@ let trace_event t ev =
       Trace.record tr ~time:(Sim.now (Node.sim t.node)) ~node:(Node.id t.node) ev
   | None -> ()
 
+(* Whether [trace_event] would record.  The write events carry a digest
+   of the data, so they are built only then: an untraced server hashes
+   nothing. *)
+let tracing t =
+  match Node.trace t.node with Some tr -> Trace.enabled tr | None -> false
+
 let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
     P.reply =
   let uid, gid =
@@ -470,15 +484,16 @@ let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
           charge_copy t (Bytes.length data);
           Fs.write t.fs v ~off:write_offset data;
           let a = attr v in
-          trace_event t
-            (Trace.Write_committed
-               {
-                 file = write_file;
-                 off = write_offset;
-                 len = Bytes.length data;
-                 digest = Trace.digest data;
-                 mtime = P.float_of_time a.P.mtime;
-               });
+          if tracing t then
+            trace_event t
+              (Trace.Write_committed
+                 {
+                   file = write_file;
+                   off = write_offset;
+                   len = Bytes.length data;
+                   digest = Trace.digest data;
+                   mtime = P.float_of_time a.P.mtime;
+                 });
           a)
   | P.Create { P.where = { P.dir; name }; attributes } ->
       wrap_dirop (fun () ->
@@ -619,29 +634,31 @@ let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
         let committed =
           match w3_stable with
           | P.Unstable ->
-              unstable_append t w3_file ~off:w3_offset w3_data;
-              trace_event t
-                (Trace.Write_unstable
-                   {
-                     file = w3_file;
-                     off = w3_offset;
-                     len = Bytes.length w3_data;
-                     digest = Trace.digest w3_data;
-                     verf = t.write_verf;
-                   });
+              let e = unstable_append t w3_file ~off:w3_offset w3_data in
+              if tracing t then
+                trace_event t
+                  (Trace.Write_unstable
+                     {
+                       file = w3_file;
+                       off = w3_offset;
+                       len = Bytes.length w3_data;
+                       digest = uext_digest e;
+                       verf = t.write_verf;
+                     });
               P.Unstable
           | P.Data_sync | P.File_sync ->
               Fs.write t.fs v ~off:w3_offset w3_data;
               let a = Fs.getattr t.fs v in
-              trace_event t
-                (Trace.Write_committed
-                   {
-                     file = w3_file;
-                     off = w3_offset;
-                     len = Bytes.length w3_data;
-                     digest = Trace.digest w3_data;
-                     mtime = a.Fs.mtime;
-                   });
+              if tracing t then
+                trace_event t
+                  (Trace.Write_committed
+                     {
+                       file = w3_file;
+                       off = w3_offset;
+                       len = Bytes.length w3_data;
+                       digest = Trace.digest w3_data;
+                       mtime = a.Fs.mtime;
+                     });
               P.File_sync
         in
         P.Rwrite3
@@ -679,15 +696,16 @@ let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
                  (fun e ->
                    Fs.write t.fs v ~off:e.ue_off e.ue_data;
                    let a = Fs.getattr t.fs v in
-                   trace_event t
-                     (Trace.Write_committed
-                        {
-                          file = cm_file;
-                          off = e.ue_off;
-                          len = Bytes.length e.ue_data;
-                          digest = Trace.digest e.ue_data;
-                          mtime = a.Fs.mtime;
-                        }))
+                   if tracing t then
+                     trace_event t
+                       (Trace.Write_committed
+                          {
+                            file = cm_file;
+                            off = e.ue_off;
+                            len = Bytes.length e.ue_data;
+                            digest = uext_digest e;
+                            mtime = a.Fs.mtime;
+                          }))
                  (List.rev covered));
         trace_event t
           (Trace.Commit_ok

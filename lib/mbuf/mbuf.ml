@@ -291,12 +291,24 @@ let sub_copy ?ctr ?pool t ~pos ~len =
       end);
   out
 
+(* Native-byte-order loads without bounds checks. *)
+external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* The byte pair [hi], [lo] as a native-order 16-bit load reads it. *)
+let native_word hi lo = if Sys.big_endian then (hi lsl 8) lor lo else (lo lsl 8) lor hi
+
 let checksum t =
-  (* Internet checksum: ones-complement sum of 16-bit big-endian words.
-     Summed word-at-a-time without allocating; with 63-bit ints the
-     carries can be folded once at the end (end-around-carry addition is
-     associative in its 16-bit result), not per word.  [high] is the
-     pending odd leading byte across an mbuf boundary, -1 when none. *)
+  (* Internet checksum: ones-complement sum of 16-bit big-endian words,
+     by the two RFC 1071 properties that make a wide loop exact.  Carries
+     can be deferred to one final fold, so a 63-bit accumulator takes
+     each 8-byte load as two 32-bit halves.  The sum is independent of
+     byte order up to a final swap, so every word is added in native
+     order and the folded 16 bits are swapped once on a little-endian
+     host.  [high] is the pending odd leading byte across an mbuf
+     boundary, -1 when none.  Keep the walk's allocation (the reversed
+     list, two refs, one closure) as it is: this runs per packet on
+     every path, and peak heap follows GC pacing (DESIGN.md). *)
   let sum = ref 0 in
   let high = ref (-1) in
   List.iter
@@ -305,26 +317,34 @@ let checksum t =
       let base = m.off and len = m.len in
       let i = ref 0 in
       (* In-bounds by the mbuf invariant (off + len <= capacity), so the
-         inner loop can skip the per-byte bounds checks. *)
+         loads can skip the bounds checks. *)
       if !high >= 0 && len > 0 then begin
-        sum := !sum + ((!high lsl 8) lor Char.code (Bytes.unsafe_get data base));
+        sum := !sum + native_word !high (Char.code (Bytes.unsafe_get data base));
         high := -1;
         i := 1
       end;
+      let acc = ref 0 in
+      while !i + 8 <= len do
+        let w = unsafe_get64 data (base + !i) in
+        acc :=
+          !acc
+          + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+          + Int64.to_int (Int64.shift_right_logical w 32);
+        i := !i + 8
+      done;
       while !i + 1 < len do
-        sum :=
-          !sum
-          + ((Char.code (Bytes.unsafe_get data (base + !i)) lsl 8)
-            lor Char.code (Bytes.unsafe_get data (base + !i + 1)));
+        acc := !acc + unsafe_get16 data (base + !i);
         i := !i + 2
       done;
+      sum := !sum + !acc;
       if !i < len then high := Char.code (Bytes.unsafe_get data (base + !i)))
     (List.rev t.rev);
-  if !high >= 0 then sum := !sum + (!high lsl 8);
+  if !high >= 0 then sum := !sum + native_word !high 0;
   while !sum lsr 16 <> 0 do
     sum := (!sum land 0xFFFF) + (!sum lsr 16)
   done;
-  lnot !sum land 0xFFFF
+  let s = if Sys.big_endian then !sum else ((!sum land 0xFF) lsl 8) lor (!sum lsr 8) in
+  lnot s land 0xFFFF
 
 module Cursor = struct
   exception Underrun

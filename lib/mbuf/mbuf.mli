@@ -121,7 +121,12 @@ val checksum : t -> int
 (** 16-bit ones-complement sum over the payload (Internet checksum,
     zero-padded to even length); exercised per-packet by the network
     layer since the checksum routine was one of the paper's residual CPU
-    bottlenecks. *)
+    bottlenecks.  Summed eight bytes per load in native byte order, as
+    two 32-bit halves into one 63-bit accumulator, then folded to 16
+    bits and byte-swapped on a little-endian host (RFC 1071: carries
+    can be deferred, and byte order only swaps the result).  The loads
+    are unchecked, so they rely on the invariant that every mbuf's
+    [off + len] lies within its storage. *)
 
 (** Sequential reader over a chain ([nfsm_disect] analogue). *)
 module Cursor : sig

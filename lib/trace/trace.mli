@@ -148,8 +148,11 @@ val proc_name : int -> string
 
 val digest : bytes -> int
 (** FNV-1a folded to 30 bits — a small nonnegative int that survives the
-    JSONL number round-trip exactly.  Used by {!Write_committed} and the
-    invariant checker's read-back comparison. *)
+    JSONL number round-trip exactly.  The empty input is the exception:
+    it returns the unfolded FNV basis [0x811c9dc5] (2,166,136,261), the
+    value trace files already carry, so it is kept.  Used by
+    {!Write_committed}, {!Write_unstable} and the invariant checker's
+    read-back comparison. *)
 
 (** {2 JSONL export / import}
 

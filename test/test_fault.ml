@@ -416,6 +416,50 @@ let test_v3_crash_replay () =
   Sim.run ~until:600.0 w.w_sim;
   Alcotest.(check bool) "client finished" true !finished
 
+let test_v3_commit_digests_untraced_writes () =
+  (* The server builds digest-carrying events only while a sink records,
+     and hashes a buffered extent on first use: UNSTABLE writes made
+     with the sink off must still be echoed at COMMIT with the digest of
+     their data, or the durability check cannot vouch for them. *)
+  let w = make_v3_world () in
+  let wsize = Nfs_client.v3_mount.Nfs_client.wsize in
+  let payload = Bytes.init (2 * wsize) (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let finished = ref false in
+  Proc.spawn w.w_sim (fun () ->
+      let m = w.w_mount Nfs_client.v3_mount in
+      let fd = Nfs_client.create m "quiet" in
+      Trace.set_enabled w.w_trace false;
+      Nfs_client.write m fd ~off:0 payload;
+      Proc.sleep w.w_sim 2.0;
+      Alcotest.(check bool) "server buffers unstable data" true
+        (Nfs_server.unstable_bytes w.w_server > 0);
+      Trace.set_enabled w.w_trace true;
+      Nfs_client.fsync m fd;
+      Nfs_client.close m fd;
+      let records = Trace.to_list w.w_trace in
+      let committed =
+        List.filter_map
+          (fun r ->
+            match r.Trace.ev with
+            | Trace.Write_committed { off; len; digest; _ } -> Some (off, len, digest)
+            | _ -> None)
+          records
+      in
+      Alcotest.(check int) "both blocks echoed at COMMIT" 2 (List.length committed);
+      List.iter
+        (fun (off, len, digest) ->
+          Alcotest.(check int)
+            (Printf.sprintf "digest of bytes %d+%d" off len)
+            (Trace.digest (Bytes.sub payload off len))
+            digest)
+        committed;
+      Alcotest.(check bool) "durable writes pass with read-back" true
+        (Check.durable_writes ~read_back:(server_read_back w.w_server) records)
+          .Check.v_ok;
+      finished := true);
+  Sim.run ~until:600.0 w.w_sim;
+  Alcotest.(check bool) "client finished" true !finished
+
 let test_soft_v3_commit_never_wedges () =
   let w = make_v3_world () in
   let soft =
@@ -669,6 +713,8 @@ let () =
           Alcotest.test_case "lying COMMIT convicted" `Quick
             test_lying_commit_convicted;
           Alcotest.test_case "crash replay heals" `Quick test_v3_crash_replay;
+          Alcotest.test_case "COMMIT digests untraced writes" `Quick
+            test_v3_commit_digests_untraced_writes;
           Alcotest.test_case "soft COMMIT never wedges" `Quick
             test_soft_v3_commit_never_wedges;
           Alcotest.test_case "soft give-up reports capped timeo" `Quick

@@ -167,6 +167,61 @@ let prop_checksum_split_invariant =
       Mbuf.append_chain rejoined back;
       Mbuf.checksum rejoined = whole)
 
+(* The definition the wide loop must match: one big-endian byte pair
+   per step over linear bytes, the odd tail zero-padded, carries folded
+   at the end. *)
+let reference_checksum b =
+  let n = Bytes.length b in
+  let sum = ref 0 in
+  let i = ref 0 in
+  while !i + 1 < n do
+    sum := !sum + (Char.code (Bytes.get b !i) lsl 8) + Char.code (Bytes.get b (!i + 1));
+    i := !i + 2
+  done;
+  if !i < n then sum := !sum + (Char.code (Bytes.get b !i) lsl 8);
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  lnot !sum land 0xFFFF
+
+(* Shared across cases, so storage comes back holding an earlier
+   chain's bytes and a loop that reads past an mbuf's end sums them. *)
+let checksum_pool = Mbuf.Pool.create ()
+
+(* [len] random bytes as pooled pieces of 1 to 3000 bytes, joined
+   without copying: every piece but the last ends in a partly filled
+   mbuf, often of odd length. *)
+let random_chain rng len =
+  let chain = Mbuf.empty () in
+  let left = ref len in
+  while !left > 0 do
+    let k = min !left (1 + Random.State.int rng 3000) in
+    let piece = Bytes.init k (fun _ -> Char.chr (Random.State.int rng 256)) in
+    Mbuf.append_chain chain (Mbuf.of_bytes ~pool:checksum_pool piece);
+    left := !left - k
+  done;
+  chain
+
+let prop_checksum_reference =
+  QCheck.Test.make ~name:"checksum equals byte-pair reference" ~count:300
+    (QCheck.make
+       ~print:(fun (seed, len) -> Printf.sprintf "seed %d, %d bytes" seed len)
+       QCheck.Gen.(pair int (frequency [ (1, int_bound 64); (3, int_bound 40_000) ])))
+    (fun (seed, len) ->
+      let rng = Random.State.make [| seed |] in
+      let cut c = Mbuf.split c (Random.State.int rng (Mbuf.length c + 1)) in
+      (* Two cuts make views that start and end at odd offsets; each
+         part and the rejoined whole must agree with the reference. *)
+      let a, rest = cut (random_chain rng len) in
+      let b, c = cut rest in
+      let agrees ch = Mbuf.checksum ch = reference_checksum (Mbuf.to_bytes ch) in
+      let parts_agree = agrees a && agrees b && agrees c in
+      let whole = Mbuf.empty () in
+      List.iter (Mbuf.append_chain whole) [ a; b; c ];
+      let ok = parts_agree && Mbuf.length whole = len && agrees whole in
+      Mbuf.release ~pool:checksum_pool whole;
+      ok)
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -292,5 +347,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_split_rejoin; prop_cursor_chunks; prop_checksum_split_invariant ] );
+          [
+            prop_roundtrip;
+            prop_split_rejoin;
+            prop_cursor_chunks;
+            prop_checksum_split_invariant;
+            prop_checksum_reference;
+          ] );
     ]

@@ -331,6 +331,14 @@ let test_experiment_with_trace () =
         (Trace.length tr)
         (List.length (Trace.import_jsonl path)))
 
+(* Trace JSONL files carry these digests, so their values are pinned. *)
+let test_digest_known_answers () =
+  Alcotest.(check int) "empty input is the unfolded basis" 0x811c9dc5
+    (Trace.digest Bytes.empty);
+  Alcotest.(check int) "\"a\"" 604776748 (Trace.digest (Bytes.of_string "a"));
+  Alcotest.(check int) "8 KiB pattern" 1028914629
+    (Trace.digest (Bytes.init 8192 (fun i -> Char.chr (i land 0xff))))
+
 let () =
   Alcotest.run "trace"
     [
@@ -352,6 +360,7 @@ let () =
           Alcotest.test_case "float precision" `Quick test_jsonl_float_precision;
           Alcotest.test_case "file roundtrip" `Quick test_jsonl_file_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_jsonl_rejects_garbage;
+          Alcotest.test_case "digest known answers" `Quick test_digest_known_answers;
         ] );
       ( "live",
         [
