@@ -12,8 +12,10 @@
    2. A Bechamel suite with one Test.make per paper artifact (how much
       wall time one Quick regeneration costs) plus microbenchmarks of
       the substrate hot paths (XDR encode, checksum, data digest,
-      fragmentation, event loop).  The per-byte kernels run over 8192
-      bytes, so ns/byte is the printed ns/run over 8192.
+      fragmentation, event loop, file-content fill, buffer-cache
+      eviction).  The per-byte kernels run over 8192 bytes, so ns/byte
+      is the printed ns/run over 8192; the content fill runs over
+      16384.
 
      dune exec bench/main.exe
      dune exec bench/main.exe -- micro    # the microbenchmarks alone *)
@@ -25,7 +27,10 @@ module Mbuf = Renofs_mbuf.Mbuf
 module Xdr = Renofs_xdr.Xdr
 module Packet = Renofs_net.Packet
 module Sim = Renofs_engine.Sim
+module Cpu = Renofs_engine.Cpu
 module Trace = Renofs_trace.Trace
+module Fileset = Renofs_workload.Fileset
+module Bcache = Renofs_vfs.Bcache
 
 let scale =
   match Sys.getenv_opt "RENOFS_BENCH_SCALE" with
@@ -120,6 +125,24 @@ let micro_tests =
                ~dst_port:2049 ~ip_id:1 (Mbuf.of_bytes payload)
            in
            ignore (Packet.fragment p ~mtu:1500)));
+    Test.make ~name:"fileset-content-16K"
+      (Staged.stage (fun () ->
+           ignore (Fileset.content ~path:"d00/nhfsstone_long_file_name_00_00_xxxxx" ~size:16384)));
+    Test.make ~name:"bcache-insert-full-256"
+      (* The cache starts full and every run inserts a new block, so each
+         run pays one eviction. *)
+      (let sim = Sim.create () in
+       let bc =
+         Bcache.create sim (Cpu.create sim ~mips:1.0) ~blocks:256
+           ~search:Bcache.Vnode_chained ()
+       in
+       for blk = 0 to 255 do
+         Bcache.insert bc ~ino:0 ~blk
+       done;
+       let ino = ref 0 in
+       Staged.stage (fun () ->
+           incr ino;
+           Bcache.insert bc ~ino:!ino ~blk:0));
     Test.make ~name:"sim-10k-events"
       (Staged.stage (fun () ->
            let sim = Sim.create () in

@@ -6,7 +6,12 @@
     the search cheap and independent of cache size; the Sun reference
     port searches a global table.  The paper attributes most of the
     server lookup-rate gap between Reno and Ultrix (Graphs 8-9) to this
-    difference, not to the name cache. *)
+    difference, not to the name cache.
+
+    That search cost is simulated only.  On the host, resident buffers
+    sit on a doubly-linked LRU list beside a hash table, so a hit, a
+    re-insert and an eviction each take constant time; the victim is
+    always the least recently looked-up or inserted block. *)
 
 type search_mode =
   | Vnode_chained  (** constant-cost search (Reno) *)

@@ -304,7 +304,7 @@ let read t v ~off ~len =
       end)
     (blocks_in_range t ~off ~len);
   v.atime <- now t;
-  Bytes.sub f.bytes off len
+  if len = 0 then Bytes.empty else Bytes.sub f.bytes off len
 
 let ensure_capacity f total =
   if total > Bytes.length f.bytes then begin

@@ -95,7 +95,8 @@ val lookup : t -> vnode -> string -> vnode
     then scans the directory through the buffer cache. *)
 
 val read : t -> vnode -> off:int -> len:int -> bytes
-(** Short reads at EOF; raises [Err Eisdir] on directories. *)
+(** Short reads at EOF, and an empty result at or past it; raises
+    [Err Eisdir] on directories. *)
 
 val write : t -> vnode -> off:int -> bytes -> unit
 val create_file :

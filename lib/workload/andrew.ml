@@ -41,7 +41,7 @@ let copy_of path = "mabcopy/" ^ String.map (fun c -> if c = '/' then '_' else c)
 (* Deterministic file sizes between 2 KB and 26 KB. *)
 let size_of_file seed name = 2048 + (Hashtbl.hash (seed, name) mod 24576)
 
-let body name size = Bytes.init size (fun i -> Char.chr ((Hashtbl.hash name + i) mod 256))
+let body name size = Fileset.periodic ~base:(Hashtbl.hash name) ~stride:1 ~size
 
 (* cp and the compiler passes move data through 4 KB stdio buffers, so
    half-block writes are the norm; Reno's dirty-region merging turns two

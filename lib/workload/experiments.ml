@@ -1293,7 +1293,7 @@ let fleet_spec scale =
 (* Content is a function of (file, offset, round) so overwrites change
    the bytes and the durability check compares real data, not zeros. *)
 let chaos_payload ~file ~off ~round ~len =
-  Bytes.init len (fun i -> Char.chr ((file * 131 + off * 7 + round * 13 + i) land 0xff))
+  Fileset.periodic ~base:((file * 131) + (off * 7) + (round * 13)) ~stride:1 ~size:len
 
 (* Steady write/read mix over a small fixed fileset.  Nothing is ever
    unlinked, so every acknowledged write must still be readable from

@@ -21,9 +21,23 @@ let generate ~dirs ~files_per_dir ~file_size ~long_names =
   in
   { dirs = dir_list; files; file_size }
 
-let content ~path ~size =
-  let seedc = Hashtbl.hash path land 0xFF in
-  Bytes.init size (fun i -> Char.chr ((seedc + (i * 31)) mod 256))
+(* Byte [i] is [(base + stride*i) land 255], which repeats every 256
+   bytes: compute one period, then double the filled prefix in place. *)
+let periodic ~base ~stride ~size =
+  let b = Bytes.create size in
+  let period = min size 256 in
+  for i = 0 to period - 1 do
+    Bytes.set b i (Char.chr ((base + (stride * i)) land 255))
+  done;
+  let filled = ref period in
+  while !filled < size do
+    let n = min !filled (size - !filled) in
+    Bytes.blit b 0 b !filled n;
+    filled := !filled + n
+  done;
+  b
+
+let content ~path ~size = periodic ~base:(Hashtbl.hash path land 0xFF) ~stride:31 ~size
 
 let preload_at fs root t =
   List.iter (fun d -> ignore (Fs.mkdir fs ~dir:root d ~mode:0o755 ())) t.dirs;

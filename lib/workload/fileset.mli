@@ -20,9 +20,12 @@ val generate :
 
 val preload_server : Renofs_core.Nfs_server.t -> t -> unit
 (** Create the tree directly in the server's backing store, bypassing
-    the wire (and temporarily bypassing the per-block disk costs would
-    be wrong — this runs through the normal Fs path, so call it before
-    starting measurement).  Must run inside a process. *)
+    the wire, and fill every file with {!content}.  The writes go
+    through the normal Fs path, so they pay the disk model's costs and
+    advance simulated time: about 112 simulated seconds for a graph5
+    cell's 400 16 KB files.  Everything else in the world (cross-traffic
+    on a shared ring, for one) runs meanwhile, so call this before
+    measurement starts.  Must run inside a process. *)
 
 val preload_under : Renofs_core.Nfs_server.t -> path:string -> t -> unit
 (** {!preload_server}, but rooted at [path] (["/home3"]-style export
@@ -32,4 +35,12 @@ val preload_under : Renofs_core.Nfs_server.t -> path:string -> t -> unit
 
 val content : path:string -> size:int -> bytes
 (** The deterministic content every preloaded file holds; lets tests
-    verify reads end-to-end. *)
+    verify reads end-to-end.  It is {!periodic} with a base taken from
+    the hash of [path] and a stride of 31, so it repeats every 256
+    bytes. *)
+
+val periodic : base:int -> stride:int -> size:int -> bytes
+(** [size] bytes whose byte [i] is [(base + stride * i) land 255].  The
+    sequence repeats every 256 bytes, so only the first period is
+    computed byte by byte; the rest is block copies.  Every synthetic
+    file body in the workloads comes from here. *)

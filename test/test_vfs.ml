@@ -141,6 +141,108 @@ let test_bcache_invalidate_ino () =
   Bcache.invalidate_ino bc 1;
   Alcotest.(check int) "only ino 2 left" 1 (Bcache.resident bc)
 
+(* Reference model: the stamp-scan LRU, whose victim is the block with
+   the oldest lookup hit or insert. *)
+type model = {
+  m_capacity : int;
+  mutable m_clock : int;
+  mutable m_stamps : ((int * int) * int) list;
+  mutable m_hits : int;
+  mutable m_misses : int;
+}
+
+let model_stamp m key =
+  m.m_clock <- m.m_clock + 1;
+  m.m_stamps <- (key, m.m_clock) :: List.remove_assoc key m.m_stamps
+
+let model_lookup m key =
+  if List.mem_assoc key m.m_stamps then begin
+    model_stamp m key;
+    m.m_hits <- m.m_hits + 1;
+    true
+  end
+  else begin
+    m.m_misses <- m.m_misses + 1;
+    false
+  end
+
+let model_insert m key =
+  if (not (List.mem_assoc key m.m_stamps)) && List.length m.m_stamps >= m.m_capacity
+  then begin
+    let oldest =
+      List.fold_left
+        (fun (k, s) (k', s') -> if s' < s then (k', s') else (k, s))
+        (List.hd m.m_stamps) m.m_stamps
+    in
+    m.m_stamps <- List.remove_assoc (fst oldest) m.m_stamps
+  end;
+  model_stamp m key
+
+let model_invalidate m ino =
+  m.m_stamps <- List.filter (fun ((i, _), _) -> i <> ino) m.m_stamps
+
+type bcache_op = Lookup of int * int | Insert of int * int | Invalidate of int
+
+let show_bcache_op = function
+  | Lookup (i, b) -> Printf.sprintf "lookup(%d,%d)" i b
+  | Insert (i, b) -> Printf.sprintf "insert(%d,%d)" i b
+  | Invalidate i -> Printf.sprintf "invalidate(%d)" i
+
+(* Property: at every step the cache agrees with the reference model on
+   hit or miss, residency and the hit/miss counters.  Four inodes of
+   four blocks against capacities of 1-8 keep evictions frequent. *)
+let prop_bcache_matches_stamp_lru =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun i b -> Lookup (i, b)) (int_bound 3) (int_bound 3));
+          (5, map2 (fun i b -> Insert (i, b)) (int_bound 3) (int_bound 3));
+          (1, map (fun i -> Invalidate i) (int_bound 3));
+        ])
+  in
+  QCheck.Test.make ~name:"bcache matches a stamp-scan LRU" ~count:300
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat " " (List.map show_bcache_op ops)))
+       QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 1 80) op)))
+    (fun (capacity, ops) ->
+      let sim = Sim.create () in
+      let cpu = Cpu.create sim ~mips:1.0 in
+      let bc = Bcache.create sim cpu ~blocks:capacity ~search:Bcache.Vnode_chained () in
+      let m =
+        { m_capacity = capacity; m_clock = 0; m_stamps = []; m_hits = 0; m_misses = 0 }
+      in
+      let agree = ref true in
+      Proc.spawn sim (fun () ->
+          List.iter
+            (fun op ->
+              let same =
+                match op with
+                | Lookup (ino, blk) ->
+                    Bcache.lookup bc ~ino ~blk = model_lookup m (ino, blk)
+                | Insert (ino, blk) ->
+                    Bcache.insert bc ~ino ~blk;
+                    model_insert m (ino, blk);
+                    true
+                | Invalidate ino ->
+                    Bcache.invalidate_ino bc ino;
+                    model_invalidate m ino;
+                    true
+              in
+              let st = Bcache.stats bc in
+              if
+                not
+                  (same
+                  && Bcache.resident bc = List.length m.m_stamps
+                  && st.Bcache.hits = m.m_hits
+                  && st.Bcache.misses = m.m_misses)
+              then agree := false)
+            ops);
+      Sim.run sim;
+      !agree)
+
 (* ------------------------------------------------------------------ *)
 (* Fs                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -176,7 +278,16 @@ let test_fs_read_past_eof () =
       let f = Fs.create_file fs ~dir:root "short" ~mode:0o644 () in
       Fs.write fs f ~off:0 (Bytes.of_string "abc");
       Alcotest.(check int) "short read" 2 (Bytes.length (Fs.read fs f ~off:1 ~len:100));
-      Alcotest.(check int) "empty at eof" 0 (Bytes.length (Fs.read fs f ~off:3 ~len:10)))
+      Alcotest.(check int) "empty at eof" 0 (Bytes.length (Fs.read fs f ~off:3 ~len:10));
+      (* Offsets past the file's byte buffer, not only past its length:
+         a 100-byte file's buffer holds 1024 bytes, an empty one none. *)
+      let small = Fs.create_file fs ~dir:root "small" ~mode:0o644 () in
+      Fs.write fs small ~off:0 (Bytes.make 100 'x');
+      Alcotest.(check int) "past the buffer" 0
+        (Bytes.length (Fs.read fs small ~off:1025 ~len:10));
+      let empty = Fs.create_file fs ~dir:root "empty" ~mode:0o644 () in
+      Alcotest.(check int) "empty file" 0
+        (Bytes.length (Fs.read fs empty ~off:8192 ~len:8192)))
 
 let test_fs_errors () =
   in_world (fun _sim fs ->
@@ -459,5 +570,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_write_read_model; prop_fsck_random_ops ] );
+          [ prop_write_read_model; prop_fsck_random_ops; prop_bcache_matches_stamp_lru ] );
     ]

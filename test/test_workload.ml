@@ -76,6 +76,54 @@ let test_fileset_preload () =
   Sim.run sim;
   Alcotest.(check bool) "preload finished" true !done_
 
+(* MD5s of [Fileset.content] as the per-byte formula produced it, for
+   sizes on each side of the 256-byte period and of an 8 KB block. *)
+let content_md5s =
+  [
+    ("d00/f00_00", 0, "d41d8cd98f00b204e9800998ecf8427e");
+    ("d00/f00_00", 1, "7a9405d459c2a928b12952e276f9a8f5");
+    ("d00/f00_00", 255, "20083ac7c65c16419102e23fc12f9ff3");
+    ("d00/f00_00", 256, "b59c1f2a24e764eee77c99f727be569c");
+    ("d00/f00_00", 257, "057e8098c16bac6d478d34fc398fb581");
+    ("d00/f00_00", 8193, "c6f5620f5fb97087a4781699235b6311");
+    ("d00/f00_00", 16384, "f8d9c773caa25d591a57177f6fa3e489");
+    ("d03/f03_07", 1, "ec7f7e7bb43742ce868145f71d37b53c");
+    ("d03/f03_07", 255, "3b5785f0bf66e7dedf3c68c5510e8020");
+    ("d03/f03_07", 256, "f87fab92bdd3e071c3a6b01aa8b8aab6");
+    ("d03/f03_07", 257, "ec6850afaac63479531d3f94190dc224");
+    ("d03/f03_07", 8193, "4ff981d0fdfc0b6206a2b8aa11abdd53");
+    ("d03/f03_07", 16384, "942f91f23eb4b97925f5931dc4783e2a");
+    ("d01/nhfsstone_long_file_name_01_02_xxxxx", 1, "c9f0f895fb98ab9159f51fd0297e236d");
+    ("d01/nhfsstone_long_file_name_01_02_xxxxx", 255, "71210f6ad8a223a65cc0a25401f13376");
+    ("d01/nhfsstone_long_file_name_01_02_xxxxx", 256, "b6b9391ed3fd8a0f7fea2814bd4a7697");
+    ("d01/nhfsstone_long_file_name_01_02_xxxxx", 257, "4770e5cbf18eec93c9bd17be4d9520e4");
+    ("d01/nhfsstone_long_file_name_01_02_xxxxx", 8193, "04828bd1c4310d3c166a310f0ffd9044");
+    ("d01/nhfsstone_long_file_name_01_02_xxxxx", 16384, "9e7d9f813724cd0d91eda1b32c19209b");
+  ]
+
+let test_fileset_content_known_answers () =
+  List.iter
+    (fun (path, size, md5) ->
+      let b = Fileset.content ~path ~size in
+      Alcotest.(check int) "length" size (Bytes.length b);
+      Alcotest.(check string) (Printf.sprintf "%s %d" path size) md5
+        (Digest.to_hex (Digest.bytes b)))
+    content_md5s
+
+(* Property: the period-doubling fill equals the per-byte formula. *)
+let prop_periodic_matches_formula =
+  QCheck.Test.make ~name:"periodic fill matches the per-byte formula" ~count:200
+    (QCheck.make
+       ~print:(fun (base, stride, size) ->
+         Printf.sprintf "base %d stride %d size %d" base stride size)
+       QCheck.Gen.(
+         triple (int_bound (1 lsl 30)) (oneofl [ 1; 31; 131 ])
+           (frequency [ (1, int_bound 600); (3, int_bound 70_000) ])))
+    (fun (base, stride, size) ->
+      Bytes.equal
+        (Fileset.periodic ~base ~stride ~size)
+        (Bytes.init size (fun i -> Char.chr ((base + (stride * i)) mod 256))))
+
 (* ------------------------------------------------------------------ *)
 (* Nhfsstone                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -405,6 +453,8 @@ let () =
           Alcotest.test_case "generate" `Quick test_fileset_generate;
           Alcotest.test_case "long names" `Quick test_fileset_long_names_defeat_cache;
           Alcotest.test_case "preload" `Quick test_fileset_preload;
+          Alcotest.test_case "content known answers" `Quick test_fileset_content_known_answers;
+          QCheck_alcotest.to_alcotest prop_periodic_matches_formula;
         ] );
       ( "nhfsstone",
         [
