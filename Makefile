@@ -44,10 +44,13 @@
 # `make golden GOLDEN=DIR` writes every determinism-gated output into
 # DIR: `all` (table and JSON) at jobs 1 and 2, `slo`, `chaos --scale
 # quick`, `fuzz --seeds 15`, and table5 with its trace, whose write
-# records carry data digests (run from inside DIR, so the trace path
-# table5 prints is the same for any DIR).  A change that must leave
-# simulated output alone passes when `diff -r` of the parent's and the
-# change's directories is empty.
+# records carry data digests, graph1 with its metrics as JSONL and as
+# CSV, and the crash-without-reboot scenario under --flight (it must
+# breach; the bundle's profile.json carries host time and is removed).
+# Those runs happen inside DIR, so every path they print or store is
+# the same for any DIR.  A change that must leave simulated output
+# alone passes when `diff -r` of the parent's and the change's
+# directories is empty.
 
 .PHONY: all build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate bench-baseline perf-gate perf-baseline profile-smoke golden check clean
 
@@ -125,6 +128,14 @@ golden: build
 	dune exec bin/nfsbench.exe -- chaos --scale quick --jobs 2 > $(GOLDEN)/chaos-quick.txt
 	dune exec bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 > $(GOLDEN)/fuzz-15.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table5 --jobs 2 --trace table5-trace.jsonl > table5.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph1 --jobs 2 --metrics metrics.jsonl > graph1-metrics.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph1 --jobs 2 --metrics metrics.csv > graph1-metrics-csv.txt
+	mkdir -p $(GOLDEN)/examples
+	cp examples/crash_noreboot.scenario.json $(GOLDEN)/examples/
+	rm -rf $(GOLDEN)/flight
+	cd $(GOLDEN) && ! dune exec --root $(CURDIR) bin/nfsbench.exe -- slo examples/crash_noreboot.scenario.json --jobs 2 --flight flight > slo-flight.txt
+	test -s $(GOLDEN)/flight/*/MANIFEST.json
+	rm -f $(GOLDEN)/flight/*/profile.json
 
 check: build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate perf-gate profile-smoke
 

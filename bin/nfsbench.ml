@@ -233,14 +233,17 @@ let run_plot path pattern =
         `Ok ()
       end
 
-(* The schema member of a JSON file, when it parses at all. *)
-let schema_of_file path =
-  match Json.load_file path with
-  | Ok (Json.Obj fields) -> (
+(* A document's top-level "schema" member. *)
+let schema_of = function
+  | Json.Obj fields -> (
       match List.assoc_opt "schema" fields with
       | Some (Json.Str s) -> Some s
       | _ -> None)
   | _ -> None
+
+(* The schema of a JSON file, when it parses at all. *)
+let schema_of_file path =
+  Option.bind (Result.to_option (Json.load_file path)) schema_of
 
 let diff_perf old_path new_path tolerance_pct =
   match (Perf.read_file old_path, Perf.read_file new_path) with
@@ -375,15 +378,7 @@ let validate_json path =
   match Json.load_file path with
   | Error msg -> `Error (false, msg)
   | Ok doc -> (
-      let schema =
-        match doc with
-        | Json.Obj fields -> (
-            match List.assoc_opt "schema" fields with
-            | Some (Json.Str s) -> Some s
-            | _ -> None)
-        | _ -> None
-      in
-      match schema with
+      match schema_of doc with
       | Some "renofs-bench/1" ->
           finish "renofs-bench/1"
             (Result.map_error

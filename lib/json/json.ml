@@ -151,6 +151,102 @@ let parse_exn s =
 let parse s = try Ok (parse_exn s) with Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
+(* Writer                                                             *)
+(* ------------------------------------------------------------------ *)
+
+type layout = Compact | Document
+
+(* Integers below 1e15 print without a fraction; anything else takes
+   the fewest of 15, 16 or 17 significant digits that read back as the
+   same double, so a file holds exactly the values that were written
+   and serial and parallel runs compare byte for byte.  JSON cannot
+   spell nan or infinity. *)
+let float_str v =
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else
+    let s15 = Printf.sprintf "%.15g" v in
+    if float_of_string s15 = v then s15
+    else
+      let s16 = Printf.sprintf "%.16g" v in
+      if float_of_string s16 = v then s16 else Printf.sprintf "%.17g" v
+
+let add_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when c < ' ' -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let is_container = function Arr _ | Obj _ -> true | _ -> false
+
+(* In the document layout a container of scalars stays on one line; a
+   container holding a container puts each member on its own line,
+   indented two spaces deeper than the container. *)
+let rec add layout b indent v =
+  let spread =
+    layout = Document
+    &&
+    match v with
+    | Arr l -> List.exists is_container l
+    | Obj o -> List.exists (fun (_, v) -> is_container v) o
+    | _ -> false
+  in
+  let newline depth =
+    if spread then begin
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make depth ' ')
+    end
+  in
+  let members opening closing add_member l =
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i m ->
+        if i > 0 then Buffer.add_char b ',';
+        newline (indent + 2);
+        add_member m)
+      l;
+    newline indent;
+    Buffer.add_char b closing
+  in
+  match v with
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Num v -> Buffer.add_string b (float_str v)
+  | Str s -> add_string b s
+  | Arr l -> members '[' ']' (add layout b (indent + 2)) l
+  | Obj o ->
+      members '{' '}'
+        (fun (k, v) ->
+          add_string b k;
+          Buffer.add_char b ':';
+          add layout b (indent + 2) v)
+        o
+
+let to_string layout v =
+  let b = Buffer.create 256 in
+  add layout b 0 v;
+  Buffer.contents b
+
+let output_line oc v =
+  output_string oc (to_string Compact v);
+  output_char oc '\n'
+
+let write_file path v =
+  let b = Buffer.create 4096 in
+  add Document b 0 v;
+  Buffer.add_char b '\n';
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc b)
+
+(* ------------------------------------------------------------------ *)
 (* Accessors                                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -1,11 +1,29 @@
-(** Minimal dependency-free JSON reader.
+(** Minimal dependency-free JSON reader and writer.
 
-    Accepts standard JSON (objects, arrays, strings with the common
-    escapes, numbers, booleans, null).  Extracted from [Bench_json] so
-    layers below the workload library (e.g. [renofs_fault] schedule
-    files) can parse documents without depending on the experiment
-    registry; [Bench_json] re-exports this type with an equality so
-    existing callers are unaffected. *)
+    Every JSON file renofs reads or writes goes through this module, so
+    layers below the workload library (trace, metrics, fault schedules,
+    the profiler) read and print documents without depending on the
+    experiment registry.
+
+    The reader accepts standard JSON: objects, arrays, strings with the
+    common escapes, numbers, booleans and [null].  Object members keep
+    their order.  A [\u] escape above 0x7F reads back as a question
+    mark (the writer never produces one).
+
+    The writer has one number rule, one string escape and two layouts:
+
+    - {b Numbers} ({!float_str}): an integer below 1e15 in magnitude
+      prints as [%.0f]; any other finite value prints as the shortest of
+      [%.15g], [%.16g] and [%.17g] that reads back as the same double;
+      nan and the infinities print as [null].  Written files therefore
+      hold exactly the values that were written.
+    - {b Strings}: the double quote, backslash, newline, carriage return
+      and tab get their short escapes, every other byte below 0x20
+      prints as [\u00XX], and every other byte, including those of
+      UTF-8 sequences, prints raw.  Any byte string reads back
+      unchanged.
+    - {b Layouts} (see {!layout}).  Neither puts a space after [:] or
+      [,]. *)
 
 type json =
   | Null
@@ -22,6 +40,30 @@ val parse_exn : string -> json
     on malformed input. *)
 
 val parse : string -> (json, string) result
+
+(** {2 Writer} *)
+
+type layout =
+  | Compact
+      (** The whole value on one line: one record of a JSONL stream
+          (trace, metrics, a flight bundle's trace tail). *)
+  | Document
+      (** For files people diff: a container holding only scalars
+          (or nothing) stays on one line; any other container puts one
+          member per line, indented two spaces per level. *)
+
+val float_str : float -> string
+(** The number rule above; also the spelling of numbers in the metrics
+    CSV and in [nfsbench diff] lines. *)
+
+val to_string : layout -> json -> string
+(** No trailing newline. *)
+
+val output_line : out_channel -> json -> unit
+(** One JSONL record: the {!Compact} rendering and a newline. *)
+
+val write_file : string -> json -> unit
+(** The {!Document} rendering and a newline, replacing the file. *)
 
 (** {2 Accessors}
 

@@ -131,50 +131,24 @@ let kind_of_name = function
   | "histogram" -> Some Histogram
   | _ -> None
 
-(* Shortest decimal that round-trips, as in [Bench_json.float_str], so
-   serial and parallel exports are byte-identical. *)
-let float_str v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let s15 = Printf.sprintf "%.15g" v in
-    if float_of_string s15 = v then s15
-    else
-      let s16 = Printf.sprintf "%.16g" v in
-      if float_of_string s16 = v then s16 else Printf.sprintf "%.17g" v
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Unlabelled series emit no "labels" member at all, so every export
+(* Unlabelled series carry no "labels" member at all, so every export
    written before labels existed stays byte-identical. *)
-let labels_field = function
-  | [] -> ""
-  | labels ->
-      Printf.sprintf {|,"labels":{%s}|}
-        (String.concat ","
-           (List.map
-              (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (escape k) (escape v))
-              labels))
-
-let series_line s =
-  let points =
-    String.concat ","
-      (List.map
-         (fun (t, v) -> Printf.sprintf "[%s,%s]" (float_str t) (float_str v))
-         s.e_points)
-  in
-  Printf.sprintf
-    {|{"run":"%s","name":"%s","kind":"%s","unit":"%s"%s,"points":[%s]}|}
-    (escape s.e_run) (escape s.e_name) (kind_name s.e_kind) (escape s.e_unit)
-    (labels_field s.e_labels) points
+let series_json s =
+  Json.Obj
+    ([
+       ("run", Json.Str s.e_run);
+       ("name", Str s.e_name);
+       ("kind", Str (kind_name s.e_kind));
+       ("unit", Str s.e_unit);
+     ]
+    @ (match s.e_labels with
+      | [] -> []
+      | labels ->
+          [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)) ])
+    @ [
+        ( "points",
+          Json.Arr (List.map (fun (t, v) -> Json.Arr [ Num t; Num v ]) s.e_points) );
+      ])
 
 let export_jsonl t path =
   let oc = open_out path in
@@ -182,15 +156,14 @@ let export_jsonl t path =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       let all = series t in
-      Printf.fprintf oc
-        {|{"schema":"renofs-metrics/1","interval":%s,"series":%d}|}
-        (float_str t.m_interval) (List.length all);
-      output_char oc '\n';
-      List.iter
-        (fun s ->
-          output_string oc (series_line s);
-          output_char oc '\n')
-        all)
+      Json.output_line oc
+        (Json.Obj
+           [
+             ("schema", Str "renofs-metrics/1");
+             ("interval", Num t.m_interval);
+             ("series", Num (float_of_int (List.length all)));
+           ]);
+      List.iter (fun s -> Json.output_line oc (series_json s)) all)
 
 let export_csv t path =
   let oc = open_out path in
@@ -211,7 +184,8 @@ let export_csv t path =
           List.iter
             (fun (time, v) ->
               Printf.fprintf oc "%s,%s,%s,%s,%s,%s\n" s.e_run name
-                (kind_name s.e_kind) s.e_unit (float_str time) (float_str v))
+                (kind_name s.e_kind) s.e_unit (Json.float_str time)
+                (Json.float_str v))
             s.e_points)
         (series t))
 

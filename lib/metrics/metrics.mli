@@ -96,10 +96,12 @@ val series : t -> series list
     [points] (array of [[time, value]] pairs), plus [labels] (a string
     object) only when the series carries labels — unlabelled exports
     are byte-identical to pre-label writers, and old files import with
-    empty labels.  Floats print with shortest round-trip precision so
-    serial and parallel exports are byte-identical.  CSV: a
-    [run,series,kind,unit,time,value] header then one row per point;
-    labelled series render as [name{k=v;...}] in the series column. *)
+    empty labels.  Lines are {!Renofs_json.Json}'s compact layout, so
+    numbers follow its one float rule (integers bare, anything else the
+    shortest decimal that round-trips) and serial and parallel exports
+    are byte-identical.  CSV: a [run,series,kind,unit,time,value] header
+    then one row per point, numbers spelled by the same rule; labelled
+    series render as [name{k=v;...}] in the series column. *)
 
 val export_jsonl : t -> string -> unit
 val export_csv : t -> string -> unit

@@ -1,9 +1,10 @@
 module Trace = Renofs_trace.Trace
 module Metrics = Renofs_metrics.Metrics
+module Json = Renofs_json.Json
 
-type t = { f_dir : string; f_spec_json : string; f_seed : int }
+type t = { f_dir : string; f_spec : Json.json; f_seed : int }
 
-let arm ~dir ~spec_json ~seed = { f_dir = dir; f_spec_json = spec_json; f_seed = seed }
+let arm ~dir ~spec ~seed = { f_dir = dir; f_spec = spec; f_seed = seed }
 let dir t = t.f_dir
 let tail_records = 20_000
 
@@ -26,44 +27,6 @@ let write_string path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* The newest [tail_records] records, with a header mirroring the trace
-   export's so the tail is honest about what it omits. *)
-let write_trace_tail path tr =
-  let all = Trace.to_list tr in
-  let held = List.length all in
-  let tail =
-    if held <= tail_records then all
-    else
-      List.filteri (fun i _ -> i >= held - tail_records) all
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\"schema\":\"renofs-trace/1\",\"held\":%d,\"total\":%d,\"overwritten\":%d}\n"
-        (List.length tail) (Trace.total tr)
-        (Trace.total tr - List.length tail);
-      List.iter
-        (fun r ->
-          output_string oc (Trace.line_of_record r);
-          output_char oc '\n')
-        tail)
-
 let dump t ~label ~reason ?trace ?metrics ?profile () =
   let bundle = Filename.concat t.f_dir (sanitize label) in
   mkdir_p bundle;
@@ -73,9 +36,10 @@ let dump t ~label ~reason ?trace ?metrics ?profile () =
     members := name :: !members
   in
   add "reason.txt" (fun p -> write_string p (reason ^ "\n"));
-  add "run_spec.json" (fun p -> write_string p t.f_spec_json);
+  add "run_spec.json" (fun p -> write_string p (Json.to_string Compact t.f_spec));
   (match trace with
-  | Some tr -> add "trace_tail.jsonl" (fun p -> write_trace_tail p tr)
+  | Some tr ->
+      add "trace_tail.jsonl" (fun p -> Trace.export_jsonl ~last:tail_records tr p)
   | None -> ());
   (match metrics with
   | Some m -> add "metrics.jsonl" (fun p -> Metrics.export_jsonl m p)
@@ -83,13 +47,14 @@ let dump t ~label ~reason ?trace ?metrics ?profile () =
   (match profile with
   | Some p -> add "profile.json" (fun path -> Profile.write_file ~path p)
   | None -> ());
-  let member_list =
-    String.concat ","
-      (List.rev_map (fun m -> Printf.sprintf "%S" m) !members)
-  in
-  write_string
+  Json.write_file
     (Filename.concat bundle "MANIFEST.json")
-    (Printf.sprintf
-       "{\"schema\":\"renofs-flight/1\",\"label\":\"%s\",\"seed\":%d,\"reason\":\"%s\",\n\"members\":[%s]}\n"
-       (json_escape label) t.f_seed (json_escape reason) member_list);
+    (Obj
+       [
+         ("schema", Str "renofs-flight/1");
+         ("label", Str label);
+         ("seed", Num (float_of_int t.f_seed));
+         ("reason", Str reason);
+         ("members", Arr (List.rev_map (fun m -> Json.Str m) !members));
+       ]);
   bundle

@@ -1,8 +1,8 @@
 (** Failure flight recorder.
 
     Armed once per run with everything that must survive a crash of the
-    run itself — the bundle directory, the rendered run-spec JSON and
-    the seed — and invoked per failing cell by the experiment runner on
+    run itself — the bundle directory, the run-spec document and the
+    seed — and invoked per failing cell by the experiment runner on
     a [Driver_stuck], a [Fault.Check] invariant FAIL or an SLO breach.
     Each dump is a self-contained post-mortem bundle:
 
@@ -21,8 +21,9 @@
 
 type t
 
-val arm : dir:string -> spec_json:string -> seed:int -> t
-(** Immutable arming record; nothing is written until a dump. *)
+val arm : dir:string -> spec:Renofs_json.Json.json -> seed:int -> t
+(** Immutable arming record; nothing is written until a dump.  [spec]
+    becomes the bundle's [run_spec.json], on one line. *)
 
 val dir : t -> string
 

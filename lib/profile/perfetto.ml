@@ -1,49 +1,34 @@
 module Trace = Renofs_trace.Trace
-
-(* Event names come from fixed tables (proc names, slot names) or link
-   labels built from node ids, but escape anyway — a future label with a
-   quote must not produce an invalid file. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Renofs_json.Json
 
 let rpc_pid = 1
 let srv_pid = 2
 let prof_pid = 3
 
 type state = {
-  buf : Buffer.t;
-  mutable first : bool;
+  mutable events_rev : Json.json list;
   mutable count : int;
   (* run-mark label -> tid under [rpc_pid], in order of appearance *)
   labels : (string, int) Hashtbl.t;
   mutable next_tid : int;
 }
 
-let add st line =
-  if st.first then st.first <- false else Buffer.add_string st.buf ",\n";
-  Buffer.add_string st.buf line
+let int n = Json.Num (float_of_int n)
+
+(* Timestamps and durations keep the nanosecond rounding of [%.3f]
+   microseconds. *)
+let usec v = Json.Num (float_of_string (Printf.sprintf "%.3f" v))
 
 let meta st ~pid ?tid ~name value =
-  add st
-    (Printf.sprintf
-       "{\"ph\":\"M\",\"pid\":%d%s,\"name\":\"%s\",\"args\":{\"name\":\"%s\"}}"
-       pid
-       (match tid with None -> "" | Some t -> Printf.sprintf ",\"tid\":%d" t)
-       name (escape value))
+  st.events_rev <-
+    Json.Obj
+      ([ ("ph", Json.Str "M"); ("pid", int pid) ]
+      @ Option.fold ~none:[] ~some:(fun t -> [ ("tid", int t) ]) tid
+      @ [ ("name", Str name); ("args", Obj [ ("name", Str value) ]) ])
+    :: st.events_rev
 
-let event st line =
-  add st line;
+let event st fields =
+  st.events_rev <- Json.Obj fields :: st.events_rev;
   st.count <- st.count + 1
 
 let tid_of_label st label =
@@ -65,27 +50,20 @@ let span_id tid xid = (tid lsl 32) lor (Int32.to_int xid land 0xFFFFFFFF)
 
 let instant st ~pid ~tid ~ts ~cat ~name =
   event st
-    (Printf.sprintf
-       "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"cat\":\"%s\",\"name\":\"%s\"}"
-       pid tid ts cat (escape name))
+    [
+      ("ph", Str "i"); ("pid", int pid); ("tid", int tid); ("ts", usec ts);
+      ("s", Str "t"); ("cat", Str cat); ("name", Str name);
+    ]
 
 let slice st ~pid ~tid ~ts ~dur ~cat ~name =
   event st
-    (Printf.sprintf
-       "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"cat\":\"%s\",\"name\":\"%s\"}"
-       pid tid ts dur cat (escape name))
+    [
+      ("ph", Str "X"); ("pid", int pid); ("tid", int tid); ("ts", usec ts);
+      ("dur", usec dur); ("cat", Str cat); ("name", Str name);
+    ]
 
 let export ~path ?profile records =
-  let st =
-    {
-      buf = Buffer.create 65536;
-      first = true;
-      count = 0;
-      labels = Hashtbl.create 8;
-      next_tid = 1;
-    }
-  in
-  Buffer.add_string st.buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  let st = { events_rev = []; count = 0; labels = Hashtbl.create 8; next_tid = 1 } in
   meta st ~pid:rpc_pid ~name:"process_name" "rpc spans";
   meta st ~pid:srv_pid ~name:"process_name" "servers";
   (* Completed RPCs as async begin/end pairs, one thread per label. *)
@@ -96,14 +74,15 @@ let export ~path ?profile records =
       let name = Trace.proc_name sp.Trace.Report.sp_proc in
       let t0 = us sp.Trace.Report.sp_start in
       let t1 = us (sp.Trace.Report.sp_start +. sp.Trace.Report.sp_total) in
-      event st
-        (Printf.sprintf
-           "{\"ph\":\"b\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"cat\":\"rpc\",\"id\":%d,\"name\":\"%s\"}"
-           rpc_pid tid t0 id (escape name));
-      event st
-        (Printf.sprintf
-           "{\"ph\":\"e\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"cat\":\"rpc\",\"id\":%d,\"name\":\"%s\"}"
-           rpc_pid tid t1 id (escape name)))
+      let half ph ts =
+        event st
+          [
+            ("ph", Str ph); ("pid", int rpc_pid); ("tid", int tid);
+            ("ts", usec ts); ("cat", Str "rpc"); ("id", int id); ("name", Str name);
+          ]
+      in
+      half "b" t0;
+      half "e" t1)
     (Trace.Report.spans records);
   (* Server-side slices and notable instants from the raw records.  The
      current run-mark label keys the rpc-side thread for retransmits. *)
@@ -166,9 +145,10 @@ let export ~path ?profile records =
             cursor := !cursor +. us ss.Profile.ss_self_s
           end)
         s.Profile.p_slots);
-  Buffer.add_string st.buf "\n]}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc st.buf);
+  Json.write_file path
+    (Obj
+       [
+         ("displayTimeUnit", Str "ms");
+         ("traceEvents", Arr (List.rev st.events_rev));
+       ]);
   st.count

@@ -10,7 +10,9 @@
     instant events for retransmissions, packet drops, crashes and
     reboots; process 3 ("profiler"), present when a profile snapshot is
     supplied, shows each subsystem's total self-time as one slice.
-    Timestamps are virtual sim time in microseconds. *)
+    Timestamps are virtual sim time in microseconds, rounded to the
+    nanosecond.  The file is printed by {!Renofs_json.Json} in its
+    document layout. *)
 
 val export :
   path:string ->

@@ -245,39 +245,36 @@ let print ppf s =
     s.p_minor_words (minor_words_per_event s) s.p_promoted_words
     s.p_minor_collections s.p_major_collections
 
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string (Printf.sprintf "%.6g" f) = f then Printf.sprintf "%.6g" f
-  else s
-
-let emit s =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"renofs-profile/1\",\"wall_s\":%s,\"events\":%d,\n"
-       (float_str s.p_wall_s) s.p_events);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"gc\":{\"minor_words\":%s,\"promoted_words\":%s,\"minor_collections\":%d,\"major_collections\":%d},\n"
-       (float_str s.p_minor_words) (float_str s.p_promoted_words)
-       s.p_minor_collections s.p_major_collections);
-  Buffer.add_string b "\"slots\":[\n";
-  let n = List.length s.p_slots in
-  List.iteri
-    (fun i ss ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\":%S,\"self_s\":%s,\"enters\":%d,\"fires\":%d,\"fire_s\":%s,\"hist\":["
-           ss.ss_name (float_str ss.ss_self_s) ss.ss_enters ss.ss_fires
-           (float_str ss.ss_fire_s));
-      Array.iteri
-        (fun j c ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int c))
-        ss.ss_hist;
-      Buffer.add_string b (if i = n - 1 then "]}\n" else "]},\n"))
-    s.p_slots;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+let to_json s =
+  let int n = Json.Num (float_of_int n) in
+  Json.Obj
+    [
+      ("schema", Str "renofs-profile/1");
+      ("wall_s", Num s.p_wall_s);
+      ("events", int s.p_events);
+      ( "gc",
+        Obj
+          [
+            ("minor_words", Num s.p_minor_words);
+            ("promoted_words", Num s.p_promoted_words);
+            ("minor_collections", int s.p_minor_collections);
+            ("major_collections", int s.p_major_collections);
+          ] );
+      ( "slots",
+        Arr
+          (List.map
+             (fun ss ->
+               Json.Obj
+                 [
+                   ("name", Str ss.ss_name);
+                   ("self_s", Num ss.ss_self_s);
+                   ("enters", int ss.ss_enters);
+                   ("fires", int ss.ss_fires);
+                   ("fire_s", Num ss.ss_fire_s);
+                   ("hist", Arr (Array.to_list (Array.map int ss.ss_hist)));
+                 ])
+             s.p_slots) );
+    ]
 
 let of_json ~ctx j =
   let o = Json.obj ~ctx j in
@@ -332,10 +329,6 @@ let of_json ~ctx j =
     p_major_collections = int_of_float (gnum "major_collections");
   }
 
-let write_file ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (emit (snapshot t)))
+let write_file ~path t = Json.write_file path (to_json (snapshot t))
 
 let read_file path = Json.decode_file path (of_json ~ctx:path)

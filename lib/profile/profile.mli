@@ -86,7 +86,11 @@ val print : Format.formatter -> snapshot -> unit
 
 (** {1 renofs-profile/1 JSON} *)
 
-val emit : snapshot -> string
+val to_json : snapshot -> Renofs_json.Json.json
+(** The document {!write_file} prints and {!of_json} reads back:
+    [schema], [wall_s], [events], a [gc] object and one [slots] entry
+    per slot ([name], [self_s], [enters], [fires], [fire_s], [hist]).
+    Numbers keep every digit (the {!Renofs_json.Json} float rule). *)
 
 val of_json : ctx:string -> Renofs_json.Json.json -> snapshot
 (** Raises {!Renofs_json.Json.Bad} on schema violations, including an

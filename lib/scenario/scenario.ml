@@ -671,19 +671,8 @@ let cell sc =
                   actions = sc.sc_faults;
                 };
             Proc.Ivar.fill go ());
-        let guard = ref 0 in
-        while Array.exists Option.is_none results do
-          incr guard;
-          if !guard > 100_000 then
-            raise
-              (E.Driver_stuck
-                 (Printf.sprintf
-                    "%s: driver never finished after %d advance windows (sim \
-                     time %.1f s, %d events pending, %d processed)"
-                    label !guard (Sim.now sim) (Sim.pending_events sim)
-                    (Sim.events_processed sim)));
-          Sim.run ~until:(Sim.now sim +. 50.0) sim
-        done;
+        E.advance_until ~label ~window:50.0 sim (fun () ->
+            Array.for_all Option.is_some results);
         (* The day's elapsed time is load start to the last client's
            finish — the drive loop overshoots by up to one window. *)
         let elapsed =

@@ -1,4 +1,5 @@
 module Stats = Renofs_engine.Stats
+module Json = Renofs_json.Json
 
 type drop_reason =
   | Queue_full
@@ -176,247 +177,96 @@ let reason_of_name = function
   | "garbled" -> Garbled
   | s -> failwith (Printf.sprintf "Trace: unknown drop reason %S" s)
 
-(* Shortest decimal representation that still round-trips. *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let s = Printf.sprintf "%.12g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let line_of_record r =
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"t\":%s,\"node\":%d,\"ev\":" (json_float r.time) r.node);
-  let field k v = Buffer.add_string b (Printf.sprintf ",%s:%s" (json_string k) v) in
-  let num k v = field k (json_float v) in
-  let int k v = field k (string_of_int v) in
-  let str k v = field k (json_string v) in
-  let tag name = Buffer.add_string b (json_string name) in
-  (match r.ev with
-  | Rpc_send { xid; proc } ->
-      tag "rpc_send";
-      int "xid" (Int32.to_int xid);
-      int "proc" proc
-  | Rpc_retransmit { xid; proc; retry; rto } ->
-      tag "rpc_retransmit";
-      int "xid" (Int32.to_int xid);
-      int "proc" proc;
-      int "retry" retry;
-      num "rto" rto
-  | Rpc_reply { xid; proc; rtt } ->
-      tag "rpc_reply";
-      int "xid" (Int32.to_int xid);
-      int "proc" proc;
-      num "rtt" rtt
-  | Pkt_enqueue { link; bytes; qlen } ->
-      tag "pkt_enqueue";
-      str "link" link;
-      int "bytes" bytes;
-      int "qlen" qlen
-  | Pkt_drop { link; bytes; reason } ->
-      tag "pkt_drop";
-      str "link" link;
-      int "bytes" bytes;
-      str "reason" (reason_name reason)
-  | Pkt_deliver { link; bytes } ->
-      tag "pkt_deliver";
-      str "link" link;
-      int "bytes" bytes
-  | Pkt_mangle { link; bytes; op } ->
-      tag "pkt_mangle";
-      str "link" link;
-      int "bytes" bytes;
-      str "op" op
-  | Frag_lost { src; ip_id } ->
-      tag "frag_lost";
-      int "src" src;
-      int "ip_id" ip_id
-  | Srv_queue { xid; proc; wait } ->
-      tag "srv_queue";
-      int "xid" (Int32.to_int xid);
-      int "proc" proc;
-      num "wait" wait
-  | Srv_service { xid; proc; service } ->
-      tag "srv_service";
-      int "xid" (Int32.to_int xid);
-      int "proc" proc;
-      num "service" service
-  | Cwnd_update { cwnd } ->
-      tag "cwnd_update";
-      num "cwnd" cwnd
-  | Rto_update { rto } ->
-      tag "rto_update";
-      num "rto" rto
-  | Cache_hit { cache } ->
-      tag "cache_hit";
-      str "cache" cache
-  | Cache_miss { cache } ->
-      tag "cache_miss";
-      str "cache" cache
-  | Run_mark { label } ->
-      tag "run_mark";
-      str "label" label
-  | Srv_crash -> tag "srv_crash"
-  | Srv_reboot -> tag "srv_reboot"
-  | Write_committed { file; off; len; digest; mtime } ->
-      tag "write_committed";
-      int "file" file;
-      int "off" off;
-      int "len" len;
-      int "digest" digest;
-      num "mtime" mtime
-  | Lease_grant { file; mode; holder; duration } ->
-      tag "lease_grant";
-      int "file" file;
-      str "mode" mode;
-      int "holder" holder;
-      num "duration" duration
-  | Cached_read { file; holder; mtime } ->
-      tag "cached_read";
-      int "file" file;
-      int "holder" holder;
-      num "mtime" mtime
-  | Wl_error { op; soft } ->
-      tag "wl_error";
-      str "op" op;
-      int "soft" (if soft then 1 else 0)
-  | Fault_inject { action } ->
-      tag "fault_inject";
-      str "action" action
-  | Write_unstable { file; off; len; digest; verf } ->
-      tag "write_unstable";
-      int "file" file;
-      int "off" off;
-      int "len" len;
-      int "digest" digest;
-      int "verf" verf
-  | Commit_ok { file; off; count; verf } ->
-      tag "commit_ok";
-      int "file" file;
-      int "off" off;
-      int "count" count;
-      int "verf" verf
-  | Verf_mismatch { file; expected; got } ->
-      tag "verf_mismatch";
-      int "file" file;
-      int "expected" expected;
-      int "got" got);
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* A scanner for exactly the flat objects we emit: string or number
-   values, no nesting. *)
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "Trace: bad JSONL (%s): %s" msg line) in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
+let json_of_record r =
+  let num k v = (k, Json.Num v) in
+  let int k v = (k, Json.Num (float_of_int v)) in
+  let str k v = (k, Json.Str v) in
+  let xid v = int "xid" (Int32.to_int v) in
+  let tag, fields =
+    match r.ev with
+    | Rpc_send { xid = x; proc } -> ("rpc_send", [ xid x; int "proc" proc ])
+    | Rpc_retransmit { xid = x; proc; retry; rto } ->
+        ( "rpc_retransmit",
+          [ xid x; int "proc" proc; int "retry" retry; num "rto" rto ] )
+    | Rpc_reply { xid = x; proc; rtt } ->
+        ("rpc_reply", [ xid x; int "proc" proc; num "rtt" rtt ])
+    | Pkt_enqueue { link; bytes; qlen } ->
+        ("pkt_enqueue", [ str "link" link; int "bytes" bytes; int "qlen" qlen ])
+    | Pkt_drop { link; bytes; reason } ->
+        ( "pkt_drop",
+          [ str "link" link; int "bytes" bytes; str "reason" (reason_name reason) ] )
+    | Pkt_deliver { link; bytes } ->
+        ("pkt_deliver", [ str "link" link; int "bytes" bytes ])
+    | Pkt_mangle { link; bytes; op } ->
+        ("pkt_mangle", [ str "link" link; int "bytes" bytes; str "op" op ])
+    | Frag_lost { src; ip_id } -> ("frag_lost", [ int "src" src; int "ip_id" ip_id ])
+    | Srv_queue { xid = x; proc; wait } ->
+        ("srv_queue", [ xid x; int "proc" proc; num "wait" wait ])
+    | Srv_service { xid = x; proc; service } ->
+        ("srv_service", [ xid x; int "proc" proc; num "service" service ])
+    | Cwnd_update { cwnd } -> ("cwnd_update", [ num "cwnd" cwnd ])
+    | Rto_update { rto } -> ("rto_update", [ num "rto" rto ])
+    | Cache_hit { cache } -> ("cache_hit", [ str "cache" cache ])
+    | Cache_miss { cache } -> ("cache_miss", [ str "cache" cache ])
+    | Run_mark { label } -> ("run_mark", [ str "label" label ])
+    | Srv_crash -> ("srv_crash", [])
+    | Srv_reboot -> ("srv_reboot", [])
+    | Write_committed { file; off; len; digest; mtime } ->
+        ( "write_committed",
+          [
+            int "file" file; int "off" off; int "len" len; int "digest" digest;
+            num "mtime" mtime;
+          ] )
+    | Lease_grant { file; mode; holder; duration } ->
+        ( "lease_grant",
+          [
+            int "file" file; str "mode" mode; int "holder" holder;
+            num "duration" duration;
+          ] )
+    | Cached_read { file; holder; mtime } ->
+        ("cached_read", [ int "file" file; int "holder" holder; num "mtime" mtime ])
+    | Wl_error { op; soft } ->
+        ("wl_error", [ str "op" op; int "soft" (if soft then 1 else 0) ])
+    | Fault_inject { action } -> ("fault_inject", [ str "action" action ])
+    | Write_unstable { file; off; len; digest; verf } ->
+        ( "write_unstable",
+          [
+            int "file" file; int "off" off; int "len" len; int "digest" digest;
+            int "verf" verf;
+          ] )
+    | Commit_ok { file; off; count; verf } ->
+        ( "commit_ok",
+          [ int "file" file; int "off" off; int "count" count; int "verf" verf ] )
+    | Verf_mismatch { file; expected; got } ->
+        ( "verf_mismatch",
+          [ int "file" file; int "expected" expected; int "got" got ] )
   in
-  let expect c =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> c then fail (Printf.sprintf "expected '%c'" c);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            if !pos >= n then fail "bad escape";
-            (match line.[!pos] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-                if !pos + 4 >= n then fail "bad \\u escape";
-                let code = int_of_string ("0x" ^ String.sub line (!pos + 1) 4) in
-                Buffer.add_char b (Char.chr (code land 0xFF));
-                pos := !pos + 4
-            | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match line.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "unparseable number"
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if !pos < n && line.[!pos] = '}' then incr pos
-  else begin
-    let rec members () =
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      let v =
-        if !pos < n && line.[!pos] = '"' then `Str (parse_string ())
-        else `Num (parse_number ())
-      in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      if !pos < n && line.[!pos] = ',' then begin
-        incr pos;
-        members ()
-      end
-      else expect '}'
-    in
-    members ()
-  end;
-  List.rev !fields
+  Json.Obj (num "t" r.time :: int "node" r.node :: str "ev" tag :: fields)
 
-let record_of_line line =
-  let fields = parse_fields line in
+let line_of_record r = Json.to_string Compact (json_of_record r)
+
+let fields_of_line line =
+  match Json.parse line with
+  | Ok (Obj fields) -> fields
+  | Ok _ -> failwith ("Trace: bad JSONL (not an object): " ^ line)
+  | Error msg -> failwith (Printf.sprintf "Trace: bad JSONL (%s): %s" msg line)
+
+let record_of_fields fields =
   let find k =
     match List.assoc_opt k fields with
     | Some v -> v
-    | None -> failwith (Printf.sprintf "Trace: missing field %S: %s" k line)
+    | None -> failwith (Printf.sprintf "Trace: missing field %S" k)
   in
-  let num k = match find k with `Num v -> v | `Str _ -> failwith ("Trace: field " ^ k ^ " is not a number") in
-  let str k = match find k with `Str s -> s | `Num _ -> failwith ("Trace: field " ^ k ^ " is not a string") in
+  let num k =
+    match find k with
+    | Json.Num v -> v
+    | _ -> failwith ("Trace: field " ^ k ^ " is not a number")
+  in
+  let str k =
+    match find k with
+    | Json.Str s -> s
+    | _ -> failwith ("Trace: field " ^ k ^ " is not a string")
+  in
   let int k = int_of_float (num k) in
   let xid () = Int32.of_int (int "xid") in
   let ev =
@@ -474,24 +324,34 @@ let record_of_line line =
   in
   { time = num "t"; node = int "node"; ev }
 
-let export_jsonl t path =
+let record_of_line line = record_of_fields (fields_of_line line)
+
+let export_jsonl ?last t path =
+  let held = length t in
+  let records =
+    match last with
+    | Some n when n < held -> List.filteri (fun i _ -> i >= held - n) (to_list t)
+    | _ -> to_list t
+  in
+  let written = List.length records in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       (* The metadata header makes ring overwrites visible in the file
          itself (no silent truncation): [held] records follow, out of
-         [total] observed, [overwritten] lost to the ring.  Readers that
-         predate the header see a line without a "t" field and can skip
-         any line carrying "schema". *)
-      Printf.fprintf oc
-        "{\"schema\":\"renofs-trace/1\",\"held\":%d,\"total\":%d,\"overwritten\":%d}\n"
-        (length t) (total t) (dropped t);
-      List.iter
-        (fun r ->
-          output_string oc (line_of_record r);
-          output_char oc '\n')
-        (to_list t))
+         [total] observed; the other [overwritten] are not in the file.
+         Readers that predate the header see a line without a "t"
+         field and can skip any line carrying "schema". *)
+      Json.output_line oc
+        (Obj
+           [
+             ("schema", Str "renofs-trace/1");
+             ("held", Num (float_of_int written));
+             ("total", Num (float_of_int t.total));
+             ("overwritten", Num (float_of_int (t.total - written)));
+           ]);
+      List.iter (fun r -> Json.output_line oc (json_of_record r)) records)
 
 let import_jsonl path =
   let ic = open_in path in
@@ -502,18 +362,15 @@ let import_jsonl path =
         match input_line ic with
         | "" -> go (lineno + 1) acc
         | line ->
-            if
-              List.exists
-                (fun (k, _) -> String.equal k "schema")
-                (try parse_fields line with Failure _ -> [])
-            then go (lineno + 1) acc
-            else
-              let r =
-                try record_of_line line
-                with Failure msg ->
-                  failwith (Printf.sprintf "%s:%d: %s" path lineno msg)
-              in
-              go (lineno + 1) (r :: acc)
+            let r =
+              try
+                let fields = fields_of_line line in
+                if List.mem_assoc "schema" fields then None
+                else Some (record_of_fields fields)
+              with Failure msg ->
+                failwith (Printf.sprintf "%s:%d: %s" path lineno msg)
+            in
+            go (lineno + 1) (Option.fold ~none:acc ~some:(fun r -> r :: acc) r)
         | exception End_of_file -> List.rev acc
       in
       go 1 [])

@@ -157,19 +157,25 @@ val digest : bytes -> int
 (** {2 JSONL export / import}
 
     One flat JSON object per line, e.g.
-    [{"t":1.25,"node":3,"ev":"rpc_send","xid":17,"proc":4}].  Import
-    accepts exactly what export produces (field order is free, floats
-    round-trip). *)
+    [{"t":1.25,"node":3,"ev":"rpc_send","xid":17,"proc":4}]: the time,
+    the node, the event tag, then the event's fields in declaration
+    order.  Lines are printed by {!Renofs_json.Json} in its compact
+    layout, so numbers follow its one float rule (integers bare,
+    anything else the shortest decimal that reads back as the same
+    double) and strings its one escape.  Lines are read with
+    [Json.parse]; import accepts any field order. *)
 
 val line_of_record : record_ -> string
 val record_of_line : string -> record_
 (** Raises [Failure] on malformed input. *)
 
-val export_jsonl : t -> string -> unit
+val export_jsonl : ?last:int -> t -> string -> unit
 (** Write surviving records to a file, one per line, preceded by a
     [{"schema":"renofs-trace/1","held":H,"total":T,"overwritten":D}]
-    metadata line so ring overwrites are visible in the export itself,
-    not only in {!Report.print}. *)
+    metadata line: [H] records follow, out of [T] recorded; the other
+    [D] are not in the file.  Ring overwrites are therefore visible in
+    the export itself, not only in {!Report.print}.  With [~last:n]
+    only the newest [n] records are written (a flight bundle's tail). *)
 
 val import_jsonl : string -> record_ list
 (** Raises [Failure] with [path:line:] context on malformed input.

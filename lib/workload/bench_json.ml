@@ -1,4 +1,5 @@
 module E = Experiments
+module Json = Renofs_json.Json
 
 let schema_version = "renofs-bench/1"
 
@@ -6,93 +7,45 @@ let schema_version = "renofs-bench/1"
 (* Emission                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Shortest decimal that round-trips, so files stay readable and
-   serial/parallel runs compare byte for byte. *)
-let float_str v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let s15 = Printf.sprintf "%.15g" v in
-    if float_of_string s15 = v then s15
-    else
-      let s16 = Printf.sprintf "%.16g" v in
-      if float_of_string s16 = v then s16 else Printf.sprintf "%.17g" v
+let int n = Json.Num (float_of_int n)
 
 let value_json = function
-  | E.Text s -> Printf.sprintf {|{"type":"text","value":"%s"}|} (escape s)
+  | E.Text s -> Json.Obj [ ("type", Str "text"); ("value", Str s) ]
   | E.Int (v, u) ->
-      Printf.sprintf {|{"type":"int","value":%d,"unit":"%s"}|} v (E.unit_name u)
+      Obj [ ("type", Str "int"); ("value", int v); ("unit", Str (E.unit_name u)) ]
   | E.Float (v, u, prec) ->
-      Printf.sprintf {|{"type":"float","value":%s,"unit":"%s","prec":%d}|}
-        (float_str v) (E.unit_name u) prec
+      Obj
+        [
+          ("type", Str "float");
+          ("value", Num v);
+          ("unit", Str (E.unit_name u));
+          ("prec", int prec);
+        ]
 
 let results_json (r : E.results) =
-  let header = List.map (fun h -> "\"" ^ escape h ^ "\"") r.E.r_header in
-  let rows =
-    List.map
-      (fun row -> "      [" ^ String.concat "," (List.map value_json row) ^ "]")
-      r.E.r_rows
-  in
-  Printf.sprintf
-    "    {\"id\":\"%s\",\n\
-    \     \"title\":\"%s\",\n\
-    \     \"header\":[%s],\n\
-    \     \"rows\":[\n%s\n    ]}"
-    (escape r.E.r_id) (escape r.E.r_title)
-    (String.concat "," header)
-    (String.concat ",\n" rows)
+  Json.Obj
+    [
+      ("id", Str r.E.r_id);
+      ("title", Str r.E.r_title);
+      ("header", Arr (List.map (fun h -> Json.Str h) r.E.r_header));
+      ( "rows",
+        Arr (List.map (fun row -> Json.Arr (List.map value_json row)) r.E.r_rows) );
+    ]
+
+let document ~scale ~jobs results =
+  Json.Obj
+    [
+      ("schema", Str schema_version);
+      ("scale", Str (match scale with E.Quick -> "quick" | E.Full -> "full"));
+      ("jobs", int jobs);
+      ("experiments", Arr (List.map results_json results));
+    ]
 
 let emit ~scale ~jobs results =
-  Printf.sprintf
-    "{\"schema\":\"%s\",\n\
-    \ \"scale\":\"%s\",\n\
-    \ \"jobs\":%d,\n\
-    \ \"experiments\":[\n%s\n]}\n"
-    schema_version
-    (match scale with E.Quick -> "quick" | E.Full -> "full")
-    jobs
-    (String.concat ",\n" (List.map results_json results))
+  Json.to_string Document (document ~scale ~jobs results) ^ "\n"
 
 let write_file ~scale ~jobs ~path results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (emit ~scale ~jobs results))
-
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The reader itself lives in the dependency-free [renofs_json] library
-   (fault schedules parse with it too); re-exported here with a type
-   equality so existing callers keep pattern-matching [Bench_json]'s
-   constructors. *)
-
-type json = Renofs_json.Json.json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad = Renofs_json.Json.Bad
-
-let parse = Renofs_json.Json.parse
+  Json.write_file path (document ~scale ~jobs results)
 
 (* ------------------------------------------------------------------ *)
 (* Schema validation                                                  *)
@@ -100,76 +53,77 @@ let parse = Renofs_json.Json.parse
 
 let known_units = [ "ms"; "s"; "per_s"; "percent"; "bytes"; "count" ]
 
-let validate_exn doc =
-  let fail fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
-  let field obj name =
-    match List.assoc_opt name obj with
-    | Some v -> v
-    | None -> fail "missing field %S" name
-  in
-  let str ctx = function Str s -> s | _ -> fail "%s: expected string" ctx in
-  let num ctx = function Num v -> v | _ -> fail "%s: expected number" ctx in
-  let arr ctx = function Arr l -> l | _ -> fail "%s: expected array" ctx in
-  let obj ctx = function Obj o -> o | _ -> fail "%s: expected object" ctx in
-  let top = obj "document" doc in
-  let version = str "schema" (field top "schema") in
+(* What diffing needs of a cell: its number and unit, or its text. *)
+type diff_cell = Dnum of float * string | Dtext of string
+
+(* Check a document against the schema, returning per experiment the
+   header and typed cells. *)
+let read_exn doc =
+  let fail fmt = Printf.ksprintf (fun msg -> raise (Json.Bad msg)) fmt in
+  let str ctx o name = Json.str ~ctx (Json.member ~ctx name o) in
+  let num ctx o name = Json.num ~ctx (Json.member ~ctx name o) in
+  let arr ctx o name = Json.arr ~ctx (Json.member ~ctx name o) in
+  let top = Json.obj ~ctx:"document" doc in
+  let version = str "schema" top "schema" in
   if version <> schema_version then
     fail "schema %S, expected %S" version schema_version;
-  (match str "scale" (field top "scale") with
+  (match str "scale" top "scale" with
   | "quick" | "full" -> ()
   | other -> fail "scale %S is not quick|full" other);
-  let jobs = num "jobs" (field top "jobs") in
+  let jobs = num "jobs" top "jobs" in
   if jobs < 1.0 || not (Float.is_integer jobs) then fail "jobs must be a positive integer";
-  let experiments = arr "experiments" (field top "experiments") in
+  let experiments = arr "experiments" top "experiments" in
   if experiments = [] then fail "experiments array is empty";
-  List.iter
+  List.map
     (fun e ->
-      let e = obj "experiment" e in
-      let id = str "id" (field e "id") in
-      ignore (str "title" (field e "title"));
-      let header = List.map (str (id ^ ".header")) (arr (id ^ ".header") (field e "header")) in
+      let e = Json.obj ~ctx:"experiment" e in
+      let id = str "id" e "id" in
+      ignore (str "title" e "title");
+      let header =
+        List.map (Json.str ~ctx:(id ^ ".header")) (arr (id ^ ".header") e "header")
+      in
       let cols = List.length header in
       if cols = 0 then fail "%s: empty header" id;
-      let rows = arr (id ^ ".rows") (field e "rows") in
+      let rows = arr (id ^ ".rows") e "rows" in
       if rows = [] then fail "%s: no rows" id;
-      List.iteri
-        (fun i row ->
-          let row = arr (Printf.sprintf "%s.rows[%d]" id i) row in
-          if List.length row <> cols then
-            fail "%s.rows[%d]: %d cells for %d header columns" id i
-              (List.length row) cols;
-          List.iter
-            (fun cell ->
-              let ctx = Printf.sprintf "%s.rows[%d]" id i in
-              let cell = obj ctx cell in
-              let check_unit () =
-                let u = str (ctx ^ ".unit") (field cell "unit") in
-                if not (List.mem u known_units) then fail "%s: unknown unit %S" ctx u
-              in
-              match str (ctx ^ ".type") (field cell "type") with
-              | "text" -> ignore (str ctx (field cell "value"))
-              | "int" ->
-                  let v = num ctx (field cell "value") in
-                  if not (Float.is_integer v) then fail "%s: int cell holds %g" ctx v;
-                  check_unit ()
-              | "float" ->
-                  ignore (num ctx (field cell "value"));
-                  ignore (num (ctx ^ ".prec") (field cell "prec"));
-                  check_unit ()
-              | other -> fail "%s: unknown cell type %S" ctx other)
-            row)
-        rows)
+      let rows =
+        List.mapi
+          (fun i row ->
+            let ctx = Printf.sprintf "%s.rows[%d]" id i in
+            let row = Json.arr ~ctx row in
+            if List.length row <> cols then
+              fail "%s: %d cells for %d header columns" ctx (List.length row) cols;
+            List.map
+              (fun cell ->
+                let cell = Json.obj ~ctx cell in
+                let unit_ () =
+                  let u = str (ctx ^ ".unit") cell "unit" in
+                  if not (List.mem u known_units) then fail "%s: unknown unit %S" ctx u;
+                  u
+                in
+                match str (ctx ^ ".type") cell "type" with
+                | "text" -> Dtext (str ctx cell "value")
+                | "int" ->
+                    let v = num ctx cell "value" in
+                    if not (Float.is_integer v) then fail "%s: int cell holds %g" ctx v;
+                    Dnum (v, unit_ ())
+                | "float" ->
+                    ignore (num (ctx ^ ".prec") cell "prec");
+                    Dnum (num ctx cell "value", unit_ ())
+                | other -> fail "%s: unknown cell type %S" ctx other)
+              row)
+          rows
+      in
+      (id, (header, rows)))
     experiments
 
 let validate s =
-  match parse s with
+  match Json.parse s with
   | Error msg -> Error ("parse error: " ^ msg)
-  | Ok doc -> ( try Ok (validate_exn doc) with Bad msg -> Error msg)
-
-let read_file = Renofs_json.Json.read_file
+  | Ok doc -> ( try Ok (ignore (read_exn doc)) with Json.Bad msg -> Error msg)
 
 let validate_file path =
-  match read_file path with
+  match Json.read_file path with
   | Error _ as e -> e
   | Ok content -> validate content
 
@@ -183,47 +137,6 @@ type diff_report = {
   improvements : string list;
   warnings : string list;
 }
-
-(* The flattened view diffing needs: per experiment, the header and
-   typed cells. *)
-type diff_cell = Dnum of float * string | Dtext of string
-
-let extract_exn doc =
-  let j ctx = Renofs_json.Json.obj ~ctx in
-  let field ctx name o = Renofs_json.Json.member ~ctx name o in
-  let str ctx = Renofs_json.Json.str ~ctx in
-  let num ctx = Renofs_json.Json.num ~ctx in
-  let arr ctx = Renofs_json.Json.arr ~ctx in
-  let top = j "document" doc in
-  List.map
-    (fun e ->
-      let e = j "experiment" e in
-      let id = str "id" (field "experiment" "id" e) in
-      let header =
-        List.map (str (id ^ ".header")) (arr (id ^ ".header") (field id "header" e))
-      in
-      let rows =
-        List.map
-          (fun row ->
-            List.map
-              (fun cell ->
-                let c = j (id ^ ".cell") cell in
-                match str (id ^ ".type") (field id "type" c) with
-                | "text" -> Dtext (str id (field id "value" c))
-                | _ ->
-                    Dnum
-                      ( num id (field id "value" c),
-                        str (id ^ ".unit") (field id "unit" c) ))
-              (arr (id ^ ".row") row))
-          (arr (id ^ ".rows") (field id "rows" e))
-      in
-      (id, (header, rows)))
-    (arr "experiments" (field "document" "experiments" top))
-
-let load_for_diff path =
-  Renofs_json.Json.decode_file path (fun doc ->
-      validate_exn doc;
-      extract_exn doc)
 
 (* A cell regresses when a latency (ms/s) grows, or a throughput
    (per_s) shrinks, by more than [tolerance] (a fraction).  Other units
@@ -284,8 +197,8 @@ let diff_docs ~tolerance old_docs new_docs =
                               let line verdict pct =
                                 Printf.sprintf
                                   "%s/%s: %s %s %s -> %s %s (%+.1f%%)" id
-                                  row_label col verdict (float_str ov)
-                                  (float_str nv) ou pct
+                                  row_label col verdict (Json.float_str ov)
+                                  (Json.float_str nv) ou pct
                               in
                               let pct = (ratio -. 1.0) *. 100.0 in
                               let bad, good =
@@ -323,9 +236,10 @@ let diff_docs ~tolerance old_docs new_docs =
 
 let diff_files ~tolerance old_path new_path =
   if tolerance < 0.0 then invalid_arg "Bench_json.diff_files: negative tolerance";
-  match load_for_diff old_path with
+  let load path = Json.decode_file path read_exn in
+  match load old_path with
   | Error _ as e -> e
   | Ok old_docs -> (
-      match load_for_diff new_path with
+      match load new_path with
       | Error _ as e -> e
       | Ok new_docs -> Ok (diff_docs ~tolerance old_docs new_docs))

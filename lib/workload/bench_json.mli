@@ -1,26 +1,40 @@
 (** Structured JSON output for experiment results ([nfsbench --json]).
 
-    The document schema, version ["renofs-bench/1"]:
+    The document schema, version ["renofs-bench/1"], as written:
 
     {v
-    { "schema": "renofs-bench/1",
-      "scale": "quick" | "full",
-      "jobs": <int>,
-      "experiments": [
-        { "id": "graph1",
-          "title": "...",
-          "header": ["load(rpc/s)", ...],
-          "rows": [
-            [ {"type":"float","value":5.0,"unit":"per_s","prec":1},
+    {
+      "schema":"renofs-bench/1",
+      "scale":"quick",
+      "jobs":2,
+      "experiments":[
+        {
+          "id":"graph1",
+          "title":"Ave RTT vs load, lookup mix, same LAN",
+          "header":["load(rpc/s)","udp-fixed RTT(ms)",...],
+          "rows":[
+            [
+              {"type":"float","value":5,"unit":"per_s","prec":1},
               {"type":"int","value":42,"unit":"count"},
-              {"type":"text","value":"same LAN"}, ... ], ... ] } ] }
+              {"type":"text","value":"same LAN"},
+              ...
+            ],
+            ...
+          ]
+        },
+        ...
+      ]
+    }
     v}
 
-    Every row has exactly as many cells as the header has columns;
-    [unit] is one of {!Experiments.unit_name}'s outputs.  Emission is
-    deterministic (fields in the order above, floats printed with the
-    shortest round-tripping decimal), so serial and parallel runs of
-    the same experiments produce byte-identical files. *)
+    [scale] is ["quick"] or ["full"].  Every row has exactly as many
+    cells as the header has columns; [unit] is one of
+    {!Experiments.unit_name}'s outputs.  The file is printed by
+    {!Renofs_json.Json} in its document layout: fields in the order
+    above, one cell per line, numbers by the one float rule (integers
+    bare, anything else the shortest decimal that round-trips).  Serial
+    and parallel runs of the same experiments therefore write files that
+    differ only in ["jobs"], which sits on a line of its own. *)
 
 val emit : scale:Experiments.scale -> jobs:int -> Experiments.results list -> string
 (** The whole document, newline-terminated. *)
@@ -28,21 +42,7 @@ val emit : scale:Experiments.scale -> jobs:int -> Experiments.results list -> st
 val write_file :
   scale:Experiments.scale -> jobs:int -> path:string -> Experiments.results list -> unit
 
-(** {2 Minimal JSON reader, for validation and tests}
-
-    Re-exported from {!Renofs_json.Json} (with a type equality) so the
-    reader is also available below the workload layer; accepts standard
-    JSON, enough to round-trip what {!emit} produces. *)
-
-type json = Renofs_json.Json.json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse : string -> (json, string) result
+(** {2 Validation and diffing} *)
 
 val validate : string -> (unit, string) result
 (** Check a document against the schema above: required fields, row

@@ -379,24 +379,27 @@ let make_world ?(params = Topology.default_params)
   if not defer_faults then install_faults ~ctx world;
   world
 
-let stuck_message ~label ~windows sim =
-  Printf.sprintf
-    "%s: driver never finished after %d advance windows (sim time %.1f s, %d \
-     events pending, %d processed)"
-    label windows (Sim.now sim) (Sim.pending_events sim) (Sim.events_processed sim)
+let advance_until ~label ~window sim finished =
+  let windows = ref 0 in
+  while not (finished ()) do
+    incr windows;
+    if !windows > 100_000 then
+      raise
+        (Driver_stuck
+           (Printf.sprintf
+              "%s: driver never finished after %d advance windows (sim time \
+               %.1f s, %d events pending, %d processed)"
+              label !windows (Sim.now sim) (Sim.pending_events sim)
+              (Sim.events_processed sim)));
+    Sim.run ~until:(Sim.now sim +. window) sim
+  done
 
-(* Run [body] as a driver process; keep the simulator moving (cross
-   traffic never drains the event queue) until the driver finishes. *)
+(* Run [body] as a driver process and keep the simulator moving until
+   it finishes. *)
 let drive ?(label = "experiment") world body =
   let result = ref None in
   Proc.spawn world.sim (fun () -> result := Some (body ()));
-  let guard = ref 0 in
-  while !result = None do
-    incr guard;
-    if !guard > 100_000 then
-      raise (Driver_stuck (stuck_message ~label ~windows:!guard world.sim));
-    Sim.run ~until:(Sim.now world.sim +. 100.0) world.sim
-  done;
+  advance_until ~label ~window:100.0 world.sim (fun () -> Option.is_some !result);
   Option.get !result
 
 let mss_for topology = if topology = "lan" then 1460 else 512
@@ -1125,13 +1128,7 @@ let scaling_spec scale =
                   latency := !latency +. r.Nhfsstone.mean_op_latency;
                   incr finished))
             clients;
-          let guard = ref 0 in
-          while !finished < n do
-            incr guard;
-            if !guard > 100_000 then
-              raise (Driver_stuck (stuck_message ~label ~windows:!guard sim));
-            Sim.run ~until:(Sim.now sim +. 50.0) sim
-          done;
+          advance_until ~label ~window:50.0 sim (fun () -> !finished >= n);
           let util =
             match !iostat with
             | Some io ->
@@ -1231,13 +1228,7 @@ let fleet_cell ~clients:n ~servers:n_srv ~duration ~per_client_rate =
                 achieved := !achieved +. r.Nhfsstone.achieved;
                 incr finished))
           topo.Topology.clients;
-        let guard = ref 0 in
-        while !finished < n do
-          incr guard;
-          if !guard > 100_000 then
-            raise (Driver_stuck (stuck_message ~label ~windows:!guard sim));
-          Sim.run ~until:(Sim.now sim +. 50.0) sim
-        done;
+        advance_until ~label ~window:50.0 sim (fun () -> !finished >= n);
         let p95 =
           if Stats.Hist.count hist = 0 then 0.0
           else

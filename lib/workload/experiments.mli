@@ -173,4 +173,12 @@ exception Driver_stuck of string
 (** An experiment driver failed to finish; the message carries the run
     label, sim time, pending event count and events processed. *)
 
+val advance_until :
+  label:string -> window:float -> Renofs_engine.Sim.t -> (unit -> bool) -> unit
+(** [advance_until ~label ~window sim finished] runs [sim] forward
+    [window] sim-seconds at a time until [finished ()] holds (cross
+    traffic never drains the event queue, so a bare [Sim.run] would not
+    return).  After 100,000 windows it raises {!Driver_stuck}, naming
+    [label].  Every experiment, scenario and perf driver uses it. *)
+
 

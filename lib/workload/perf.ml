@@ -110,12 +110,7 @@ let run_cell ?profile ~label ~transport ~rate () =
              seed = 42;
            });
       finished := true);
-  let guard = ref 0 in
-  while not !finished do
-    incr guard;
-    if !guard > 100_000 then failwith (label ^ ": perf cell never finished");
-    Sim.run ~until:(Sim.now sim +. 100.0) sim
-  done;
+  Experiments.advance_until ~label ~window:100.0 sim (fun () -> !finished);
   (Sim.events_processed sim, Nfs_server.rpcs_served server)
 
 let run ?(progress = ignore) ?(profile = false) () =
@@ -170,41 +165,35 @@ let run ?(progress = ignore) ?(profile = false) () =
 (* renofs-perf/1 JSON                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Shortest round-tripping float, as Bench_json prints measurements. *)
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string (Printf.sprintf "%.6g" f) = f then Printf.sprintf "%.6g" f
-  else s
+let to_json r =
+  let int n = Json.Num (float_of_int n) in
+  Json.Obj
+    ([
+       ("schema", Json.Str "renofs-perf/1");
+       ("wall_s", Num r.wall_s);
+       ("events", int r.events);
+       ("rpcs", int r.rpcs);
+       ("events_per_s", Num r.events_per_s);
+       ("rpcs_per_s", Num r.rpcs_per_s);
+       ( "cells",
+         Arr
+           (List.map
+              (fun c ->
+                Json.Obj
+                  [
+                    ("label", Str c.c_label);
+                    ("wall_s", Num c.c_wall_s);
+                    ("events", int c.c_events);
+                    ("rpcs", int c.c_rpcs);
+                  ])
+              r.cells) );
+     ]
+    @
+    match r.p_profile with
+    | Some s -> [ ("profile", Profile.to_json s) ]
+    | None -> [])
 
-let emit r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"renofs-perf/1\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"wall_s\":%s,\"events\":%d,\"rpcs\":%d,\"events_per_s\":%s,\"rpcs_per_s\":%s,\n"
-       (float_str r.wall_s) r.events r.rpcs
-       (float_str r.events_per_s) (float_str r.rpcs_per_s));
-  Buffer.add_string b "\"cells\":[\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf "  {\"label\":%S,\"wall_s\":%s,\"events\":%d,\"rpcs\":%d}%s\n"
-           c.c_label (float_str c.c_wall_s) c.c_events c.c_rpcs
-           (if i = List.length r.cells - 1 then "" else ",")))
-    r.cells;
-  Buffer.add_string b "]";
-  (match r.p_profile with
-  | Some s ->
-      Buffer.add_string b ",\n\"profile\":";
-      Buffer.add_string b (String.trim (Profile.emit s))
-  | None -> ());
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let write_file ~path r =
-  let oc = open_out path in
-  output_string oc (emit r);
-  close_out oc
+let write_file ~path r = Json.write_file path (to_json r)
 
 let of_json ~ctx j =
   let o = Json.obj ~ctx j in

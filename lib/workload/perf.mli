@@ -41,12 +41,13 @@ val run : ?progress:(string -> unit) -> ?profile:bool -> unit -> t
 
 (** {2 renofs-perf/1 JSON} *)
 
-val emit : t -> string
-(** Deterministic field order; floats printed with the shortest
-    round-tripping decimal.  (The wall-clock values themselves are of
+val write_file : path:string -> t -> unit
+(** Deterministic field order: [schema], [wall_s], [events], [rpcs],
+    [events_per_s], [rpcs_per_s], [cells], then [profile] (the
+    {!Renofs_profile.Profile.to_json} document) when there is one.
+    Numbers keep every digit.  (The wall-clock values themselves are of
     course not reproducible.) *)
 
-val write_file : path:string -> t -> unit
 val read_file : string -> (t, string) result
 
 (** {2 The gate} *)

@@ -150,28 +150,22 @@ let export_metrics mt path =
   if Filename.check_suffix path ".csv" then Metrics.export_csv mt path
   else Metrics.export_jsonl mt path
 
-(* A compact rendering of the effective run spec, stored in flight
-   bundles so a dump can be replayed without the original command line. *)
+(* The effective run spec, stored in flight bundles so a dump can be
+   replayed without the original command line. *)
 let spec_json t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"schema\":\"renofs-runspec/1\"";
-  Buffer.add_string buf
-    (Printf.sprintf ",\"scale\":\"%s\""
-       (match scale t with E.Quick -> "quick" | E.Full -> "full"));
-  Buffer.add_string buf (Printf.sprintf ",\"seed\":%d" (seed t));
-  (match t.rs_jobs with
-  | Some j -> Buffer.add_string buf (Printf.sprintf ",\"jobs\":%d" j)
-  | None -> ());
-  let str_field name v =
-    match v with
-    | Some s ->
-        Buffer.add_string buf (Printf.sprintf ",%S:%S" name s)
-    | None -> ()
-  in
-  str_field "faults" t.rs_faults;
-  str_field "flight" t.rs_flight;
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  let str name = Option.map (fun s -> (name, Json.Str s)) in
+  Json.Obj
+    ([
+       ("schema", Json.Str "renofs-runspec/1");
+       ("scale", Str (match scale t with E.Quick -> "quick" | E.Full -> "full"));
+       ("seed", Num (float_of_int (seed t)));
+     ]
+    @ List.filter_map Fun.id
+        [
+          Option.map (fun j -> ("jobs", Json.Num (float_of_int j))) t.rs_jobs;
+          str "faults" t.rs_faults;
+          str "flight" t.rs_flight;
+        ])
 
 let execute_many ?(print = fun _ -> ()) t specs =
   match
@@ -213,7 +207,7 @@ let execute_many ?(print = fun _ -> ()) t specs =
           let flight =
             match t.rs_flight with
             | Some dir ->
-                Some (Flight.arm ~dir ~spec_json:(spec_json t) ~seed:(seed t))
+                Some (Flight.arm ~dir ~spec:(spec_json t) ~seed:(seed t))
             | None -> None
           in
           (match faults with

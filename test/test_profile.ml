@@ -201,7 +201,7 @@ let test_profile_json_rejects_bad_attribution () =
   Profile.start p;
   now := 2.0;
   Profile.stop p;
-  let js = Profile.emit (Profile.snapshot p) in
+  let js = Json.to_string Document (Profile.to_json (Profile.snapshot p)) in
   (* Inflate the recorded wall so the slot sum can no longer match. *)
   let sub = "\"wall_s\":2" and by = "\"wall_s\":20" in
   let rec replace s =
@@ -356,7 +356,7 @@ let one_cell_spec ~id run =
 
 let test_flight_on_driver_stuck () =
   let dir = tmppath "renofs_flight_stuck" "" in
-  let flight = Flight.arm ~dir ~spec_json:"{}" ~seed:7 in
+  let flight = Flight.arm ~dir ~spec:(Json.Obj []) ~seed:7 in
   let spec =
     one_cell_spec ~id:"stuck" (fun _ ->
         raise (E.Driver_stuck "stuck/one: synthetic"))
@@ -371,7 +371,7 @@ let test_flight_on_driver_stuck () =
 
 let test_flight_on_fail_value () =
   let dir = tmppath "renofs_flight_fail" "" in
-  let flight = Flight.arm ~dir ~spec_json:"{}" ~seed:0 in
+  let flight = Flight.arm ~dir ~spec:(Json.Obj []) ~seed:0 in
   let spec =
     one_cell_spec ~id:"failcell" (fun _ -> [ E.Text "FAIL: synthetic" ])
   in
@@ -427,6 +427,24 @@ let test_flight_on_slo_breach () =
       | other ->
           Alcotest.failf "expected one bundle, found %d" (List.length other))
 
+(* The bundle's run_spec.json is JSON whatever bytes the paths hold: a
+   flight directory named with a UTF-8 letter and a double quote reads
+   back unchanged. *)
+let test_flight_run_spec_any_path () =
+  let dir = tmppath "renofs_fl\xc3\xafght_\"q" "" in
+  let rs = { R.empty with R.rs_jobs = Some 1; rs_flight = Some dir } in
+  let spec =
+    one_cell_spec ~id:"failcell" (fun _ -> [ E.Text "FAIL: synthetic" ])
+  in
+  (match R.execute rs spec with Error msg -> Alcotest.fail msg | Ok _ -> ());
+  let path = Filename.concat (Filename.concat dir "failcell_one") "run_spec.json" in
+  match Json.load_file path with
+  | Error msg -> Alcotest.fail msg
+  | Ok doc ->
+      let o = Json.obj ~ctx:path doc in
+      Alcotest.(check string) "flight path read back" dir
+        (Json.str ~ctx:path (Json.member ~ctx:path "flight" o))
+
 let () =
   Alcotest.run "profile"
     [
@@ -463,5 +481,7 @@ let () =
           Alcotest.test_case "invariant FAIL" `Quick test_flight_on_fail_value;
           Alcotest.test_case "slo breach via run spec" `Quick
             test_flight_on_slo_breach;
+          Alcotest.test_case "run spec with a non-ASCII path" `Quick
+            test_flight_run_spec_any_path;
         ] );
     ]

@@ -389,6 +389,26 @@ let test_graph7_trace_tracks () =
   Alcotest.(check bool) "rto mostly above rtt" true
     (2 * List.length above > List.length t.Experiments.rows)
 
+(* Every driver advances its world through [Experiments.advance_until];
+   one that never finishes must end in a typed error naming its run,
+   not spin forever. *)
+let test_driver_stuck_names_label () =
+  let sim = Sim.create () in
+  let checks = ref 0 in
+  match
+    Experiments.advance_until ~label:"never/finishes" ~window:50.0 sim (fun () ->
+        incr checks;
+        false)
+  with
+  | () -> Alcotest.fail "a driver that never finishes returned"
+  | exception Experiments.Driver_stuck msg ->
+      let prefix = "never/finishes: driver never finished after 100001" in
+      Alcotest.(check string) "names the label and the windows" prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix)));
+      Alcotest.(check int) "one check per window" 100_001 !checks;
+      Alcotest.(check (float 0.0)) "advanced in fixed windows" 5_000_000.0
+        (Sim.now sim)
+
 (* ------------------------------------------------------------------ *)
 (* Ascii_plot                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -484,6 +504,8 @@ let () =
           Alcotest.test_case "table3 cache claims" `Quick test_table3_cache_claims;
           Alcotest.test_case "table1 56K transports" `Quick test_table1_congestion_control_wins_on_56k;
           Alcotest.test_case "graph7 trace" `Quick test_graph7_trace_tracks;
+          Alcotest.test_case "driver stuck names label" `Quick
+            test_driver_stuck_names_label;
         ] );
       ( "ascii-plot",
         [
