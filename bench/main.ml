@@ -15,7 +15,9 @@
       fragmentation, event loop, file-content fill, buffer-cache
       eviction).  The per-byte kernels run over 8192 bytes, so ns/byte
       is the printed ns/run over 8192; the content fill runs over
-      16384.
+      16384.  sim-10k-events runs 10,000 events per run and
+      sim-mixed-2k one, so their ns per event are ns/run over 10,000
+      and ns/run.
 
      dune exec bench/main.exe
      dune exec bench/main.exe -- micro    # the microbenchmarks alone *)
@@ -28,6 +30,7 @@ module Xdr = Renofs_xdr.Xdr
 module Packet = Renofs_net.Packet
 module Sim = Renofs_engine.Sim
 module Cpu = Renofs_engine.Cpu
+module Rng = Renofs_engine.Rng
 module Trace = Renofs_trace.Trace
 module Fileset = Renofs_workload.Fileset
 module Bcache = Renofs_vfs.Bcache
@@ -150,6 +153,33 @@ let micro_tests =
              Sim.at sim (float_of_int i) ignore
            done;
            Sim.run sim));
+    Test.make ~name:"sim-mixed-2k"
+      (* A fleet's queue: 2,000 far timers 50 ms-5 s ahead that re-arm
+         when they fire, 16 packet-hop chains 10 us-1 ms ahead, and one
+         hop in four cancelling and re-arming a far timer, as an RPC
+         reply does its retransmit timer.  Unlike sim-10k-events the
+         times are not increasing.  One run pops one event, so ns/run is
+         ns per event. *)
+      (let sim = Sim.create () and rng = Rng.create 11 in
+       let unarmed = Sim.timer_after sim 0.0 ignore in
+       Sim.cancel unarmed;
+       let far = Array.make 2000 unarmed in
+       let rec arm k =
+         far.(k) <- Sim.timer_after sim (Rng.uniform rng 0.05 5.0) (fun () -> arm k)
+       in
+       let rec hop () =
+         if Rng.int rng 4 = 0 then begin
+           let k = Rng.int rng (Array.length far) in
+           Sim.cancel far.(k);
+           arm k
+         end;
+         Sim.after sim (Rng.uniform rng 10e-6 1e-3) hop
+       in
+       Array.iteri (fun k _ -> arm k) far;
+       for _ = 1 to 16 do
+         Sim.after sim (Rng.uniform rng 10e-6 1e-3) hop
+       done;
+       Staged.stage (fun () -> ignore (Sim.step sim)));
   ]
 
 let run_bechamel tests =

@@ -5,17 +5,26 @@
     deliveries, timer expiries — is driven by this queue, which makes every
     run deterministic for a given seed.
 
-    The queue is an array-backed binary min-heap in which every event
-    records its own index, so schedule, fire and cancel are each
-    O(log n) in the pending population and a cancelled event leaves the
-    queue at once.  It replaced a calendar queue (Brown, CACM 1988),
+    The queue is a binary min-heap of int slot ids, so schedule, fire and
+    cancel are each O(log n) in the pending population and a cancelled
+    event leaves the queue at once.  The keys sit in flat arrays in heap
+    order, each event's time as an unboxed float beside its sequence
+    number, so sifting moves only numbers and never passes through the
+    GC's write barrier.  An event's closure and probe tag live in a pool
+    of recycled slots, and a {!timer} names its slot and sequence number,
+    so a plain {!at} or {!after} event allocates nothing in the queue and
+    only {!timer_after} allocates a handle.  A handle left over after its
+    event fired or was cancelled never touches the event that reuses the
+    slot.
+
+    Ordering is exactly [(time, sequence)] for every time, however far
+    ahead and [infinity] included: an event scheduled earlier for the
+    same instant always fires first, at any queue size.  A NaN time is
+    rejected.  The heap replaced a calendar queue (Brown, CACM 1988),
     which sampled one bucket width for all pending events: in a large
     fleet, packet hops microseconds ahead shared buckets with thousands
     of RTO and think timers seconds ahead, and each insert scanned
-    hundreds of them.  A heap has no width to tune.  Ordering is exactly
-    [(time, sequence)] — an event scheduled earlier for the same instant
-    always fires first, at any queue size — so the two queues fire
-    identical sequences. *)
+    hundreds of them.  A heap has no width to tune. *)
 
 type t
 
@@ -27,7 +36,7 @@ val now : t -> float
 
 val at : t -> float -> (unit -> unit) -> unit
 (** [at sim time fn] runs [fn] at absolute virtual [time].  Scheduling in
-    the past raises [Invalid_argument]. *)
+    the past or at NaN raises [Invalid_argument]. *)
 
 val after : t -> float -> (unit -> unit) -> unit
 (** [after sim delay fn] runs [fn] at [now sim +. delay]. *)

@@ -189,8 +189,9 @@ let add_u32 ?ctr ?pool t v =
   | m :: _ when tail_room m >= 4 ->
       (* Write straight into the tail: the common case in XDR encoding,
          which is word-at-a-time, so the staging buffer below would
-         otherwise be allocated once per field. *)
-      Bytes.set_int32_be m.data (m.off + m.len) v;
+         otherwise be allocated once per field.  The int32 never leaves
+         this expression, so it is not boxed. *)
+      Bytes.set_int32_be m.data (m.off + m.len) (Int32.of_int v);
       m.len <- m.len + 4;
       t.total <- t.total + 4;
       note_copy ctr 4
@@ -199,7 +200,7 @@ let add_u32 ?ctr ?pool t v =
          scratch is written concurrently when experiment cells encode on
          several domains, and corrupts the word. *)
       let b = Bytes.create 4 in
-      Bytes.set_int32_be b 0 v;
+      Bytes.set_int32_be b 0 (Int32.of_int v);
       add_bytes ?ctr ?pool t b ~off:0 ~len:4
 
 let of_bytes ?ctr ?pool b =
@@ -395,9 +396,21 @@ module Cursor = struct
     read_into c out 0 n;
     out
 
-  let u32 c =
-    let b = bytes c 4 in
-    Bytes.get_int32_be b 0
+  let rec u32 c =
+    match c.mbufs with
+    | m :: _ when m.len - c.pos >= 4 ->
+        (* Read in place; the int32 is never boxed. *)
+        let v = Bytes.get_int32_be m.data (m.off + c.pos) in
+        c.pos <- c.pos + 4;
+        c.left <- c.left - 4;
+        Int32.to_int v land 0xFFFF_FFFF
+    | m :: rest when m.len = c.pos ->
+        c.mbufs <- rest;
+        c.pos <- 0;
+        u32 c
+    | _ ->
+        (* The word straddles two mbufs, or fewer than four bytes are left. *)
+        Int32.to_int (Bytes.get_int32_be (bytes c 4) 0) land 0xFFFF_FFFF
 
   let skip c n =
     (* [n < 0] would skip the loop yet grow [c.left] below. *)

@@ -95,9 +95,11 @@ val add_bytes : ?ctr:Counters.t -> ?pool:Pool.t -> t -> bytes -> off:int -> len:
 
 val add_string : ?ctr:Counters.t -> ?pool:Pool.t -> t -> string -> unit
 
-val add_u32 : ?ctr:Counters.t -> ?pool:Pool.t -> t -> int32 -> unit
-(** Append a big-endian 32-bit word (the XDR unit).  Writes directly
-    into the tail mbuf when four bytes of room remain. *)
+val add_u32 : ?ctr:Counters.t -> ?pool:Pool.t -> t -> int -> unit
+(** Append the low 32 bits of an int as a big-endian word (the XDR
+    unit).  Writes directly into the tail mbuf, allocating nothing, when
+    four bytes of room remain; otherwise the word is staged and copied
+    like {!add_bytes}. *)
 
 val of_string : ?ctr:Counters.t -> ?pool:Pool.t -> string -> t
 val of_bytes : ?ctr:Counters.t -> ?pool:Pool.t -> bytes -> t
@@ -138,7 +140,13 @@ module Cursor : sig
 
   val create : chain -> t
   val remaining : t -> int
-  val u32 : t -> int32
+  val u32 : t -> int
+  (** The next big-endian 32-bit word, in [0, 2{^32}).  Read in place,
+      allocating nothing, when the word lies inside the current mbuf; a
+      word split across two mbufs is copied out first.  Raises
+      {!Underrun} with the cursor unmoved when fewer than four bytes
+      remain. *)
+
   val bytes : t -> int -> bytes
   val skip : t -> int -> unit
 end

@@ -4,7 +4,7 @@ module Mbuf = Renofs_mbuf.Mbuf
 type entry = {
   mutable pieces : (int * Mbuf.t) list; (* sorted by offset, disjoint *)
   mutable total : int option; (* known once the last fragment arrives *)
-  mutable timer : Sim.timer;
+  timer : Sim.timer;
 }
 
 type t = {
@@ -63,15 +63,13 @@ let insert t (pkt : Packet.t) =
       match Hashtbl.find_opt t.table key with
       | Some e -> e
       | None ->
-          let e =
-            { pieces = []; total = None; timer = Sim.timer_after t.sim 0.0 ignore }
-          in
-          Sim.cancel e.timer;
-          e.timer <-
+          let timer =
             Sim.timer_after t.sim t.timeout (fun () ->
                 Hashtbl.remove t.table key;
                 t.timeout_count <- t.timeout_count + 1;
-                t.on_timeout ~src:(fst key) ~ip_id:(snd key));
+                t.on_timeout ~src:(fst key) ~ip_id:(snd key))
+          in
+          let e = { pieces = []; total = None; timer } in
           Hashtbl.add t.table key e;
           e
     in

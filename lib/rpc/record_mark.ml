@@ -12,7 +12,7 @@ let frame ?ctr ?pool chain =
   let len = Mbuf.length chain in
   if len > max_fragment then invalid_arg "Record_mark.frame: record too large";
   let framed = Mbuf.empty () in
-  Mbuf.add_u32 ?ctr ?pool framed (Int32.of_int (last_flag lor len));
+  Mbuf.add_u32 ?ctr ?pool framed (last_flag lor len);
   Mbuf.append_chain framed chain;
   framed
 

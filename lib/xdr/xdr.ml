@@ -15,18 +15,20 @@ module Enc = struct
   let create ?ctr ?pool () = { chain = Mbuf.empty (); ctr; pool }
   let sub t = create ?ctr:t.ctr ?pool:t.pool ()
   let chain t = t.chain
-  let u32 t v = Mbuf.add_u32 ?ctr:t.ctr ?pool:t.pool t.chain v
+  (* Every word goes through here as an int, so no int32 is boxed. *)
+  let word t v = Mbuf.add_u32 ?ctr:t.ctr ?pool:t.pool t.chain v
+  let u32 t v = word t (Int32.to_int v)
 
   let int t v =
     if v < 0 || v > 0xFFFFFFFF then invalid_arg "Xdr.Enc.int: out of range";
-    u32 t (Int32.of_int (v land 0xFFFFFFFF))
+    word t v
 
-  let bool t b = u32 t (if b then 1l else 0l)
+  let bool t b = word t (if b then 1 else 0)
   let enum t v = int t v
 
   let u64 t v =
-    u32 t (Int64.to_int32 (Int64.shift_right_logical v 32));
-    u32 t (Int64.to_int32 v)
+    word t (Int64.to_int (Int64.shift_right_logical v 32));
+    word t (Int64.to_int v)
 
   let opaque_fixed t b =
     Mbuf.add_bytes ?ctr:t.ctr ?pool:t.pool t.chain b ~off:0 ~len:(Bytes.length b);
@@ -58,24 +60,21 @@ module Dec = struct
             (t.total - Mbuf.Cursor.remaining t.c)
             t.total))
 
-  let u32 t =
+  let int t =
     try Mbuf.Cursor.u32 t.c
     with Mbuf.Cursor.Underrun -> fail t "truncated u32"
 
-  let int t =
-    let v = u32 t in
-    Int32.to_int v land 0xFFFFFFFF
+  let u32 t = Int32.of_int (int t)
 
   let bool t =
-    match u32 t with 0l -> false | 1l -> true | _ -> fail t "bad bool"
+    match int t with 0 -> false | 1 -> true | _ -> fail t "bad bool"
 
   let enum t = int t
 
   let u64 t =
-    let hi = u32 t and lo = u32 t in
-    let hi64 = Int64.shift_left (Int64.of_int32 hi) 32 in
-    let lo64 = Int64.logand (Int64.of_int32 lo) 0xFFFFFFFFL in
-    Int64.logor hi64 lo64
+    let hi = int t in
+    let lo = int t in
+    Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 
   let opaque_fixed t n =
     if n < 0 then fail t "negative opaque length";

@@ -2,7 +2,10 @@
 
     Encoders append directly to an mbuf chain and decoders walk a chain
     cursor — the [nfsm_build]/[nfsm_disect] style the paper describes,
-    with no intermediate linear buffer. *)
+    with no intermediate linear buffer.  A word travels as an [int] and
+    is written or read in place in the current mbuf, so {!Enc.int},
+    {!Enc.bool}, {!Enc.enum} and their {!Dec} counterparts allocate
+    nothing unless a new mbuf is needed or the word straddles two. *)
 
 exception Decode_error of string
 (** Malformed input: bad discriminant, truncated data, negative or

@@ -72,18 +72,105 @@ let test_events_processed () =
   Sim.run sim;
   Alcotest.(check int) "count" 10 (Sim.events_processed sim)
 
+(* Events at or past 2^62 ns (about 146 years), and at [infinity], sort
+   after every earlier event; a NaN time is refused. *)
+let test_sim_far_future () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Sim.at sim 10.0 (note "a");
+  Sim.after sim infinity (note "b");
+  Sim.after sim 5e9 (note "c");
+  Sim.at sim 4.7e9 (note "d");
+  Sim.at sim 4.6e9 (note "e");
+  Sim.run ~until:100.0 sim;
+  Alcotest.(check (list string)) "only the near event fired" [ "a" ] !log;
+  Alcotest.(check int) "far events stay queued" 4 (Sim.pending_events sim);
+  check_float "clock moved to until" 100.0 (Sim.now sim);
+  Sim.run sim;
+  Alcotest.(check (list string)) "far events in time order"
+    [ "a"; "e"; "d"; "c"; "b" ] (List.rev !log);
+  Alcotest.(check bool) "clock reached infinity" true (Sim.now sim = infinity);
+  let sim = Sim.create () in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.check_raises what (Invalid_argument "Sim.at: time is nan") f)
+    [ ("at nan", fun () -> Sim.at sim nan ignore);
+      ("after nan", fun () -> Sim.after sim nan ignore);
+      ("timer_after nan", fun () -> ignore (Sim.timer_after sim nan ignore)) ];
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending_events sim)
+
+(* A retired handle whose slot now holds another event must not touch
+   that event, whether the handle was cancelled or fired, and whether
+   it is cancelled from outside or inside a fire. *)
+let test_sim_stale_handles () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  let a = Sim.timer_after sim 1.0 (note "a") in
+  Sim.cancel a;
+  let b = Sim.timer_after sim 2.0 (note "b") in
+  Sim.after sim 3.0 (note "c");
+  let n = Sim.pending_events sim in
+  Sim.cancel a;
+  Alcotest.(check int) "stale cancel leaves the queue" n (Sim.pending_events sim);
+  Alcotest.(check bool) "new occupant still pending" true (Sim.pending b);
+  let rec d =
+    lazy
+      (Sim.timer_after sim 0.5 (fun () ->
+           note "d" ();
+           let e = Sim.timer_after sim 0.25 (note "e") in
+           Sim.cancel (Lazy.force d);
+           Alcotest.(check bool) "own stale cancel spares e" true (Sim.pending e);
+           Sim.cancel b))
+  in
+  ignore (Lazy.force d);
+  Sim.run ~until:0.6 sim;
+  Sim.cancel (Lazy.force d);
+  Alcotest.(check int) "fired stale cancel leaves the queue" 2
+    (Sim.pending_events sim);
+  Sim.run sim;
+  Alcotest.(check (list string)) "survivors fire in order" [ "d"; "e"; "c" ]
+    (List.rev !log);
+  Alcotest.(check bool) "b cancelled from a fire" false (Sim.pending b)
+
+(* Plain [Sim.after] events with a preallocated closure and a constant
+   delay, popped by [Sim.step]: the queue keeps its keys unboxed and its
+   slots recycled, so the only allocation left is the boxed clock. *)
+let test_sim_alloc () =
+  let sim = Sim.create () in
+  let rec hop () = Sim.after sim 1e-4 hop in
+  for i = 1 to 256 do
+    Sim.at sim (float_of_int i *. 1e-6) hop
+  done;
+  let events = 100_000 in
+  let run () =
+    for _ = 1 to events do
+      ignore (Sim.step sim)
+    done
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per_event = (Gc.minor_words () -. before) /. float_of_int events in
+  if per_event > 3.0 then
+    Alcotest.failf "%.2f minor words per event (at most 3)" per_event
+
 (* Oracle check of the event heap against the (time, seq) contract: a
-   randomized script of schedules and cancels, one per delay mix below,
-   must fire in exactly sorted (time, insertion order).  After every
-   fire the queue holds exactly the live timers, and a fired or
-   cancelled timer reads not-pending and ignores a second cancel.  The
-   local [id] counter advances in lockstep with Sim's internal sequence
-   number because every schedule in these scripts goes through
-   [spawn]. *)
+   randomized script of plain events and timers, schedules and
+   cancels, one per mix below, must fire in exactly sorted (time,
+   insertion order).  After every fire the queue holds exactly the live
+   events, and a fired or cancelled timer reads not-pending and ignores
+   every later cancel, including after its slot has gone to a newer
+   event.  The local [id] counter advances in lockstep with Sim's
+   internal sequence number because every schedule in these scripts
+   goes through [spawn]. *)
 type oracle = {
   sim : Sim.t;
   rng : Rng.t;
-  live : (int, Sim.timer) Hashtbl.t;  (* neither fired nor cancelled *)
+  live : (int, Sim.timer) Hashtbl.t;  (* timers neither fired nor cancelled *)
+  mutable plain : int;  (* plain events not yet fired *)
+  mutable retired : Sim.timer list;  (* fired or cancelled, newest first *)
   mutable next_id : int;
   mutable fired : (float * int) list;  (* newest first *)
   mutable cancelled : int;
@@ -94,21 +181,48 @@ let check_retired o what id tm =
   if Sim.pending tm then Alcotest.failf "%s timer %d still pending" what id;
   Sim.cancel tm;
   if Sim.pending_events o.sim <> n then
-    Alcotest.failf "second cancel of %s timer %d changed the queue" what id
+    Alcotest.failf "second cancel of %s timer %d changed the queue" what id;
+  o.retired <- tm :: List.filteri (fun i _ -> i < 7) o.retired
 
-let spawn o delay on_fire =
+(* Cancel the handles retired most recently, whose slots the queue
+   hands out first: nothing live may leave the queue. *)
+let cancel_stale o =
+  let n = Sim.pending_events o.sim in
+  List.iter Sim.cancel o.retired;
+  if Sim.pending_events o.sim <> n then
+    Alcotest.failf "a stale cancel changed the queue (%d -> %d)" n
+      (Sim.pending_events o.sim)
+
+(* Schedule one event [delay] ahead: a timer when [timer], otherwise a
+   plain [Sim.after] or [Sim.at] event.  Returns its id. *)
+let spawn o ~timer delay on_fire =
   let id = o.next_id in
   o.next_id <- id + 1;
   let time = Sim.now o.sim +. delay in
-  let tm =
-    Sim.timer_after o.sim delay (fun () ->
-        let tm = Hashtbl.find o.live id in
-        Hashtbl.remove o.live id;
-        o.fired <- (time, id) :: o.fired;
-        check_retired o "fired" id tm;
-        on_fire ())
+  let fire () =
+    o.fired <- (time, id) :: o.fired;
+    on_fire ()
   in
-  Hashtbl.replace o.live id tm;
+  if timer then begin
+    let tm =
+      Sim.timer_after o.sim delay (fun () ->
+          let tm = Hashtbl.find o.live id in
+          Hashtbl.remove o.live id;
+          check_retired o "fired" id tm;
+          fire ())
+    in
+    Hashtbl.replace o.live id tm
+  end
+  else begin
+    o.plain <- o.plain + 1;
+    let fire () =
+      o.plain <- o.plain - 1;
+      fire ()
+    in
+    if Rng.bool o.rng then Sim.after o.sim delay fire
+    else Sim.at o.sim time fire
+  end;
+  cancel_stale o;
   id
 
 let cancel o id =
@@ -121,7 +235,8 @@ let cancel o id =
       check_retired o "cancelled" id tm
 
 (* Nested schedules with same-time ties, sub-millisecond churn and jumps
-   of up to 80 s; one fire in eight cancels the youngest live timer. *)
+   of up to 80 s, half of them timers; one fire in eight cancels the
+   youngest live timer. *)
 let churn_mix o =
   let cancel_youngest () =
     cancel o (Hashtbl.fold (fun id _ acc -> max id acc) o.live (-1))
@@ -135,7 +250,7 @@ let churn_mix o =
       | _ -> 0.0 (* same instant: seq tie-break *)
     in
     ignore
-      (spawn o delay (fun () ->
+      (spawn o ~timer:(Rng.bool o.rng) delay (fun () ->
            if depth < 3 then
              for _ = 1 to Rng.int o.rng 3 do
                churn (depth + 1)
@@ -149,20 +264,21 @@ let churn_mix o =
 (* A past-the-knee fleet's queue, the population that cost the calendar
    queue this heap replaced ~790 scan steps per insert (one bucket width
    cannot suit both kinds of event): ~2,000 RTO and think timers
-   50 ms-5 s ahead that re-arm when they fire, 16 packet-hop chains
-   10 us-1 ms ahead, and one hop in four cancelling and re-arming a far
-   timer, for two simulated seconds. *)
+   50 ms-5 s ahead that re-arm when they fire, 16 chains of plain
+   packet-hop events 10 us-1 ms ahead, and one hop in four cancelling
+   and re-arming a far timer from inside its fire, for two simulated
+   seconds. *)
 let fleet_mix o =
   let horizon = 2.0 in
   let far = Array.make 2000 (-1) in
   let rec arm k =
     far.(k) <-
-      spawn o (0.05 +. Rng.float o.rng 4.95) (fun () ->
+      spawn o ~timer:true (0.05 +. Rng.float o.rng 4.95) (fun () ->
           if Sim.now o.sim < horizon then arm k)
   in
   let rec hop () =
     ignore
-      (spawn o (1e-5 +. Rng.float o.rng 0.99e-3) (fun () ->
+      (spawn o ~timer:false (1e-5 +. Rng.float o.rng 0.99e-3) (fun () ->
            if Rng.int o.rng 4 = 0 then begin
              let k = Rng.int o.rng (Array.length far) in
              cancel o far.(k);
@@ -175,16 +291,16 @@ let fleet_mix o =
     hop ()
   done
 
-let test_sim_oracle_order mix () =
+let run_oracle mix seed =
   let o =
-    { sim = Sim.create (); rng = Rng.create 97; live = Hashtbl.create 64;
-      next_id = 0; fired = []; cancelled = 0 }
+    { sim = Sim.create (); rng = Rng.create seed; live = Hashtbl.create 64;
+      plain = 0; retired = []; next_id = 0; fired = []; cancelled = 0 }
   in
   mix o;
   while Sim.step o.sim do
-    let live = Hashtbl.length o.live in
+    let live = Hashtbl.length o.live + o.plain in
     if Sim.pending_events o.sim <> live then
-      Alcotest.failf "%d pending events but %d live timers"
+      Alcotest.failf "%d pending events but %d live events"
         (Sim.pending_events o.sim) live
   done;
   let order = List.rev o.fired in
@@ -196,6 +312,13 @@ let test_sim_oracle_order mix () =
   Alcotest.(check
                (list (pair (float 0.0) int)))
     "fired in (time, seq) order" (List.sort compare order) order
+
+let test_sim_oracle_order mix () = run_oracle mix 97
+
+let prop_sim_oracle name mix count =
+  QCheck.Test.make ~name ~count QCheck.(int_bound 1_000_000) (fun seed ->
+      run_oracle mix seed;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Proc                                                               *)
@@ -582,7 +705,13 @@ let () =
             (test_sim_oracle_order churn_mix);
           Alcotest.test_case "oracle order under fleet timers" `Quick
             (test_sim_oracle_order fleet_mix);
-        ] );
+          Alcotest.test_case "far future and nan" `Quick test_sim_far_future;
+          Alcotest.test_case "stale handles" `Quick test_sim_stale_handles;
+          Alcotest.test_case "no allocation per event" `Quick test_sim_alloc;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_sim_oracle "oracle order under churn, any seed" churn_mix 30;
+              prop_sim_oracle "oracle order under fleet timers, any seed" fleet_mix 10 ] );
       ( "proc",
         [
           Alcotest.test_case "sleep interleaves" `Quick test_proc_sleep;

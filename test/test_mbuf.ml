@@ -32,7 +32,7 @@ let test_counters_track_copies () =
 
 let test_add_u32 () =
   let c = Mbuf.empty () in
-  Mbuf.add_u32 c 0xDEADBEEFl;
+  Mbuf.add_u32 c 0xDEADBEEF;
   let b = Mbuf.to_bytes c in
   Alcotest.(check int32) "big endian" 0xDEADBEEFl (Bytes.get_int32_be b 0)
 
@@ -80,14 +80,14 @@ let test_checksum_odd_length () =
 
 let test_cursor_sequential () =
   let c = Mbuf.empty () in
-  Mbuf.add_u32 c 7l;
+  Mbuf.add_u32 c 7;
   Mbuf.add_string c "abcd";
-  Mbuf.add_u32 c 9l;
+  Mbuf.add_u32 c 9;
   let cur = Mbuf.Cursor.create c in
   Alcotest.(check int) "remaining" 12 (Mbuf.Cursor.remaining cur);
-  Alcotest.(check int32) "first" 7l (Mbuf.Cursor.u32 cur);
+  Alcotest.(check int) "first" 7 (Mbuf.Cursor.u32 cur);
   Alcotest.(check string) "middle" "abcd" (Bytes.to_string (Mbuf.Cursor.bytes cur 4));
-  Alcotest.(check int32) "last" 9l (Mbuf.Cursor.u32 cur);
+  Alcotest.(check int) "last" 9 (Mbuf.Cursor.u32 cur);
   Alcotest.(check int) "drained" 0 (Mbuf.Cursor.remaining cur)
 
 let test_cursor_underrun () =

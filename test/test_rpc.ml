@@ -315,13 +315,13 @@ let test_reader_rejects_hostile_lengths () =
     Record_mark.Reader.push r b;
     match Record_mark.Reader.pop r with
     | exception Record_mark.Reader.Corrupt _ -> ()
-    | _ -> Alcotest.failf "length word %lx accepted" word
+    | _ -> Alcotest.failf "length word %x accepted" word
   in
-  feed 0x80000000l;
+  feed 0x80000000;
   (* a 2 GB claim *)
-  feed 0xFFFFFFFFl;
+  feed 0xFFFFFFFF;
   (* just above the sane-fragment cap *)
-  feed (Int32.of_int (0x80000000 lor (2 lsl 20)))
+  feed (0x80000000 lor (2 lsl 20))
 
 let prop_reader_chunking =
   QCheck.Test.make ~name:"record reader handles arbitrary chunking" ~count:200

@@ -189,6 +189,74 @@ let prop_alignment =
         items;
       Mbuf.length (Xdr.Enc.chain enc) mod 4 = 0)
 
+(* Words decoded in place from the chain the encoder built allocate
+   nothing: the chain's mbufs hold whole words, so none straddles. *)
+let test_int_decode_no_alloc () =
+  let n = 10_000 in
+  let enc = Xdr.Enc.create () in
+  for i = 0 to n - 1 do
+    Xdr.Enc.int enc (i * 429_497)
+  done;
+  let dec = Xdr.Dec.create (Xdr.Enc.chain enc) in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Xdr.Dec.int dec)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all read" 0 (Xdr.Dec.remaining dec);
+  if words > 8.0 then Alcotest.failf "%.0f minor words for %d ints" words n
+
+(* The chain [whole] cut into two at byte [cut]: the halves share the
+   encoder's storage as views, so a word can straddle the cut. *)
+let cut_at whole cut =
+  let front, back = Mbuf.split whole cut in
+  Mbuf.append_chain front back;
+  front
+
+let arb_words =
+  QCheck.make
+    ~print:QCheck.Print.(list int)
+    QCheck.Gen.(
+      list_size (int_range 1 12)
+        (frequency
+           [ (3, map (fun n -> n land 0xFFFF_FFFF) int);
+             (1, oneofl [ 0; 1; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF ]) ]))
+
+(* Words round-trip through a chain cut at every offset, and every
+   prefix of it, cut anywhere, fails on its partial word exactly as the
+   copying read did: "truncated u32 at byte N of M", N the whole words
+   read and M the prefix's length. *)
+let prop_int_words_across_cuts =
+  QCheck.Test.make ~name:"int words across mbuf cuts" ~count:100 arb_words
+    (fun words ->
+      let enc = Xdr.Enc.create () in
+      List.iter (Xdr.Enc.int enc) words;
+      let whole = Xdr.Enc.chain enc in
+      let total = Mbuf.length whole in
+      let decode chain =
+        let dec = Xdr.Dec.create chain in
+        List.map (fun _ -> Xdr.Dec.int dec) words
+      in
+      for cut = 0 to total do
+        if decode (cut_at whole cut) <> words then
+          QCheck.Test.fail_reportf "cut at %d decodes differently" cut
+      done;
+      for len = 0 to total - 1 do
+        let prefix, _ = Mbuf.split whole len in
+        let want =
+          Printf.sprintf "truncated u32 at byte %d of %d" (len land lnot 3) len
+        in
+        for cut = 0 to len do
+          match decode (cut_at prefix cut) with
+          | _ -> QCheck.Test.fail_reportf "prefix %d decoded completely" len
+          | exception Xdr.Decode_error msg when msg = want -> ()
+          | exception Xdr.Decode_error msg ->
+              QCheck.Test.fail_reportf "prefix %d cut at %d: %S, not %S" len cut
+                msg want
+        done
+      done;
+      true)
+
 let () =
   Alcotest.run "xdr"
     [
@@ -200,6 +268,8 @@ let () =
           Alcotest.test_case "bool" `Quick test_bool;
           Alcotest.test_case "bool strict" `Quick test_bool_strict;
           Alcotest.test_case "u64" `Quick test_u64;
+          Alcotest.test_case "int decode allocates nothing" `Quick
+            test_int_decode_no_alloc;
         ] );
       ( "opaque",
         [
@@ -212,5 +282,6 @@ let () =
           Alcotest.test_case "mixed sequence" `Quick test_mixed_sequence;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_sequence_roundtrip; prop_alignment ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_sequence_roundtrip; prop_alignment; prop_int_words_across_cuts ] );
     ]
