@@ -28,7 +28,7 @@ type pending = {
   p_xid : int32;
   p_proc : int;
   request : Mbuf.t; (* master copy for retransmission *)
-  reply : (Mbuf.t, exn) result Proc.Ivar.t;
+  reply : (P.reply, exn) result Proc.Ivar.t;
   mutable sent_at : float;
   mutable retransmitted : bool;
   mutable retries : int;
@@ -249,42 +249,42 @@ and on_udp_timeout t p =
         transmit_udp t p
   end
 
-let complete t xid chain =
-  match Hashtbl.find_opt t.pending xid with
-  | None -> () (* reply for a forgotten (already answered) request *)
-  | Some p ->
-      Hashtbl.remove t.pending xid;
-      (match p.timer with Some tm -> Sim.cancel tm | None -> ());
-      (* The master copy can never be retransmitted again; recycle it.
-         Every transmission sent a fresh [request_copy], so no in-flight
-         packet aliases this storage. *)
-      Mbuf.release ?pool:(Node.pool t.node) p.request;
-      (* Karn's rule: no RTT sample from retransmitted requests. *)
-      if not p.retransmitted then record_rtt t p (Sim.now t.sim -. p.sent_at);
+(* Answer [p] with the outcome decoded from [chain]: the decode was the
+   reply's only reader, so its storage goes back to the pool now. *)
+let complete t p chain outcome =
+  Mbuf.release ?pool:(Node.pool t.node) chain;
+  Hashtbl.remove t.pending p.p_xid;
+  (match p.timer with Some tm -> Sim.cancel tm | None -> ());
+  (* The master copy can never be retransmitted again; recycle it.
+     Every transmission sent a fresh [request_copy], so no in-flight
+     packet aliases this storage. *)
+  Mbuf.release ?pool:(Node.pool t.node) p.request;
+  (* Karn's rule: no RTT sample from retransmitted requests. *)
+  if not p.retransmitted then record_rtt t p (Sim.now t.sim -. p.sent_at);
+  (match t.mode with
+  | Udp_dynamic _ ->
+      (* +1 per round trip, approximated as +1/cwnd per reply; the
+         paper's scheme with slow start removed. *)
+      t.cwnd <- Float.min t.cwnd_max (t.cwnd +. (1.0 /. Float.max 1.0 t.cwnd))
+  | Udp_fixed | Tcp_stream _ -> ());
+  (match Node.trace t.node with
+  | Some tr ->
+      let time = Sim.now t.sim in
+      let node = Node.id t.node in
+      Trace.record tr ~time ~node
+        (Trace.Rpc_reply { xid = p.p_xid; proc = p.p_proc; rtt = time -. p.sent_at });
       (match t.mode with
       | Udp_dynamic _ ->
-          (* +1 per round trip, approximated as +1/cwnd per reply; the
-             paper's scheme with slow start removed. *)
-          t.cwnd <- Float.min t.cwnd_max (t.cwnd +. (1.0 /. Float.max 1.0 t.cwnd))
-      | Udp_fixed | Tcp_stream _ -> ());
-      (match Node.trace t.node with
-      | Some tr ->
-          let time = Sim.now t.sim in
-          let node = Node.id t.node in
-          Trace.record tr ~time ~node
-            (Trace.Rpc_reply { xid; proc = p.p_proc; rtt = time -. p.sent_at });
-          (match t.mode with
-          | Udp_dynamic _ ->
-              Trace.record tr ~time ~node (Trace.Cwnd_update { cwnd = t.cwnd })
-          | Udp_fixed | Tcp_stream _ -> ())
-      | None -> ());
-      t.outstanding <- t.outstanding - 1;
-      (match t.gate with
-      | [] -> ()
-      | resume :: rest ->
-          t.gate <- rest;
-          Sim.after t.sim 0.0 resume);
-      Proc.Ivar.fill p.reply (Ok chain)
+          Trace.record tr ~time ~node (Trace.Cwnd_update { cwnd = t.cwnd })
+      | Udp_fixed | Tcp_stream _ -> ())
+  | None -> ());
+  t.outstanding <- t.outstanding - 1;
+  (match t.gate with
+  | [] -> ()
+  | resume :: rest ->
+      t.gate <- rest;
+      Sim.after t.sim 0.0 resume);
+  Proc.Ivar.fill p.reply outcome
 
 (* Validate a received reply end to end before completing the pending
    request.  Anything that does not decode — short packet, damaged RPC
@@ -324,19 +324,21 @@ let try_complete t chain =
           | exception (Rpc_msg.Bad_message _ | Xdr.Decode_error _) ->
               garbage_reply t chain
           | _, Rpc_msg.Accepted Rpc_msg.Success, dec -> (
-              (* Throwaway decode of the body: [call] decodes again from
-                 its own cursor, so validating here costs one extra pass
-                 only on the reply actually being completed. *)
+              (* The reply's one decode: it validates the body and is
+                 the caller's result.  Decoded values are fresh bytes
+                 (the cursor copies out of the chain). *)
               match P.decode_reply ~proc:p.p_proc dec with
               | exception (Rpc_msg.Bad_message _ | Xdr.Decode_error _) ->
                   garbage_reply t chain
-              | _ -> complete t xid chain)
+              | reply -> complete t p chain (Ok reply))
           | _, Rpc_msg.Accepted Rpc_msg.Garbage_args, _ ->
               garbage_reply t chain
-          | _, (Rpc_msg.Accepted _ | Rpc_msg.Denied _), _ ->
-              (* A well-formed error reply (wrong program, auth trouble):
-                 genuine server state, delivered to the caller. *)
-              complete t xid chain))
+          (* A well-formed error reply (wrong program, auth trouble):
+             genuine server state, delivered to the caller. *)
+          | _, Rpc_msg.Accepted _, _ ->
+              complete t p chain (Error (Rpc_error "rpc accepted with error"))
+          | _, Rpc_msg.Denied _, _ ->
+              complete t p chain (Error (Rpc_error "rpc denied"))))
 
 let start_udp_receiver t =
   let sock = Option.get t.sock in
@@ -583,20 +585,11 @@ let call t call_v =
          and is replayed after the automatic reconnect. *)
       try Tcp.send st.conn (Record_mark.frame ~ctr ?pool (request_copy t p))
       with Tcp.Connection_closed -> ()));
-  let reply_chain =
-    match Proc.Ivar.read p.reply with Ok c -> c | Error e -> raise e
-  in
-  charge t decode_instructions;
-  match Rpc_msg.decode_reply reply_chain with
-  | exception (Rpc_msg.Bad_message m | Xdr.Decode_error m) -> raise (Rpc_error m)
-  | _, Rpc_msg.Accepted Rpc_msg.Success, dec ->
-      (* Decoded values are fresh bytes (the cursor copies out of the
-         chain), so once the body is decoded the reply storage is dead. *)
-      let result = P.decode_reply ~proc dec in
-      Mbuf.release ?pool reply_chain;
-      result
-  | _, Rpc_msg.Accepted _, _ -> raise (Rpc_error "rpc accepted with error")
-  | _, Rpc_msg.Denied _, _ -> raise (Rpc_error "rpc denied")
+  match Proc.Ivar.read p.reply with
+  | Error (Rpc_timed_out _ as e) -> raise e
+  | outcome -> (
+      charge t decode_instructions;
+      match outcome with Ok reply -> reply | Error e -> raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                      *)

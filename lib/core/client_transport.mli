@@ -79,7 +79,14 @@ val call : t -> Nfs_proto.call -> Nfs_proto.reply
 (** Execute one RPC: encode (charging client CPU), transmit with the
     transport's retry discipline, match the reply by xid, decode.
     Blocks the calling process; concurrent calls are supported and
-    (for the dynamic transport) gated by the congestion window. *)
+    (for the dynamic transport) gated by the congestion window.
+
+    The receiver decodes each reply once, to validate it, and that
+    decode is the result: its [bytes] (READ data, for one) were copied
+    out of the reply's mbufs, which are released at once, and belong to
+    the caller alone.  A well-formed RPC-level rejection raises
+    {!Rpc_error} (["rpc denied"], or ["rpc accepted with error"] for an
+    accepted reply other than success). *)
 
 val summary : t -> summary
 val retransmits : t -> int

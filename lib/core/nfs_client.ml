@@ -142,7 +142,9 @@ let fail st = raise (Nfs_error st)
    Reno buf structure. *)
 type cblock = {
   b_blk : int;
-  data : Bytes.t;
+  mutable data : Bytes.t;
+      (* [Bytes.empty] until the block is first written or fetched; a
+         fetch installs new storage, often the READ reply's own bytes *)
   mutable valid : bool;
   mutable dirty : (int * int) option;
   mutable lru : int;
@@ -641,7 +643,7 @@ let get_or_create_block t cf blk =
       let b =
         {
           b_blk = blk;
-          data = Bytes.make t.opts.rsize '\000';
+          data = Bytes.empty;
           valid = false;
           dirty = None;
           lru = t.lru_clock;
@@ -908,21 +910,14 @@ let mount_path ~udp ?tcp ~server ~path opts =
 (* Reads                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let install_block t _cf b (data : bytes) =
-  (* Preserve any dirty range: locally-written bytes win over the
-     server's copy until they are pushed. *)
-  let saved =
-    match b.dirty with
-    | Some (lo, hi) -> Some (lo, hi, Bytes.sub b.data lo (hi - lo))
-    | None -> None
-  in
-  Bytes.fill b.data 0 (Bytes.length b.data) '\000';
-  Bytes.blit data 0 b.data 0 (Bytes.length data);
-  (match saved with
-  | Some (lo, hi, bytes_) -> Bytes.blit bytes_ 0 b.data lo (hi - lo)
+(* Make [buf] the block's storage.  Locally-written bytes win over the
+   server's copy until they are pushed, so the dirty range carries over. *)
+let install_block b buf =
+  (match b.dirty with
+  | Some (lo, hi) -> Bytes.blit b.data lo buf lo (hi - lo)
   | None -> ());
-  b.valid <- true;
-  ignore t
+  b.data <- buf;
+  b.valid <- true
 
 let rec ensure_block t cf blk =
   let b = get_or_create_block t cf blk in
@@ -936,35 +931,47 @@ let rec ensure_block t cf blk =
         b.fetching <- Some iv;
         let bs = t.opts.rsize in
         let base = blk * bs in
-        let buf = Bytes.create bs in
         let finish_err st =
           b.fetching <- None;
           Proc.Ivar.fill iv ();
           fail st
         in
-        (* Fetch the block in [xfer_size] pieces; a short reply is EOF. *)
-        let rec fetch pos =
-          if pos >= bs then pos
+        (* Fetch the block in [xfer_size] pieces; a short reply is EOF.
+           A first reply holding the whole block becomes the block's
+           storage (the transport decoded it into bytes nobody else
+           holds); otherwise the pieces are staged in one buffer whose
+           tail past EOF reads as zeros. *)
+        let rec fetch buf pos =
+          if pos >= bs then buf
           else begin
             let want = min (bs - pos) (max 1024 t.xfer_size) in
             match
               rpc t (P.Read { P.read_file = cf.c_fh; offset = base + pos; count = want })
             with
             | P.Rread (Ok (a, data)) ->
-                Bytes.blit data 0 buf pos (Bytes.length data);
+                let n = Bytes.length data in
+                (* More bytes than were asked for is a broken reply. *)
+                if n > want then finish_err P.NFSERR_IO;
                 if cf.cached_mtime = 0.0 then cf.cached_mtime <- mtime_of a;
                 cf.csize <-
                   (if cf.dirty_count > 0 then max cf.csize a.P.size else a.P.size);
                 note_transfer t;
-                if Bytes.length data < want then pos + Bytes.length data
-                else fetch (pos + Bytes.length data)
+                if pos = 0 && n = bs then data
+                else begin
+                  let buf = if pos = 0 then Bytes.create bs else buf in
+                  Bytes.blit data 0 buf pos n;
+                  if n < want then begin
+                    Bytes.fill buf (pos + n) (bs - pos - n) '\000';
+                    buf
+                  end
+                  else fetch buf (pos + n)
+                end
             | P.Rread (Error st) -> finish_err st
             | exception Nfs_error st -> finish_err st
             | _ -> finish_err P.NFSERR_IO
           end
         in
-        let got = fetch 0 in
-        install_block t cf b (Bytes.sub buf 0 got);
+        install_block b (fetch Bytes.empty 0);
         b.fetching <- None;
         Proc.Ivar.fill iv ()
       end;
@@ -1063,6 +1070,7 @@ let write t fd ~off data =
     (* A buf holds a single dirty region: push the old one first if the
        new range cannot merge with it. *)
     if not (mergeable b lo hi) then push_block t cf b ~wait:true;
+    if Bytes.length b.data = 0 then b.data <- Bytes.make t.opts.rsize '\000';
     Bytes.blit data !pos b.data lo n;
     let range =
       match b.dirty with

@@ -172,7 +172,7 @@ let add_bytes ?ctr ?pool t src ~off ~len =
             t.rev <- m :: t.rev;
             m
       in
-      let n = min len (tail_room m) in
+      let n = Int.min len (tail_room m) in
       Bytes.blit src off m.data (m.off + m.len) n;
       m.len <- m.len + n;
       t.total <- t.total + n;
@@ -281,11 +281,11 @@ let sub_copy ?ctr ?pool t ~pos ~len =
   let skip = ref pos and want = ref len in
   iter_mbufs t (fun m ->
       if !want > 0 then begin
-        let drop = min !skip m.len in
+        let drop = Int.min !skip m.len in
         skip := !skip - drop;
         let avail = m.len - drop in
         if avail > 0 then begin
-          let n = min avail !want in
+          let n = Int.min avail !want in
           add_bytes ?ctr ?pool out m.data ~off:(m.off + drop) ~len:n;
           want := !want - n
         end
@@ -378,7 +378,7 @@ module Cursor = struct
             c.pos <- 0
           end
           else begin
-            let n = min avail !want in
+            let n = Int.min avail !want in
             Bytes.blit m.data (m.off + c.pos) dst !off n;
             c.pos <- c.pos + n;
             off := !off + n;
@@ -426,7 +426,7 @@ module Cursor = struct
             c.pos <- 0
           end
           else begin
-            let k = min avail !want in
+            let k = Int.min avail !want in
             c.pos <- c.pos + k;
             want := !want - k
           end

@@ -26,6 +26,8 @@ type t = {
   mutable running : bool;
   mutable minor_words : float;
   mutable promoted_words : float;
+  mutable direct_major_words : float;
+      (* allocated straight into the major heap, not promoted into it *)
   mutable minor_collections : int;
   mutable major_collections : int;
   mutable gc0 : Gc.stat option;
@@ -50,6 +52,7 @@ let create ?(clock = Unix.gettimeofday) () =
     running = false;
     minor_words = 0.0;
     promoted_words = 0.0;
+    direct_major_words = 0.0;
     minor_collections = 0;
     major_collections = 0;
     gc0 = None;
@@ -140,8 +143,10 @@ let stop t =
     | Some g0 ->
         let g1 = Gc.quick_stat () in
         t.minor_words <- t.minor_words +. (g1.Gc.minor_words -. g0.Gc.minor_words);
-        t.promoted_words <-
-          t.promoted_words +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
+        let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
+        t.promoted_words <- t.promoted_words +. promoted;
+        t.direct_major_words <-
+          t.direct_major_words +. (g1.Gc.major_words -. g0.Gc.major_words -. promoted);
         t.minor_collections <-
           t.minor_collections + (g1.Gc.minor_collections - g0.Gc.minor_collections);
         t.major_collections <-
@@ -162,6 +167,7 @@ let merge ~into src =
   into.wall_s <- into.wall_s +. src.wall_s;
   into.minor_words <- into.minor_words +. src.minor_words;
   into.promoted_words <- into.promoted_words +. src.promoted_words;
+  into.direct_major_words <- into.direct_major_words +. src.direct_major_words;
   into.minor_collections <- into.minor_collections + src.minor_collections;
   into.major_collections <- into.major_collections + src.major_collections
 
@@ -193,6 +199,7 @@ type snapshot = {
   p_events : int;
   p_minor_words : float;
   p_promoted_words : float;
+  p_direct_major_words : float;
   p_minor_collections : int;
   p_major_collections : int;
 }
@@ -215,13 +222,16 @@ let snapshot t =
     p_events = Array.fold_left ( + ) 0 t.fires;
     p_minor_words = t.minor_words;
     p_promoted_words = t.promoted_words;
+    p_direct_major_words = t.direct_major_words;
     p_minor_collections = t.minor_collections;
     p_major_collections = t.major_collections;
   }
 
-let minor_words_per_event s =
-  if s.p_events <= 0 then 0.0
-  else s.p_minor_words /. float_of_int s.p_events
+let per_event s words =
+  if s.p_events <= 0 then 0.0 else words /. float_of_int s.p_events
+
+let minor_words_per_event s = per_event s s.p_minor_words
+let direct_major_words_per_event s = per_event s s.p_direct_major_words
 
 let print ppf s =
   let total = Float.max s.p_wall_s 1e-12 in
@@ -241,8 +251,10 @@ let print ppf s =
   Format.fprintf ppf "%-10s %10.4f %5.1f%% %12s %12d@." "total" s.p_wall_s 100.0
     "" s.p_events;
   Format.fprintf ppf
-    "gc: %.0f minor words (%.1f/event), %.0f promoted, %d minor / %d major collections@."
+    "gc: %.0f minor words (%.1f/event), %.0f promoted, %.0f direct major \
+     (%.1f/event), %d minor / %d major collections@."
     s.p_minor_words (minor_words_per_event s) s.p_promoted_words
+    s.p_direct_major_words (direct_major_words_per_event s)
     s.p_minor_collections s.p_major_collections
 
 let to_json s =
@@ -257,6 +269,7 @@ let to_json s =
           [
             ("minor_words", Num s.p_minor_words);
             ("promoted_words", Num s.p_promoted_words);
+            ("direct_major_words", Num s.p_direct_major_words);
             ("minor_collections", int s.p_minor_collections);
             ("major_collections", int s.p_major_collections);
           ] );
@@ -325,6 +338,11 @@ let of_json ~ctx j =
     p_events = events;
     p_minor_words = gnum "minor_words";
     p_promoted_words = gnum "promoted_words";
+    (* Absent from profiles written before the field existed. *)
+    p_direct_major_words =
+      (match Json.member_opt "direct_major_words" gc with
+      | Some n -> Json.num ~ctx n
+      | None -> 0.0);
     p_minor_collections = int_of_float (gnum "minor_collections");
     p_major_collections = int_of_float (gnum "major_collections");
   }

@@ -68,6 +68,9 @@ type snapshot = {
   p_events : int;  (** total probed event fires *)
   p_minor_words : float;
   p_promoted_words : float;
+  p_direct_major_words : float;
+      (** allocated straight into the major heap (blocks too large for
+          the minor heap): the [major_words] delta less [promoted_words] *)
   p_minor_collections : int;
   p_major_collections : int;
 }
@@ -80,6 +83,10 @@ val minor_words_per_event : snapshot -> float
 (** Allocation pressure: minor words per probed event fire; [0.] when
     no event fired. *)
 
+val direct_major_words_per_event : snapshot -> float
+(** Direct major-heap words per probed event fire; [0.] when no event
+    fired. *)
+
 val print : Format.formatter -> snapshot -> unit
 (** The [profile] table: per-subsystem self time, share of wall, scope
     enters, event fires and mean fire duration, then the GC line. *)
@@ -88,9 +95,12 @@ val print : Format.formatter -> snapshot -> unit
 
 val to_json : snapshot -> Renofs_json.Json.json
 (** The document {!write_file} prints and {!of_json} reads back:
-    [schema], [wall_s], [events], a [gc] object and one [slots] entry
-    per slot ([name], [self_s], [enters], [fires], [fire_s], [hist]).
-    Numbers keep every digit (the {!Renofs_json.Json} float rule). *)
+    [schema], [wall_s], [events], a [gc] object ([minor_words],
+    [promoted_words], [direct_major_words], [minor_collections],
+    [major_collections]) and one [slots] entry per slot ([name],
+    [self_s], [enters], [fires], [fire_s], [hist]).  Numbers keep every
+    digit (the {!Renofs_json.Json} float rule).  A [gc] object without
+    [direct_major_words], written before it existed, reads it as [0]. *)
 
 val of_json : ctx:string -> Renofs_json.Json.json -> snapshot
 (** Raises {!Renofs_json.Json.Bad} on schema violations, including an

@@ -54,7 +54,20 @@ let reference_port_config =
 (* FFS on a local disk: synchronous metadata, delayed data. *)
 let local_config = { reno_config with sync_data = false }
 
-type file_data = { mutable bytes : Bytes.t; mutable len : int }
+(* A regular file's bytes in [chunk_size] chunks.  A chunk is
+   [Bytes.empty] until first written, and so is every chunk past the end
+   of [chunks]: a hole, reading as zeros, so growing a file allocates
+   nothing.  Every byte at or past [len] reads as zero (truncation clears
+   what it cuts off).  [read] lends a whole aligned chunk instead of
+   copying it and marks it in [lent]; a later change to a lent chunk
+   goes to a fresh chunk, so bytes once returned never change. *)
+type file_data = {
+  mutable chunks : Bytes.t array;
+  mutable lent : bool array;
+  mutable len : int;
+}
+
+let chunk_size = 8192
 
 type dirents = {
   names : (string, int) Hashtbl.t;
@@ -210,6 +223,60 @@ let getattr t v =
   charge t getattr_instr;
   attrs_of v
 
+(* [f ci ~lo ~pos ~n] for each chunk [ci] that [off, off + len) overlaps:
+   bytes [lo, lo + n) of the chunk are bytes [pos, pos + n) of the range. *)
+let iter_chunks ~off ~len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let abs = off + !pos in
+    let lo = abs mod chunk_size in
+    let n = Int.min (chunk_size - lo) (len - !pos) in
+    f (abs / chunk_size) ~lo ~pos:!pos ~n;
+    pos := !pos + n
+  done
+
+let chunk f ci = if ci < Array.length f.chunks then f.chunks.(ci) else Bytes.empty
+
+(* Chunk [ci], ready to change: a hole is allocated zeroed and a lent
+   chunk is copied.  A caller about to overwrite all of it ([whole])
+   needs neither the zeros nor the old bytes. *)
+let own_chunk f ci ~whole =
+  let c = f.chunks.(ci) in
+  if Bytes.length c > 0 && not f.lent.(ci) then c
+  else begin
+    let c =
+      if whole then Bytes.create chunk_size
+      else if Bytes.length c = 0 then Bytes.make chunk_size '\000'
+      else Bytes.copy c
+    in
+    f.chunks.(ci) <- c;
+    f.lent.(ci) <- false;
+    c
+  end
+
+(* Cover [size] bytes with chunk slots: one growth per call, doubling so
+   that a file written front to back is not copied once per chunk. *)
+let reserve f size =
+  let need = (size + chunk_size - 1) / chunk_size in
+  let have = Array.length f.chunks in
+  if need > have then begin
+    let grow a hole = Array.append a (Array.make (Int.max need (2 * have) - have) hole) in
+    f.chunks <- grow f.chunks Bytes.empty;
+    f.lent <- grow f.lent false
+  end
+
+(* Zero [off, off + len) of the allocated chunks: a whole chunk becomes a
+   hole again (a lent one is simply let go), part of one is zeroed. *)
+let clear f ~off ~len =
+  let len = Int.min len ((Array.length f.chunks * chunk_size) - off) in
+  iter_chunks ~off ~len (fun ci ~lo ~pos:_ ~n ->
+      if n = chunk_size then begin
+        f.chunks.(ci) <- Bytes.empty;
+        f.lent.(ci) <- false
+      end
+      else if Bytes.length f.chunks.(ci) > 0 then
+        Bytes.fill (own_chunk f ci ~whole:false) lo n '\000')
+
 let now t = Sim.now t.sim
 
 let setattr t v ?mode ?uid ?gid ?size ?mtime () =
@@ -222,16 +289,8 @@ let setattr t v ?mode ?uid ?gid ?size ?mtime () =
       match v.body with
       | File f ->
           if s > max_file_size then raise (Err Efbig);
-          if s <= f.len then f.len <- s
-          else begin
-            if s > Bytes.length f.bytes then begin
-              let grown = Bytes.make s '\000' in
-              Bytes.blit f.bytes 0 grown 0 f.len;
-              f.bytes <- grown
-            end
-            else Bytes.fill f.bytes f.len (s - f.len) '\000';
-            f.len <- s
-          end;
+          if s < f.len then clear f ~off:s ~len:(f.len - s);
+          f.len <- s;
           v.mtime <- now t
       | Directory _ | Symlink _ -> raise (Err Einval))
   | None -> ());
@@ -304,14 +363,19 @@ let read t v ~off ~len =
       end)
     (blocks_in_range t ~off ~len);
   v.atime <- now t;
-  if len = 0 then Bytes.empty else Bytes.sub f.bytes off len
-
-let ensure_capacity f total =
-  if total > Bytes.length f.bytes then begin
-    let cap = max total (max 1024 (2 * Bytes.length f.bytes)) in
-    let grown = Bytes.make cap '\000' in
-    Bytes.blit f.bytes 0 grown 0 f.len;
-    f.bytes <- grown
+  let ci = off / chunk_size in
+  if len = chunk_size && off mod chunk_size = 0 && Bytes.length (chunk f ci) > 0
+  then begin
+    f.lent.(ci) <- true;
+    f.chunks.(ci)
+  end
+  else begin
+    let out = Bytes.create len in
+    iter_chunks ~off ~len (fun ci ~lo ~pos ~n ->
+        let c = chunk f ci in
+        if Bytes.length c = 0 then Bytes.fill out pos n '\000'
+        else Bytes.blit c lo out pos n);
+    out
   end
 
 let write t v ~off data =
@@ -322,9 +386,9 @@ let write t v ~off data =
   let total = off + len in
   if total > max_file_size then raise (Err Efbig);
   let old_blocks = (f.len + t.config.block_size - 1) / t.config.block_size in
-  ensure_capacity f total;
-  if off > f.len then Bytes.fill f.bytes f.len (off - f.len) '\000';
-  Bytes.blit data 0 f.bytes off len;
+  reserve f total;
+  iter_chunks ~off ~len (fun ci ~lo ~pos ~n ->
+      Bytes.blit data pos (own_chunk f ci ~whole:(n = chunk_size)) lo n);
   if total > f.len then f.len <- total;
   let touched = blocks_in_range t ~off ~len in
   List.iter
@@ -391,7 +455,7 @@ let create_file t ~dir name ~mode ?uid ?gid () =
   charge t (base_op_instr +. inode_alloc_instr);
   check_absent t dir name;
   let v =
-    alloc_vnode t ~body:(File { bytes = Bytes.create 0; len = 0 }) ~mode ?uid ?gid
+    alloc_vnode t ~body:(File { chunks = [||]; lent = [||]; len = 0 }) ~mode ?uid ?gid
       ~parent:dir.v_ino ()
   in
   if t.config.sync_meta then Disk.write t.disk ~bytes:512 (* new inode *);

@@ -96,7 +96,10 @@ val lookup : t -> vnode -> string -> vnode
 
 val read : t -> vnode -> off:int -> len:int -> bytes
 (** Short reads at EOF, and an empty result at or past it; raises
-    [Err Eisdir] on directories. *)
+    [Err Eisdir] on directories.  The result may share the file's
+    storage (a read of one whole aligned 8 KiB chunk returns the chunk
+    itself) and must not be mutated; later writes, truncations and
+    extensions never change it. *)
 
 val write : t -> vnode -> off:int -> bytes -> unit
 val create_file :

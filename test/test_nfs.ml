@@ -5,6 +5,8 @@ module Proc = Renofs_engine.Proc
 module Stats = Renofs_engine.Stats
 module Udp = Renofs_transport.Udp
 module Tcp = Renofs_transport.Tcp
+module Xdr = Renofs_xdr.Xdr
+module Rpc_msg = Renofs_rpc.Rpc_msg
 module P = Nfs_proto
 
 let quiet =
@@ -278,6 +280,60 @@ let test_dirty_region_no_preread () =
       Alcotest.(check int) "no preread" 0 (count m "read");
       Nfs_client.close m fd)
 
+let test_fetched_block_merges_write () =
+  (* Local writes and fetched blocks merge in the cache, in either
+     order: block 0 is fetched whole, then written in part, then read
+     from the cache; block 1 is written in part, then fetched.  The
+     bytes an earlier read returned stay as they were. *)
+  let w = make_world () in
+  run_client w (fun () ->
+      let writer = mount_in w Nfs_client.reno_mount in
+      let body = pattern 16384 in
+      let fd = Nfs_client.create writer "merge" in
+      Nfs_client.write writer fd ~off:0 body;
+      Nfs_client.close writer fd;
+      let m = mount_in w { Nfs_client.noconsist_mount with Nfs_client.read_ahead = 0 } in
+      let fd = Nfs_client.open_ m "merge" in
+      let merged = Bytes.copy body in
+      let first = Nfs_client.read m fd ~off:0 ~len:8192 in
+      Alcotest.(check int) "block 0 fetched" 1 (count m "read");
+      Nfs_client.write m fd ~off:1000 (Bytes.make 100 'Z');
+      Bytes.fill merged 1000 100 'Z';
+      let second = Nfs_client.read m fd ~off:0 ~len:8192 in
+      Alcotest.(check int) "block 0 served from the cache" 1 (count m "read");
+      Alcotest.(check bytes) "fetch, then write" (Bytes.sub merged 0 8192) second;
+      Alcotest.(check bytes) "first result unchanged" (Bytes.sub body 0 8192) first;
+      Nfs_client.write m fd ~off:9000 (Bytes.make 100 'Y');
+      Bytes.fill merged 9000 100 'Y';
+      let third = Nfs_client.read m fd ~off:8192 ~len:8192 in
+      Alcotest.(check int) "block 1 fetched" 2 (count m "read");
+      Alcotest.(check bytes) "write, then fetch" (Bytes.sub merged 8192 8192) third)
+
+let test_gap_after_fetched_eof () =
+  (* A block fetched short (the file ends inside it), then written past
+     that end: the gap between reads as zeros. *)
+  let w = make_world () in
+  run_client w (fun () ->
+      let writer = mount_in w Nfs_client.reno_mount in
+      let fd = Nfs_client.create writer "short" in
+      Nfs_client.write writer fd ~off:0 (pattern 100);
+      Nfs_client.close writer fd;
+      let m = mount_in w { Nfs_client.noconsist_mount with Nfs_client.read_ahead = 0 } in
+      let fd = Nfs_client.open_ m "short" in
+      (* Hand the allocator freed 8 KiB blocks full of ones, so a block
+         buffer that is not cleared past EOF shows. *)
+      for _ = 1 to 64 do
+        ignore (Sys.opaque_identity (Bytes.make 8192 '\255'))
+      done;
+      Gc.full_major ();
+      ignore (Nfs_client.read m fd ~off:0 ~len:8192);
+      Nfs_client.write m fd ~off:200 (Bytes.make 100 'Q');
+      let expect = Bytes.make 300 '\000' in
+      Bytes.blit (pattern 100) 0 expect 0 100;
+      Bytes.fill expect 200 100 'Q';
+      Alcotest.(check bytes) "gap reads as zeros" expect
+        (Nfs_client.read m fd ~off:0 ~len:8192))
+
 let test_fsync () =
   let w = make_world () in
   run_client w (fun () ->
@@ -523,6 +579,101 @@ let test_ultrix_server_slower_lookups () =
   let ultrix = busy Nfs_server.reference_port_profile in
   Alcotest.(check bool) "reference port costs more" true (ultrix > reno *. 1.2)
 
+(* ------------------------------------------------------------------ *)
+(* Hand-written responders                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A world whose server node runs no NFS server, only a UDP socket on
+   the NFS port: [answer] maps each decoded call to the RPC reply status
+   and, for an accepted call, the NFS reply. *)
+let raw_world answer =
+  let sim = Sim.create () in
+  let topo =
+    Net.Topology.build sim
+      { Net.Topology.shape = Net.Topology.Lan; clients = 1; params = quiet }
+  in
+  let sock = Udp.bind (Udp.install topo.Net.Topology.server) ~port:P.port in
+  Proc.spawn sim (fun () ->
+      let rec loop () =
+        let dg = Udp.recv sock in
+        let hdr, dec = Rpc_msg.decode_call dg.Udp.payload in
+        let status, body = answer (P.decode_call ~proc:hdr.Rpc_msg.proc dec) in
+        let enc = Rpc_msg.encode_reply ~xid:hdr.Rpc_msg.xid status in
+        Option.iter (P.encode_reply enc) body;
+        Udp.sendto sock ~dst:dg.Udp.src ~dst_port:dg.Udp.src_port (Xdr.Enc.chain enc);
+        loop ()
+      in
+      loop ());
+  (sim, Net.Topology.server_id topo, Udp.install topo.Net.Topology.client)
+
+(* The message [Client_transport.call] raises when every call is
+   answered with [status]. *)
+let rejection status =
+  let sim, server, cudp = raw_world (fun _ -> (status, None)) in
+  let got = ref "no answer" in
+  Proc.spawn sim (fun () ->
+      let x = Client_transport.create_udp_fixed cudp ~server () in
+      got :=
+        match Client_transport.call x P.Null with
+        | _ -> "call completed"
+        | exception Client_transport.Rpc_error m -> m);
+  Sim.run ~until:60.0 sim;
+  !got
+
+let test_rpc_denied () =
+  Alcotest.(check string) "auth error" "rpc denied"
+    (rejection (Rpc_msg.Denied Rpc_msg.Auth_error))
+
+let test_rpc_prog_unavail () =
+  Alcotest.(check string) "prog unavail" "rpc accepted with error"
+    (rejection (Rpc_msg.Accepted Rpc_msg.Prog_unavail))
+
+let test_oversized_read_reply () =
+  (* A server answering READ with more bytes than asked for: the client
+     must fail the read with EIO, not blit past its block. *)
+  let now = P.time_of_float 1.0 in
+  let attr ftype =
+    {
+      P.ftype;
+      mode = 0o755;
+      nlink = 1;
+      uid = 100;
+      gid = 100;
+      size = 8192;
+      blocksize = 8192;
+      rdev = 0;
+      blocks = 16;
+      fsid = 1;
+      fileid = 7;
+      atime = now;
+      mtime = now;
+      ctime = now;
+    }
+  in
+  let root = 1 in
+  let sim, server, cudp =
+    raw_world (fun call ->
+        let reply =
+          match call with
+          | P.Getattr fh when fh = root -> P.Rattr (Ok (attr P.NFDIR))
+          | P.Lookup _ -> P.Rdirop (Ok (7, attr P.NFREG))
+          | P.Read { P.count; _ } ->
+              P.Rread (Ok (attr P.NFREG, Bytes.make (count + 512) 'x'))
+          | _ -> P.Rattr (Ok (attr P.NFREG))
+        in
+        (Rpc_msg.Accepted Rpc_msg.Success, Some reply))
+  in
+  let got = ref "no answer" in
+  Proc.spawn sim (fun () ->
+      let m = Nfs_client.mount ~udp:cudp ~server ~root Nfs_client.reno_mount in
+      let fd = Nfs_client.open_ m "f" in
+      got :=
+        match Nfs_client.read m fd ~off:0 ~len:8192 with
+        | _ -> "read returned data"
+        | exception Nfs_client.Nfs_error P.NFSERR_IO -> "EIO");
+  Sim.run ~until:60.0 sim;
+  Alcotest.(check string) "read fails with EIO" "EIO" !got
+
 (* Property: arbitrary write/read offset sequences through the full
    stack match a flat-array model. *)
 let prop_nfs_io_model =
@@ -575,6 +726,9 @@ let () =
             test_reno_rereads_after_own_write;
           Alcotest.test_case "write policies" `Quick test_write_policies_rpc_behavior;
           Alcotest.test_case "dirty region no preread" `Quick test_dirty_region_no_preread;
+          Alcotest.test_case "fetched block merges a write" `Quick
+            test_fetched_block_merges_write;
+          Alcotest.test_case "gap after fetched eof" `Quick test_gap_after_fetched_eof;
           Alcotest.test_case "fsync" `Quick test_fsync;
           Alcotest.test_case "readahead" `Quick test_readahead_prefetches;
           Alcotest.test_case "readdirlook prefetch" `Quick test_readdirlook_prefetch;
@@ -592,6 +746,9 @@ let () =
           Alcotest.test_case "reference-port server dearer" `Quick
             test_ultrix_server_slower_lookups;
           Alcotest.test_case "service times" `Quick test_server_service_times;
+          Alcotest.test_case "rpc denied" `Quick test_rpc_denied;
+          Alcotest.test_case "prog unavail" `Quick test_rpc_prog_unavail;
+          Alcotest.test_case "oversized read reply is EIO" `Quick test_oversized_read_reply;
         ] );
       ( "unix-semantics",
         [

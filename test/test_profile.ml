@@ -191,7 +191,14 @@ let test_profile_json_roundtrip () =
         (List.length orig.Profile.p_slots)
         (List.length s.Profile.p_slots);
       Alcotest.(check int) "fires survive" (slot orig "link").Profile.ss_fires
-        (slot s "link").Profile.ss_fires
+        (slot s "link").Profile.ss_fires;
+      (* graph1 moves 8 KiB blocks, too big for the minor heap. *)
+      Alcotest.(check bool) "direct major words measured" true
+        (orig.Profile.p_direct_major_words > 0.0);
+      Alcotest.(check (float 0.0)) "direct major words survive"
+        orig.Profile.p_direct_major_words s.Profile.p_direct_major_words;
+      Alcotest.(check (float 0.0)) "minor words survive"
+        orig.Profile.p_minor_words s.Profile.p_minor_words
 
 (* The validator is also the accountant: a profile whose self-times do
    not sum to its wall time is rejected. *)

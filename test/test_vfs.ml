@@ -279,8 +279,9 @@ let test_fs_read_past_eof () =
       Fs.write fs f ~off:0 (Bytes.of_string "abc");
       Alcotest.(check int) "short read" 2 (Bytes.length (Fs.read fs f ~off:1 ~len:100));
       Alcotest.(check int) "empty at eof" 0 (Bytes.length (Fs.read fs f ~off:3 ~len:10));
-      (* Offsets past the file's byte buffer, not only past its length:
-         a 100-byte file's buffer holds 1024 bytes, an empty one none. *)
+      (* Offsets past the file's length but inside its storage (a
+         100-byte file holds a whole 8 KiB chunk), and past both (an
+         empty file holds none). *)
       let small = Fs.create_file fs ~dir:root "small" ~mode:0o644 () in
       Fs.write fs small ~off:0 (Bytes.make 100 'x');
       Alcotest.(check int) "past the buffer" 0
@@ -507,27 +508,115 @@ let prop_fsck_random_ops =
             seeds;
           Fs.fsck fs = []))
 
-(* Property: a random sequence of writes followed by reads behaves like a
-   reference byte array. *)
+(* Words allocated straight into the major heap while [f] runs: the
+   [major_words] delta less what minor collections promoted into it. *)
+let direct_major_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  ( r,
+    s1.Gc.major_words -. s0.Gc.major_words
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
+let test_fs_extend_allocates_nothing () =
+  in_world (fun _sim fs ->
+      let f = Fs.create_file fs ~dir:(Fs.root fs) "huge" ~mode:0o644 () in
+      let max_file_size = 64 * 1024 * 1024 in
+      let a, words =
+        direct_major_words (fun () -> Fs.setattr fs f ~size:max_file_size ())
+      in
+      Alcotest.(check int) "extended" max_file_size a.Fs.size;
+      Alcotest.(check bool)
+        (Printf.sprintf "under 64 KiB direct to the major heap (%.0f words)" words)
+        true (words < 8192.0);
+      Alcotest.(check string) "tail reads as zeros" "\000\000\000\000"
+        (Bytes.to_string (Fs.read fs f ~off:(max_file_size - 4) ~len:4)))
+
+let test_fs_whole_chunk_read_lends () =
+  in_world (fun _sim fs ->
+      let f = Fs.create_file fs ~dir:(Fs.root fs) "chunks" ~mode:0o644 () in
+      let body = Bytes.init 16384 (fun i -> Char.chr (i mod 251)) in
+      Fs.write fs f ~off:0 body;
+      let got, words =
+        direct_major_words (fun () -> Fs.read fs f ~off:8192 ~len:8192)
+      in
+      Alcotest.(check bytes) "second chunk" (Bytes.sub body 8192 8192) got;
+      Alcotest.(check bool)
+        (Printf.sprintf "no 8 KiB copy (%.0f words)" words)
+        true (words < 1025.0);
+      (* The lent chunk is copied before it changes. *)
+      Fs.write fs f ~off:9000 (Bytes.make 10 'W');
+      Alcotest.(check bytes) "lent bytes unchanged" (Bytes.sub body 8192 8192) got)
+
+(* Property: random writes, [setattr ~size] truncations and extensions,
+   and reads behave like a reference byte array.  Reads favour 8 KiB
+   chunk boundaries, whole aligned chunks (the lending path) and holes;
+   every result must stay unchanged by everything that follows it. *)
+type model_op = Write of int * int | Resize of int | Read of int * int
+
+let model_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun off len -> Write (off, len)) (int_range 0 30000) (int_range 1 2000));
+        (1, map (fun k -> Write (k * 8192, 8192)) (int_range 0 3));
+        (1, map (fun size -> Resize size) (int_range 0 40000));
+        (2, map2 (fun off len -> Read (off, len)) (int_range 0 40000) (int_range 1 3000));
+        ( 2,
+          map3
+            (fun k d len -> Read (Int.max 0 ((k * 8192) + d), len))
+            (int_range 1 4) (int_range (-300) 300) (int_range 1 1000) );
+        (2, map (fun k -> Read (k * 8192, 8192)) (int_range 0 4));
+      ])
+
+let print_model_op = function
+  | Write (off, len) -> Printf.sprintf "write %d+%d" off len
+  | Resize size -> Printf.sprintf "resize %d" size
+  | Read (off, len) -> Printf.sprintf "read %d+%d" off len
+
 let prop_write_read_model =
-  QCheck.Test.make ~name:"fs read/write matches flat-array model" ~count:60
-    QCheck.(
-      list_of_size Gen.(int_range 1 20)
-        (pair (int_range 0 30000) (int_range 1 2000)))
+  QCheck.Test.make ~name:"fs read/write matches flat-array model" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list print_model_op)
+       QCheck.Gen.(list_size (int_range 1 30) model_op_gen))
     (fun ops ->
       in_world (fun _sim fs ->
           let f = Fs.create_file fs ~dir:(Fs.root fs) "model" ~mode:0o644 () in
-          let model = Bytes.make 40000 '\000' in
+          let model = Bytes.make 48000 '\000' in
           let model_len = ref 0 in
+          let expect off len =
+            if off >= !model_len then Bytes.empty
+            else Bytes.sub model off (Int.min len (!model_len - off))
+          in
+          (* Every earlier read result with the bytes it held. *)
+          let returned = ref [] in
+          let ok = ref true in
           List.iteri
-            (fun i (off, len) ->
-              let data = Bytes.make len (Char.chr (65 + (i mod 26))) in
-              Fs.write fs f ~off data;
-              Bytes.blit data 0 model off len;
-              if off + len > !model_len then model_len := off + len)
+            (fun i op ->
+              (match op with
+              | Write (off, len) ->
+                  let data = Bytes.make len (Char.chr (65 + (i mod 26))) in
+                  Fs.write fs f ~off data;
+                  Bytes.blit data 0 model off len;
+                  model_len := Int.max !model_len (off + len)
+              | Resize size ->
+                  ignore (Fs.setattr fs f ~size ());
+                  if size < !model_len then
+                    Bytes.fill model size (!model_len - size) '\000';
+                  model_len := size
+              | Read (off, len) ->
+                  let got = Fs.read fs f ~off ~len in
+                  if not (Bytes.equal got (expect off len)) then ok := false;
+                  returned := (got, Bytes.copy got) :: !returned);
+              List.iter
+                (fun (got, held) -> if not (Bytes.equal got held) then ok := false)
+                !returned)
             ops;
-          let actual = Fs.read fs f ~off:0 ~len:!model_len in
-          Bytes.equal actual (Bytes.sub model 0 !model_len)))
+          !ok
+          && (Fs.getattr fs f).Fs.size = !model_len
+          && Bytes.equal (Fs.read fs f ~off:0 ~len:!model_len) (expect 0 !model_len)))
 
 let () =
   Alcotest.run "vfs"
@@ -563,6 +652,9 @@ let () =
           Alcotest.test_case "readdir paging" `Quick test_fs_readdir_paging;
           Alcotest.test_case "dot and dotdot" `Quick test_fs_dot_and_dotdot;
           Alcotest.test_case "setattr truncate" `Quick test_fs_setattr_truncate;
+          Alcotest.test_case "extend allocates nothing" `Quick
+            test_fs_extend_allocates_nothing;
+          Alcotest.test_case "whole-chunk read lends" `Quick test_fs_whole_chunk_read_lends;
           Alcotest.test_case "sync writes hit disk" `Quick test_fs_sync_writes_hit_disk;
           Alcotest.test_case "name cache accelerates" `Quick test_fs_lookup_uses_name_cache;
           Alcotest.test_case "statfs" `Quick test_fs_statfs;
