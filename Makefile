@@ -43,10 +43,13 @@
 # post-mortem bundle.
 # `make golden GOLDEN=DIR` writes every determinism-gated output into
 # DIR: `all` (table and JSON) at jobs 1 and 2, `slo`, `chaos --scale
-# quick`, `fuzz --seeds 15`, and table5 with its trace, whose write
-# records carry data digests, graph1 with its metrics as JSONL and as
-# CSV, and the crash-without-reboot scenario under --flight (it must
-# breach; the bundle's profile.json carries host time and is removed).
+# quick`, `fuzz --seeds 15`, table5 with its trace, whose write
+# records carry data digests, the chaos and fuzz runs again with their
+# traces (the golden traces carry 22 of the 25 event kinds; the
+# round-trip test in test/test_trace.ml covers the other three), graph1
+# with its metrics as JSONL and as CSV, and the crash-without-reboot
+# scenario under --flight (it must breach; the bundle's profile.json
+# carries host time and is removed).
 # Those runs happen inside DIR, so every path they print or store is
 # the same for any DIR.  A change that must leave simulated output
 # alone passes when `diff -r` of the parent's and the change's
@@ -128,6 +131,8 @@ golden: build
 	dune exec bin/nfsbench.exe -- chaos --scale quick --jobs 2 > $(GOLDEN)/chaos-quick.txt
 	dune exec bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 > $(GOLDEN)/fuzz-15.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table5 --jobs 2 --trace table5-trace.jsonl > table5.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- chaos --scale quick --jobs 2 --trace chaos-trace.jsonl > chaos-trace.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 --trace fuzz-trace.jsonl > fuzz-trace.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph1 --jobs 2 --metrics metrics.jsonl > graph1-metrics.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph1 --jobs 2 --metrics metrics.csv > graph1-metrics-csv.txt
 	mkdir -p $(GOLDEN)/examples

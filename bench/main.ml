@@ -13,11 +13,13 @@
       wall time one Quick regeneration costs) plus microbenchmarks of
       the substrate hot paths (XDR encode, checksum, data digest,
       fragmentation, event loop, file-content fill, buffer-cache
-      eviction).  The per-byte kernels run over 8192 bytes, so ns/byte
-      is the printed ns/run over 8192; the content fill runs over
-      16384.  sim-10k-events runs 10,000 events per run and
-      sim-mixed-2k one, so their ns per event are ns/run over 10,000
-      and ns/run.
+      eviction, trace recording and decoding).  The per-byte kernels
+      run over 8192 bytes, so ns/byte is the printed ns/run over 8192;
+      the content fill runs over 16384.  sim-10k-events runs 10,000
+      events per run and sim-mixed-2k one, so their ns per event are
+      ns/run over 10,000 and ns/run.  trace-record records one event
+      per run and trace-to-list-64k decodes 65,536, so their ns per
+      record are ns/run and ns/run over 65,536.
 
      dune exec bench/main.exe
      dune exec bench/main.exe -- micro    # the microbenchmarks alone *)
@@ -91,6 +93,21 @@ let experiment_tests =
         (Staged.stage (fun () ->
              ignore (E.render (E.run_spec ~jobs:1 (mk E.Quick))))))
     E.specs
+
+(* lan-write's trace mix, each event built fresh as the hooks build it:
+   a packet enqueued and delivered on one of four links (each link holds
+   its name as one string), an RPC sent, and its service time. *)
+let links = Array.init 4 (Printf.sprintf "cl%d->bb0")
+
+let trace_mix tr k =
+  let time = float_of_int k *. 1e-4 and xid = Int32.of_int (k lsr 2) in
+  let link = links.((k lsr 2) land 3) in
+  Trace.record tr ~time ~node:3
+    (match k land 3 with
+    | 0 -> Pkt_enqueue { link; bytes = 8_328; qlen = k land 7 }
+    | 1 -> Pkt_deliver { link; bytes = 8_328 }
+    | 2 -> Rpc_send { xid; proc = 8 }
+    | _ -> Srv_service { xid; proc = 8; service = 0.0021 })
 
 let micro_tests =
   let payload = Bytes.create 8192 in
@@ -180,6 +197,19 @@ let micro_tests =
          Sim.after sim (Rng.uniform rng 10e-6 1e-3) hop
        done;
        Staged.stage (fun () -> ignore (Sim.step sim)));
+    Test.make ~name:"trace-record"
+      (* The ring is big enough that each record outlives a minor
+         collection, as lan-write's does. *)
+      (let tr = Trace.create ~capacity:(1 lsl 18) () and k = ref 0 in
+       Staged.stage (fun () ->
+           incr k;
+           trace_mix tr !k));
+    Test.make ~name:"trace-to-list-64k"
+      (let tr = Trace.create ~capacity:65_536 () in
+       for k = 1 to 65_536 do
+         trace_mix tr k
+       done;
+       Staged.stage (fun () -> ignore (Trace.to_list tr)));
   ]
 
 let run_bechamel tests =

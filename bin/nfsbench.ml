@@ -107,30 +107,37 @@ let run_all rs =
       run_result
         (Result.map ignore (R.execute_many ~print:print_with_chart rs built))
 
-let any_fail results =
-  let is_fail = function
-    | E.Text s -> String.length s >= 4 && String.sub s 0 4 = "FAIL"
-    | _ -> false
-  in
-  List.exists (List.exists is_fail) results.E.r_rows
+(* chaos and fuzz assemble one row per cell, in cell order, so each
+   failing row names its cell. *)
+let failed_cells spec results =
+  List.filter_map
+    (fun (c, row) ->
+      Option.map (fun v -> c.E.cell_label ^ ": " ^ v) (E.fail_value row))
+    (List.combine spec.E.sp_cells results.E.r_rows)
 
 (* chaos and fuzz install their own schedules per cell, so an outer
    --faults would be silently ignored — refuse it instead. *)
-let run_verdict ~cmd ~fail_msg rs spec =
+let run_verdict ~cmd rs spec =
   match check_unused ~cmd rs [ "faults" ] with
   | Some msg -> `Error (false, msg)
   | None -> (
       match R.execute ~print:print_with_chart rs spec with
       | Error msg -> `Error (false, msg)
-      | Ok results ->
-          if any_fail results then `Error (false, fail_msg) else `Ok ())
+      | Ok results -> (
+          match failed_cells spec results with
+          | [] -> `Ok ()
+          | fails ->
+              List.iter (fun f -> Format.eprintf "%s: %s@." cmd f) fails;
+              `Error
+                ( false,
+                  Printf.sprintf "%s: %d cell(s) failed their verdict" cmd
+                    (List.length fails) )))
 
 let run_chaos rs =
   let seed = R.seed rs in
   Format.printf "chaos: seed %d%s@." seed
     (if seed = 0 then " (the default world)" else "");
-  run_verdict ~cmd:"chaos"
-    ~fail_msg:"chaos: invariant violation detected (see table)" rs
+  run_verdict ~cmd:"chaos" rs
     (E.chaos_spec ~seed (R.scale rs))
 
 let run_fuzz rs seeds no_checksum =
@@ -140,7 +147,7 @@ let run_fuzz rs seeds no_checksum =
     seeds seed
     (if checksum then "on" else "off")
     (String.concat "," E.fuzz_profiles);
-  run_verdict ~cmd:"fuzz" ~fail_msg:"fuzz: violation detected (see table)" rs
+  run_verdict ~cmd:"fuzz" rs
     (E.fuzz_spec ~seeds ~base_seed:seed ~checksum (R.scale rs))
 
 (* Scenarios carry their own world seed, load program and fault

@@ -722,7 +722,7 @@ let cell sc =
           ms1 o.Slo.o_p99_ms;
           pct1 o.Slo.o_availability;
           ms1 (o.Slo.o_recovery *. 1000.0);
-          txt verdict;
+          txt (E.unless_wrapped sink verdict);
         ]);
   }
 
@@ -749,8 +749,7 @@ let failures (results : E.results) =
   List.filter_map
     (fun row ->
       match (List.nth_opt row 0, List.rev row) with
-      | Some (E.Text name), E.Text verdict :: _
-        when String.length verdict >= 4 && String.sub verdict 0 4 = "FAIL" ->
+      | Some (E.Text name), E.Text verdict :: _ when E.failed_verdict verdict ->
           Some (name ^ ": " ^ verdict)
       | _ -> None)
     results.E.r_rows

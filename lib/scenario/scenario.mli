@@ -16,7 +16,9 @@
     class, availability over fixed windows, worst crash-to-service
     recovery gap, and the {!Renofs_fault.Fault.Check} integrity
     invariants — and the verdict column says [PASS] or [FAIL:]
-    followed by the violated SLO names. *)
+    followed by the violated SLO names, or
+    [INCONCLUSIVE:trace-ring-wrapped] when the run outgrew its trace
+    ring ({!Renofs_workload.Experiments.unless_wrapped}). *)
 
 type world = {
   w_servers : int;  (** 1 .. 90 *)
@@ -179,5 +181,6 @@ val suite_spec : t list -> Renofs_workload.Experiments.spec
     order. *)
 
 val failures : Renofs_workload.Experiments.results -> string list
-(** ["<scenario>: FAIL:<slo,...>"] for each failing row — the
-    [nfsbench slo] exit-code and stderr source. *)
+(** ["<scenario>: <verdict>"] for each row whose verdict fails
+    ({!Renofs_workload.Experiments.failed_verdict}) — the [nfsbench slo]
+    exit-code and stderr source. *)

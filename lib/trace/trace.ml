@@ -48,39 +48,304 @@ type event =
   | Commit_ok of { file : int; off : int; count : int; verf : int }
   | Verf_mismatch of { file : int; expected : int; got : int }
 
+let reason_name = function
+  | Queue_full -> "queue_full"
+  | Link_error -> "link_error"
+  | Sock_overflow -> "sock_overflow"
+  | Link_down -> "link_down"
+  | Bad_checksum -> "bad_checksum"
+  | Garbled -> "garbled"
+
+(* Raises [Failure] like every other parse error in this file, so
+   [import_jsonl] wraps it with its [path:line:] location. *)
+let reason_of_name = function
+  | "queue_full" -> Queue_full
+  | "link_error" -> Link_error
+  | "sock_overflow" -> Sock_overflow
+  | "link_down" -> Link_down
+  | "bad_checksum" -> Bad_checksum
+  | "garbled" -> Garbled
+  | s -> failwith (Printf.sprintf "Trace: unknown drop reason %S" s)
+
 type record_ = { time : float; node : int; ev : event }
+
+(* Each record is one 64-byte slot in a [Bytes] chunk, so the ring holds
+   no pointer for the GC to promote, mark or write-barrier.  A slot is
+   eight 64-bit words:
+
+     0     the time, as float bits
+     1     the node
+     2     the event tag (low 8 bits) and one interned-string id above it
+     3..6  four int words: an [int32] xid is widened into word 3, and a
+           second string ([Pkt_mangle]'s op, [Pkt_drop]'s reason name)
+           is interned and its id stored in word 4
+     7     an int or a float's bits, by tag
+
+   Each tag writes and reads only its own words; the others hold stale
+   bytes.  A chunk is allocated when the ring first reaches it, so a
+   sink's memory grows with the records it holds, not its capacity. *)
+
+let chunk_bits = 12
+let chunk_slots = 1 lsl chunk_bits
+let slot_bytes = 64
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type t = {
   capacity : int;
-  buf : record_ array;
+  chunks : Bytes.t array;  (* [Bytes.empty] until first written *)
   mutable next : int; (* next slot to overwrite *)
   mutable total : int;
   mutable on : bool;
   mutable probe : Renofs_engine.Probe.t option;
+  ids : (string, int) Hashtbl.t;  (* interned strings, with [strings] *)
+  mutable strings : string array;  (* by id *)
+  mutable last : string;  (* the string interned last, and its id *)
+  mutable last_id : int;
 }
-
-let dummy = { time = 0.0; node = -1; ev = Run_mark { label = "" } }
 
 let create ?(capacity = 1 lsl 18) () =
   if capacity <= 0 then invalid_arg "Trace.create: nonpositive capacity";
-  { capacity; buf = Array.make capacity dummy; next = 0; total = 0; on = true;
-    probe = None }
+  let ids = Hashtbl.create 16 in
+  Hashtbl.add ids "" 0;
+  {
+    capacity;
+    chunks = Array.make (((capacity - 1) lsr chunk_bits) + 1) Bytes.empty;
+    next = 0;
+    total = 0;
+    on = true;
+    probe = None;
+    ids;
+    strings = [| "" |];
+    last = "";
+    last_id = 0;
+  }
+
+(* The string interned last is checked by physical equality before any
+   hashing: a link records its name from the one value it holds, often
+   several records in a row. *)
+let intern t s =
+  if s == t.last then t.last_id
+  else begin
+    let id =
+      match Hashtbl.find t.ids s with
+      | id -> id
+      | exception Not_found ->
+          let id = Hashtbl.length t.ids in
+          if id = Array.length t.strings then begin
+            let a = Array.make (2 * id) "" in
+            Array.blit t.strings 0 a 0 id;
+            t.strings <- a
+          end;
+          t.strings.(id) <- s;
+          Hashtbl.add t.ids s id;
+          id
+    in
+    t.last <- s;
+    t.last_id <- id;
+    id
+  end
+
+let chunk t slot =
+  let i = slot lsr chunk_bits in
+  let c = Array.unsafe_get t.chunks i in
+  if Bytes.length c > 0 then c
+  else begin
+    let c =
+      Bytes.create
+        (Int.min chunk_slots (t.capacity - (i lsl chunk_bits)) * slot_bytes)
+    in
+    t.chunks.(i) <- c;
+    c
+  end
+
+let[@inline] offset slot = (slot land (chunk_slots - 1)) * slot_bytes
+
+(* [c] is a chunk, [o] a slot's offset in it and [w] a word index, 0..7.
+   No [int64] leaves these helpers, so a write boxes nothing. *)
+let[@inline] set_int c o w v = set64 c (o + (8 * w)) (Int64.of_int v)
+let[@inline] get_int c o w = Int64.to_int (get64 c (o + (8 * w)))
+let[@inline] set_float c o w v = set64 c (o + (8 * w)) (Int64.bits_of_float v)
+let[@inline] get_float c o w = Int64.float_of_bits (get64 c (o + (8 * w)))
+let[@inline] set_tag c o tag sid = set_int c o 2 (tag lor (sid lsl 8))
+
+(* Tags number the constructors in declaration order. *)
+let write t ~time ~node ev =
+  let slot = t.next in
+  let c = chunk t slot in
+  let o = offset slot in
+  set_float c o 0 time;
+  set_int c o 1 node;
+  (match ev with
+  | Rpc_send { xid; proc } ->
+      set_tag c o 0 0;
+      set_int c o 3 (Int32.to_int xid);
+      set_int c o 4 proc
+  | Rpc_retransmit { xid; proc; retry; rto } ->
+      set_tag c o 1 0;
+      set_int c o 3 (Int32.to_int xid);
+      set_int c o 4 proc;
+      set_int c o 5 retry;
+      set_float c o 7 rto
+  | Rpc_reply { xid; proc; rtt } ->
+      set_tag c o 2 0;
+      set_int c o 3 (Int32.to_int xid);
+      set_int c o 4 proc;
+      set_float c o 7 rtt
+  | Pkt_enqueue { link; bytes; qlen } ->
+      set_tag c o 3 (intern t link);
+      set_int c o 3 bytes;
+      set_int c o 4 qlen
+  | Pkt_drop { link; bytes; reason } ->
+      set_tag c o 4 (intern t link);
+      set_int c o 3 bytes;
+      set_int c o 4 (intern t (reason_name reason))
+  | Pkt_deliver { link; bytes } ->
+      set_tag c o 5 (intern t link);
+      set_int c o 3 bytes
+  | Pkt_mangle { link; bytes; op } ->
+      set_tag c o 6 (intern t link);
+      set_int c o 3 bytes;
+      set_int c o 4 (intern t op)
+  | Frag_lost { src; ip_id } ->
+      set_tag c o 7 0;
+      set_int c o 3 src;
+      set_int c o 4 ip_id
+  | Srv_queue { xid; proc; wait } ->
+      set_tag c o 8 0;
+      set_int c o 3 (Int32.to_int xid);
+      set_int c o 4 proc;
+      set_float c o 7 wait
+  | Srv_service { xid; proc; service } ->
+      set_tag c o 9 0;
+      set_int c o 3 (Int32.to_int xid);
+      set_int c o 4 proc;
+      set_float c o 7 service
+  | Cwnd_update { cwnd } ->
+      set_tag c o 10 0;
+      set_float c o 7 cwnd
+  | Rto_update { rto } ->
+      set_tag c o 11 0;
+      set_float c o 7 rto
+  | Cache_hit { cache } -> set_tag c o 12 (intern t cache)
+  | Cache_miss { cache } -> set_tag c o 13 (intern t cache)
+  | Run_mark { label } -> set_tag c o 14 (intern t label)
+  | Srv_crash -> set_tag c o 15 0
+  | Srv_reboot -> set_tag c o 16 0
+  | Write_committed { file; off; len; digest; mtime } ->
+      set_tag c o 17 0;
+      set_int c o 3 file;
+      set_int c o 4 off;
+      set_int c o 5 len;
+      set_int c o 6 digest;
+      set_float c o 7 mtime
+  | Lease_grant { file; mode; holder; duration } ->
+      set_tag c o 18 (intern t mode);
+      set_int c o 3 file;
+      set_int c o 4 holder;
+      set_float c o 7 duration
+  | Cached_read { file; holder; mtime } ->
+      set_tag c o 19 0;
+      set_int c o 3 file;
+      set_int c o 4 holder;
+      set_float c o 7 mtime
+  | Wl_error { op; soft } ->
+      set_tag c o 20 (intern t op);
+      set_int c o 3 (Bool.to_int soft)
+  | Fault_inject { action } -> set_tag c o 21 (intern t action)
+  | Write_unstable { file; off; len; digest; verf } ->
+      set_tag c o 22 0;
+      set_int c o 3 file;
+      set_int c o 4 off;
+      set_int c o 5 len;
+      set_int c o 6 digest;
+      set_int c o 7 verf
+  | Commit_ok { file; off; count; verf } ->
+      set_tag c o 23 0;
+      set_int c o 3 file;
+      set_int c o 4 off;
+      set_int c o 5 count;
+      set_int c o 6 verf
+  | Verf_mismatch { file; expected; got } ->
+      set_tag c o 24 0;
+      set_int c o 3 file;
+      set_int c o 4 expected;
+      set_int c o 5 got);
+  t.next <- (if slot + 1 = t.capacity then 0 else slot + 1);
+  t.total <- t.total + 1
+
+let decode t slot =
+  let c = t.chunks.(slot lsr chunk_bits) in
+  let o = offset slot in
+  let w = get_int c o 2 in
+  let s = t.strings.(w lsr 8) in
+  let i0 = get_int c o 3 and i1 = get_int c o 4 in
+  let i2 = get_int c o 5 and i3 = get_int c o 6 in
+  let ev =
+    match w land 0xff with
+    | 0 -> Rpc_send { xid = Int32.of_int i0; proc = i1 }
+    | 1 ->
+        Rpc_retransmit
+          {
+            xid = Int32.of_int i0;
+            proc = i1;
+            retry = i2;
+            rto = get_float c o 7;
+          }
+    | 2 ->
+        Rpc_reply { xid = Int32.of_int i0; proc = i1; rtt = get_float c o 7 }
+    | 3 -> Pkt_enqueue { link = s; bytes = i0; qlen = i1 }
+    | 4 ->
+        Pkt_drop
+          { link = s; bytes = i0; reason = reason_of_name t.strings.(i1) }
+    | 5 -> Pkt_deliver { link = s; bytes = i0 }
+    | 6 -> Pkt_mangle { link = s; bytes = i0; op = t.strings.(i1) }
+    | 7 -> Frag_lost { src = i0; ip_id = i1 }
+    | 8 ->
+        Srv_queue { xid = Int32.of_int i0; proc = i1; wait = get_float c o 7 }
+    | 9 ->
+        Srv_service
+          { xid = Int32.of_int i0; proc = i1; service = get_float c o 7 }
+    | 10 -> Cwnd_update { cwnd = get_float c o 7 }
+    | 11 -> Rto_update { rto = get_float c o 7 }
+    | 12 -> Cache_hit { cache = s }
+    | 13 -> Cache_miss { cache = s }
+    | 14 -> Run_mark { label = s }
+    | 15 -> Srv_crash
+    | 16 -> Srv_reboot
+    | 17 ->
+        Write_committed
+          { file = i0; off = i1; len = i2; digest = i3;
+            mtime = get_float c o 7 }
+    | 18 ->
+        Lease_grant
+          { file = i0; mode = s; holder = i1; duration = get_float c o 7 }
+    | 19 -> Cached_read { file = i0; holder = i1; mtime = get_float c o 7 }
+    | 20 -> Wl_error { op = s; soft = i0 <> 0 }
+    | 21 -> Fault_inject { action = s }
+    | 22 ->
+        Write_unstable
+          { file = i0; off = i1; len = i2; digest = i3;
+            verf = get_int c o 7 }
+    | 23 -> Commit_ok { file = i0; off = i1; count = i2; verf = i3 }
+    | 24 -> Verf_mismatch { file = i0; expected = i1; got = i2 }
+    | tag -> failwith (Printf.sprintf "Trace: corrupt slot tag %d" tag)
+  in
+  { time = get_float c o 0; node = get_int c o 1; ev }
 
 let set_probe t p = t.probe <- p
 
 let record t ~time ~node ev =
-  if t.on then begin
+  if t.on then
     (* When probed, the recording cost itself is charged to the observer
        slot — that is the "how much does tracing cost" answer. *)
-    (match t.probe with
-    | None -> t.buf.(t.next) <- { time; node; ev }
+    match t.probe with
+    | None -> write t ~time ~node ev
     | Some p ->
         let d = p.Renofs_engine.Probe.enter Renofs_engine.Probe.observer in
-        t.buf.(t.next) <- { time; node; ev };
-        p.Renofs_engine.Probe.leave d);
-    t.next <- (t.next + 1) mod t.capacity;
-    t.total <- t.total + 1
-  end
+        write t ~time ~node ev;
+        p.Renofs_engine.Probe.leave d
 
 let mark t ~time label = record t ~time ~node:(-1) (Run_mark { label })
 let set_enabled t on = t.on <- on
@@ -93,12 +358,17 @@ let clear t =
   t.next <- 0;
   t.total <- 0
 
-let to_list t =
-  if t.total <= t.capacity then Array.to_list (Array.sub t.buf 0 t.total)
-  else
-    (* Oldest survivor sits at [next] (the slot about to be overwritten). *)
-    List.init t.capacity (fun i -> t.buf.((t.next + i) mod t.capacity))
+(* The newest [n] survivors, oldest first: walk back from the slot
+   before [next]. *)
+let newest t n =
+  let acc = ref [] and slot = ref t.next in
+  for _ = 1 to Int.min n (length t) do
+    slot := (if !slot = 0 then t.capacity else !slot) - 1;
+    acc := decode t !slot :: !acc
+  done;
+  !acc
 
+let to_list t = newest t (length t)
 let capacity t = t.capacity
 
 let merge ~into src =
@@ -157,25 +427,6 @@ let digest b =
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let reason_name = function
-  | Queue_full -> "queue_full"
-  | Link_error -> "link_error"
-  | Sock_overflow -> "sock_overflow"
-  | Link_down -> "link_down"
-  | Bad_checksum -> "bad_checksum"
-  | Garbled -> "garbled"
-
-(* Raises [Failure] like every other parse error in this file, so
-   [import_jsonl] wraps it with its [path:line:] location. *)
-let reason_of_name = function
-  | "queue_full" -> Queue_full
-  | "link_error" -> Link_error
-  | "sock_overflow" -> Sock_overflow
-  | "link_down" -> Link_down
-  | "bad_checksum" -> Bad_checksum
-  | "garbled" -> Garbled
-  | s -> failwith (Printf.sprintf "Trace: unknown drop reason %S" s)
 
 let json_of_record r =
   let num k v = (k, Json.Num v) in
@@ -327,11 +578,8 @@ let record_of_fields fields =
 let record_of_line line = record_of_fields (fields_of_line line)
 
 let export_jsonl ?last t path =
-  let held = length t in
   let records =
-    match last with
-    | Some n when n < held -> List.filteri (fun i _ -> i >= held - n) (to_list t)
-    | _ -> to_list t
+    match last with Some n -> newest t n | None -> to_list t
   in
   let written = List.length records in
   let oc = open_out path in

@@ -5,6 +5,17 @@
     stack is behind an [option] check, so a run without a sink pays one
     branch per hook and allocates nothing.
 
+    The ring copies each event into a 64-byte slot of a byte chunk and
+    keeps no pointer to it, so a sink gives the GC nothing to promote
+    or mark.  {!to_list}, {!merge} and {!export_jsonl} decode records
+    from the slots, as fresh values on every call.
+
+    A verdict judged over {!to_list} of a ring that has wrapped
+    ({!dropped} [> 0]) skips the evicted records.  The chaos, fuzz and
+    slo harnesses therefore report such a verdict as
+    [INCONCLUSIVE:trace-ring-wrapped], which fails the run as a [FAIL]
+    does.
+
     The event taxonomy follows the layers the paper attributes time to:
     the client RPC layer ({!Rpc_send} / {!Rpc_retransmit} / {!Rpc_reply},
     with {!Cwnd_update} / {!Rto_update} from the congestion-controlled
@@ -99,10 +110,14 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** A ring buffer holding the last [capacity] records (default 2^18).
-    Older records are overwritten, and counted in {!dropped}. *)
+    Older records are overwritten, and counted in {!dropped}.  Nothing
+    is allocated up front: memory grows with the records held, about
+    64 bytes each, in chunks of 4,096 records, up to [capacity]. *)
 
 val record : t -> time:float -> node:int -> event -> unit
-(** Append one record (no-op while disabled, see {!set_enabled}). *)
+(** Append one record (no-op while disabled, see {!set_enabled}).  The
+    event is copied into the ring, which keeps nothing the caller
+    passed; a record allocates nothing once its chunk exists. *)
 
 val mark : t -> time:float -> string -> unit
 (** [mark t ~time label] records a {!Run_mark}. *)
@@ -129,7 +144,7 @@ val dropped : t -> int
 
 val clear : t -> unit
 val to_list : t -> record_ list
-(** Surviving records, oldest first. *)
+(** Surviving records, oldest first, decoded afresh on each call. *)
 
 val capacity : t -> int
 (** The ring size this sink was created with. *)
@@ -139,7 +154,8 @@ val merge : into:t -> t -> unit
     to [into] ([into]'s enabled gate applies).  Experiment runners give
     each parallel cell a private sink and merge them back in cell order,
     so the combined stream is identical to a serial run: segments stay
-    mark-delimited and never interleave. *)
+    mark-delimited and never interleave.  [src]'s records are decoded
+    and recorded into [into] one by one. *)
 
 val proc_name : int -> string
 (** NFSv2 procedure names (plus this repo's extensions), matching
@@ -175,7 +191,8 @@ val export_jsonl : ?last:int -> t -> string -> unit
     metadata line: [H] records follow, out of [T] recorded; the other
     [D] are not in the file.  Ring overwrites are therefore visible in
     the export itself, not only in {!Report.print}.  With [~last:n]
-    only the newest [n] records are written (a flight bundle's tail). *)
+    only the newest [n] records are written (a flight bundle's tail),
+    and only those are decoded. *)
 
 val import_jsonl : string -> record_ list
 (** Raises [Failure] with [path:line:] context on malformed input.

@@ -150,14 +150,21 @@ let chunk n xs =
   in
   if n <= 0 then invalid_arg "chunk" else go [] [] n xs
 
+let failed_verdict s =
+  String.starts_with ~prefix:"FAIL" s
+  || String.starts_with ~prefix:"INCONCLUSIVE" s
+
+let unless_wrapped sink verdict =
+  if Trace.dropped sink > 0 then "INCONCLUSIVE:trace-ring-wrapped"
+  else verdict
+
 (* A cell that failed, in its own verdict: any row value that is a
-   FAIL-prefixed text — chaos/fuzz invariant verdicts, the fuzzer's
-   FAIL:stuck / FAIL:exn rows, a scenario's SLO-breach verdict. *)
+   failed verdict text — chaos/fuzz invariant verdicts, the fuzzer's
+   FAIL:stuck / FAIL:exn rows, a scenario's SLO-breach verdict, and
+   any of these judged over a wrapped ring. *)
 let fail_value out =
   List.find_map
-    (function
-      | Text s when String.length s >= 4 && String.sub s 0 4 = "FAIL" -> Some s
-      | _ -> None)
+    (function Text s when failed_verdict s -> Some s | _ -> None)
     out
 
 (* Each cell records into its own sinks (trace, metrics and profile
@@ -1353,7 +1360,7 @@ let chaos_cell ?(seed = 0) ~schedule ~tname ~opts ~duration () =
           sec2 elapsed;
           count retrans;
           ms recovery;
-          txt (Fault.Check.summary verdicts);
+          txt (unless_wrapped sink (Fault.Check.summary verdicts));
         ]);
   }
 
@@ -1508,7 +1515,7 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
                   | None -> 0)
               in
               row
-                (Fault.Check.summary verdicts)
+                (unless_wrapped sink (Fault.Check.summary verdicts))
                 ~retrans:(Client_transport.retransmits tr)
                 ~garbled:(Client_transport.garbled tr)
                 ~ckdrops)

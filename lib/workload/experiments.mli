@@ -150,7 +150,7 @@ val run_spec :
 
     Flight recorder: with [flight], a private trace sink and profile
     are forced on every cell, and a cell that raises {!Driver_stuck} or
-    returns a row with a ["FAIL"]-prefixed value (invariant or SLO
+    returns a row with a {!failed_verdict} value (invariant or SLO
     verdicts) dumps a post-mortem bundle before the sweep re-raises. *)
 
 val run_specs :
@@ -172,6 +172,22 @@ val render : results -> table
 exception Driver_stuck of string
 (** An experiment driver failed to finish; the message carries the run
     label, sim time, pending event count and events processed. *)
+
+val failed_verdict : string -> bool
+(** Whether a verdict text fails its cell: it starts with ["FAIL"] (an
+    invariant or SLO violated, a fuzz cell stuck or raising) or with
+    ["INCONCLUSIVE"] (see {!unless_wrapped}).  The CLI exits non-zero
+    on such a verdict and an armed flight recorder dumps a bundle. *)
+
+val fail_value : value list -> string option
+(** The first {!failed_verdict} text in a cell's row, if any. *)
+
+val unless_wrapped : Renofs_trace.Trace.t -> string -> string
+(** [unless_wrapped sink verdict] is [verdict], or
+    ["INCONCLUSIVE:trace-ring-wrapped"] once [sink] has overwritten a
+    record: a verdict judged over a wrapped ring skips the evicted
+    records, so it could pass falsely.  The chaos, fuzz and slo cells
+    pass their verdicts through it. *)
 
 val advance_until :
   label:string -> window:float -> Renofs_engine.Sim.t -> (unit -> bool) -> unit

@@ -617,6 +617,33 @@ let test_chaos_determinism () =
               | _ -> false))
             (E.run_spec ~jobs:1 mini).E.r_rows))
 
+(* A 64-record ring wraps within a chaos cell.  The full stream reads
+   "5/5 ok"; judged over what the ring kept, the verdict reads
+   INCONCLUSIVE, fails the cell and dumps a flight bundle naming it. *)
+let test_chaos_inconclusive_when_wrapped () =
+  let spec = Option.get (E.spec ~scale:E.Quick "chaos") in
+  let one = { spec with E.sp_cells = [ List.hd spec.E.sp_cells ] } in
+  let verdict results =
+    match List.rev (List.hd results.E.r_rows) with
+    | E.Text v :: _ -> v
+    | _ -> Alcotest.fail "verdict column is not text"
+  in
+  Alcotest.(check string) "full stream" "5/5 ok"
+    (verdict (E.run_spec ~jobs:1 one));
+  let dir = Filename.temp_file "renofs_wrapped" "" in
+  Sys.remove dir;
+  let flight =
+    Renofs_profile.Flight.arm ~dir ~spec:(Renofs_json.Json.Obj []) ~seed:0
+  in
+  let trace = Trace.create ~capacity:64 () in
+  let v = verdict (E.run_spec ~jobs:1 ~trace ~flight one) in
+  Alcotest.(check string) "wrapped ring" "INCONCLUSIVE:trace-ring-wrapped" v;
+  Alcotest.(check bool) "fails the cell" true (E.failed_verdict v);
+  let reason =
+    Filename.concat (Filename.concat dir "chaos_crash_udp-fixed") "reason.txt"
+  in
+  Alcotest.(check bool) "flight bundle dumped" true (Sys.file_exists reason)
+
 (* Two fuzz cells (corrupt and truncate on udp-fixed), deterministic
    across --jobs, and green with checksums on. *)
 let test_fuzz_smoke_and_determinism () =
@@ -726,5 +753,7 @@ let () =
             test_chaos_determinism;
           Alcotest.test_case "fuzz smoke + determinism" `Quick
             test_fuzz_smoke_and_determinism;
+          Alcotest.test_case "inconclusive over a wrapped ring" `Quick
+            test_chaos_inconclusive_when_wrapped;
         ] );
     ]

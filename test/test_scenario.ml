@@ -363,8 +363,8 @@ let test_run_spec_of_json () =
 (* crash-at-peak, judged both ways                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_verdict sc =
-  let results = E.run_spec ~jobs:1 (Scenario.suite_spec [ sc ]) in
+let run_verdict ?trace sc =
+  let results = E.run_spec ~jobs:1 ?trace (Scenario.suite_spec [ sc ]) in
   match results.E.r_rows with
   | [ row ] -> (
       match List.rev row with
@@ -407,6 +407,22 @@ let test_crash_at_peak_fails_without_reboot () =
       Alcotest.(check int) "one failure line" 1 (List.length fails);
       Alcotest.(check bool) "failure names the scenario" true
         (contains "crash-noreboot" (List.hd fails))
+
+(* A 64-record ring wraps: the SLOs judged over what it kept would
+   skip the evicted records, so the verdict reads INCONCLUSIVE and fails
+   the run where the full stream reads PASS. *)
+let test_crash_at_peak_inconclusive_when_wrapped () =
+  match Scenario.find_builtin "crash-at-peak" with
+  | None -> Alcotest.fail "crash-at-peak builtin missing"
+  | Some sc ->
+      let verdict, fails =
+        run_verdict ~trace:(Trace.create ~capacity:64 ()) sc
+      in
+      Alcotest.(check string) "wrapped ring" "INCONCLUSIVE:trace-ring-wrapped"
+        verdict;
+      Alcotest.(check (list string)) "fails the run"
+        [ "crash-at-peak: INCONCLUSIVE:trace-ring-wrapped" ]
+        fails
 
 let () =
   Alcotest.run "scenario"
@@ -458,5 +474,7 @@ let () =
             test_crash_at_peak_passes_with_reboot;
           Alcotest.test_case "fails without reboot" `Quick
             test_crash_at_peak_fails_without_reboot;
+          Alcotest.test_case "inconclusive over a wrapped ring" `Quick
+            test_crash_at_peak_inconclusive_when_wrapped;
         ] );
     ]

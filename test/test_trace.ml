@@ -58,6 +58,230 @@ let test_enabled_gate () =
     (List.map cwnd_at (Trace.to_list tr))
 
 (* ------------------------------------------------------------------ *)
+(* Slot encoding                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every constructor, with each field drawn from its whole range: ints
+   across OCaml's int range, int32 xids, floats by bit pattern (NaN
+   payloads, infinities, -0.0, subnormals) and strings of any bytes.  A
+   small pool of strings recurs, so interning sees repeats, physically
+   equal ones included. *)
+let gen_event =
+  let open QCheck.Gen in
+  let i =
+    frequency [ (4, int); (1, oneofl [ min_int; max_int; 0; -1; 1 ]) ]
+  in
+  let x =
+    frequency
+      [ (4, int32); (1, oneofl [ Int32.min_int; Int32.max_int; 0l; -1l ]) ]
+  in
+  let f =
+    map Int64.float_of_bits
+      (frequency
+         [
+           (4, int64);
+           ( 1,
+             oneofl
+               [
+                 Int64.bits_of_float Float.nan; 0x7FF0000000000001L;
+                 0xFFF8000000000042L; Int64.bits_of_float Float.infinity;
+                 Int64.bits_of_float Float.neg_infinity; Int64.min_int; 0L;
+                 1L; 0x000FFFFFFFFFFFFFL; 0x8000000000000001L;
+               ] );
+         ])
+  in
+  let s =
+    frequency
+      [
+        (2, oneofl [ ""; "cl0->bb0"; "drc"; "write" ]);
+        (3, string_size ~gen:char (int_bound 12));
+      ]
+  in
+  let reason =
+    oneofl
+      Trace.
+        [
+          Queue_full; Link_error; Sock_overflow; Link_down; Bad_checksum;
+          Garbled;
+        ]
+  in
+  oneof
+    [
+      (let+ xid = x and+ proc = i in Trace.Rpc_send { xid; proc });
+      (let+ xid = x and+ proc = i and+ retry = i and+ rto = f in
+       Trace.Rpc_retransmit { xid; proc; retry; rto });
+      (let+ xid = x and+ proc = i and+ rtt = f in
+       Trace.Rpc_reply { xid; proc; rtt });
+      (let+ link = s and+ bytes = i and+ qlen = i in
+       Trace.Pkt_enqueue { link; bytes; qlen });
+      (let+ link = s and+ bytes = i and+ reason = reason in
+       Trace.Pkt_drop { link; bytes; reason });
+      (let+ link = s and+ bytes = i in Trace.Pkt_deliver { link; bytes });
+      (let+ link = s and+ bytes = i and+ op = s in
+       Trace.Pkt_mangle { link; bytes; op });
+      (let+ src = i and+ ip_id = i in Trace.Frag_lost { src; ip_id });
+      (let+ xid = x and+ proc = i and+ wait = f in
+       Trace.Srv_queue { xid; proc; wait });
+      (let+ xid = x and+ proc = i and+ service = f in
+       Trace.Srv_service { xid; proc; service });
+      map (fun cwnd -> Trace.Cwnd_update { cwnd }) f;
+      map (fun rto -> Trace.Rto_update { rto }) f;
+      map (fun cache -> Trace.Cache_hit { cache }) s;
+      map (fun cache -> Trace.Cache_miss { cache }) s;
+      map (fun label -> Trace.Run_mark { label }) s;
+      return Trace.Srv_crash;
+      return Trace.Srv_reboot;
+      (let+ file = i and+ off = i and+ len = i and+ digest = i and+ mtime = f in
+       Trace.Write_committed { file; off; len; digest; mtime });
+      (let+ file = i and+ mode = s and+ holder = i and+ duration = f in
+       Trace.Lease_grant { file; mode; holder; duration });
+      (let+ file = i and+ holder = i and+ mtime = f in
+       Trace.Cached_read { file; holder; mtime });
+      (let+ op = s and+ soft = bool in Trace.Wl_error { op; soft });
+      map (fun action -> Trace.Fault_inject { action }) s;
+      (let+ file = i and+ off = i and+ len = i and+ digest = i and+ verf = i in
+       Trace.Write_unstable { file; off; len; digest; verf });
+      (let+ file = i and+ off = i and+ count = i and+ verf = i in
+       Trace.Commit_ok { file; off; count; verf });
+      (let+ file = i and+ expected = i and+ got = i in
+       Trace.Verf_mismatch { file; expected; got });
+    ]
+  >>= fun ev ->
+  let+ time = f and+ node = i in
+  { Trace.time; node; ev }
+
+(* Lengths below, at and past each ring capacity in [round_trip_caps]. *)
+let gen_records =
+  let open QCheck.Gen in
+  list_size
+    (frequency
+       [
+         (1, int_bound 20);
+         (1, int_range 4_090 4_200);
+         (1, int_range 9_990 10_300);
+       ])
+    gen_event
+
+let round_trip_caps = [ 1; 7; 4_095; 4_096; 4_097; 10_000 ]
+
+(* Marshal writes every float as its bits, so equal bytes mean equal
+   records field for field, floats compared by bits. *)
+let same_records a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun r s ->
+         Marshal.to_string r [ Marshal.No_sharing ]
+         = Marshal.to_string s [ Marshal.No_sharing ])
+       a b
+
+let newest n l =
+  let skip = List.length l - n in
+  List.filteri (fun i _ -> i >= skip) l
+
+let filled cap records =
+  let tr = Trace.create ~capacity:cap () in
+  List.iter
+    (fun r -> Trace.record tr ~time:r.Trace.time ~node:r.Trace.node r.Trace.ev)
+    records;
+  tr
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The export built from a list: the header, then one line per record. *)
+let reference_export ~total records =
+  let held = List.length records in
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       (Renofs_json.Json.to_string Compact
+          (Obj
+             [
+               ("schema", Str "renofs-trace/1");
+               ("held", Num (float_of_int held));
+               ("total", Num (float_of_int total));
+               ("overwritten", Num (float_of_int (total - held)));
+             ])
+       :: List.map Trace.line_of_record records))
+
+let prop_round_trip =
+  QCheck.Test.make ~name:"records round-trip through the slots" ~count:25
+    (QCheck.make
+       ~print:(fun rs -> Printf.sprintf "%d records" (List.length rs))
+       gen_records)
+    (fun records ->
+      let n = List.length records in
+      let path = Filename.temp_file "renofs_slots" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          List.for_all
+            (fun cap ->
+              let tr = filled cap records in
+              let held = min n cap in
+              let kept = newest held records in
+              let last = held / 3 in
+              Trace.export_jsonl ~last tr path;
+              let into = filled 4_097 (newest 3 records) in
+              Trace.merge ~into tr;
+              same_records (Trace.to_list tr) kept
+              && Trace.length tr = held
+              && Trace.total tr = n
+              && Trace.dropped tr = n - held
+              && read_file path
+                 = reference_export ~total:n (newest last (Trace.to_list tr))
+              && same_records (Trace.to_list into)
+                   (newest 4_097 (newest 3 records @ kept))
+              && Trace.total into = min n 3 + held)
+            round_trip_caps))
+
+(* Recording copies the event into its slot and keeps nothing: once
+   every chunk exists, a record allocates nothing, so no minor
+   collection runs and nothing is promoted.  The mix is lan-write's. *)
+let test_record_allocation () =
+  let cap = 8_192 in
+  let tr = Trace.create ~capacity:cap () in
+  let evs =
+    [|
+      Trace.Pkt_enqueue { link = "cl3->bb0"; bytes = 8_328; qlen = 2 };
+      Trace.Pkt_deliver { link = "bb0->srv1"; bytes = 8_328 };
+      Trace.Rpc_send { xid = 4_242l; proc = 8 };
+      Trace.Srv_service { xid = 4_242l; proc = 8; service = 0.0021 };
+    |]
+  in
+  let time = 12.5 in
+  for k = 0 to cap - 1 do
+    Trace.record tr ~time ~node:3 evs.(k land 3)
+  done;
+  Gc.minor ();
+  let n = 200_000 in
+  (* [Gc.minor_words] counts the minor heap in use; [Gc.quick_stat]'s
+     minor count may lag until the next minor collection. *)
+  let m0 = Gc.minor_words () and _, p0, _ = Gc.counters () in
+  for k = 0 to n - 1 do
+    Trace.record tr ~time ~node:3 evs.(k land 3)
+  done;
+  let m1 = Gc.minor_words () and _, p1, _ = Gc.counters () in
+  let per = (m1 -. m0) /. float_of_int n in
+  if per >= 0.1 then Alcotest.failf "%.3f minor words per record" per;
+  Alcotest.(check (float 0.0)) "nothing promoted" 0.0 (p1 -. p0)
+
+(* A sink allocates chunks as it fills, none up front. *)
+let test_create_allocation () =
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let a0 = allocated () in
+  let tr = Trace.create ~capacity:(1 lsl 21) () in
+  let words = allocated () -. a0 in
+  if words >= 1024.0 then Alcotest.failf "create allocated %.0f words" words;
+  Alcotest.(check int) "empty" 0 (Trace.length tr)
+
+(* ------------------------------------------------------------------ *)
 (* Span joining                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -347,7 +571,12 @@ let () =
           Alcotest.test_case "basic" `Quick test_ring_basic;
           Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "enable gate" `Quick test_enabled_gate;
-        ] );
+          Alcotest.test_case "record allocates nothing" `Quick
+            test_record_allocation;
+          Alcotest.test_case "create allocates no ring" `Quick
+            test_create_allocation;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_round_trip ] );
       ( "report",
         [
           Alcotest.test_case "xid join" `Quick test_xid_join;
