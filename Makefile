@@ -43,7 +43,9 @@
 # post-mortem bundle.
 # `make golden GOLDEN=DIR` writes every determinism-gated output into
 # DIR: `all` (table and JSON) at jobs 1 and 2, `slo`, `chaos --scale
-# quick`, `fuzz --seeds 15`, table5 with its trace, whose write
+# quick`, `fuzz --seeds 15`, the checksums-off fuzz run (it must fail
+# its verdict), graph1 under examples/crash.json (the schedule is
+# installed after warmup), table5 with its trace, whose write
 # records carry data digests, the chaos and fuzz runs again with their
 # traces (the golden traces carry 22 of the 25 event kinds; the
 # round-trip test in test/test_trace.ml covers the other three), graph1
@@ -130,6 +132,8 @@ golden: build
 	dune exec bin/nfsbench.exe -- slo --jobs 2 > $(GOLDEN)/slo.txt
 	dune exec bin/nfsbench.exe -- chaos --scale quick --jobs 2 > $(GOLDEN)/chaos-quick.txt
 	dune exec bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 > $(GOLDEN)/fuzz-15.txt
+	! dune exec bin/nfsbench.exe -- fuzz --seeds 5 --jobs 2 --no-checksum > $(GOLDEN)/fuzz-5-nochecksum.txt
+	dune exec bin/nfsbench.exe -- run graph1 --jobs 2 --faults examples/crash.json > $(GOLDEN)/graph1-faults.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table5 --jobs 2 --trace table5-trace.jsonl > table5.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- chaos --scale quick --jobs 2 --trace chaos-trace.jsonl > chaos-trace.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 --trace fuzz-trace.jsonl > fuzz-trace.txt

@@ -709,7 +709,8 @@ let validate_cmd =
       & info [] ~docv:"FILE"
           ~doc:
             "A JSON file with a top-level \"schema\" member: renofs-bench/1, \
-             renofs-scenario/1, renofs-fault/1 or renofs-perf/1.")
+             renofs-scenario/1, renofs-fault/1, renofs-perf/1 or \
+             renofs-profile/1.")
   in
   Cmd.v
     (Cmd.info "validate-json"

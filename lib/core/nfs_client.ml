@@ -1389,13 +1389,3 @@ let flush_all t =
 let current_transfer_size t = t.xfer_size
 
 let dirty_blocks t = Hashtbl.fold (fun _ cf acc -> acc + cf.dirty_count) t.files 0
-let cached_blocks t = t.total_blocks
-
-let name_cache_stats t =
-  match t.names with
-  | Some nc ->
-      let s = Namecache.stats nc in
-      Some (s.Namecache.hits, s.Namecache.misses)
-  | None -> None
-
-let attr_cache_stats t = (Attrcache.hits t.attrs, Attrcache.misses t.attrs)

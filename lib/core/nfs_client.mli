@@ -164,8 +164,3 @@ val current_transfer_size : t -> int
     [adaptive_transfer] has shrunk it). *)
 
 val dirty_blocks : t -> int
-val cached_blocks : t -> int
-val name_cache_stats : t -> (int * int) option
-(** (hits, misses) when the mount has a name cache. *)
-
-val attr_cache_stats : t -> int * int

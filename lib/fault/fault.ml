@@ -166,7 +166,7 @@ let action_of_json j =
           rate = num "rate";
           seed =
             (match Json.member_opt "seed" o with
-            | Some s -> int_of_float (Json.num ~ctx:(ctx ^ ".seed") s)
+            | Some s -> Json.int ~ctx:(ctx ^ ".seed") s
             | None -> 0);
         }
       in

@@ -133,7 +133,6 @@ let create ?profile ?(policy = Hash) ?(seed = 0) ~shards nodes =
   { members; map; shards = List.init shards shard_name }
 
 let shards t = t.shards
-let shard_map t = t.map
 let servers t = Array.to_list t.members |> List.map (fun m -> m.m_server)
 
 let server_of_shard t shard =

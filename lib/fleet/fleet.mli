@@ -90,7 +90,6 @@ val mount_shard :
     process. *)
 
 val shards : t -> string list
-val shard_map : t -> Shard_map.t
 val servers : t -> Renofs_core.Nfs_server.t list
 
 val server_of_shard : t -> string -> Renofs_core.Nfs_server.t

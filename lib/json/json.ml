@@ -260,6 +260,14 @@ let member ~ctx name o =
 let member_opt name o = List.assoc_opt name o
 let str ~ctx = function Str s -> s | _ -> fail ctx "expected string"
 let num ~ctx = function Num v -> v | _ -> fail ctx "expected number"
+
+(* [Float.of_int min_int] is -2^62, exact; the range is [-2^62, 2^62). *)
+let int ~ctx j =
+  let v = num ~ctx j in
+  let lo = Float.of_int min_int in
+  if Float.is_integer v && v >= lo && v < -.lo then int_of_float v
+  else fail ctx ("expected an integer, got " ^ float_str v)
+
 let arr ~ctx = function Arr l -> l | _ -> fail ctx "expected array"
 let obj ~ctx = function Obj o -> o | _ -> fail ctx "expected object"
 

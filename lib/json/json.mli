@@ -77,6 +77,11 @@ val member : ctx:string -> string -> (string * json) list -> json
 val member_opt : string -> (string * json) list -> json option
 val str : ctx:string -> json -> string
 val num : ctx:string -> json -> float
+
+val int : ctx:string -> json -> int
+(** A number that is an integer within OCaml's [int] range; a
+    fraction, or a value beyond the range, raises {!Bad} naming [ctx]. *)
+
 val arr : ctx:string -> json -> json list
 val obj : ctx:string -> json -> (string * json) list
 

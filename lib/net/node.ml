@@ -41,7 +41,7 @@ type t = {
   id : int;
   name : string;
   cpu : Cpu.t;
-  mutable nic : Nic.profile;
+  nic : Nic.profile;
   rng : Rng.t;
   forward_cost : float;
   mutable ifaces : iface list; (* in attachment order *)
@@ -106,12 +106,10 @@ let sim t = t.sim
 let cpu t = t.cpu
 let rng t = t.rng
 let nic t = t.nic
-let set_nic t profile = t.nic <- profile
 let copy_counters t = t.copy_ctr
 let stats t = t.stats
 let trace t = t.trace
 
-let reassembly_timeouts t = Ipfrag.timeouts t.reasm
 let links t = List.rev_map (fun i -> i.link) t.ifaces |> List.rev
 let metrics t = t.metrics
 let pool t = t.pool

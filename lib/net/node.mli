@@ -49,14 +49,10 @@ val cpu : t -> Renofs_engine.Cpu.t
 val rng : t -> Renofs_engine.Rng.t
 val nic : t -> Nic.profile
 
-val set_nic : t -> Nic.profile -> unit
-(** Swap NIC profiles (the Section 3 stock-vs-tuned experiment). *)
-
 val copy_counters : t -> Renofs_mbuf.Mbuf.Counters.t
 (** This host's mbuf copy/allocation accounting. *)
 
 val stats : t -> stats
-val reassembly_timeouts : t -> int
 
 (** Everything a world may hang off a node to watch (or feed) it.
     Build one by overriding {!detached}:

@@ -58,7 +58,6 @@ type t = {
   bottleneck : Link.t option;
 }
 
-let client_id t = Node.id t.client
 let server_id t = Node.id t.server
 
 (* Link-class constants. *)

@@ -101,5 +101,4 @@ val shape_of_name : string -> shape
 (** "lan", "campus", "wan" or "star".  Raises [Invalid_argument]
     otherwise. *)
 
-val client_id : t -> int
 val server_id : t -> int

@@ -296,7 +296,8 @@ let of_json ~ctx j =
   | "renofs-profile/1" -> ()
   | s -> bad "unsupported schema %S" s);
   let wall_s = Json.num ~ctx (Json.member ~ctx "wall_s" o) in
-  let events = int_of_float (Json.num ~ctx (Json.member ~ctx "events" o)) in
+  let int o name = Json.int ~ctx:(ctx ^ "." ^ name) (Json.member ~ctx name o) in
+  let events = int o "events" in
   let gc = Json.obj ~ctx (Json.member ~ctx "gc" o) in
   let gnum name = Json.num ~ctx (Json.member ~ctx name gc) in
   let slots =
@@ -307,14 +308,12 @@ let of_json ~ctx j =
         {
           ss_name = Json.str ~ctx (m "name");
           ss_self_s = Json.num ~ctx (m "self_s");
-          ss_enters = int_of_float (Json.num ~ctx (m "enters"));
-          ss_fires = int_of_float (Json.num ~ctx (m "fires"));
+          ss_enters = int so "enters";
+          ss_fires = int so "fires";
           ss_fire_s = Json.num ~ctx (m "fire_s");
           ss_hist =
             Array.of_list
-              (List.map
-                 (fun x -> int_of_float (Json.num ~ctx x))
-                 (Json.arr ~ctx (m "hist")));
+              (List.map (Json.int ~ctx:(ctx ^ ".hist")) (Json.arr ~ctx (m "hist")));
         })
       (Json.arr ~ctx (Json.member ~ctx "slots" o))
   in
@@ -343,8 +342,8 @@ let of_json ~ctx j =
       (match Json.member_opt "direct_major_words" gc with
       | Some n -> Json.num ~ctx n
       | None -> 0.0);
-    p_minor_collections = int_of_float (gnum "minor_collections");
-    p_major_collections = int_of_float (gnum "major_collections");
+    p_minor_collections = int gc "minor_collections";
+    p_major_collections = int gc "major_collections";
   }
 
 let write_file ~path t = Json.write_file path (to_json (snapshot t))

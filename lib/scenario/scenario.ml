@@ -5,12 +5,8 @@ module Sim = Renofs_engine.Sim
 module Proc = Renofs_engine.Proc
 module Node = Renofs_net.Node
 module Topology = Renofs_net.Topology
-module Udp = Renofs_transport.Udp
-module Fs = Renofs_vfs.Fs
-module Nfs_client = Renofs_core.Nfs_client
 module Nfs_server = Renofs_core.Nfs_server
 module Trace = Renofs_trace.Trace
-module Metrics = Renofs_metrics.Metrics
 module Json = Renofs_json.Json
 module Fault = Renofs_fault.Fault
 module Fleet = Renofs_fleet.Fleet
@@ -210,7 +206,9 @@ let num_field ~ctx fields name default =
   | Some j -> Json.num ~ctx:(ctx ^ "." ^ name) j
 
 let int_field ~ctx fields name default =
-  int_of_float (num_field ~ctx fields name (float_of_int default))
+  match Json.member_opt name fields with
+  | None -> default
+  | Some j -> Json.int ~ctx:(ctx ^ "." ^ name) j
 
 let tier_of_string ~ctx s =
   let fail () = bad "%s: bad tier %S (want \"backbone:N\" or \"fat-tree:SxL\")" ctx s in
@@ -546,32 +544,6 @@ let pct1 v = E.Float (v *. 100.0, E.Percent, 1)
 let scenario_fileset =
   Fileset.generate ~dirs:3 ~files_per_dir:4 ~file_size:8192 ~long_names:false
 
-let attach_observers (ctx : E.ctx) sim topo label =
-  (match ctx.E.profile with
-  | None -> ()
-  | Some p ->
-      let probe = Some (Renofs_profile.Profile.probe p) in
-      Sim.set_probe sim probe;
-      (match ctx.E.trace with
-      | Some tr -> Trace.set_probe tr probe
-      | None -> ()));
-  (match ctx.E.trace with
-  | None -> ()
-  | Some tr -> Trace.mark tr ~time:(Sim.now sim) label);
-  let run =
-    match ctx.E.metrics with
-    | None -> None
-    | Some mt -> Some (Metrics.start_run mt ~sim ~label:ctx.E.cell_label)
-  in
-  let obs =
-    {
-      Node.trace = ctx.E.trace;
-      metrics = run;
-      pool = Some (Renofs_mbuf.Mbuf.Pool.create ());
-    }
-  in
-  List.iter (fun n -> Node.attach n obs) topo.Topology.all
-
 let cell sc =
   let label = "slo/" ^ sc.sc_name in
   {
@@ -593,8 +565,11 @@ let cell sc =
           if w.w_seed = 0 then Topology.default_params
           else { Topology.default_params with Topology.seed = w.w_seed }
         in
-        let topo =
-          Topology.build_graph sim
+        let mounted = ref 0 in
+        let go = Proc.Ivar.create sim in
+        let results = Array.make w.w_clients None in
+        let fw =
+          E.fleet_world ~ctx ~label ~fileset:scenario_fileset sim
             {
               Topology.g_servers = w.w_servers;
               g_clients = w.w_clients;
@@ -602,56 +577,31 @@ let cell sc =
               g_wan_fraction = w.w_wan_fraction;
               g_params = params;
             }
+            (fun i m ->
+              incr mounted;
+              Proc.Ivar.read go;
+              let r =
+                Nhfsstone.run_program m scenario_fileset
+                  {
+                    Nhfsstone.pg_segments = sc.sc_load;
+                    pg_children = 1;
+                    pg_seed = (w.w_seed * 8191) + 31 + (i * 7919);
+                  }
+              in
+              results.(i) <- Some (r, Sim.now sim))
         in
-        attach_observers ctx sim topo label;
+        let servers = Fleet.servers fw.E.f_fleet in
         (* Provisioning and the mount storm are setup, not the day:
            keep the sink quiet until the load program starts, so the
            SLO windows and the durability ledger cover the scenario
-           only.  The Run_mark above predates the gate. *)
+           only.  The world's Run_mark predates the gate. *)
         Trace.set_enabled sink false;
-        let fleet =
-          Fleet.create ~policy:Fleet.Hash ~shards:w.w_clients
-            topo.Topology.servers
-        in
-        let ready = Proc.Ivar.create sim in
-        Proc.spawn sim (fun () ->
-            Fleet.provision fleet;
-            Fleet.iter_shards fleet (fun ~shard ~server ->
-                Fileset.preload_under server ~path:shard scenario_fileset);
-            Proc.Ivar.fill ready ());
-        let mounted = ref 0 in
-        let go = Proc.Ivar.create sim in
-        let results = Array.make w.w_clients None in
-        List.iteri
-          (fun i client ->
-            let cudp = Udp.install client in
-            Proc.spawn sim (fun () ->
-                Proc.Ivar.read ready;
-                (* Stagger the mount storm a little, as rc.local would. *)
-                Proc.sleep sim (float_of_int i *. 0.003);
-                let m =
-                  Fleet.mount_shard fleet ~udp:cudp
-                    ~shard:(Printf.sprintf "/home%d" i)
-                    Nfs_client.reno_mount
-                in
-                incr mounted;
-                Proc.Ivar.read go;
-                let r =
-                  Nhfsstone.run_program m scenario_fileset
-                    {
-                      Nhfsstone.pg_segments = sc.sc_load;
-                      pg_children = 1;
-                      pg_seed = (w.w_seed * 8191) + 31 + (i * 7919);
-                    }
-                in
-                results.(i) <- Some (r, Sim.now sim)))
-          topo.Topology.clients;
         (* The day starts when every client is mounted: open the trace
            gate, arm the fault timeline (action times are relative to
            load start) and release the clients together. *)
         let t_start = ref 0.0 in
         Proc.spawn sim (fun () ->
-            Proc.Ivar.read ready;
+            Proc.Ivar.read fw.E.f_ready;
             while !mounted < w.w_clients do
               Proc.sleep sim 0.05
             done;
@@ -661,8 +611,8 @@ let cell sc =
               Fault.install
                 {
                   Fault.sim;
-                  nodes = topo.Topology.all;
-                  servers = Fleet.servers fleet;
+                  nodes = fw.E.f_topo.Topology.all;
+                  servers;
                   trace = Some sink;
                 }
                 {
@@ -693,14 +643,11 @@ let cell sc =
         let fss =
           List.map
             (fun srv -> (Node.id (Nfs_server.node srv), Nfs_server.fs srv))
-            (Fleet.servers fleet)
+            servers
         in
         let read_back ~node ~file ~off ~len =
-          match List.assoc_opt node fss with
-          | None -> None
-          | Some fs -> (
-              try Some (Fs.read fs (Fs.vnode_by_ino fs file) ~off ~len)
-              with _ -> None)
+          Option.bind (List.assoc_opt node fss) (fun fs ->
+              E.read_back fs ~file ~off ~len)
         in
         let records = Trace.to_list sink in
         let o =

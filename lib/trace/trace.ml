@@ -518,7 +518,10 @@ let record_of_fields fields =
     | Json.Str s -> s
     | _ -> failwith ("Trace: field " ^ k ^ " is not a string")
   in
-  let int k = int_of_float (num k) in
+  let int k =
+    try Json.int ~ctx:("Trace: field " ^ k) (find k)
+    with Json.Bad msg -> failwith msg
+  in
   let xid () = Int32.of_int (int "xid") in
   let ev =
     match str "ev" with

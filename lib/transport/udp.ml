@@ -184,7 +184,6 @@ let rec recv sock =
 
 let pending sock = Queue.length sock.queue
 let drops sock = sock.drops
-let checksum_enabled stack = stack.checksum
 let checksum_drops stack = stack.checksum_drops
 
 let close sock =

@@ -56,8 +56,6 @@ val pending : socket -> int
 val drops : socket -> int
 (** Datagrams discarded because the receive buffer was full. *)
 
-val checksum_enabled : stack -> bool
-
 val checksum_drops : stack -> int
 (** Datagrams discarded for a checksum or length mismatch. *)
 

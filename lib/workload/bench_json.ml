@@ -70,8 +70,8 @@ let read_exn doc =
   (match str "scale" top "scale" with
   | "quick" | "full" -> ()
   | other -> fail "scale %S is not quick|full" other);
-  let jobs = num "jobs" top "jobs" in
-  if jobs < 1.0 || not (Float.is_integer jobs) then fail "jobs must be a positive integer";
+  if Json.int ~ctx:"jobs" (Json.member ~ctx:"jobs" "jobs" top) < 1 then
+    fail "jobs must be a positive integer";
   let experiments = arr "experiments" top "experiments" in
   if experiments = [] then fail "experiments array is empty";
   List.map
@@ -104,9 +104,8 @@ let read_exn doc =
                 match str (ctx ^ ".type") cell "type" with
                 | "text" -> Dtext (str ctx cell "value")
                 | "int" ->
-                    let v = num ctx cell "value" in
-                    if not (Float.is_integer v) then fail "%s: int cell holds %g" ctx v;
-                    Dnum (v, unit_ ())
+                    let v = Json.int ~ctx:(ctx ^ ".value") (Json.member ~ctx "value" cell) in
+                    Dnum (float_of_int v, unit_ ())
                 | "float" ->
                     ignore (num (ctx ^ ".prec") cell "prec");
                     Dnum (num ctx cell "value", unit_ ())

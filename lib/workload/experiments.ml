@@ -2,7 +2,6 @@ module Sim = Renofs_engine.Sim
 module Proc = Renofs_engine.Proc
 module Cpu = Renofs_engine.Cpu
 module Stats = Renofs_engine.Stats
-module Net = Renofs_net
 module Node = Renofs_net.Node
 module Nic = Renofs_net.Nic
 module Topology = Renofs_net.Topology
@@ -139,16 +138,6 @@ let render r =
     header = r.r_header;
     rows = List.map (List.map render_value) r.r_rows;
   }
-
-(* [chunk n xs] splits [xs] into consecutive groups of [n]. *)
-let chunk n xs =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if k = 1 then go (List.rev (x :: cur) :: acc) [] n rest
-        else go acc (x :: cur) (k - 1) rest
-  in
-  if n <= 0 then invalid_arg "chunk" else go [] [] n xs
 
 let failed_verdict s =
   String.starts_with ~prefix:"FAIL" s
@@ -342,22 +331,17 @@ let attach_observers ctx sim topo label =
   in
   List.iter (fun n -> Node.attach n obs) topo.Topology.all
 
-let install_faults ~ctx world =
-  match ctx.faults with
-  | None -> ()
-  | Some sched ->
-      Fault.install
-        {
-          Fault.sim = world.sim;
-          nodes = world.topo.Topology.all;
-          servers = [ world.server ];
-          trace = ctx.trace;
-        }
-        sched
+(* Schedule times count from installation, so a runner with a warmup
+   or provisioning phase installs the schedule when its load starts. *)
+let install_faults ~ctx sim topo servers =
+  Option.iter
+    (Fault.install
+       { Fault.sim; nodes = topo.Topology.all; servers; trace = ctx.trace })
+    ctx.faults
 
 (* [defer_faults] leaves the schedule uninstalled so runners with a
    warmup phase can install it (via {!install_faults}) when the
-   measured run starts — schedule times are relative to installation. *)
+   measured run starts. *)
 let make_world ?(params = Topology.default_params)
     ?(server_profile = Nfs_server.reno_profile) ?(defer_faults = false)
     ?(udp_checksum = true) ?run_label ~ctx ~topology () =
@@ -383,7 +367,7 @@ let make_world ?(params = Topology.default_params)
       client_tcp = Tcp.install topo.Topology.client;
     }
   in
-  if not defer_faults then install_faults ~ctx world;
+  if not defer_faults then install_faults ~ctx sim topo [ server ];
   world
 
 let advance_until ~label ~window sim finished =
@@ -403,7 +387,7 @@ let advance_until ~label ~window sim finished =
 
 (* Run [body] as a driver process and keep the simulator moving until
    it finishes. *)
-let drive ?(label = "experiment") world body =
+let drive ~label world body =
   let result = ref None in
   Proc.spawn world.sim (fun () -> result := Some (body ()));
   advance_until ~label ~window:100.0 world.sim (fun () -> Option.is_some !result);
@@ -449,13 +433,13 @@ let sweep_loads = function Quick -> [ 5.0; 10.0; 20.0; 30.0 ] | Full -> [ 5.0; 1
 let sweep_duration = function Quick -> 20.0 | Full -> 120.0
 
 let one_nhfsstone_run ?(server_profile = Nfs_server.reno_profile)
-    ?(params = Topology.default_params) ?(warmup = 8.0) ?(children = 4) ?label
-    ~ctx ~topology ~mount_opts ~mix ~rate ~duration ~seed () =
+    ?(children = 4) ~label ~ctx ~topology ~mount_opts ~mix ~rate ~duration
+    ~seed () =
   let world =
-    make_world ~params ~server_profile ~defer_faults:true ?run_label:label ~ctx
+    make_world ~server_profile ~defer_faults:true ~run_label:label ~ctx
       ~topology ()
   in
-  drive ?label world (fun () ->
+  drive ~label world (fun () ->
       (* Preload and warmup are not part of the measured run: gate the
          sink so the report sees steady state only, and hold the fault
          schedule back so it perturbs the measured run, not the warmup. *)
@@ -463,176 +447,167 @@ let one_nhfsstone_run ?(server_profile = Nfs_server.reno_profile)
       (match ctx.metrics with Some m -> Metrics.set_enabled m false | None -> ());
       Fileset.preload_server world.server standard_fileset;
       let m = mount_in world mount_opts in
-      if warmup > 0.0 then
-        ignore
-          (Nhfsstone.run m standard_fileset
-             { Nhfsstone.rate; duration = warmup; children; mix; seed = seed + 1 });
+      ignore
+        (Nhfsstone.run m standard_fileset
+           { Nhfsstone.rate; duration = 8.0; children; mix; seed = seed + 1 });
       (match ctx.trace with Some tr -> Trace.set_enabled tr true | None -> ());
       (match ctx.metrics with Some m -> Metrics.set_enabled m true | None -> ());
-      install_faults ~ctx world;
-      Nhfsstone.run m standard_fileset
-        { Nhfsstone.rate; duration; children; mix; seed })
+      install_faults ~ctx world.sim world.topo [ world.server ];
+      ( world,
+        Nhfsstone.run m standard_fileset
+          { Nhfsstone.rate; duration; children; mix; seed } ))
 
-(* One cell per (load x transport) point; rows are reassembled from the
-   flat cell list, one transport group per load. *)
-let transport_sweep ~id ~title ~topology ~mix ?loads ~scale () =
-  let loads = match loads with Some l -> l | None -> sweep_loads scale in
-  let duration = sweep_duration scale in
-  let cells =
-    List.concat_map
-      (fun load ->
-        List.map
-          (fun (name, transport) ->
-            {
-              cell_label = Printf.sprintf "%s/load%g/%s" id load name;
-              cell_run =
-                (fun ctx ->
-                  let r =
-                    one_nhfsstone_run ~ctx ~label:name ~topology
-                      ~mount_opts:(mount_opts_for ~transport ~topology)
-                      ~mix ~rate:load ~duration ~seed:42 ()
-                  in
-                  [ ms r.Nhfsstone.mean_op_latency ]);
-            })
-          transports)
-      loads
-  in
+(* [grid_points ~id ~rows ~columns run]: one [(label, run)] point per
+   row x column, row-major, labelled [id/row/column]. *)
+let grid_points ~id ~rows ~columns run =
+  List.concat_map
+    (fun (row, _, r) ->
+      List.map
+        (fun ((col, _) as c) ->
+          (Printf.sprintf "%s/%s/%s" id row col, fun ctx -> run ctx r c))
+        columns)
+    rows
+
+(* A row x column spec.  Each row is [(label, head, data)]; its table
+   row is [head] followed by each column's outputs in column order. *)
+let grid ~id ~title ~header ~rows ~columns run =
+  let width = List.length columns in
   {
     sp_id = id;
     sp_title = title;
-    sp_header = "load(rpc/s)" :: List.map (fun (n, _) -> n ^ " RTT(ms)") transports;
-    sp_cells = cells;
+    sp_header = header;
+    sp_cells =
+      List.map
+        (fun (cell_label, cell_run) -> { cell_label; cell_run })
+        (grid_points ~id ~rows ~columns run);
     sp_assemble =
       (fun outs ->
-        List.map2
-          (fun load per_transport -> rate1 load :: List.concat per_transport)
-          loads
-          (chunk (List.length transports) outs));
+        let outs = Array.of_list outs in
+        List.mapi
+          (fun i (_, head, _) ->
+            head :: List.concat (Array.to_list (Array.sub outs (i * width) width)))
+          rows);
   }
+
+let load_rows loads = List.map (fun l -> (Printf.sprintf "load%g" l, rate1 l, l)) loads
+let text_rows rows = List.map (fun (label, r) -> (label, txt label, r)) rows
+
+(* One point of a load x transport sweep; the transport names the
+   world's trace segment. *)
+let sweep_point ~topology ~mix ~duration ctx rate (name, transport) =
+  one_nhfsstone_run ~ctx ~label:name ~topology
+    ~mount_opts:(mount_opts_for ~transport ~topology)
+    ~mix ~rate ~duration ~seed:42 ()
+
+let transport_sweep ~id ~title ~loads point =
+  grid ~id ~title
+    ~header:("load(rpc/s)" :: List.map (fun (n, _) -> n ^ " RTT(ms)") transports)
+    ~rows:(load_rows loads) ~columns:transports
+    (fun ctx rate t -> [ ms (snd (point ctx rate t)).Nhfsstone.mean_op_latency ])
 
 let graph1_spec scale =
   transport_sweep ~id:"graph1" ~title:"Ave RTT vs load, lookup mix, same LAN"
-    ~topology:"lan" ~mix:Nhfsstone.lookup_mix ~scale ()
+    ~loads:(sweep_loads scale)
+    (sweep_point ~topology:"lan" ~mix:Nhfsstone.lookup_mix
+       ~duration:(sweep_duration scale))
 
 let graph2_spec scale =
   transport_sweep ~id:"graph2" ~title:"Ave RTT vs load, 50/50 read/lookup, same LAN"
-    ~topology:"lan" ~mix:Nhfsstone.read_lookup_mix ~scale ()
+    ~loads:(sweep_loads scale)
+    (sweep_point ~topology:"lan" ~mix:Nhfsstone.read_lookup_mix
+       ~duration:(sweep_duration scale))
 
 let graph3_spec scale =
   transport_sweep ~id:"graph3"
-    ~title:"Ave RTT vs load, lookup mix, token ring + 2 routers" ~topology:"campus"
-    ~mix:Nhfsstone.lookup_mix ~scale ()
+    ~title:"Ave RTT vs load, lookup mix, token ring + 2 routers"
+    ~loads:(sweep_loads scale)
+    (sweep_point ~topology:"campus" ~mix:Nhfsstone.lookup_mix
+       ~duration:(sweep_duration scale))
 
 let graph4_spec scale =
   transport_sweep ~id:"graph4"
     ~title:"Ave RTT vs load, read/lookup mix, token ring + 2 routers"
-    ~topology:"campus" ~mix:Nhfsstone.read_lookup_mix ~scale ()
+    ~loads:(sweep_loads scale)
+    (sweep_point ~topology:"campus" ~mix:Nhfsstone.read_lookup_mix
+       ~duration:(sweep_duration scale))
+
+(* The 56K line saturates near 18 lookup/s; the interesting region is
+   the approach to it. *)
+let graph5_loads = function
+  | Quick -> [ 4.0; 10.0; 18.0 ]
+  | Full -> [ 4.0; 8.0; 12.0; 14.0; 16.0; 18.0 ]
+
+let graph5_point scale =
+  sweep_point ~topology:"wan" ~mix:Nhfsstone.lookup_mix
+    ~duration:(sweep_duration scale)
 
 let graph5_spec scale =
-  (* The 56K line saturates near 18 lookup/s; the interesting region is
-     the approach to it. *)
-  let loads =
-    match scale with
-    | Quick -> [ 4.0; 10.0; 18.0 ]
-    | Full -> [ 4.0; 8.0; 12.0; 14.0; 16.0; 18.0 ]
-  in
   transport_sweep ~id:"graph5"
-    ~title:"Ave RTT vs load, lookup mix, 56Kbps link + 3 routers" ~topology:"wan"
-    ~mix:Nhfsstone.lookup_mix ~loads ~scale ()
+    ~title:"Ave RTT vs load, lookup mix, 56Kbps link + 3 routers"
+    ~loads:(graph5_loads scale) (graph5_point scale)
+
+let graph5_points scale =
+  grid_points ~id:"graph5"
+    ~rows:(load_rows (graph5_loads scale))
+    ~columns:transports
+    (fun ctx rate t -> fst (graph5_point scale ctx rate t))
 
 let table1_spec scale =
   (* The fixed-RTO pathology on the 56K line builds up over repeated
      backoff cycles, so even Quick scale needs a couple of minutes of
      virtual time per cell. *)
   let duration = match scale with Quick -> 120.0 | Full -> 180.0 in
-  let configs =
-    (* The 56K row runs enough closed-loop children to saturate the
-       line, as offered load did in the paper. *)
-    [
-      ("same LAN", "lan", 24.0, 4);
-      ("token ring", "campus", 20.0, 4);
-      ("56Kbps", "wan", 8.0, 8);
-    ]
-  in
-  let cells =
-    List.concat_map
-      (fun (row_label, topology, rate, children) ->
-        List.map
-          (fun (name, transport) ->
-            {
-              cell_label = Printf.sprintf "table1/%s/%s" row_label name;
-              cell_run =
-                (fun ctx ->
-                  let r =
-                    one_nhfsstone_run ~ctx ~label:name ~topology ~children
-                      ~mount_opts:(mount_opts_for ~transport ~topology)
-                      ~mix:Nhfsstone.read_lookup_mix ~rate ~duration ~seed:97 ()
-                  in
-                  [ rate2 r.Nhfsstone.read_rate ]);
-            })
-          transports)
-      configs
-  in
-  {
-    sp_id = "table1";
-    sp_title = "Achieved read rate (reads/sec) by transport and interconnect";
-    sp_header = "interconnect" :: List.map (fun (n, _) -> n) transports;
-    sp_cells = cells;
-    sp_assemble =
-      (fun outs ->
-        List.map2
-          (fun (row_label, _, _, _) per_transport ->
-            txt row_label :: List.concat per_transport)
-          configs
-          (chunk (List.length transports) outs));
-  }
+  grid ~id:"table1"
+    ~title:"Achieved read rate (reads/sec) by transport and interconnect"
+    ~header:("interconnect" :: List.map fst transports)
+    ~rows:
+      (text_rows
+         (* The 56K row runs enough closed-loop children to saturate the
+            line, as offered load did in the paper. *)
+         [
+           ("same LAN", ("lan", 24.0, 4));
+           ("token ring", ("campus", 20.0, 4));
+           ("56Kbps", ("wan", 8.0, 8));
+         ])
+    ~columns:transports
+    (fun ctx (topology, rate, children) (name, transport) ->
+      let _, r =
+        one_nhfsstone_run ~ctx ~label:name ~topology ~children
+          ~mount_opts:(mount_opts_for ~transport ~topology)
+          ~mix:Nhfsstone.read_lookup_mix ~rate ~duration ~seed:97 ()
+      in
+      [ rate2 r.Nhfsstone.read_rate ])
 
 let graph6_spec scale =
-  let loads = sweep_loads scale and duration = sweep_duration scale in
-  let cpu_cell name transport load =
-    {
-      cell_label = Printf.sprintf "graph6/load%g/%s" load name;
-      cell_run =
-        (fun ctx ->
-          let world = make_world ~ctx ~topology:"lan" () in
-          let per_rpc =
-            drive ~label:(Printf.sprintf "graph6/%s" name) world (fun () ->
-                Fileset.preload_server world.server standard_fileset;
-                let m = mount_in world (mount_opts_for ~transport ~topology:"lan") in
-                let cpu = Node.cpu world.topo.Topology.server in
-                let busy0 = Cpu.busy_time cpu
-                and served0 = Nfs_server.rpcs_served world.server in
-                let _ =
-                  Nhfsstone.run m standard_fileset
-                    {
-                      Nhfsstone.rate = load;
-                      duration;
-                      children = 4;
-                      mix = Nhfsstone.read_lookup_mix;
-                      seed = 13;
-                    }
-                in
-                let served = Nfs_server.rpcs_served world.server - served0 in
-                if served = 0 then 0.0
-                else (Cpu.busy_time cpu -. busy0) /. float_of_int served)
-          in
-          [ ms per_rpc ]);
-    }
-  in
-  {
-    sp_id = "graph6";
-    sp_title = "Server CPU overhead per RPC, UDP vs TCP, read mix";
-    sp_header = [ "load(rpc/s)"; "udp CPU(ms/rpc)"; "tcp CPU(ms/rpc)" ];
-    sp_cells =
-      List.concat_map
-        (fun load -> [ cpu_cell "udp" `Udp_fixed load; cpu_cell "tcp" `Tcp load ])
-        loads;
-    sp_assemble =
-      (fun outs ->
-        List.map2
-          (fun load pair -> rate1 load :: List.concat pair)
-          loads (chunk 2 outs));
-  }
+  let duration = sweep_duration scale in
+  grid ~id:"graph6" ~title:"Server CPU overhead per RPC, UDP vs TCP, read mix"
+    ~header:[ "load(rpc/s)"; "udp CPU(ms/rpc)"; "tcp CPU(ms/rpc)" ]
+    ~rows:(load_rows (sweep_loads scale))
+    ~columns:[ ("udp", `Udp_fixed); ("tcp", `Tcp) ]
+    (fun ctx load (name, transport) ->
+      let world = make_world ~ctx ~topology:"lan" () in
+      let per_rpc =
+        drive ~label:(Printf.sprintf "graph6/%s" name) world (fun () ->
+            Fileset.preload_server world.server standard_fileset;
+            let m = mount_in world (mount_opts_for ~transport ~topology:"lan") in
+            let cpu = Node.cpu world.topo.Topology.server in
+            let busy0 = Cpu.busy_time cpu
+            and served0 = Nfs_server.rpcs_served world.server in
+            let _ =
+              Nhfsstone.run m standard_fileset
+                {
+                  Nhfsstone.rate = load;
+                  duration;
+                  children = 4;
+                  mix = Nhfsstone.read_lookup_mix;
+                  seed = 13;
+                }
+            in
+            let served = Nfs_server.rpcs_served world.server - served0 in
+            if served = 0 then 0.0
+            else (Cpu.busy_time cpu -. busy0) /. float_of_int served)
+      in
+      [ ms per_rpc ])
 
 let graph7_spec scale =
   let duration = match scale with Quick -> 60.0 | Full -> 300.0 in
@@ -675,11 +650,17 @@ let graph7_spec scale =
     sp_title = "Trace of read RPC RTT and dynamic RTO = A+4D";
     sp_header = [ "time(s)"; "rtt(ms)"; "rto(ms)" ];
     sp_cells = [ cell ];
-    sp_assemble = (fun outs -> chunk 3 (List.concat outs));
+    sp_assemble =
+      (fun outs ->
+        let rec rows = function
+          | t :: rtt :: rto :: rest -> [ t; rtt; rto ] :: rows rest
+          | _ -> []
+        in
+        rows (List.concat outs));
   }
 
 let server_comparison ~id ~title ~mix ~scale =
-  let loads = sweep_loads scale and duration = sweep_duration scale in
+  let duration = sweep_duration scale in
   let profiles =
     [
       ("reno", Nfs_server.reno_profile);
@@ -692,38 +673,18 @@ let server_comparison ~id ~title ~mix ~scale =
       ("ultrix", Nfs_server.reference_port_profile);
     ]
   in
-  let cells =
-    List.concat_map
-      (fun load ->
-        List.map
-          (fun (name, profile) ->
-            {
-              cell_label = Printf.sprintf "%s/load%g/%s" id load name;
-              cell_run =
-                (fun ctx ->
-                  let r =
-                    one_nhfsstone_run ~ctx ~label:name ~server_profile:profile
-                      ~topology:"lan"
-                      ~mount_opts:(mount_opts_for ~transport:`Udp_fixed ~topology:"lan")
-                      ~mix ~rate:load ~duration ~seed:23 ()
-                  in
-                  [ ms r.Nhfsstone.mean_op_latency ]);
-            })
-          profiles)
-      loads
-  in
-  {
-    sp_id = id;
-    sp_title = title;
-    sp_header = "load(rpc/s)" :: List.map (fun (n, _) -> n ^ " RTT(ms)") profiles;
-    sp_cells = cells;
-    sp_assemble =
-      (fun outs ->
-        List.map2
-          (fun load per_profile -> rate1 load :: List.concat per_profile)
-          loads
-          (chunk (List.length profiles) outs));
-  }
+  grid ~id ~title
+    ~header:("load(rpc/s)" :: List.map (fun (n, _) -> n ^ " RTT(ms)") profiles)
+    ~rows:(load_rows (sweep_loads scale))
+    ~columns:profiles
+    (fun ctx load (name, profile) ->
+      let _, r =
+        one_nhfsstone_run ~ctx ~label:name ~server_profile:profile
+          ~topology:"lan"
+          ~mount_opts:(mount_opts_for ~transport:`Udp_fixed ~topology:"lan")
+          ~mix ~rate:load ~duration ~seed:23 ()
+      in
+      [ ms r.Nhfsstone.mean_op_latency ])
 
 let graph8_spec scale =
   server_comparison ~id:"graph8"
@@ -759,31 +720,23 @@ let run_andrew ~ctx ~label ~scale ~client_opts ~server_profile ~client_mips
       let m = mount_in world client_opts in
       Andrew.run m ~config:(andrew_config scale) ())
 
-let table2_spec scale =
-  let runs =
-    [
-      ("Reno", Nfs_client.reno_mount, Nfs_server.reno_profile);
-      ("Reno-TCP", { Nfs_client.reno_tcp_mount with Nfs_client.mss = 1460 }, Nfs_server.reno_profile);
-      ("Reno-nopush", Nfs_client.reno_nopush_mount, Nfs_server.reno_profile);
-      ("Reno-v3", Nfs_client.v3_mount, Nfs_server.reno_profile);
-      ("Ultrix2.2", Nfs_client.ultrix_mount, Nfs_server.reference_port_profile);
-    ]
-  in
+(* Tables 2 and 4: MAB phase times, one row per client configuration,
+   on the client hardware the table names. *)
+let mab_times_spec ~id ~title ~client_mips ~client_nic runs scale =
   {
-    sp_id = "table2";
-    sp_title = "Modified Andrew Benchmark, MicroVAXII client (seconds)";
+    sp_id = id;
+    sp_title = title;
     sp_header = [ "OS/Phase"; "I-IV"; "V" ];
     sp_cells =
       List.map
         (fun (name, opts, profile) ->
           {
-            cell_label = "table2/" ^ name;
+            cell_label = id ^ "/" ^ name;
             cell_run =
               (fun ctx ->
                 let r =
                   run_andrew ~ctx ~label:name ~scale ~client_opts:opts
-                    ~server_profile:profile ~client_mips:0.9
-                    ~client_nic:Nic.deqna_tuned ()
+                    ~server_profile:profile ~client_mips ~client_nic ()
                 in
                 [ sec1 r.Andrew.time_i_iv; sec1 r.Andrew.time_v ]);
           })
@@ -792,6 +745,18 @@ let table2_spec scale =
       (fun outs ->
         List.map2 (fun (name, _, _) out -> txt name :: out) runs outs);
   }
+
+let table2_spec =
+  mab_times_spec ~id:"table2"
+    ~title:"Modified Andrew Benchmark, MicroVAXII client (seconds)"
+    ~client_mips:0.9 ~client_nic:Nic.deqna_tuned
+    [
+      ("Reno", Nfs_client.reno_mount, Nfs_server.reno_profile);
+      ("Reno-TCP", { Nfs_client.reno_tcp_mount with Nfs_client.mss = 1460 }, Nfs_server.reno_profile);
+      ("Reno-nopush", Nfs_client.reno_nopush_mount, Nfs_server.reno_profile);
+      ("Reno-v3", Nfs_client.v3_mount, Nfs_server.reno_profile);
+      ("Ultrix2.2", Nfs_client.ultrix_mount, Nfs_server.reference_port_profile);
+    ]
 
 let table3_spec scale =
   let runs =
@@ -847,37 +812,15 @@ let table3_spec scale =
           row_labels);
   }
 
-let table4_spec scale =
-  let runs =
+let table4_spec =
+  mab_times_spec ~id:"table4"
+    ~title:"Modified Andrew Benchmark, DS3100 client (seconds)"
+    ~client_mips:14.0 ~client_nic:Nic.fast_station
     [
       ("Reno", Nfs_client.reno_mount, Nfs_server.reno_profile);
       ("Reno-v3", Nfs_client.v3_mount, Nfs_server.reno_profile);
       ("Ultrix2.2", Nfs_client.ultrix_mount, Nfs_server.reference_port_profile);
     ]
-  in
-  {
-    sp_id = "table4";
-    sp_title = "Modified Andrew Benchmark, DS3100 client (seconds)";
-    sp_header = [ "OS/Phase"; "I-IV"; "V" ];
-    sp_cells =
-      List.map
-        (fun (name, opts, profile) ->
-          {
-            cell_label = "table4/" ^ name;
-            cell_run =
-              (fun ctx ->
-                let r =
-                  run_andrew ~ctx ~label:name ~scale ~client_opts:opts
-                    ~server_profile:profile ~client_mips:14.0
-                    ~client_nic:Nic.fast_station ()
-                in
-                [ sec1 r.Andrew.time_i_iv; sec1 r.Andrew.time_v ]);
-          })
-        runs;
-    sp_assemble =
-      (fun outs ->
-        List.map2 (fun (name, _, _) out -> txt name :: out) runs outs);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Create-Delete (Table 5)                                            *)
@@ -885,7 +828,6 @@ let table4_spec scale =
 
 let table5_spec scale =
   let iterations = match scale with Quick -> 5 | Full -> 20 in
-  let sizes = [ ("No data", 0); ("10Kbytes", 10240); ("100Kbytes", 102400) ] in
   let local_cell bytes =
     (* Purely local: no network, nothing to trace. *)
     let sim = Sim.create () in
@@ -901,55 +843,35 @@ let table5_spec scale =
     Sim.run sim;
     Option.get !result
   in
-  let nfs_cell ctx label opts bytes =
+  let nfs_cell (ctx : ctx) opts bytes =
+    let label = ctx.cell_label in
     let world = make_world ~run_label:label ~ctx ~topology:"lan" () in
     drive ~label world (fun () ->
         let m = mount_in world opts in
         Create_delete.run_nfs m { Create_delete.data_bytes = bytes; iterations })
   in
-  let configs =
-    [
-      ("Local", `Local);
-      ("write thru", `Nfs { Nfs_client.reno_mount with Nfs_client.write_policy = Nfs_client.Write_through });
-      ("async,4biod", `Nfs { Nfs_client.reno_mount with Nfs_client.write_policy = Nfs_client.Async; num_biods = 4 });
-      ("async,16biod", `Nfs { Nfs_client.reno_mount with Nfs_client.write_policy = Nfs_client.Async; num_biods = 16 });
-      ("delay wrt.", `Nfs Nfs_client.reno_mount);
-      ("no consist", `Nfs Nfs_client.noconsist_mount);
-      ("v3 commit", `Nfs Nfs_client.v3_mount);
-    ]
-  in
-  let cells =
-    List.concat_map
-      (fun (row_label, kind) ->
-        List.map
-          (fun (size_label, bytes) ->
-            let label = Printf.sprintf "table5/%s/%s" row_label size_label in
-            {
-              cell_label = label;
-              cell_run =
-                (fun ctx ->
-                  [
-                    msr
-                      (match kind with
-                      | `Local -> local_cell bytes
-                      | `Nfs opts -> nfs_cell ctx label opts bytes);
-                  ]);
-            })
-          sizes)
-      configs
-  in
-  {
-    sp_id = "table5";
-    sp_title = "Create-Delete benchmark (msec per iteration), MicroVAXII";
-    sp_header = "Config" :: List.map fst sizes;
-    sp_cells = cells;
-    sp_assemble =
-      (fun outs ->
-        List.map2
-          (fun (row_label, _) per_size -> txt row_label :: List.concat per_size)
-          configs
-          (chunk (List.length sizes) outs));
-  }
+  let sizes = [ ("No data", 0); ("10Kbytes", 10240); ("100Kbytes", 102400) ] in
+  grid ~id:"table5" ~title:"Create-Delete benchmark (msec per iteration), MicroVAXII"
+    ~header:("Config" :: List.map fst sizes)
+    ~rows:
+      (text_rows
+         [
+           ("Local", `Local);
+           ("write thru", `Nfs { Nfs_client.reno_mount with Nfs_client.write_policy = Nfs_client.Write_through });
+           ("async,4biod", `Nfs { Nfs_client.reno_mount with Nfs_client.write_policy = Nfs_client.Async; num_biods = 4 });
+           ("async,16biod", `Nfs { Nfs_client.reno_mount with Nfs_client.write_policy = Nfs_client.Async; num_biods = 16 });
+           ("delay wrt.", `Nfs Nfs_client.reno_mount);
+           ("no consist", `Nfs Nfs_client.noconsist_mount);
+           ("v3 commit", `Nfs Nfs_client.v3_mount);
+         ])
+    ~columns:sizes
+    (fun ctx kind (_, bytes) ->
+      [
+        msr
+          (match kind with
+          | `Local -> local_cell bytes
+          | `Nfs opts -> nfs_cell ctx opts bytes);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Section 3: NIC tuning                                              *)
@@ -1108,6 +1030,7 @@ let scaling_spec scale =
               Fileset.preload_server server standard_fileset;
               (* Measure server CPU only over the loaded phase. *)
               iostat := Some (Renofs_engine.Iostat.start sim (Node.cpu topo.Topology.server) ());
+              install_faults ~ctx sim topo [ server ];
               Proc.Ivar.fill ready ());
           List.iteri
             (fun i client ->
@@ -1177,6 +1100,41 @@ let fleet_tier n_servers =
 
 let ratio2 v = Float (v, Count, 2)
 
+type fleet_world = {
+  f_topo : Topology.t;
+  f_fleet : Fleet.t;
+  f_ready : unit Proc.Ivar.t;
+}
+
+let fleet_world ~ctx ~label ~fileset sim spec body =
+  let topo = Topology.build_graph sim spec in
+  attach_observers ctx sim topo label;
+  (* One shard per client, hash-placed across the servers. *)
+  let fleet =
+    Fleet.create ~policy:Fleet.Hash ~shards:spec.Topology.g_clients
+      topo.Topology.servers
+  in
+  let ready = Proc.Ivar.create sim in
+  Proc.spawn sim (fun () ->
+      Fleet.provision fleet;
+      Fleet.iter_shards fleet (fun ~shard ~server ->
+          Fileset.preload_under server ~path:shard fileset);
+      install_faults ~ctx sim topo (Fleet.servers fleet);
+      Proc.Ivar.fill ready ());
+  List.iteri
+    (fun i client ->
+      let udp = Udp.install client in
+      Proc.spawn sim (fun () ->
+          Proc.Ivar.read ready;
+          (* Stagger the mount storm a little, as rc.local would. *)
+          Proc.sleep sim (float_of_int i *. 0.003);
+          body i
+            (Fleet.mount_shard fleet ~udp
+               ~shard:(Printf.sprintf "/home%d" i)
+               Nfs_client.reno_mount)))
+    topo.Topology.clients;
+  { f_topo = topo; f_fleet = fleet; f_ready = ready }
+
 let fleet_cell ~clients:n ~servers:n_srv ~duration ~per_client_rate =
   let label = Printf.sprintf "fleet-%dc-%ds" n n_srv in
   {
@@ -1184,8 +1142,13 @@ let fleet_cell ~clients:n ~servers:n_srv ~duration ~per_client_rate =
     cell_run =
       (fun ctx ->
         let sim = Sim.create () in
-        let topo =
-          Topology.build_graph sim
+        (* 5ms buckets to 10s: congestion collapse on the 1-server cell
+           pushes p95 into whole seconds of RTO backoff. *)
+        let hist = Stats.Hist.create ~bucket_width:5.0 ~buckets:2000 in
+        let finished = ref 0 in
+        let achieved = ref 0.0 in
+        let w =
+          fleet_world ~ctx ~label ~fileset:fleet_fileset sim
             {
               Topology.g_servers = n_srv;
               g_clients = n;
@@ -1193,48 +1156,20 @@ let fleet_cell ~clients:n ~servers:n_srv ~duration ~per_client_rate =
               g_wan_fraction = 0.0;
               g_params = Topology.default_params;
             }
+            (fun i m ->
+              let r =
+                Nhfsstone.run ~latency_hist:hist m fleet_fileset
+                  {
+                    Nhfsstone.rate = per_client_rate;
+                    duration;
+                    children = 1;
+                    mix = Nhfsstone.read_lookup_mix;
+                    seed = 31 + i;
+                  }
+              in
+              achieved := !achieved +. r.Nhfsstone.achieved;
+              incr finished)
         in
-        attach_observers ctx sim topo label;
-        (* One shard per client, hash-placed across the servers. *)
-        let fleet =
-          Fleet.create ~policy:Fleet.Hash ~shards:n topo.Topology.servers
-        in
-        (* 5ms buckets to 10s: congestion collapse on the 1-server cell
-           pushes p95 into whole seconds of RTO backoff. *)
-        let hist = Stats.Hist.create ~bucket_width:5.0 ~buckets:2000 in
-        let ready = Proc.Ivar.create sim in
-        Proc.spawn sim (fun () ->
-            Fleet.provision fleet;
-            Fleet.iter_shards fleet (fun ~shard ~server ->
-                Fileset.preload_under server ~path:shard fleet_fileset);
-            Proc.Ivar.fill ready ());
-        let finished = ref 0 in
-        let achieved = ref 0.0 in
-        List.iteri
-          (fun i client ->
-            let cudp = Udp.install client in
-            Proc.spawn sim (fun () ->
-                Proc.Ivar.read ready;
-                (* Stagger the mount storm a little, as rc.local would. *)
-                Proc.sleep sim (float_of_int i *. 0.003);
-                let m =
-                  Fleet.mount_shard fleet ~udp:cudp
-                    ~shard:(Printf.sprintf "/home%d" i)
-                    Nfs_client.reno_mount
-                in
-                let r =
-                  Nhfsstone.run ~latency_hist:hist m fleet_fileset
-                    {
-                      Nhfsstone.rate = per_client_rate;
-                      duration;
-                      children = 1;
-                      mix = Nhfsstone.read_lookup_mix;
-                      seed = 31 + i;
-                    }
-                in
-                achieved := !achieved +. r.Nhfsstone.achieved;
-                incr finished))
-          topo.Topology.clients;
         advance_until ~label ~window:50.0 sim (fun () -> !finished >= n);
         let p95 =
           if Stats.Hist.count hist = 0 then 0.0
@@ -1247,7 +1182,7 @@ let fleet_cell ~clients:n ~servers:n_srv ~duration ~per_client_rate =
           rate1 (float_of_int n *. per_client_rate);
           rate1 !achieved;
           msr p95;
-          ratio2 (Fleet.balance fleet);
+          ratio2 (Fleet.balance w.f_fleet);
         ]);
   }
 
@@ -1293,30 +1228,40 @@ let fleet_spec scale =
 let chaos_payload ~file ~off ~round ~len =
   Fileset.periodic ~base:((file * 131) + (off * 7) + (round * 13)) ~stride:1 ~size:len
 
-(* Steady write/read mix over a small fixed fileset.  Nothing is ever
-   unlinked, so every acknowledged write must still be readable from
-   the server afterwards — the workload half of the durability
-   invariant. *)
-let chaos_drive world m ~duration =
+(* Steady write/read mix over four files, [prefix0] .. [prefix3].
+   Nothing is ever unlinked, so every acknowledged write must still be
+   readable from the server afterwards — the workload half of the
+   durability invariant.  Returns the ledger of extents the client
+   believes it wrote, [(file index, offset, data)] sorted: the expected
+   side of the end-to-end data-integrity check, which server-side
+   digests cannot provide. *)
+let write_read_drive ~prefix world m ~duration =
   let sim = world.sim in
   let t0 = Sim.now sim in
   let fds =
-    Array.init 4 (fun i -> Nfs_client.create m (Printf.sprintf "chaos%d" i))
+    Array.init 4 (fun i -> Nfs_client.create m (Printf.sprintf "%s%d" prefix i))
   in
   let block = 1024 in
+  let ledger : (int * int, bytes) Hashtbl.t = Hashtbl.create 64 in
   let round = ref 0 in
   while Sim.now sim -. t0 < duration do
     let k = !round mod Array.length fds in
     let off = (!round / Array.length fds) mod 8 * block in
-    Nfs_client.write m fds.(k) ~off
-      (chaos_payload ~file:k ~off ~round:!round ~len:block);
+    let data = chaos_payload ~file:k ~off ~round:!round ~len:block in
+    Nfs_client.write m fds.(k) ~off data;
+    Hashtbl.replace ledger (k, off) data;
     if !round mod 3 = 0 then ignore (Nfs_client.read m fds.(k) ~off ~len:block);
     if !round mod 5 = 4 then Nfs_client.fsync m fds.(k);
     Proc.sleep sim 0.25;
     incr round
   done;
   Nfs_client.flush_all m;
-  Array.iter (fun fd -> Nfs_client.close m fd) fds
+  Array.iter (fun fd -> Nfs_client.close m fd) fds;
+  Hashtbl.fold (fun (file, off) data acc -> (file, off, data) :: acc) ledger []
+  |> List.sort compare
+
+let read_back fs ~file ~off ~len =
+  try Some (Fs.read fs (Fs.vnode_by_ino fs file) ~off ~len) with _ -> None
 
 let chaos_cell ?(seed = 0) ~schedule ~tname ~opts ~duration () =
   let label = Printf.sprintf "chaos/%s/%s" schedule.Fault.name tname in
@@ -1342,14 +1287,11 @@ let chaos_cell ?(seed = 0) ~schedule ~tname ~opts ~duration () =
         let verdicts, retrans, recovery, elapsed =
           drive ~label world (fun () ->
               let m = mount_in world opts in
-              chaos_drive world m ~duration;
-              let fs = Nfs_server.fs world.server in
-              let read_back ~file ~off ~len =
-                try Some (Fs.read fs (Fs.vnode_by_ino fs file) ~off ~len)
-                with _ -> None
-              in
+              ignore (write_read_drive ~prefix:"chaos" world m ~duration);
               let records = Trace.to_list sink in
-              ( Fault.Check.check_all ~read_back records,
+              ( Fault.Check.check_all
+                  ~read_back:(read_back (Nfs_server.fs world.server))
+                  records,
                 Client_transport.retransmits (Nfs_client.transport m),
                 Fault.Check.recovery_time records,
                 Sim.now world.sim -. start ))
@@ -1414,34 +1356,6 @@ let fuzz_profile_actions =
 
 let fuzz_profiles = List.map fst fuzz_profile_actions
 
-(* Like [chaos_drive], but returns the ledger of extents the client
-   believes it wrote — the expected side of the end-to-end
-   data-integrity check, which server-side digests cannot provide. *)
-let fuzz_drive world m ~duration =
-  let sim = world.sim in
-  let t0 = Sim.now sim in
-  let fds =
-    Array.init 4 (fun i -> Nfs_client.create m (Printf.sprintf "fuzz%d" i))
-  in
-  let block = 1024 in
-  let ledger : (int * int, bytes) Hashtbl.t = Hashtbl.create 64 in
-  let round = ref 0 in
-  while Sim.now sim -. t0 < duration do
-    let k = !round mod Array.length fds in
-    let off = (!round / Array.length fds) mod 8 * block in
-    let data = chaos_payload ~file:k ~off ~round:!round ~len:block in
-    Nfs_client.write m fds.(k) ~off data;
-    Hashtbl.replace ledger (k, off) data;
-    if !round mod 3 = 0 then ignore (Nfs_client.read m fds.(k) ~off ~len:block);
-    if !round mod 5 = 4 then Nfs_client.fsync m fds.(k);
-    Proc.sleep sim 0.25;
-    incr round
-  done;
-  Nfs_client.flush_all m;
-  Array.iter (fun fd -> Nfs_client.close m fd) fds;
-  Hashtbl.fold (fun (file, off) data acc -> (file, off, data) :: acc) ledger []
-  |> List.sort compare
-
 let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
   let label = Printf.sprintf "fuzz/%d/%s/%s" seed profile tname in
   let row verdict ~retrans ~garbled ~ckdrops =
@@ -1480,15 +1394,11 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
           in
           drive ~label world (fun () ->
               let m = mount_in world opts in
-              let expected = fuzz_drive world m ~duration in
+              let expected = write_read_drive ~prefix:"fuzz" world m ~duration in
               let fs = Nfs_server.fs world.server in
               (* [check_all] keys files by server inode (from the trace);
                  the client ledger keys them by workload index, resolved
                  through the server namespace at check time. *)
-              let read_back_ino ~file ~off ~len =
-                try Some (Fs.read fs (Fs.vnode_by_ino fs file) ~off ~len)
-                with _ -> None
-              in
               let read_back_idx ~file ~off ~len =
                 try
                   let vn =
@@ -1499,7 +1409,7 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
               in
               let records = Trace.to_list sink in
               let verdicts =
-                Fault.Check.check_all ~read_back:read_back_ino records
+                Fault.Check.check_all ~read_back:(read_back fs) records
                 @ [
                     Fault.Check.data_integrity ~expected
                       ~read_back:read_back_idx;

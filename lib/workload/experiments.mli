@@ -51,7 +51,7 @@ type ctx = {
 (** Everything a cell receives from the runner.  The trace, metrics and
     profile sinks, when present, are private to the cell — see
     {!run_spec}.  The fault schedule, when present, is installed on
-    every world the cell builds through [make_world].  [cell_label]
+    every world the cell builds (see {!section-worlds}).  [cell_label]
     labels the cell's metrics runs. *)
 
 type cell = {
@@ -134,7 +134,12 @@ val run_spec :
 
     Faults: with [faults], the schedule is installed on every world the
     cells build, so any experiment can run under any schedule (the
-    [nfsbench run ID --faults FILE] path).
+    [nfsbench run ID --faults FILE] path).  Schedule times count from
+    the start of the world's load: after an Nhfsstone sweep's warmup,
+    when a fleet or scaling world has provisioned its files, and at
+    world build for the others.  The chaos and fuzz cells replace it
+    with their own schedules (the CLI refuses [--faults] for them and
+    for [slo]).
 
     Metrics: with [metrics], every cell samples into a private sink of
     the same interval, one labelled run per world; the sinks are merged
@@ -143,8 +148,8 @@ val run_spec :
     --metrics FILE] path).
 
     Profiling: with [profile], every cell gets a private
-    {!Renofs_profile.Profile.t} which {!attach_observers} turns into a
-    [Sim] probe on each world; the per-cell counters are merged in cell
+    {!Renofs_profile.Profile.t}, which becomes a [Sim] probe on each
+    world the cell builds; the per-cell counters are merged in cell
     order.  The deterministic slice (enter/fire counts) is identical at
     any [jobs]; the wall-clock attribution is real time and is not.
 
@@ -195,6 +200,64 @@ val advance_until :
     [window] sim-seconds at a time until [finished ()] holds (cross
     traffic never drains the event queue, so a bare [Sim.run] would not
     return).  After 100,000 windows it raises {!Driver_stuck}, naming
-    [label].  Every experiment, scenario and perf driver uses it. *)
+    [label].  Every experiment and scenario driver uses it. *)
+
+(** {2:worlds Worlds}
+
+    A cell's world is a single-server paper world (the graphs and
+    tables; see {!graph5_points}) or a sharded {!fleet_world} (the
+    fleet family and the scenarios).  Either way the cell's observers
+    are attached the same way — the trace sink with a [Run_mark] naming
+    the world, a metrics run labelled by [ctx.cell_label], a profile
+    probe and a per-world mbuf pool — and [ctx.faults] is installed
+    when the world's load starts. *)
+
+type world = {
+  sim : Renofs_engine.Sim.t;
+  topo : Renofs_net.Topology.t;
+  server : Renofs_core.Nfs_server.t;
+  client_udp : Renofs_transport.Udp.stack;
+  client_tcp : Renofs_transport.Tcp.stack;
+}
+(** A single-server world: one client, one server. *)
+
+val graph5_points : scale -> (string * (ctx -> world)) list
+(** The cells of [graph5] at [scale], in cell order: each label with a
+    function that builds and drives the cell's world — fileset preload,
+    mount, warmup and the measured run — and returns it drained.  With
+    a ctx carrying no sinks this is the detached fast path
+    [nfsbench perf] times. *)
+
+type fleet_world = {
+  f_topo : Renofs_net.Topology.t;
+  f_fleet : Renofs_fleet.Fleet.t;
+  f_ready : unit Renofs_engine.Proc.Ivar.t;
+      (** filled once every shard is provisioned and preloaded *)
+}
+
+val fleet_world :
+  ctx:ctx ->
+  label:string ->
+  fileset:Fileset.t ->
+  Renofs_engine.Sim.t ->
+  Renofs_net.Topology.graph_spec ->
+  (int -> Renofs_core.Nfs_client.t -> unit) ->
+  fleet_world
+(** [fleet_world ~ctx ~label ~fileset sim spec body] builds [spec]'s
+    graph topology in [sim], attaches [ctx]'s observers (the trace
+    segment is marked [label]) and brings up a {!Renofs_fleet.Fleet}
+    with one hash-placed shard ["/home<i>"] per client.  It spawns one
+    process that provisions the shards, preloads [fileset] under each,
+    installs [ctx.faults] (so schedule times count from the end of
+    provisioning) and fills [f_ready]; then, for each client [i], a UDP
+    stack and a process that waits for [f_ready], sleeps [i * 3 ms]
+    (the staggered mount storm), mounts its shard with
+    {!Renofs_core.Nfs_client.reno_mount} and runs [body i mount].
+    Nothing runs until the caller advances [sim]. *)
+
+val read_back :
+  Renofs_vfs.Fs.t -> file:int -> off:int -> len:int -> bytes option
+(** The durability checks' read-back: [len] bytes at [off] of inode
+    [file], or [None] when the file or range is gone. *)
 
 

@@ -7,16 +7,10 @@
    `make perf-gate`. *)
 
 module Sim = Renofs_engine.Sim
-module Proc = Renofs_engine.Proc
-module Mbuf = Renofs_mbuf.Mbuf
-module Node = Renofs_net.Node
-module Topology = Renofs_net.Topology
-module Udp = Renofs_transport.Udp
-module Tcp = Renofs_transport.Tcp
 module Nfs_server = Renofs_core.Nfs_server
-module Nfs_client = Renofs_core.Nfs_client
 module Json = Renofs_json.Json
 module Profile = Renofs_profile.Profile
+module E = Experiments
 
 type cell = {
   c_label : string;
@@ -35,97 +29,25 @@ type t = {
   p_profile : Profile.snapshot option;
 }
 
-(* The graph5 full matrix: 6 loads x 3 transports over the 56K WAN
-   topology, 120 sim-seconds per cell after an 8 s warmup — the same
-   cells `nfsbench run graph5 -f` measures, rebuilt here without trace
-   or metrics sinks so the gate times the detached fast path. *)
-let loads = [ 4.0; 8.0; 12.0; 14.0; 16.0; 18.0 ]
-let transports = [ ("udp-fixed", `Udp_fixed); ("udp-dyn", `Udp_dynamic); ("tcp", `Tcp) ]
-let duration = 120.0
-let warmup = 8.0
-
-let fileset =
-  Fileset.generate ~dirs:20 ~files_per_dir:20 ~file_size:16384 ~long_names:true
-
-let mount_opts transport =
-  let base =
-    match transport with
-    | `Udp_fixed -> Nfs_client.reno_mount
-    | `Udp_dynamic -> Nfs_client.reno_dynamic_mount
-    | `Tcp -> Nfs_client.reno_tcp_mount
+(* The cells `nfsbench run graph5 -f` measures, run with no trace or
+   metrics sink: the detached fast path. *)
+let run_point ?profile (label, point) =
+  let w =
+    point
+      { E.trace = None; faults = None; metrics = None; profile; cell_label = label }
   in
-  { base with Nfs_client.mss = 512 }
-
-let run_cell ?profile ~label ~transport ~rate () =
-  let sim = Sim.create () in
-  (match profile with
-  | Some p -> Sim.set_probe sim (Some (Profile.probe p))
-  | None -> ());
-  let topo =
-    Topology.build sim
-      {
-        Topology.shape = Topology.shape_of_name "wan";
-        clients = 1;
-        params = Topology.default_params;
-      }
-  in
-  (* No trace or metrics (the detached fast path), but a shared mbuf
-     pool, exactly as [Experiments.make_world] wires production cells. *)
-  let obs = { Node.detached with pool = Some (Mbuf.Pool.create ()) } in
-  List.iter (fun n -> Node.attach n obs) topo.Topology.all;
-  let sudp = Udp.install topo.Topology.server in
-  let stcp = Tcp.install topo.Topology.server in
-  let server =
-    Nfs_server.create topo.Topology.server ~profile:Nfs_server.reno_profile
-      ~udp:sudp ~tcp:stcp ()
-  in
-  Nfs_server.start server;
-  let cudp = Udp.install topo.Topology.client in
-  let ctcp = Tcp.install topo.Topology.client in
-  let finished = ref false in
-  Proc.spawn sim (fun () ->
-      Fileset.preload_server server fileset;
-      let m =
-        Nfs_client.mount ~udp:cudp ~tcp:ctcp
-          ~server:(Topology.server_id topo)
-          ~root:(Nfs_server.root_fhandle server)
-          (mount_opts transport)
-      in
-      ignore
-        (Nhfsstone.run m fileset
-           {
-             Nhfsstone.rate;
-             duration = warmup;
-             children = 4;
-             mix = Nhfsstone.lookup_mix;
-             seed = 43;
-           });
-      ignore
-        (Nhfsstone.run m fileset
-           {
-             Nhfsstone.rate;
-             duration;
-             children = 4;
-             mix = Nhfsstone.lookup_mix;
-             seed = 42;
-           });
-      finished := true);
-  Experiments.advance_until ~label ~window:100.0 sim (fun () -> !finished);
-  (Sim.events_processed sim, Nfs_server.rpcs_served server)
+  (Sim.events_processed w.E.sim, Nfs_server.rpcs_served w.E.server)
 
 let run ?(progress = ignore) ?(profile = false) () =
+  let points = E.graph5_points E.Full in
   let cells =
-    List.concat_map
-      (fun rate ->
-        List.map
-          (fun (tname, transport) ->
-            let label = Printf.sprintf "graph5/load%g/%s" rate tname in
-            progress label;
-            let t0 = Unix.gettimeofday () in
-            let events, rpcs = run_cell ~label ~transport ~rate () in
-            { c_label = label; c_wall_s = Unix.gettimeofday () -. t0; c_events = events; c_rpcs = rpcs })
-          transports)
-      loads
+    List.map
+      (fun ((label, _) as pt) ->
+        progress label;
+        let t0 = Unix.gettimeofday () in
+        let events, rpcs = run_point pt in
+        { c_label = label; c_wall_s = Unix.gettimeofday () -. t0; c_events = events; c_rpcs = rpcs })
+      points
   in
   (* The gate timings above run detached.  Attribution comes from a
      second, probed pass over the same cells — it never pollutes the
@@ -135,16 +57,12 @@ let run ?(progress = ignore) ?(profile = false) () =
     else begin
       let p = Profile.create () in
       List.iter
-        (fun rate ->
-          List.iter
-            (fun (tname, transport) ->
-              let label = Printf.sprintf "graph5/load%g/%s+prof" rate tname in
-              progress label;
-              Profile.start p;
-              ignore (run_cell ~profile:p ~label ~transport ~rate ());
-              Profile.stop p)
-            transports)
-        loads;
+        (fun ((label, _) as pt) ->
+          progress (label ^ "+prof");
+          Profile.start p;
+          ignore (run_point ~profile:p pt);
+          Profile.stop p)
+        points;
       Some (Profile.snapshot p)
     end
   in
@@ -200,17 +118,17 @@ let of_json ~ctx j =
   (match Json.str ~ctx (Json.member ~ctx "schema" o) with
   | "renofs-perf/1" -> ()
   | s -> raise (Json.Bad (Printf.sprintf "%s: unsupported schema %S" ctx s)));
-  let num name = Json.num ~ctx (Json.member ~ctx name o) in
+  let num o name = Json.num ~ctx (Json.member ~ctx name o) in
+  let int o name = Json.int ~ctx:(ctx ^ "." ^ name) (Json.member ~ctx name o) in
   let cells =
     List.map
       (fun cj ->
         let co = Json.obj ~ctx cj in
-        let cnum name = Json.num ~ctx (Json.member ~ctx name co) in
         {
           c_label = Json.str ~ctx (Json.member ~ctx "label" co);
-          c_wall_s = cnum "wall_s";
-          c_events = int_of_float (cnum "events");
-          c_rpcs = int_of_float (cnum "rpcs");
+          c_wall_s = num co "wall_s";
+          c_events = int co "events";
+          c_rpcs = int co "rpcs";
         })
       (Json.arr ~ctx (Json.member ~ctx "cells" o))
   in
@@ -221,11 +139,11 @@ let of_json ~ctx j =
   in
   {
     cells;
-    wall_s = num "wall_s";
-    events = int_of_float (num "events");
-    rpcs = int_of_float (num "rpcs");
-    events_per_s = num "events_per_s";
-    rpcs_per_s = num "rpcs_per_s";
+    wall_s = num o "wall_s";
+    events = int o "events";
+    rpcs = int o "rpcs";
+    events_per_s = num o "events_per_s";
+    rpcs_per_s = num o "rpcs_per_s";
     p_profile;
   }
 

@@ -3,10 +3,10 @@
     Every other gate in this library checks *simulated* latencies; this
     one measures how fast the engine turns real CPU time into simulated
     events.  {!run} executes a fixed cell set — the graph5 full sweep
-    (6 loads x 3 transports over the 56K WAN world, the timer-heaviest
-    standard experiment) with no trace or metrics sinks attached, so it
-    times the detached fast path — and reports aggregate events/s and
-    RPCs/s of wall clock.
+    ({!Experiments.graph5_points} [Full]: 6 loads x 3 transports over
+    the 56K WAN world, the timer-heaviest standard experiment) with no
+    trace or metrics sinks attached, so it times the detached fast path
+    — and reports aggregate events/s and RPCs/s of wall clock.
 
     [nfsbench perf] runs it; [make perf-baseline] commits the result as
     [BENCH_perf.json]; [make perf-gate] fails when either rate drops

@@ -69,9 +69,7 @@ let of_json ~ctx o =
     Option.map (Json.str ~ctx:(ctx ^ "." ^ name)) (Json.member_opt name o)
   in
   let int name =
-    Option.map
-      (fun j -> int_of_float (Json.num ~ctx:(ctx ^ "." ^ name) j))
-      (Json.member_opt name o)
+    Option.map (Json.int ~ctx:(ctx ^ "." ^ name)) (Json.member_opt name o)
   in
   let scale =
     match str "scale" with

@@ -23,6 +23,11 @@ module P = Nfs_proto
 (* Schedule JSON                                                     *)
 (* ---------------------------------------------------------------- *)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_schedule_json () =
   let text =
     {|{ "schema": "renofs-fault/1", "name": "x", "description": "d",
@@ -90,12 +95,61 @@ let test_mangle_actions_json () =
    with
   | Ok _ -> Alcotest.fail "corrupt without rate accepted"
   | Error _ -> ());
+  (match
+     Fault.parse
+       {|{"schema":"renofs-fault/1","name":"m",
+          "actions":[{"kind":"corrupt","at":1.0,"duration":8.0,"link":"*",
+                      "rate":0.01,"seed":2.5}]}|}
+   with
+  | Ok _ -> Alcotest.fail "fractional seed accepted"
+  | Error e ->
+      Alcotest.(check bool) ("names the field: " ^ e) true
+        (contains e "corrupt.seed"));
   match Fault.resolve "garble" with
   | Ok s -> (
       match s.Fault.actions with
       | [ Fault.Corrupt _ ] -> ()
       | _ -> Alcotest.fail "garble should be a single corrupt action")
   | Error e -> Alcotest.fail e
+
+(* An outer schedule reaches the multi-client worlds once their load
+   starts, as it does after a paper world's warmup: in every scaling and
+   fleet cell the server crash falls between the first and the last RPC
+   the clients send. *)
+let test_faults_reach_scaling_and_fleet () =
+  let crash = Option.get (Fault.find_builtin "crash") in
+  List.iter
+    (fun id ->
+      let spec = Option.get (E.spec id) in
+      let trace = Trace.create ~capacity:(1 lsl 20) () in
+      ignore (E.run_spec ~jobs:1 ~trace ~faults:crash spec);
+      (* Each world's records follow its Run_mark. *)
+      let segments =
+        List.fold_left
+          (fun acc r ->
+            match (r.Trace.ev, acc) with
+            | Trace.Run_mark { label }, _ -> (label, []) :: acc
+            | ev, (label, evs) :: rest -> (label, ev :: evs) :: rest
+            | _, [] -> acc)
+          [] (Trace.to_list trace)
+      in
+      Alcotest.(check int) (id ^ ": one segment per cell")
+        (List.length spec.E.sp_cells) (List.length segments);
+      List.iter
+        (fun (label, rev_evs) ->
+          let evs = List.rev rev_evs in
+          let at p =
+            List.concat (List.mapi (fun i ev -> if p ev then [ i ] else []) evs)
+          in
+          let sends = at (function Trace.Rpc_send _ -> true | _ -> false)
+          and crashes = at (function Trace.Srv_crash -> true | _ -> false) in
+          match (sends, List.rev sends) with
+          | first :: _, last :: _ ->
+              Alcotest.(check bool) (label ^ ": a crash during the load") true
+                (List.exists (fun i -> first < i && i < last) crashes)
+          | _ -> Alcotest.failf "%s: no RPC sent" label)
+        segments)
+    [ "scaling"; "fleet-quick" ]
 
 let test_data_integrity_check () =
   let store : (int * int, bytes) Hashtbl.t = Hashtbl.create 8 in
@@ -720,6 +774,8 @@ let () =
             test_new_events_jsonl_roundtrip;
           Alcotest.test_case "crash schedule rides through" `Quick
             test_schedule_crash_rides_through;
+          Alcotest.test_case "faults reach scaling and fleet" `Quick
+            test_faults_reach_scaling_and_fleet;
         ] );
       ( "invariants",
         [

@@ -186,6 +186,25 @@ let prop_round_trip =
       && Json.parse compact = Ok tree
       && Json.parse (Json.to_string Document tree) = Ok tree)
 
+(* ------------------------------------------------------------------ *)
+(* Integers                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let test_int_rule () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Json.float_str v) (int_of_float v)
+        (Json.int ~ctx:"n" (Num v)))
+    [ 0.; -1.; 42.; 0x1p53; Float.of_int min_int; Float.pred 0x1p62 ];
+  List.iter
+    (fun j ->
+      match Json.int ~ctx:"world.clients" j with
+      | n -> Alcotest.failf "%s decoded as %d" (Json.to_string Compact j) n
+      | exception Json.Bad msg ->
+          Alcotest.(check bool) ("names the field: " ^ msg) true
+            (String.starts_with ~prefix:"world.clients: " msg))
+    [ Num 2.9; Num (-0.5); Num 1e300; Num 0x1p62; Num nan; Str "3" ]
+
 let () =
   Alcotest.run "json"
     [
@@ -201,5 +220,6 @@ let () =
           Alcotest.test_case "document" `Quick test_document_layout;
           Alcotest.test_case "compact" `Quick test_compact_layout;
         ] );
+      ("int", [ Alcotest.test_case "integers only" `Quick test_int_rule ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_round_trip ]);
     ]

@@ -313,7 +313,22 @@ let test_parse_rejects () =
         "load": [ { "duration": 1.0, "rate": 1.0 } ] }|};
   expect_error ~needle:"duration"
     {|{ "schema": "renofs-scenario/1", "name": "x",
-        "load": [ { "rate": 1.0 } ] }|}
+        "load": [ { "rate": 1.0 } ] }|};
+  (* Counts and seeds are integers: a fraction or an out-of-range
+     number is an error naming its field, never a truncated value. *)
+  List.iter
+    (fun (needle, field) ->
+      expect_error ~needle
+        (Printf.sprintf
+           {|{ "schema": "renofs-scenario/1", "name": "x", %s,
+               "load": [ { "duration": 1.0, "rate": 1.0 } ] }|}
+           field))
+    [
+      ("scenario.world.clients", {|"world": { "clients": 2.9 }|});
+      ("scenario.world.servers", {|"world": { "servers": 1.5 }|});
+      ("scenario.world.seed", {|"world": { "seed": 1e300 }|});
+      ("scenario.run.jobs", {|"run": { "jobs": 0.4 }|});
+    ]
 
 let test_builtins_resolve () =
   Alcotest.(check int) "five builtins" 5 (List.length Scenario.builtins);
@@ -349,9 +364,12 @@ let test_run_spec_of_json () =
     | Json.Obj f -> R.of_json ~ctx f
     | _ -> Alcotest.fail "not an object"
   in
-  let rs = fields "run" {|{ "scale": "full", "jobs": 4, "report": true }|} in
+  let rs =
+    fields "run" {|{ "scale": "full", "jobs": 4, "seed": 0, "report": true }|}
+  in
   Alcotest.(check bool) "scale" true (rs.R.rs_scale = Some E.Full);
   Alcotest.(check bool) "jobs" true (rs.R.rs_jobs = Some 4);
+  Alcotest.(check bool) "seed 0" true (rs.R.rs_seed = Some 0);
   Alcotest.(check bool) "report" true rs.R.rs_report;
   (match fields "run" {|{ "jbos": 4 }|} with
   | exception Json.Bad msg ->

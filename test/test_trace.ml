@@ -375,6 +375,7 @@ let every_event =
     mk 5.5 (Trace.Rto_update { rto = 0.2 });
     mk 6.0 (Trace.Cache_hit { cache = "drc" });
     mk 6.5 (Trace.Cache_miss { cache = "drc" });
+    { (mk 7.0 Trace.Srv_crash) with Trace.node = -1 };
   ]
 
 let test_jsonl_line_roundtrip () =
@@ -413,7 +414,13 @@ let test_jsonl_rejects_garbage () =
       match Trace.record_of_line line with
       | _ -> Alcotest.failf "accepted %S" line
       | exception Failure _ -> ())
-    [ ""; "{}"; "{\"t\":1.0}"; "{\"t\":1.0,\"node\":0,\"ev\":\"nope\"}" ]
+    [
+      "";
+      "{}";
+      "{\"t\":1.0}";
+      "{\"t\":1.0,\"node\":0,\"ev\":\"nope\"}";
+      "{\"t\":1.0,\"node\":1.5,\"ev\":\"srv_crash\"}";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* A live traced run                                                  *)

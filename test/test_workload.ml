@@ -465,6 +465,83 @@ let test_plot_nan_rejected () =
   in
   Alcotest.(check string) "all-NaN x renders as no data" "(no data)\n" all_nan
 
+(* ------------------------------------------------------------------ *)
+(* Perf                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let baseline_path = "../BENCH_perf.json"
+
+let read_perf path =
+  match Perf.read_file path with Ok r -> r | Error e -> Alcotest.fail e
+
+let cell_counts r =
+  List.map (fun c -> (c.Perf.c_label, c.Perf.c_events, c.Perf.c_rpcs)) r.Perf.cells
+
+(* The timed cells are graph5's full sweep: the same labels, events and
+   RPCs as the committed baseline, cell for cell. *)
+let test_perf_cells_match_baseline () =
+  let baseline = read_perf baseline_path and r = Perf.run () in
+  Alcotest.(check (list (triple string int int)))
+    "labels, events and RPCs" (cell_counts baseline) (cell_counts r);
+  Alcotest.(check int) "events" baseline.Perf.events r.Perf.events;
+  Alcotest.(check int) "rpcs" baseline.Perf.rpcs r.Perf.rpcs;
+  Alcotest.(check bool) "no profile unless asked" true (r.Perf.p_profile = None)
+
+(* A perf result from (label, wall seconds, events) cells, 10 RPCs each. *)
+let perf_of cells =
+  let cells =
+    List.map
+      (fun (label, wall, events) ->
+        { Perf.c_label = label; c_wall_s = wall; c_events = events; c_rpcs = 10 })
+      cells
+  in
+  let wall_s = List.fold_left (fun a c -> a +. c.Perf.c_wall_s) 0.0 cells in
+  let events = List.fold_left (fun a c -> a + c.Perf.c_events) 0 cells in
+  let rpcs = 10 * List.length cells in
+  {
+    Perf.cells;
+    wall_s;
+    events;
+    rpcs;
+    events_per_s = float_of_int events /. wall_s;
+    rpcs_per_s = float_of_int rpcs /. wall_s;
+    p_profile = None;
+  }
+
+let test_perf_diff_rules () =
+  let diff baseline current =
+    Perf.diff ~tolerance:0.30 ~baseline:(perf_of baseline) ~current:(perf_of current)
+  in
+  let has_note v sub = List.exists (fun n -> contains n sub) v.Perf.notes in
+  let base = [ ("a", 1.0, 1000); ("b", 1.0, 1000) ] in
+  let v = diff base [ ("a", 2.0, 1000); ("b", 2.0, 1000) ] in
+  Alcotest.(check int) "a halved rate regresses, events/s and rpcs/s" 2
+    (List.length v.Perf.regressions);
+  let v = diff base [ ("a", 1.1, 1000); ("b", 1.1, 1000) ] in
+  Alcotest.(check (list string)) "a drop within tolerance" [] v.Perf.regressions;
+  Alcotest.(check bool) "is a note" true (has_note v "events/s");
+  let v = diff base [ ("a", 1.0, 1100); ("b", 1.0, 1000) ] in
+  Alcotest.(check (list string)) "an event-count change" [] v.Perf.regressions;
+  Alcotest.(check bool) "is noted in total" true (has_note v "event count changed");
+  Alcotest.(check bool) "and per cell" true (has_note v "cell a: event count 1000 -> 1100");
+  let v = diff base [ ("a", 1.0, 1000) ] in
+  Alcotest.(check (list string)) "a missing cell" [] v.Perf.regressions;
+  Alcotest.(check bool) "is noted" true (has_note v "cell b: gone");
+  let v = diff base (base @ [ ("c", 1.0, 1000) ]) in
+  Alcotest.(check (list string)) "a new cell" [] v.Perf.regressions;
+  Alcotest.(check bool) "is noted" true (has_note v "cell c: new")
+
+let test_perf_json_round_trip () =
+  let r = read_perf baseline_path in
+  Alcotest.(check bool) "the baseline embeds a profile" true (r.Perf.p_profile <> None);
+  let path = Filename.temp_file "renofs-perf" ".json" in
+  Perf.write_file ~path r;
+  let back = read_perf path in
+  Sys.remove path;
+  Alcotest.(check bool) "cells" true (back.Perf.cells = r.Perf.cells);
+  Alcotest.(check bool) "profile" true (back.Perf.p_profile = r.Perf.p_profile);
+  Alcotest.(check bool) "whole result" true (back = r)
+
 let () =
   Alcotest.run "workload"
     [
@@ -506,6 +583,13 @@ let () =
           Alcotest.test_case "graph7 trace" `Quick test_graph7_trace_tracks;
           Alcotest.test_case "driver stuck names label" `Quick
             test_driver_stuck_names_label;
+        ] );
+      ( "perf",
+        [
+          Alcotest.test_case "cells match the committed baseline" `Quick
+            test_perf_cells_match_baseline;
+          Alcotest.test_case "diff rules" `Quick test_perf_diff_rules;
+          Alcotest.test_case "json round trip" `Quick test_perf_json_round_trip;
         ] );
       ( "ascii-plot",
         [
