@@ -26,7 +26,9 @@
 # the determinism contract for fleet-scale worlds.
 # `make slo-smoke` exercises the scenario layer both ways: the five
 # builtin day-in-the-life scenarios must meet their SLOs (exit 0,
-# byte-identical between a 2-domain and a 1-domain run), and the
+# byte-identical between a 2-domain and a 1-domain run), the busy
+# example (about 348,000 trace records, more than any private ring
+# held) must meet its SLOs judged over the whole stream, and the
 # crash-without-reboot example must breach (non-zero exit, inverted
 # with `!`) while naming the violated SLOs.
 # `make perf-gate` measures wall-clock engine throughput (events/s,
@@ -98,6 +100,8 @@ slo-smoke: build
 	dune exec bin/nfsbench.exe -- slo --jobs 2 > /tmp/renofs-slo-smoke2.txt
 	dune exec bin/nfsbench.exe -- slo --jobs 1 > /tmp/renofs-slo-smoke1.txt
 	cmp /tmp/renofs-slo-smoke1.txt /tmp/renofs-slo-smoke2.txt
+	dune exec bin/nfsbench.exe -- validate-json examples/busy.scenario.json
+	dune exec bin/nfsbench.exe -- slo examples/busy.scenario.json > /dev/null
 	dune exec bin/nfsbench.exe -- validate-json examples/crash_noreboot.scenario.json
 	! dune exec bin/nfsbench.exe -- slo examples/crash_noreboot.scenario.json > /dev/null
 

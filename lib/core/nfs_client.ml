@@ -206,7 +206,6 @@ type t = {
   mutable seen_retransmits : int;
 }
 
-let opts t = t.opts
 let transport t = t.xport
 let sim t = t.sim
 let node t = t.node

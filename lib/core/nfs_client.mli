@@ -120,7 +120,6 @@ val mount_path :
     retries), then {!mount}.  Raises {!Mount_failed} if the daemon
     denies the path or never answers. *)
 
-val opts : t -> mount_opts
 val transport : t -> Client_transport.t
 val sim : t -> Renofs_engine.Sim.t
 val node : t -> Renofs_net.Node.t

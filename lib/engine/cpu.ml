@@ -105,7 +105,6 @@ let create sim ~mips =
   t.job_done <- (fun () -> job_done t);
   t
 
-let mips t = t.mips
 let seconds_of_instructions t instructions = instructions /. (t.mips *. 1e6)
 let slowdown t = t.slowdown
 

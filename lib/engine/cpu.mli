@@ -16,8 +16,6 @@ val create : Sim.t -> mips:float -> t
     test machines are 0.9 MIPS MicroVAXIIs; the DS3100 client in Table 4
     is ~14 MIPS. *)
 
-val mips : t -> float
-
 val seconds_of_instructions : t -> float -> float
 (** Convert an instruction count to seconds on this CPU. *)
 

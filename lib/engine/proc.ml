@@ -23,8 +23,6 @@ let spawn sim body = Sim.after sim 0.0 (fun () -> run body)
 let sleep sim duration =
   suspend (fun resume -> Sim.after sim duration resume)
 
-let yield sim = sleep sim 0.0
-
 module Ivar = struct
   type 'a state = Empty of (unit -> unit) list | Full of 'a
   type 'a t = { sim : Sim.t; mutable state : 'a state }

@@ -25,10 +25,6 @@ val suspend : ((unit -> unit) -> unit) -> unit
 val sleep : Sim.t -> float -> unit
 (** Block the calling process for a virtual duration. *)
 
-val yield : Sim.t -> unit
-(** Reschedule the calling process at the current time, letting other
-    ready events run first. *)
-
 (** Write-once cells; the simulated analogue of a reply slot. *)
 module Ivar : sig
   type 'a t

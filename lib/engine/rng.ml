@@ -35,7 +35,3 @@ let exponential t mean =
   (* Guard against log 0. *)
   let u = if u <= 0.0 then epsilon_float else u in
   -.mean *. log u
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))

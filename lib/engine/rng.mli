@@ -33,5 +33,3 @@ val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential with the given mean;
     used for Poisson arrival processes. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)

@@ -336,221 +336,323 @@ module Check = struct
 
   let non_idempotent proc = proc = 9 || proc = 10 || proc = 11
 
-  let verdict name = function
-    | [] -> { v_name = name; v_ok = true; v_detail = "ok" }
-    | v :: _ as all ->
-        {
-          v_name = name;
-          v_ok = false;
-          v_detail =
-            (if List.length all = 1 then v
-             else Printf.sprintf "%s (+%d more)" v (List.length all - 1));
-        }
+  (* Violations as records arrive: the first one's text and how many
+     there were, all a verdict prints. *)
+  type tally = { mutable first : string; mutable count : int }
 
-  (* -- durable writes ---------------------------------------------- *)
+  let tally () = { first = "ok"; count = 0 }
 
-  type committed = {
-    w_file : int;
-    w_off : int;
-    w_len : int;
-    w_digest : int;
+  let note tl msg =
+    if tl.count = 0 then tl.first <- msg;
+    tl.count <- tl.count + 1
+
+  let tallied name { first; count } =
+    {
+      v_name = name;
+      v_ok = count = 0;
+      v_detail =
+        (if count <= 1 then first
+         else Printf.sprintf "%s (+%d more)" first (count - 1));
+    }
+
+  let verdict name violations =
+    let tl = tally () in
+    List.iter (note tl) violations;
+    tallied name tl
+
+  (* An acknowledged extent nothing later superseded: a
+     [Write_committed] ([e_verf = None]), or a [Write_unstable] with its
+     verifier and whether a COMMIT has covered it.  [seq] is its place
+     in the stream, so read-backs run in trace order. *)
+  type extent = {
+    e_seq : int;
+    e_file : int;
+    e_off : int;
+    e_len : int;
+    e_digest : int;
+    e_verf : int option;
+    mutable e_committed : bool;
   }
 
-  let durable_writes ?read_back records =
-    let name = "durable-writes" in
-    (* Oldest first; later writes supersede overlapping extents, and a
-       Run_mark starts a fresh world whose writes we cannot read back. *)
-    let writes = ref [] in
-    List.iter
-      (fun r ->
-        match r.Trace.ev with
-        | Trace.Run_mark _ -> writes := []
-        | Trace.Write_committed { file; off; len; digest; _ } ->
-            writes :=
-              { w_file = file; w_off = off; w_len = len; w_digest = digest }
-              :: !writes
-        | _ -> ())
-      records;
-    let writes = List.rev !writes in
-    match read_back with
+  let overlaps e ~off ~len = e.e_off < off + len && off < e.e_off + e.e_len
+
+  (* One server node.  A [Run_mark] starts a fresh world, whose files
+     the post-run read-back cannot see and whose xids restart: the
+     fields above [crashed_at] reset there. *)
+  type node = {
+    extents : (int, extent list) Hashtbl.t;  (* by file *)
+    mutable acked : int;
+    mutable covered : int;
+    executed : (int32 * int, float) Hashtbl.t;
+        (* non-idempotent (xid, proc) executions since the last crash *)
+    mutable last_crash : float;
+    mutable crashed_at : float;  (* the open crash; nan when none *)
+    mutable worst : float;
+    mutable last : float;  (* time of the node's latest record *)
+  }
+
+  type t = {
+    nodes : (int, node) Hashtbl.t;
+    mutable open_crashes : int;
+    mutable seq : int;
+    hard : tally;
+    doubles : tally;
+    stale : tally;
+    wleases : (int, (int * float) list) Hashtbl.t;
+        (* by file: (holder, expiry) of write leases unexpired at the
+           file's latest grant *)
+    last_mtime : (int, float) Hashtbl.t;
+  }
+
+  let create () =
+    {
+      nodes = Hashtbl.create 8;
+      open_crashes = 0;
+      seq = 0;
+      hard = tally ();
+      doubles = tally ();
+      stale = tally ();
+      wleases = Hashtbl.create 16;
+      last_mtime = Hashtbl.create 16;
+    }
+
+  let node t id =
+    match Hashtbl.find_opt t.nodes id with
+    | Some s -> s
     | None ->
-        {
-          v_name = name;
-          v_ok = true;
-          v_detail =
-            Printf.sprintf "%d acknowledged writes (no read-back handle)"
-              (List.length writes);
-        }
-    | Some read_back ->
-        let overlaps a b =
-          a.w_file = b.w_file && a.w_off < b.w_off + b.w_len
-          && b.w_off < a.w_off + a.w_len
-        in
-        let rec surviving = function
-          | [] -> []
-          | w :: later ->
-              (* Conservative: only check writes no later write touches,
-                 so a digest comparison over the full extent is exact. *)
-              if List.exists (overlaps w) later then surviving later
-              else w :: surviving later
-        in
-        let violations =
-          List.filter_map
-            (fun w ->
-              match read_back ~file:w.w_file ~off:w.w_off ~len:w.w_len with
-              | None ->
-                  Some
-                    (Printf.sprintf "file %d vanished (write at %d+%d lost)"
-                       w.w_file w.w_off w.w_len)
-              | Some data ->
-                  if Bytes.length data = w.w_len && Trace.digest data = w.w_digest
-                  then None
-                  else
-                    Some
-                      (Printf.sprintf
-                         "file %d bytes %d+%d: read-back digest mismatch"
-                         w.w_file w.w_off w.w_len))
-            (surviving writes)
-        in
-        if violations = [] then
+        let s =
           {
-            v_name = name;
-            v_ok = true;
-            v_detail =
-              Printf.sprintf "%d acknowledged writes verified"
-                (List.length writes);
+            extents = Hashtbl.create 16;
+            acked = 0;
+            covered = 0;
+            executed = Hashtbl.create 16;
+            last_crash = neg_infinity;
+            crashed_at = Float.nan;
+            worst = 0.0;
+            last = 0.0;
           }
-        else verdict name violations
+        in
+        Hashtbl.replace t.nodes id s;
+        s
 
-  (* -- v3 committed durability -------------------------------------- *)
+  let find_list tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
 
-  type unstable_w = {
-    u_file : int;
-    u_off : int;
-    u_len : int;
-    u_digest : int;
-    u_verf : int;
-    mutable u_committed : bool;
-  }
-
-  (* Every write-class event in trace order, for the supersession scan. *)
-  type wseq =
-    | Wu of unstable_w
-    | Wc of { c_file : int; c_off : int; c_len : int; c_digest : int }
-
-  let committed_durable ?read_back records =
-    let name = "committed-durable" in
-    let seq = ref [] in
-    (* Newest first while accumulating. *)
-    List.iter
-      (fun r ->
-        match r.Trace.ev with
-        | Trace.Run_mark _ -> seq := []
-        | Trace.Write_unstable { file; off; len; digest; verf } ->
-            seq :=
-              Wu
-                {
-                  u_file = file;
-                  u_off = off;
-                  u_len = len;
-                  u_digest = digest;
-                  u_verf = verf;
-                  u_committed = false;
-                }
-              :: !seq
-        | Trace.Write_committed { file; off; len; digest; _ } ->
-            seq :=
-              Wc { c_file = file; c_off = off; c_len = len; c_digest = digest }
-              :: !seq
-        | Trace.Commit_ok { file; off; count; verf } ->
-            (* An acknowledged COMMIT promises durability for every
-               earlier unstable write it covers {e under the same
-               verifier}: a reboot between write and commit changed the
-               verifier, so such writes stay uncovered — the client is
-               obliged to rewrite them, and until then their data may
-               legally be gone. *)
-            List.iter
-              (function
-                | Wu u
-                  when (not u.u_committed)
-                       && u.u_file = file && u.u_verf = verf && off <= u.u_off
-                       && (count = 0 || off + count >= u.u_off + u.u_len) ->
-                    u.u_committed <- true
-                | _ -> ())
-              !seq
-        | _ -> ())
-      records;
-    let seq = List.rev !seq in
-    let total =
-      List.length
-        (List.filter (function Wu u -> u.u_committed | Wc _ -> false) seq)
+  (* Record an acknowledged extent at node [s]: it supersedes every
+     overlapping extent of the file that [spared] does not keep. *)
+  let add t s ~file ~off ~len ~digest ~verf spared =
+    t.seq <- t.seq + 1;
+    let e =
+      {
+        e_seq = t.seq;
+        e_file = file;
+        e_off = off;
+        e_len = len;
+        e_digest = digest;
+        e_verf = verf;
+        e_committed = false;
+      }
     in
+    Hashtbl.replace s.extents file
+      (e
+      :: List.filter
+           (fun x -> spared x || not (overlaps x ~off ~len))
+           (find_list s.extents file))
+
+  let observe t r =
+    let now = r.Trace.time in
+    (if t.open_crashes > 0 then
+       match Hashtbl.find_opt t.nodes r.Trace.node with
+       | Some s when not (Float.is_nan s.crashed_at) -> s.last <- now
+       | _ -> ());
+    match r.Trace.ev with
+    | Trace.Run_mark _ ->
+        Hashtbl.iter
+          (fun _ s ->
+            Hashtbl.reset s.extents;
+            s.acked <- 0;
+            s.covered <- 0;
+            Hashtbl.reset s.executed;
+            s.last_crash <- neg_infinity)
+          t.nodes;
+        Hashtbl.reset t.wleases;
+        Hashtbl.reset t.last_mtime
+    | Trace.Write_committed { file; off; len; digest; mtime } ->
+        let s = node t r.Trace.node in
+        s.acked <- s.acked + 1;
+        (* An honest server's COMMIT flush echoes each extent as an
+           identical [Write_committed], which must not supersede the
+           unstable write it makes durable. *)
+        add t s ~file ~off ~len ~digest ~verf:None (fun u ->
+            u.e_verf <> None && u.e_off = off && u.e_len = len
+            && u.e_digest = digest);
+        Hashtbl.replace t.last_mtime file mtime
+    | Trace.Write_unstable { file; off; len; digest; verf } ->
+        (* Durable writes stand until a later acknowledged write. *)
+        add t (node t r.Trace.node) ~file ~off ~len ~digest ~verf:(Some verf)
+          (fun e -> e.e_verf = None)
+    | Trace.Commit_ok { file; off; count; verf } ->
+        (* An acknowledged COMMIT promises durability for every earlier
+           unstable write it covers under the same verifier: a reboot
+           between write and commit changed the verifier, so such
+           writes stay uncovered, and until the client rewrites them
+           their data may legally be gone. *)
+        let s = node t r.Trace.node in
+        List.iter
+          (fun u ->
+            if
+              (not u.e_committed) && u.e_verf = Some verf && off <= u.e_off
+              && (count = 0 || off + count >= u.e_off + u.e_len)
+            then begin
+              u.e_committed <- true;
+              s.covered <- s.covered + 1
+            end)
+          (find_list s.extents file)
+    | Trace.Wl_error { op; soft = false } ->
+        note t.hard
+          (Printf.sprintf "hard mount surfaced %s error at t=%.3f" op now)
+    | Trace.Srv_crash ->
+        let s = node t r.Trace.node in
+        (* Executions before the crash can no longer count as doubles:
+           the duplicate cache died with the server. *)
+        s.last_crash <- now;
+        Hashtbl.reset s.executed;
+        if Float.is_nan s.crashed_at then begin
+          s.crashed_at <- now;
+          t.open_crashes <- t.open_crashes + 1
+        end;
+        s.last <- now;
+        (* The lease table dies with the server: pre-crash grants no
+           longer authorize anything. *)
+        Hashtbl.reset t.wleases
+    | Trace.Srv_service { xid; proc; _ } ->
+        let s = node t r.Trace.node in
+        if not (Float.is_nan s.crashed_at) then begin
+          s.worst <- Float.max s.worst (now -. s.crashed_at);
+          s.crashed_at <- Float.nan;
+          t.open_crashes <- t.open_crashes - 1
+        end;
+        if non_idempotent proc then begin
+          (match Hashtbl.find_opt s.executed (xid, proc) with
+          | Some prev when prev > s.last_crash ->
+              (* No crash between the two executions: the duplicate
+                 cache should have replayed, not re-run. *)
+              note t.doubles
+                (Printf.sprintf
+                   "%s xid=%ld executed at t=%.3f and again at t=%.3f"
+                   (Trace.proc_name proc) xid prev now)
+          | _ -> ());
+          Hashtbl.replace s.executed (xid, proc) now
+        end
+    | Trace.Lease_grant { file; mode = "write"; holder; duration } ->
+        Hashtbl.replace t.wleases file
+          ((holder, now +. duration)
+          :: List.filter
+               (fun (_, expiry) -> now < expiry)
+               (find_list t.wleases file))
+    | Trace.Cached_read { file; holder; mtime } -> (
+        match Hashtbl.find_opt t.last_mtime file with
+        | Some committed
+          when mtime < committed
+               && List.exists
+                    (fun (h, expiry) -> h <> holder && now < expiry)
+                    (find_list t.wleases file) ->
+            note t.stale
+              (Printf.sprintf
+                 "node %d served file %d from cache (mtime %.3f < %.3f) \
+                  under a live conflicting write lease at t=%.3f"
+                 holder file mtime committed now)
+        | _ -> ())
+    | _ -> ()
+
+  (* The judged nodes: [nodes], or every node seen. *)
+  let judged ?nodes t =
+    match nodes with
+    | Some ids ->
+        List.filter_map
+          (fun id ->
+            Option.map (fun s -> (id, s)) (Hashtbl.find_opt t.nodes id))
+          ids
+    | None -> Hashtbl.fold (fun id s acc -> (id, s) :: acc) t.nodes []
+
+  (* The extents [keep] admits, with their nodes, in trace order: only
+     extents nothing later superseded are digest-comparable, and each
+     reads back from its own node. *)
+  let survivors ns keep =
+    List.concat_map
+      (fun (node, s) ->
+        Hashtbl.fold
+          (fun _ es acc ->
+            List.fold_left
+              (fun acc e -> if keep e then (node, e) :: acc else acc)
+              acc es)
+          s.extents [])
+      ns
+    |> List.sort (fun (_, a) (_, b) -> compare a.e_seq b.e_seq)
+
+  let durability ?read_back name ~count ~what ~lost ~mismatch survivors =
+    let ok detail = { v_name = name; v_ok = true; v_detail = detail } in
     match read_back with
-    | None ->
-        {
-          v_name = name;
-          v_ok = true;
-          v_detail =
-            Printf.sprintf "%d commit-covered writes (no read-back handle)"
-              total;
-        }
-    | Some read_back ->
-        let overlaps u ~file ~off ~len =
-          u.u_file = file && u.u_off < off + len && off < u.u_off + u.u_len
+    | None -> ok (Printf.sprintf "%d %s (no read-back handle)" count what)
+    | Some read_back -> (
+        let check (node, e) =
+          match read_back ~node ~file:e.e_file ~off:e.e_off ~len:e.e_len with
+          | None ->
+              Some
+                (Printf.sprintf "file %d vanished (%s at %d+%d lost)" e.e_file
+                   lost e.e_off e.e_len)
+          | Some data ->
+              if Bytes.length data = e.e_len && Trace.digest data = e.e_digest
+              then None
+              else
+                Some
+                  (Printf.sprintf "file %d bytes %d+%d: %s" e.e_file e.e_off
+                     e.e_len mismatch)
         in
-        (* As in [durable_writes], only extents nothing later superseded
-           are digest-comparable — but an honest server's COMMIT flush
-           echoes each extent as an identical [Write_committed], which
-           must not count as supersession of the write it makes durable. *)
-        let rec survivors = function
-          | [] -> []
-          | Wc _ :: later -> survivors later
-          | Wu u :: later ->
-              if not u.u_committed then survivors later
-              else if
-                List.exists
-                  (function
-                    | Wu v ->
-                        overlaps u ~file:v.u_file ~off:v.u_off ~len:v.u_len
-                    | Wc c ->
-                        overlaps u ~file:c.c_file ~off:c.c_off ~len:c.c_len
-                        && not
-                             (c.c_file = u.u_file && c.c_off = u.u_off
-                              && c.c_len = u.u_len && c.c_digest = u.u_digest))
-                  later
-              then survivors later
-              else u :: survivors later
+        match List.filter_map check survivors with
+        | [] -> ok (Printf.sprintf "%d %s verified" count what)
+        | violations -> verdict name violations)
+
+  let verdicts ?read_back ?nodes t =
+    let ns = judged ?nodes t in
+    let sum f = List.fold_left (fun acc (_, s) -> acc + f s) 0 ns in
+    (* A read-back charges the server's CPU and disk, so the order of
+       read-backs is part of the simulated run: committed-durable reads
+       first, as it always has. *)
+    let committed =
+      durability ?read_back "committed-durable"
+        ~count:(sum (fun s -> s.covered))
+        ~what:"commit-covered writes" ~lost:"committed write"
+        ~mismatch:"commit acknowledged but read-back digest mismatches"
+        (survivors ns (fun e -> e.e_committed))
+    in
+    let durable =
+      durability ?read_back "durable-writes"
+        ~count:(sum (fun s -> s.acked))
+        ~what:"acknowledged writes" ~lost:"write"
+        ~mismatch:"read-back digest mismatch"
+        (survivors ns (fun e -> e.e_verf = None))
+    in
+    [
+      durable;
+      committed;
+      tallied "hard-mount-errors" t.hard;
+      tallied "no-double-effect" t.doubles;
+      tallied "no-stale-lease-reads" t.stale;
+    ]
+
+  let recovery ?nodes t =
+    List.fold_left
+      (fun acc (_, s) ->
+        let open_gap =
+          if Float.is_nan s.crashed_at then 0.0 else s.last -. s.crashed_at
         in
-        let violations =
-          List.filter_map
-            (fun u ->
-              match read_back ~file:u.u_file ~off:u.u_off ~len:u.u_len with
-              | None ->
-                  Some
-                    (Printf.sprintf
-                       "file %d vanished (committed write at %d+%d lost)"
-                       u.u_file u.u_off u.u_len)
-              | Some data ->
-                  if
-                    Bytes.length data = u.u_len
-                    && Trace.digest data = u.u_digest
-                  then None
-                  else
-                    Some
-                      (Printf.sprintf
-                         "file %d bytes %d+%d: commit acknowledged but \
-                          read-back digest mismatches"
-                         u.u_file u.u_off u.u_len))
-            (survivors seq)
-        in
-        if violations = [] then
-          {
-            v_name = name;
-            v_ok = true;
-            v_detail =
-              Printf.sprintf "%d commit-covered writes verified" total;
-          }
-        else verdict name violations
+        Float.max acc (Float.max s.worst open_gap))
+      0.0 (judged ?nodes t)
+
+  let check_all ?read_back records =
+    let t = create () in
+    List.iter (observe t) records;
+    verdicts ?read_back:(Option.map (fun rb ~node:_ -> rb) read_back) t
 
   (* -- end-to-end data integrity ----------------------------------- *)
 
@@ -582,132 +684,9 @@ module Check = struct
       }
     else verdict name violations
 
-  (* -- hard mount errors ------------------------------------------- *)
-
-  let hard_mount_errors records =
-    let violations =
-      List.filter_map
-        (fun r ->
-          match r.Trace.ev with
-          | Trace.Wl_error { op; soft = false } ->
-              Some
-                (Printf.sprintf "hard mount surfaced %s error at t=%.3f" op
-                   r.Trace.time)
-          | _ -> None)
-        records
-    in
-    verdict "hard-mount-errors" violations
-
-  (* -- duplicate execution of non-idempotent RPCs ------------------ *)
-
-  let no_double_effect records =
-    let violations = ref [] in
-    let seen : (int32 * int, float) Hashtbl.t = Hashtbl.create 64 in
-    let last_crash = ref neg_infinity in
-    List.iter
-      (fun r ->
-        match r.Trace.ev with
-        | Trace.Run_mark _ ->
-            Hashtbl.reset seen;
-            last_crash := neg_infinity
-        | Trace.Srv_crash -> last_crash := r.Trace.time
-        | Trace.Srv_service { xid; proc; _ } when non_idempotent proc ->
-            (match Hashtbl.find_opt seen (xid, proc) with
-            | Some prev when prev > !last_crash ->
-                (* No crash between the two executions: the duplicate
-                   cache should have replayed, not re-run. *)
-                violations :=
-                  Printf.sprintf
-                    "%s xid=%ld executed at t=%.3f and again at t=%.3f"
-                    (Trace.proc_name proc) xid prev r.Trace.time
-                  :: !violations
-            | _ -> ());
-            Hashtbl.replace seen (xid, proc) r.Trace.time
-        | _ -> ())
-      records;
-    verdict "no-double-effect" (List.rev !violations)
-
-  (* -- stale reads under live write leases ------------------------- *)
-
-  type wlease = { wl_holder : int; wl_expiry : float }
-
-  let no_stale_lease_reads records =
-    let violations = ref [] in
-    let wleases : (int, wlease list) Hashtbl.t = Hashtbl.create 16 in
-    let last_mtime : (int, float) Hashtbl.t = Hashtbl.create 16 in
-    let reset () =
-      Hashtbl.reset wleases;
-      Hashtbl.reset last_mtime
-    in
-    List.iter
-      (fun r ->
-        let now = r.Trace.time in
-        match r.Trace.ev with
-        | Trace.Run_mark _ -> reset ()
-        (* The lease table dies with the server: pre-crash grants no
-           longer authorize anything and must not raise violations. *)
-        | Trace.Srv_crash -> Hashtbl.reset wleases
-        | Trace.Lease_grant { file; mode = "write"; holder; duration } ->
-            let cur = Option.value ~default:[] (Hashtbl.find_opt wleases file) in
-            Hashtbl.replace wleases file
-              ({ wl_holder = holder; wl_expiry = now +. duration } :: cur)
-        | Trace.Write_committed { file; mtime; _ } ->
-            Hashtbl.replace last_mtime file mtime
-        | Trace.Cached_read { file; holder; mtime } -> (
-            match Hashtbl.find_opt last_mtime file with
-            | Some committed when mtime < committed ->
-                let conflicting =
-                  Option.value ~default:[] (Hashtbl.find_opt wleases file)
-                  |> List.exists (fun wl ->
-                         wl.wl_holder <> holder && now < wl.wl_expiry)
-                in
-                if conflicting then
-                  violations :=
-                    Printf.sprintf
-                      "node %d served file %d from cache (mtime %.3f < %.3f) \
-                       under a live conflicting write lease at t=%.3f"
-                      holder file mtime committed now
-                    :: !violations
-            | _ -> ())
-        | _ -> ())
-      records;
-    verdict "no-stale-lease-reads" (List.rev !violations)
-
-  let check_all ?read_back records =
-    [
-      durable_writes ?read_back records;
-      committed_durable ?read_back records;
-      hard_mount_errors records;
-      no_double_effect records;
-      no_stale_lease_reads records;
-    ]
-
   let summary verdicts =
     let failing = List.filter (fun v -> not v.v_ok) verdicts in
     if failing = [] then Printf.sprintf "%d/%d ok" (List.length verdicts) (List.length verdicts)
     else
       "FAIL:" ^ String.concat "," (List.map (fun v -> v.v_name) failing)
-
-  let recovery_time records =
-    let worst = ref 0.0 in
-    let crash_at = ref None in
-    let end_time = ref 0.0 in
-    List.iter
-      (fun r ->
-        end_time := r.Trace.time;
-        match r.Trace.ev with
-        | Trace.Srv_crash -> (
-            match !crash_at with None -> crash_at := Some r.Trace.time | Some _ -> ())
-        | Trace.Srv_service _ -> (
-            match !crash_at with
-            | Some t0 ->
-                worst := Float.max !worst (r.Trace.time -. t0);
-                crash_at := None
-            | None -> ())
-        | _ -> ())
-      records;
-    (match !crash_at with
-    | Some t0 -> worst := Float.max !worst (!end_time -. t0)
-    | None -> ());
-    !worst
 end

@@ -9,9 +9,9 @@
     used so that crash recovery is trivial" — this is the layer that
     puts the claim under test).
 
-    {!Check} consumes the run's [Renofs_trace] stream afterwards and
-    delivers verdicts on the recovery invariants the paper's design
-    implies; {!Check.check_all} lists them. *)
+    {!Check} folds the run's [Renofs_trace] stream, one record as it is
+    made, and delivers verdicts on the recovery invariants the paper's
+    design implies. *)
 
 (** {1 Schedules} *)
 
@@ -134,31 +134,70 @@ val install : env -> schedule -> unit
 module Check : sig
   type verdict = { v_name : string; v_ok : bool; v_detail : string }
 
-  val durable_writes :
-    ?read_back:(file:int -> off:int -> len:int -> bytes option) ->
-    Renofs_trace.Trace.record_ list ->
-    verdict
-  (** Every acknowledged WRITE ([Write_committed]) must still be
-      readable afterwards: writes not overlapped by a later write to
-      the same file must digest-match what [read_back] returns from the
-      post-run file system.  Without [read_back] the verdict passes
-      vacuously, saying so in the detail. *)
+  type t
+  (** A fold over the record stream, one {!observe} per record in
+      order.  A harness hooks it on its sink ([Trace.set_hook]) before
+      the world is built, so its verdicts cover every record, whatever
+      the ring keeps.  It holds live state only: per (server node,
+      file) the extents nothing later superseded, the unexpired write
+      leases, and per node the non-idempotent executions since its last
+      crash and its open crash.  A [Run_mark] starts a fresh world and
+      clears what the post-run file system cannot answer for.
 
-  val committed_durable :
+      {!verdicts} judges five invariants, in this order:
+
+      - [durable-writes]: every acknowledged WRITE ([Write_committed])
+        no later write to the same file on that node overlaps must
+        digest-match what [read_back] returns from the node's post-run
+        file system.
+      - [committed-durable]: the v3 verifier contract.  An UNSTABLE
+        write ([Write_unstable]) covered by a later COMMIT
+        ([Commit_ok]) {e under the same write verifier}, and not
+        superseded later, must digest-match likewise; the server's own
+        COMMIT flush echo (an identical [Write_committed]) does not
+        supersede.  Uncovered unstable data may legally vanish, and a
+        verifier change between write and commit leaves the write
+        uncovered.  A server that acknowledges COMMIT without flushing
+        is convicted here.
+      - [hard-mount-errors]: any [Wl_error] with [soft = false].
+      - [no-double-effect]: with the duplicate-request cache on, two
+        [Srv_service] events on one node for the same non-idempotent
+        (xid, proc) (CREATE/REMOVE/RENAME) with no [Srv_crash] there
+        between them.  Re-execution across a crash is the paper's known
+        at-least-once hazard and is not flagged.
+      - [no-stale-lease-reads]: a [Cached_read] whose [mtime] predates
+        the file's latest [Write_committed] while another holder's
+        write lease ([Lease_grant]) is unexpired and no crash voided
+        it.
+
+      Without [read_back] the two durability verdicts pass vacuously,
+      saying so in the detail. *)
+
+  val create : unit -> t
+  val observe : t -> Renofs_trace.Trace.record_ -> unit
+
+  val verdicts :
+    ?read_back:(node:int -> file:int -> off:int -> len:int -> bytes option) ->
+    ?nodes:int list ->
+    t ->
+    verdict list
+  (** The five verdicts over the records observed so far, reading back
+      the extents of [nodes] only (default: every node).  Add
+      invariants here, not in callers: {!summary} and every harness
+      derive their counts from this list's length. *)
+
+  val recovery : ?nodes:int list -> t -> float
+  (** Worst crash-to-first-service gap over [nodes] (default: all): on
+      each node, the time from a [Srv_crash] to its next [Srv_service].
+      [0.] when no crash occurred; an unrecovered crash counts until the
+      node's latest record. *)
+
+  val check_all :
     ?read_back:(file:int -> off:int -> len:int -> bytes option) ->
     Renofs_trace.Trace.record_ list ->
-    verdict
-  (** The v3 verifier contract: every UNSTABLE write
-      ([Write_unstable]) covered by a later acknowledged COMMIT
-      ([Commit_ok]) {e under the same write verifier} must survive —
-      its extent (when no later write supersedes it) must digest-match
-      what [read_back] returns.  Unstable data never covered by a
-      commit may legally vanish (the client's write-behind ledger is
-      then obliged to rewrite it), and a verifier change between write
-      and commit leaves the write uncovered by construction.  A server
-      that acknowledges COMMIT without flushing is convicted here.
-      Without [read_back] the verdict passes vacuously, saying so in
-      the detail. *)
+    verdict list
+  (** {!verdicts} of one fold over a record list, reading every node
+      back through [read_back]. *)
 
   val data_integrity :
     expected:(int * int * bytes) list ->
@@ -166,48 +205,14 @@ module Check : sig
     verdict
   (** End-to-end content check against a client-side ledger: each
       [(file, off, data)] extent the workload believes it wrote must
-      read back byte-identical.  Unlike {!durable_writes} — whose
+      read back byte-identical.  Unlike [durable-writes] — whose
       digests are recorded {e server-side} and therefore cannot see a
       request damaged on the wire — this catches silent wire corruption
-      accepted by a checksum-less transport.  Not part of
-      {!check_all}; the fuzz harness appends it when it has a ledger. *)
-
-  val hard_mount_errors : Renofs_trace.Trace.record_ list -> verdict
-  (** Hard mounts never surface errors: any [Wl_error] with
-      [soft = false] is a violation. *)
-
-  val no_double_effect : Renofs_trace.Trace.record_ list -> verdict
-  (** With the duplicate-request cache on, no non-idempotent RPC
-      (CREATE/REMOVE/RENAME) may execute twice: two [Srv_service]
-      events for the same (xid, proc) with no [Srv_crash] between them
-      is a violation.  A crash between them is the paper's known
-      at-least-once hazard — the cache died with the server — and is
-      not flagged. *)
-
-  val no_stale_lease_reads : Renofs_trace.Trace.record_ list -> verdict
-  (** No lease-backed cached read served stale while a conflicting
-      write lease is live: a [Cached_read] whose [mtime] predates the
-      latest [Write_committed] on the file, while another holder's
-      write lease ([Lease_grant]) is unexpired (and no crash voided
-      it), is a violation. *)
-
-  val check_all :
-    ?read_back:(file:int -> off:int -> len:int -> bytes option) ->
-    Renofs_trace.Trace.record_ list ->
-    verdict list
-  (** Every invariant above except {!data_integrity} (which needs a
-      client-side ledger), in declaration order.  Add invariants here,
-      not in callers: {!summary} and every harness derive their counts
-      from this list's length. *)
+      accepted by a checksum-less transport.  Not among {!verdicts};
+      the fuzz harness appends it when it has a ledger. *)
 
   val summary : verdict list -> string
   (** ["N/N ok"] with [N = List.length verdicts] when all pass, or
       ["FAIL:" ^ names] of the failing invariants — never a hard-coded
       count. *)
-
-  val recovery_time : Renofs_trace.Trace.record_ list -> float
-  (** Worst crash-to-first-service gap: for each [Srv_crash], the time
-      until the next [Srv_service] (the first RPC actually served again
-      after recovery).  [0.] when no crash occurred; the gap from an
-      unrecovered crash to the end of the trace counts. *)
 end

@@ -40,9 +40,6 @@ module Shard_map = struct
       next_rr = 0;
     }
 
-  let n_servers t = t.n_servers
-  let policy t = t.policy
-
   (* FNV-1a, then a murmur-style avalanche: FNV alone leaves the low
      bits of near-sequential names like "/home0".."/home99" correlated
      enough to skew [mod n_servers] past the fleet balance bound. *)

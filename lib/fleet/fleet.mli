@@ -53,9 +53,6 @@ module Shard_map : sig
 
   val assignments : t -> (string * int) list
   (** Every placement so far, sorted by shard name. *)
-
-  val n_servers : t -> int
-  val policy : t -> policy
 end
 
 type t
@@ -91,9 +88,6 @@ val mount_shard :
 
 val shards : t -> string list
 val servers : t -> Renofs_core.Nfs_server.t list
-
-val server_of_shard : t -> string -> Renofs_core.Nfs_server.t
-(** The owner, placing the shard if new. *)
 
 val iter_shards :
   t -> (shard:string -> server:Renofs_core.Nfs_server.t -> unit) -> unit

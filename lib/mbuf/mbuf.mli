@@ -2,17 +2,11 @@
 
     The 4.3BSD Reno NFS builds RPC requests and replies directly in mbuf
     data areas ([nfsm_build] / [nfsm_disect]) to avoid intermediate
-    buffers.  We model the same structure: a chain of small mbufs
-    ({!mlen} usable bytes each) and page clusters ({!mclbytes} bytes),
+    buffers.  We model the same structure: a chain of small mbufs (112
+    usable bytes each, as in 4.3BSD) and page clusters (2048 bytes),
     with zero-copy {!split} (cluster sharing, as fragmentation does in the
     kernel) and explicit accounting of every memory-to-memory copy — the
     quantity Section 3 of the paper works to minimise. *)
-
-val mlen : int
-(** Usable bytes in a small mbuf (112, as in 4.3BSD). *)
-
-val mclbytes : int
-(** Bytes in a cluster mbuf (2048). *)
 
 (** Per-host allocation and copy counters.  Pass the owning host's
     counters to the operations that copy; the host charges CPU time for
@@ -43,8 +37,8 @@ end
     {!release}d only at points where the owner provably holds the last
     reference (a served request after the reply is built, a reply after
     the client decodes it); anything ambiguous is simply left to the GC.
-    Only exactly pool-sized buffers ({!mlen} / {!mclbytes} bytes) are
-    kept; storage of any other size falls back to the GC too. *)
+    Only exactly pool-sized buffers (small mbuf or cluster) are kept;
+    storage of any other size falls back to the GC too. *)
 module Pool : sig
   type t
 

@@ -30,14 +30,6 @@ type t = {
           the Sun-checksums-off configuration. *)
 }
 
-val ip_header_bytes : int
-(** 20. *)
-
-val proto_header_bytes : proto -> int
-(** Virtual header bytes counted in the first fragment's wire size: 8 for
-    UDP.  0 for TCP, which writes a real 20-byte header into its
-    payload (it needs sequence/ack fields that metadata does not carry). *)
-
 val data_len : t -> int
 val wire_size : t -> int
 (** Bytes on the wire: IP header + (first fragment only) transport header

@@ -67,8 +67,8 @@ let export ~path ?profile records =
   meta st ~pid:rpc_pid ~name:"process_name" "rpc spans";
   meta st ~pid:srv_pid ~name:"process_name" "servers";
   (* Completed RPCs as async begin/end pairs, one thread per label. *)
-  List.iter
-    (fun (sp : Trace.Report.span) ->
+  let spans =
+    Trace.Report.join (fun (sp : Trace.Report.span) ->
       let tid = tid_of_label st sp.Trace.Report.sp_label in
       let id = span_id tid sp.Trace.Report.sp_xid in
       let name = Trace.proc_name sp.Trace.Report.sp_proc in
@@ -83,7 +83,8 @@ let export ~path ?profile records =
       in
       half "b" t0;
       half "e" t1)
-    (Trace.Report.spans records);
+  in
+  List.iter (Trace.Report.observe spans) records;
   (* Server-side slices and notable instants from the raw records.  The
      current run-mark label keys the rpc-side thread for retransmits. *)
   let cur_label = ref "" in

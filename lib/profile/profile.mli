@@ -75,17 +75,7 @@ type snapshot = {
   p_major_collections : int;
 }
 
-val hist_buckets : int
-
 val snapshot : t -> snapshot
-
-val minor_words_per_event : snapshot -> float
-(** Allocation pressure: minor words per probed event fire; [0.] when
-    no event fired. *)
-
-val direct_major_words_per_event : snapshot -> float
-(** Direct major-heap words per probed event fire; [0.] when no event
-    fired. *)
 
 val print : Format.formatter -> snapshot -> unit
 (** The [profile] table: per-subsystem self time, share of wall, scope

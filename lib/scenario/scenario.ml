@@ -82,64 +82,91 @@ module Slo = struct
         let rank = int_of_float (Float.ceil (0.99 *. float_of_int n)) - 1 in
         List.nth sorted (max 0 (min (n - 1) rank))
 
-  let availability ~window records =
-    let relevant =
-      List.filter_map
-        (fun r ->
-          match r.Trace.ev with
-          | Trace.Rpc_send _ | Trace.Rpc_retransmit _ ->
-              Some (r.Trace.time, `Send)
-          | Trace.Rpc_reply _ -> Some (r.Trace.time, `Reply)
-          | _ -> None)
-        records
+  (* Fixed windows anchored at the first RPC event, by index: bit 1 once
+     a send or retransmit falls in it, bit 2 once a reply does. *)
+  type windows = {
+    width : float;
+    mutable t0 : float;  (* nan until the first RPC event *)
+    seen : (int, int) Hashtbl.t;
+  }
+
+  let windows width = { width; t0 = Float.nan; seen = Hashtbl.create 64 }
+
+  let observe_window w r =
+    let bit =
+      match r.Trace.ev with
+      | Trace.Rpc_send _ | Trace.Rpc_retransmit _ -> 1
+      | Trace.Rpc_reply _ -> 2
+      | _ -> 0
     in
-    match relevant with
-    | [] -> 1.0
-    | (first, _) :: _ ->
-        let t0 =
-          List.fold_left (fun acc (t, _) -> Float.min acc t) first relevant
-        in
-        let sends = Hashtbl.create 64 and replies = Hashtbl.create 64 in
-        List.iter
-          (fun (t, kind) ->
-            let w = int_of_float ((t -. t0) /. window) in
-            match kind with
-            | `Send -> Hashtbl.replace sends w ()
-            | `Reply -> Hashtbl.replace replies w ())
-          relevant;
-        let judged = Hashtbl.length sends in
-        if judged = 0 then 1.0
-        else
-          let available =
-            Hashtbl.fold
-              (fun w () acc -> if Hashtbl.mem replies w then acc + 1 else acc)
-              sends 0
-          in
-          float_of_int available /. float_of_int judged
+    if bit > 0 then begin
+      if Float.is_nan w.t0 then w.t0 <- r.Trace.time;
+      let i = int_of_float ((r.Trace.time -. w.t0) /. w.width) in
+      let bits = Option.value ~default:0 (Hashtbl.find_opt w.seen i) in
+      Hashtbl.replace w.seen i (bits lor bit)
+    end
+
+  let available w =
+    let judged, up =
+      Hashtbl.fold
+        (fun _ bits (judged, up) ->
+          if bits land 1 = 0 then (judged, up)
+          else (judged + 1, if bits = 3 then up + 1 else up))
+        w.seen (0, 0)
+    in
+    if judged = 0 then 1.0 else float_of_int up /. float_of_int judged
+
+  type t = {
+    slo : slo;
+    check : Fault.Check.t;
+    join : Trace.Report.join;
+    classes : (string * float list ref) list;
+        (* completed-RPC totals (ms) of ["*"] and each ceiling's class *)
+    windows : windows;
+  }
+
+  let create slo =
+    let classes =
+      List.sort_uniq compare ("*" :: List.map fst slo.slo_p99_ms)
+      |> List.map (fun cls -> (cls, ref []))
+    in
+    let on_span sp =
+      let name = Trace.proc_name sp.Trace.Report.sp_proc in
+      List.iter
+        (fun (cls, s) ->
+          if cls = "*" || cls = name then
+            s := (sp.Trace.Report.sp_total *. 1000.0) :: !s)
+        classes
+    in
+    {
+      slo;
+      check = Fault.Check.create ();
+      join = Trace.Report.join on_span;
+      classes;
+      windows = windows slo.slo_window;
+    }
+
+  let observe t r =
+    Fault.Check.observe t.check r;
+    Trace.Report.observe t.join r;
+    observe_window t.windows r
 
   let class_name cls = if cls = "*" then "all" else cls
 
-  let evaluate slo ~server_nodes ~read_back records =
+  let samples t cls = !(List.assoc cls t.classes)
+
+  let outcome t ~server_nodes ~read_back =
+    let slo = t.slo in
     let breaches = ref [] in
     let breach b_slo b_detail =
-      (* One breach per SLO name: a two-server durability failure is
-         one violated SLO, not two rows of noise. *)
+      (* One breach per SLO name: a class listed twice is one violated
+         SLO, not two rows of noise. *)
       if not (List.exists (fun b -> b.b_slo = b_slo) !breaches) then
         breaches := { b_slo; b_detail } :: !breaches
     in
-    let spans = Trace.Report.spans records in
-    let totals_ms cls =
-      List.filter_map
-        (fun sp ->
-          if cls = "*" || Trace.proc_name sp.Trace.Report.sp_proc = cls then
-            Some (sp.Trace.Report.sp_total *. 1000.0)
-          else None)
-        spans
-    in
-    let overall = p99 (totals_ms "*") in
     List.iter
       (fun (cls, ceiling) ->
-        match totals_ms cls with
+        match samples t cls with
         | [] -> ()
         | samples ->
             let q = p99 samples in
@@ -149,43 +176,35 @@ module Slo = struct
                 (Printf.sprintf "p99 %.1f ms > ceiling %.1f ms over %d calls" q
                    ceiling (List.length samples)))
       slo.slo_p99_ms;
-    let avail = availability ~window:slo.slo_window records in
+    let avail = available t.windows in
     if avail < slo.slo_availability then
       breach "availability"
         (Printf.sprintf "%.1f%% of %.1fs windows available < floor %.1f%%"
            (avail *. 100.0) slo.slo_window (slo.slo_availability *. 100.0));
-    let at_node node = List.filter (fun r -> r.Trace.node = node) records in
-    let recovery =
-      List.fold_left
-        (fun acc node -> Float.max acc (Fault.Check.recovery_time (at_node node)))
-        0.0 server_nodes
-    in
+    let recovery = Fault.Check.recovery t.check ~nodes:server_nodes in
     (match slo.slo_max_recovery_s with
     | Some ceiling when recovery > ceiling ->
         breach "recovery"
           (Printf.sprintf "worst crash-to-service gap %.2f s > ceiling %.2f s"
              recovery ceiling)
     | _ -> ());
-    if slo.slo_integrity then begin
-      let check v =
-        if not v.Fault.Check.v_ok then
-          breach ("integrity:" ^ v.Fault.Check.v_name) v.Fault.Check.v_detail
-      in
+    if slo.slo_integrity then
       List.iter
-        (fun node ->
-          let recs = at_node node in
-          check (Fault.Check.durable_writes ~read_back:(read_back ~node) recs);
-          check (Fault.Check.no_double_effect recs))
-        server_nodes;
-      check (Fault.Check.hard_mount_errors records);
-      check (Fault.Check.no_stale_lease_reads records)
-    end;
+        (fun v ->
+          if not v.Fault.Check.v_ok then
+            breach ("integrity:" ^ v.Fault.Check.v_name) v.Fault.Check.v_detail)
+        (Fault.Check.verdicts t.check ~read_back ~nodes:server_nodes);
     {
-      o_p99_ms = overall;
+      o_p99_ms = p99 (samples t "*");
       o_availability = avail;
       o_recovery = recovery;
       o_breaches = List.rev !breaches;
     }
+
+  let evaluate slo ~server_nodes ~read_back records =
+    let t = create slo in
+    List.iter (observe t) records;
+    outcome t ~server_nodes ~read_back
 end
 
 (* ------------------------------------------------------------------ *)
@@ -550,14 +569,8 @@ let cell sc =
     E.cell_label = label;
     cell_run =
       (fun ctx ->
-        (* The SLO evaluator needs the event stream even when the
-           caller did not ask for a trace: give the run a private
-           sink. *)
-        let sink =
-          match ctx.E.trace with
-          | Some tr -> tr
-          | None -> Trace.create ~capacity:(1 lsl 18) ()
-        in
+        let judge = Slo.create sc.sc_slo in
+        let sink = E.verdict_sink ctx (Slo.observe judge) in
         let ctx = { ctx with E.trace = Some sink } in
         let w = sc.sc_world in
         let sim = Sim.create () in
@@ -649,10 +662,8 @@ let cell sc =
           Option.bind (List.assoc_opt node fss) (fun fs ->
               E.read_back fs ~file ~off ~len)
         in
-        let records = Trace.to_list sink in
         let o =
-          Slo.evaluate sc.sc_slo ~server_nodes:(List.map fst fss) ~read_back
-            records
+          Slo.outcome judge ~server_nodes:(List.map fst fss) ~read_back
         in
         let verdict =
           match o.Slo.o_breaches with
@@ -669,7 +680,7 @@ let cell sc =
           ms1 o.Slo.o_p99_ms;
           pct1 o.Slo.o_availability;
           ms1 (o.Slo.o_recovery *. 1000.0);
-          txt (E.unless_wrapped sink verdict);
+          txt verdict;
         ]);
   }
 

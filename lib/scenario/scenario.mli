@@ -11,14 +11,12 @@
 
     [nfsbench slo] compiles each scenario to one experiment cell
     ({!cell}), so a suite sweeps under the ordinary deterministic
-    runner: byte-identical output at any [--jobs].  The {!Slo}
-    evaluator then judges the run's trace — p99 latency per operation
-    class, availability over fixed windows, worst crash-to-service
-    recovery gap, and the {!Renofs_fault.Fault.Check} integrity
-    invariants — and the verdict column says [PASS] or [FAIL:]
-    followed by the violated SLO names, or
-    [INCONCLUSIVE:trace-ring-wrapped] when the run outgrew its trace
-    ring ({!Renofs_workload.Experiments.unless_wrapped}). *)
+    runner: byte-identical output at any [--jobs].  The {!Slo} fold
+    judges every record of the run as it is made — p99 latency per
+    operation class, availability over fixed windows, worst
+    crash-to-service recovery gap, and the
+    {!Renofs_fault.Fault.Check} integrity invariants — and the verdict
+    column says [PASS] or [FAIL:] followed by the violated SLO names. *)
 
 type world = {
   w_servers : int;  (** 1 .. 90 *)
@@ -27,9 +25,6 @@ type world = {
   w_wan_fraction : float;  (** fraction of clients on 56K edges *)
   w_seed : int;  (** topology/workload seed; 0 = default world *)
 }
-
-val default_world : world
-(** 2 servers, 6 clients, [Backbone 1], no WAN clients, seed 0. *)
 
 type slo = {
   slo_p99_ms : (string * float) list;
@@ -46,9 +41,8 @@ type slo = {
       (** ceiling on the worst per-server crash-to-first-service gap
           ({!Renofs_fault.Fault.Check.recovery_time}); [None] skips *)
   slo_integrity : bool;
-      (** require the {!Renofs_fault.Fault.Check} invariants: durable
-          writes (read back from each server) and no-double-effect per
-          server, hard-mount-errors and stale-lease-reads globally *)
+      (** require every {!Renofs_fault.Fault.Check} invariant, judged
+          per server node with each server's own read-back *)
 }
 
 val default_slo : slo
@@ -72,8 +66,9 @@ type t = {
 
 (** {1 SLO evaluation}
 
-    Pure over a trace record list, so verdict logic is testable on
-    synthetic streams without running a world. *)
+    One fold over the record stream, hooked on the scenario cell's
+    sink; {!Slo.evaluate} runs it over a list, so verdict logic is
+    testable on synthetic streams without running a world. *)
 
 module Slo : sig
   type breach = {
@@ -90,16 +85,27 @@ module Slo : sig
     o_breaches : breach list;  (** empty = PASS *)
   }
 
-  val p99 : float list -> float
-  (** The 99th percentile (nearest-rank on the sorted samples); NaN
-      samples are dropped; [0.] of the empty list.  A sample exactly
-      at a ceiling passes — breaches are strict inequalities. *)
+  type t
+  (** The fold: an invariant fold, the span join, one float per
+      completed RPC per class, and the availability windows — fixed
+      windows of [slo_window] seconds anchored at the first RPC event,
+      each judged when it holds a send or retransmit and available
+      when it holds a reply ([1.] when none is judged). *)
 
-  val availability : window:float -> Renofs_trace.Trace.record_ list -> float
-  (** Fixed windows of [window] seconds anchored at the earliest RPC
-      event: a window is judged when it contains a send or retransmit,
-      available when it contains a reply.  [1.] when no window is
-      judged. *)
+  val create : slo -> t
+  val observe : t -> Renofs_trace.Trace.record_ -> unit
+
+  val outcome :
+    t ->
+    server_nodes:int list ->
+    read_back:(node:int -> file:int -> off:int -> len:int -> bytes option) ->
+    outcome
+  (** Judge the records observed so far.  [server_nodes] are the node
+      ids of the fleet's servers: recovery and the durability checks
+      are judged on each alone, so one server's crash is never paired
+      with another's first service.  [read_back ~node] reads an extent
+      back from that server's post-run file system.  Breaches come in
+      SLO order: p99 per class, availability, recovery, integrity. *)
 
   val evaluate :
     slo ->
@@ -107,12 +113,12 @@ module Slo : sig
     read_back:(node:int -> file:int -> off:int -> len:int -> bytes option) ->
     Renofs_trace.Trace.record_ list ->
     outcome
-  (** Judge a run.  [server_nodes] are the node ids of the fleet's
-      servers — per-server checks (recovery, durable writes,
-      double-effect) run on the records observed at that node, so one
-      server's crash is never paired with another's first service.
-      [read_back ~node] reads an extent back from that server's
-      post-run file system. *)
+  (** {!outcome} of one fold over a record list. *)
+
+  val p99 : float list -> float
+  (** The 99th percentile (nearest-rank on the sorted samples); NaN
+      samples are dropped; [0.] of the empty list.  A sample exactly
+      at a ceiling passes — breaches are strict inequalities. *)
 end
 
 (** {1 Builtins} *)
@@ -152,7 +158,8 @@ val find_builtin : string -> t option
     v}
 
     ["world"], ["faults"], ["slo"] and ["run"] are optional (defaults:
-    {!default_world}, no faults, {!default_slo}, nothing set); ["load"]
+    2 servers, 6 clients, [backbone:1], no WAN clients, seed 0; no
+    faults; {!default_slo}; nothing set); ["load"]
     is required and non-empty.  ["tier"] is ["backbone:N"] or
     ["fat-tree:SxL"]; segment ["mix"] names come from
     {!Renofs_workload.Nhfsstone.mix_of_name}; fault action objects are

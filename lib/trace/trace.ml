@@ -93,12 +93,14 @@ external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type t = {
-  capacity : int;
+  capacity : int;  (* 0: no ring *)
   chunks : Bytes.t array;  (* [Bytes.empty] until first written *)
   mutable next : int; (* next slot to overwrite *)
+  mutable held : int;
   mutable total : int;
   mutable on : bool;
   mutable probe : Renofs_engine.Probe.t option;
+  mutable hook : (record_ -> unit) option;
   ids : (string, int) Hashtbl.t;  (* interned strings, with [strings] *)
   mutable strings : string array;  (* by id *)
   mutable last : string;  (* the string interned last, and its id *)
@@ -106,16 +108,19 @@ type t = {
 }
 
 let create ?(capacity = 1 lsl 18) () =
-  if capacity <= 0 then invalid_arg "Trace.create: nonpositive capacity";
+  if capacity < 0 then invalid_arg "Trace.create: negative capacity";
   let ids = Hashtbl.create 16 in
   Hashtbl.add ids "" 0;
   {
     capacity;
-    chunks = Array.make (((capacity - 1) lsr chunk_bits) + 1) Bytes.empty;
+    chunks =
+      Array.make ((capacity + chunk_slots - 1) lsr chunk_bits) Bytes.empty;
     next = 0;
+    held = 0;
     total = 0;
     on = true;
     probe = None;
+    hook = None;
     ids;
     strings = [| "" |];
     last = "";
@@ -273,7 +278,7 @@ let write t ~time ~node ev =
       set_int c o 4 expected;
       set_int c o 5 got);
   t.next <- (if slot + 1 = t.capacity then 0 else slot + 1);
-  t.total <- t.total + 1
+  if t.held < t.capacity then t.held <- t.held + 1
 
 let decode t slot =
   let c = t.chunks.(slot lsr chunk_bits) in
@@ -335,28 +340,31 @@ let decode t slot =
   { time = get_float c o 0; node = get_int c o 1; ev }
 
 let set_probe t p = t.probe <- p
+let set_hook t h = t.hook <- h
+
+let offer t ~time ~node ev =
+  if t.capacity > 0 then write t ~time ~node ev;
+  t.total <- t.total + 1;
+  match t.hook with None -> () | Some h -> h { time; node; ev }
 
 let record t ~time ~node ev =
   if t.on then
-    (* When probed, the recording cost itself is charged to the observer
-       slot — that is the "how much does tracing cost" answer. *)
+    (* When probed, the recording cost itself (ring and hook) is charged
+       to the observer slot — that is the "how much does tracing cost"
+       answer. *)
     match t.probe with
-    | None -> write t ~time ~node ev
+    | None -> offer t ~time ~node ev
     | Some p ->
         let d = p.Renofs_engine.Probe.enter Renofs_engine.Probe.observer in
-        write t ~time ~node ev;
+        offer t ~time ~node ev;
         p.Renofs_engine.Probe.leave d
 
 let mark t ~time label = record t ~time ~node:(-1) (Run_mark { label })
 let set_enabled t on = t.on <- on
 let enabled t = t.on
-let length t = min t.total t.capacity
+let length t = t.held
 let total t = t.total
-let dropped t = t.total - length t
-
-let clear t =
-  t.next <- 0;
-  t.total <- 0
+let dropped t = t.total - t.held
 
 (* The newest [n] survivors, oldest first: walk back from the slot
    before [next]. *)
@@ -372,6 +380,7 @@ let to_list t = newest t (length t)
 let capacity t = t.capacity
 
 let merge ~into src =
+  if into.on then into.total <- into.total + dropped src;
   List.iter
     (fun { time; node; ev } -> record into ~time ~node ev)
     (to_list src)
@@ -652,75 +661,71 @@ module Report = struct
     mutable pt_service : float;
   }
 
-  let spans_counted records =
-    let label = ref "" in
-    let pending : (int32, partial) Hashtbl.t = Hashtbl.create 256 in
-    let incomplete = ref 0 in
-    let out = ref [] in
-    List.iter
-      (fun r ->
-        match r.ev with
-        | Run_mark { label = l } ->
-            incomplete := !incomplete + Hashtbl.length pending;
-            Hashtbl.reset pending;
-            label := l
-        | Rpc_send { xid; proc } ->
-            if Hashtbl.mem pending xid then incr incomplete;
-            Hashtbl.replace pending xid
-              {
-                pt_proc = proc;
-                pt_first = r.time;
-                pt_last = r.time;
-                pt_retrans = 0;
-                pt_wait = 0.0;
-                pt_service = 0.0;
-              }
-        | Rpc_retransmit { xid; _ } -> (
-            match Hashtbl.find_opt pending xid with
-            | Some p ->
-                p.pt_last <- r.time;
-                p.pt_retrans <- p.pt_retrans + 1
-            | None -> ())
-        | Srv_queue { xid; wait; _ } -> (
-            match Hashtbl.find_opt pending xid with
-            | Some p -> p.pt_wait <- wait
-            | None -> ())
-        | Srv_service { xid; service; _ } -> (
-            match Hashtbl.find_opt pending xid with
-            | Some p -> p.pt_service <- service
-            | None -> ())
-        | Rpc_reply { xid; _ } -> (
-            match Hashtbl.find_opt pending xid with
-            | Some p ->
-                Hashtbl.remove pending xid;
-                let total = r.time -. p.pt_first in
-                out :=
-                  {
-                    sp_label = !label;
-                    sp_xid = xid;
-                    sp_proc = p.pt_proc;
-                    sp_start = p.pt_first;
-                    sp_retrans = p.pt_retrans;
-                    (* Capped at the total: a retransmission the original
-                       reply overtakes (nfsstat's badxid case) cannot
-                       have delayed the RPC longer than the RPC took. *)
-                    sp_rtx_wait = Float.min (p.pt_last -. p.pt_first) total;
-                    sp_srv_wait = p.pt_wait;
-                    sp_srv_service = p.pt_service;
-                    sp_total = total;
-                  }
-                  :: !out
-            | None -> ())
-        | Pkt_enqueue _ | Pkt_drop _ | Pkt_deliver _ | Pkt_mangle _
-        | Frag_lost _ | Cwnd_update _ | Rto_update _ | Cache_hit _
-        | Cache_miss _ | Srv_crash | Srv_reboot | Write_committed _
-        | Lease_grant _ | Cached_read _ | Wl_error _ | Fault_inject _
-        | Write_unstable _ | Commit_ok _ | Verf_mismatch _ ->
-            ())
-      records;
-    (List.rev !out, !incomplete + Hashtbl.length pending)
+  (* The span join as a fold over records in stream order: [on_span]
+     sees each RPC when its reply completes it. *)
+  type join = {
+    on_span : span -> unit;
+    pending : (int32, partial) Hashtbl.t;
+    mutable label : string;
+    mutable unanswered : int;  (* sends a mark or a reused xid abandoned *)
+  }
 
-  let spans records = fst (spans_counted records)
+  let join on_span =
+    { on_span; pending = Hashtbl.create 256; label = ""; unanswered = 0 }
+
+  let observe j r =
+    match r.ev with
+    | Run_mark { label } ->
+        j.unanswered <- j.unanswered + Hashtbl.length j.pending;
+        Hashtbl.reset j.pending;
+        j.label <- label
+    | Rpc_send { xid; proc } ->
+        if Hashtbl.mem j.pending xid then j.unanswered <- j.unanswered + 1;
+        Hashtbl.replace j.pending xid
+          {
+            pt_proc = proc;
+            pt_first = r.time;
+            pt_last = r.time;
+            pt_retrans = 0;
+            pt_wait = 0.0;
+            pt_service = 0.0;
+          }
+    | Rpc_retransmit { xid; _ } -> (
+        match Hashtbl.find_opt j.pending xid with
+        | Some p ->
+            p.pt_last <- r.time;
+            p.pt_retrans <- p.pt_retrans + 1
+        | None -> ())
+    | Srv_queue { xid; wait; _ } -> (
+        match Hashtbl.find_opt j.pending xid with
+        | Some p -> p.pt_wait <- wait
+        | None -> ())
+    | Srv_service { xid; service; _ } -> (
+        match Hashtbl.find_opt j.pending xid with
+        | Some p -> p.pt_service <- service
+        | None -> ())
+    | Rpc_reply { xid; _ } -> (
+        match Hashtbl.find_opt j.pending xid with
+        | Some p ->
+            Hashtbl.remove j.pending xid;
+            let total = r.time -. p.pt_first in
+            j.on_span
+              {
+                sp_label = j.label;
+                sp_xid = xid;
+                sp_proc = p.pt_proc;
+                sp_start = p.pt_first;
+                sp_retrans = p.pt_retrans;
+                (* Capped at the total: a retransmission the original
+                   reply overtakes (nfsstat's badxid case) cannot have
+                   delayed the RPC longer than the RPC took. *)
+                sp_rtx_wait = Float.min (p.pt_last -. p.pt_first) total;
+                sp_srv_wait = p.pt_wait;
+                sp_srv_service = p.pt_service;
+                sp_total = total;
+              }
+        | None -> ())
+    | _ -> ()
 
   let wire_time sp =
     Float.max 0.0
@@ -770,50 +775,52 @@ module Report = struct
 
   let build t =
     let records = to_list t in
-    let spans, incomplete = spans_counted records in
+    let complete = ref 0 in
     let procs : (int, int ref * int ref * Stats.Hist.t) Hashtbl.t =
       Hashtbl.create 24
     in
     let labels : (string, label_acc) Hashtbl.t = Hashtbl.create 8 in
     let label_order = ref [] in
-    List.iter
-      (fun sp ->
-        let calls, retrans, h =
-          match Hashtbl.find_opt procs sp.sp_proc with
-          | Some v -> v
-          | None ->
-              let v = (ref 0, ref 0, hist ()) in
-              Hashtbl.replace procs sp.sp_proc v;
-              v
-        in
-        incr calls;
-        retrans := !retrans + sp.sp_retrans;
-        Stats.Hist.add h sp.sp_total;
-        let acc =
-          match Hashtbl.find_opt labels sp.sp_label with
-          | Some a -> a
-          | None ->
-              let a =
-                {
-                  la_calls = 0;
-                  la_total = 0.0;
-                  la_wire = 0.0;
-                  la_queue = 0.0;
-                  la_service = 0.0;
-                  la_rtx = 0.0;
-                }
-              in
-              Hashtbl.replace labels sp.sp_label a;
-              label_order := sp.sp_label :: !label_order;
-              a
-        in
-        acc.la_calls <- acc.la_calls + 1;
-        acc.la_total <- acc.la_total +. sp.sp_total;
-        acc.la_wire <- acc.la_wire +. wire_time sp;
-        acc.la_queue <- acc.la_queue +. sp.sp_srv_wait;
-        acc.la_service <- acc.la_service +. sp.sp_srv_service;
-        acc.la_rtx <- acc.la_rtx +. sp.sp_rtx_wait)
-      spans;
+    let add sp =
+      incr complete;
+      let calls, retrans, h =
+        match Hashtbl.find_opt procs sp.sp_proc with
+        | Some v -> v
+        | None ->
+            let v = (ref 0, ref 0, hist ()) in
+            Hashtbl.replace procs sp.sp_proc v;
+            v
+      in
+      incr calls;
+      retrans := !retrans + sp.sp_retrans;
+      Stats.Hist.add h sp.sp_total;
+      let acc =
+        match Hashtbl.find_opt labels sp.sp_label with
+        | Some a -> a
+        | None ->
+            let a =
+              {
+                la_calls = 0;
+                la_total = 0.0;
+                la_wire = 0.0;
+                la_queue = 0.0;
+                la_service = 0.0;
+                la_rtx = 0.0;
+              }
+            in
+            Hashtbl.replace labels sp.sp_label a;
+            label_order := sp.sp_label :: !label_order;
+            a
+      in
+      acc.la_calls <- acc.la_calls + 1;
+      acc.la_total <- acc.la_total +. sp.sp_total;
+      acc.la_wire <- acc.la_wire +. wire_time sp;
+      acc.la_queue <- acc.la_queue +. sp.sp_srv_wait;
+      acc.la_service <- acc.la_service +. sp.sp_srv_service;
+      acc.la_rtx <- acc.la_rtx +. sp.sp_rtx_wait
+    in
+    let j = join add in
+    List.iter (observe j) records;
     let by_proc =
       Hashtbl.fold (fun proc (c, r, h) acc -> (proc, !c, !r, h) :: acc) procs []
       |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
@@ -845,8 +852,8 @@ module Report = struct
     {
       by_proc;
       by_label;
-      complete = List.length spans;
-      incomplete;
+      complete = !complete;
+      incomplete = j.unanswered + Hashtbl.length j.pending;
       events = List.length records;
       events_dropped = dropped t;
     }

@@ -10,11 +10,10 @@
     or mark.  {!to_list}, {!merge} and {!export_jsonl} decode records
     from the slots, as fresh values on every call.
 
-    A verdict judged over {!to_list} of a ring that has wrapped
-    ({!dropped} [> 0]) skips the evicted records.  The chaos, fuzz and
-    slo harnesses therefore report such a verdict as
-    [INCONCLUSIVE:trace-ring-wrapped], which fails the run as a [FAIL]
-    does.
+    The ring is a debugging aid for export, reports and flight
+    bundles; verdicts never read it.  The chaos, fuzz and slo harnesses
+    judge each record as it is made, through the sink's {!set_hook}
+    fold, so their verdicts are exact at any run length.
 
     The event taxonomy follows the layers the paper attributes time to:
     the client RPC layer ({!Rpc_send} / {!Rpc_retransmit} / {!Rpc_reply},
@@ -112,12 +111,13 @@ val create : ?capacity:int -> unit -> t
 (** A ring buffer holding the last [capacity] records (default 2^18).
     Older records are overwritten, and counted in {!dropped}.  Nothing
     is allocated up front: memory grows with the records held, about
-    64 bytes each, in chunks of 4,096 records, up to [capacity]. *)
+    64 bytes each, in chunks of 4,096 records, up to [capacity].
+    [~capacity:0] keeps no ring: records are only counted and hooked. *)
 
 val record : t -> time:float -> node:int -> event -> unit
-(** Append one record (no-op while disabled, see {!set_enabled}).  The
-    event is copied into the ring, which keeps nothing the caller
-    passed; a record allocates nothing once its chunk exists. *)
+(** Append one record and pass it to the hook (no-op while disabled,
+    see {!set_enabled}).  The ring keeps nothing the caller passed;
+    without a hook a record allocates nothing once its chunk exists. *)
 
 val mark : t -> time:float -> string -> unit
 (** [mark t ~time label] records a {!Run_mark}. *)
@@ -131,6 +131,11 @@ val set_probe : t -> Renofs_engine.Probe.t option -> unit
     observer slot — the trace's overhead becomes self-measuring.
     Detached (the default): one extra branch per record. *)
 
+val set_hook : t -> (record_ -> unit) option -> unit
+(** The sink's one record hook ([None] detaches it): it sees exactly
+    the records offered while the sink is enabled, in order, whatever
+    the ring keeps.  A probe charges its cost to the observer slot. *)
+
 val enabled : t -> bool
 
 val length : t -> int
@@ -140,22 +145,21 @@ val total : t -> int
 (** Records ever offered while enabled. *)
 
 val dropped : t -> int
-(** [total - length]: records overwritten by ring wraparound. *)
+(** [total - length]: records the ring does not hold. *)
 
-val clear : t -> unit
 val to_list : t -> record_ list
 (** Surviving records, oldest first, decoded afresh on each call. *)
 
 val capacity : t -> int
-(** The ring size this sink was created with. *)
+(** The ring size this sink was created with ([0]: no ring). *)
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] appends [src]'s surviving records, oldest first,
-    to [into] ([into]'s enabled gate applies).  Experiment runners give
-    each parallel cell a private sink and merge them back in cell order,
-    so the combined stream is identical to a serial run: segments stay
-    mark-delimited and never interleave.  [src]'s records are decoded
-    and recorded into [into] one by one. *)
+    to [into] and counts the ones [src] dropped as dropped there
+    ([into]'s enabled gate applies).  Experiment runners give each
+    parallel cell a private sink and merge them back in cell order, so
+    the combined stream is identical to a serial run: segments stay
+    mark-delimited and never interleave. *)
 
 val proc_name : int -> string
 (** NFSv2 procedure names (plus this repo's extensions), matching
@@ -218,10 +222,16 @@ module Report : sig
     sp_total : float;  (** first transmission to reply *)
   }
 
-  val spans : record_ list -> span list
-  (** Join events by xid within each mark-delimited segment; a span
-      completes on its {!Rpc_reply}.  Unanswered sends are dropped
-      (counted by {!build} as incomplete). *)
+  type join
+
+  val join : (span -> unit) -> join
+  (** An empty span join, a fold that passes each span on as its
+      {!Rpc_reply} completes it. *)
+
+  val observe : join -> record_ -> unit
+  (** Feed the next record.  Events join by xid within each
+      mark-delimited segment; a mark abandons the unanswered sends,
+      which {!build} counts as incomplete. *)
 
   val wire_time : span -> float
   (** What is left of [sp_total] after queue wait, service time and

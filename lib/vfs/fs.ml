@@ -614,8 +614,6 @@ let statfs t =
   }
 
 let namecache t = t.namecache
-let bcache t = t.bcache
-let disk t = t.disk
 
 let fsck t =
   let problems = ref [] in

@@ -125,8 +125,6 @@ type fsstat = { total_blocks : int; free_blocks : int; block_size : int }
 val statfs : t -> fsstat
 
 val namecache : t -> Namecache.t option
-val bcache : t -> Bcache.t
-val disk : t -> Disk.t
 
 val fsck : t -> string list
 (** Invariant check, fsck-style: every directory entry points at a live

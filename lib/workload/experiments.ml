@@ -139,18 +139,11 @@ let render r =
     rows = List.map (List.map render_value) r.r_rows;
   }
 
-let failed_verdict s =
-  String.starts_with ~prefix:"FAIL" s
-  || String.starts_with ~prefix:"INCONCLUSIVE" s
-
-let unless_wrapped sink verdict =
-  if Trace.dropped sink > 0 then "INCONCLUSIVE:trace-ring-wrapped"
-  else verdict
+let failed_verdict s = String.starts_with ~prefix:"FAIL" s
 
 (* A cell that failed, in its own verdict: any row value that is a
    failed verdict text — chaos/fuzz invariant verdicts, the fuzzer's
-   FAIL:stuck / FAIL:exn rows, a scenario's SLO-breach verdict, and
-   any of these judged over a wrapped ring. *)
+   FAIL:stuck / FAIL:exn rows, a scenario's SLO-breach verdict. *)
 let fail_value out =
   List.find_map
     (function Text s when failed_verdict s -> Some s | _ -> None)
@@ -162,11 +155,12 @@ let fail_value out =
    (trace segments stay mark-delimited; metrics runs keep start order;
    profile counters commute).
 
-   An armed flight recorder forces a private trace sink and profile on
-   every cell even when the caller asked for neither, so a failing cell
-   always has a tail and a snapshot to dump.  Dumps happen inside the
-   cell body — in the worker domain, before [Sweep.run] re-raises — so
-   a [Driver_stuck] on one cell cannot lose another cell's bundle. *)
+   An armed flight recorder forces a private trace sink (as large as
+   the bundle's tail) and profile on every cell even when the caller
+   asked for neither, so a failing cell always has a tail and a
+   snapshot to dump.  Dumps happen inside the cell body — in the worker
+   domain, before [Sweep.run] re-raises — so a [Driver_stuck] on one
+   cell cannot lose another cell's bundle. *)
 let run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics cells =
   let trace_sinks =
     match (trace, flight) with
@@ -174,7 +168,9 @@ let run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics cells =
         let cap = Trace.capacity main in
         List.map (fun _ -> Some (Trace.create ~capacity:cap ())) cells
     | None, Some _ ->
-        List.map (fun _ -> Some (Trace.create ~capacity:(1 lsl 18) ())) cells
+        List.map
+          (fun _ -> Some (Trace.create ~capacity:Flight.tail_records ()))
+          cells
     | None, None -> List.map (fun _ -> None) cells
   in
   let metric_sinks =
@@ -1263,19 +1259,21 @@ let write_read_drive ~prefix world m ~duration =
 let read_back fs ~file ~off ~len =
   try Some (Fs.read fs (Fs.vnode_by_ino fs file) ~off ~len) with _ -> None
 
+let verdict_sink ctx observe =
+  let sink =
+    match ctx.trace with Some tr -> tr | None -> Trace.create ~capacity:0 ()
+  in
+  Trace.set_hook sink (Some observe);
+  sink
+
 let chaos_cell ?(seed = 0) ~schedule ~tname ~opts ~duration () =
   let label = Printf.sprintf "chaos/%s/%s" schedule.Fault.name tname in
   {
     cell_label = label;
     cell_run =
       (fun ctx ->
-        (* The invariant checker needs the event stream even when the
-           caller did not ask for a trace: give the run a private sink. *)
-        let sink =
-          match ctx.trace with
-          | Some tr -> tr
-          | None -> Trace.create ~capacity:65536 ()
-        in
+        let check = Fault.Check.create () in
+        let sink = verdict_sink ctx (Fault.Check.observe check) in
         let ctx = { ctx with trace = Some sink; faults = Some schedule } in
         (* seed 0 = the historical default world, bit-for-bit. *)
         let params =
@@ -1284,26 +1282,27 @@ let chaos_cell ?(seed = 0) ~schedule ~tname ~opts ~duration () =
         in
         let world = make_world ~params ~run_label:label ~ctx ~topology:"lan" () in
         let start = Sim.now world.sim in
-        let verdicts, retrans, recovery, elapsed =
-          drive ~label world (fun () ->
-              let m = mount_in world opts in
-              ignore (write_read_drive ~prefix:"chaos" world m ~duration);
-              let records = Trace.to_list sink in
-              ( Fault.Check.check_all
-                  ~read_back:(read_back (Nfs_server.fs world.server))
-                  records,
-                Client_transport.retransmits (Nfs_client.transport m),
-                Fault.Check.recovery_time records,
-                Sim.now world.sim -. start ))
-        in
-        [
-          txt schedule.Fault.name;
-          txt tname;
-          sec2 elapsed;
-          count retrans;
-          ms recovery;
-          txt (unless_wrapped sink (Fault.Check.summary verdicts));
-        ]);
+        drive ~label world (fun () ->
+            let m = mount_in world opts in
+            ignore (write_read_drive ~prefix:"chaos" world m ~duration);
+            let elapsed = Sim.now world.sim -. start in
+            let recovery = Fault.Check.recovery check in
+            let retrans =
+              Client_transport.retransmits (Nfs_client.transport m)
+            in
+            let fs = Nfs_server.fs world.server in
+            let verdicts =
+              Fault.Check.verdicts check
+                ~read_back:(fun ~node:_ -> read_back fs)
+            in
+            [
+              txt schedule.Fault.name;
+              txt tname;
+              sec2 elapsed;
+              count retrans;
+              ms recovery;
+              txt (Fault.Check.summary verdicts);
+            ]));
   }
 
 let chaos_spec ?seed scale =
@@ -1373,11 +1372,8 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
     cell_label = label;
     cell_run =
       (fun ctx ->
-        let sink =
-          match ctx.trace with
-          | Some tr -> tr
-          | None -> Trace.create ~capacity:65536 ()
-        in
+        let check = Fault.Check.create () in
+        let sink = verdict_sink ctx (Fault.Check.observe check) in
         let schedule =
           {
             Fault.name = "fuzz-" ^ profile;
@@ -1407,13 +1403,13 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
                   Some (Fs.read fs vn ~off ~len)
                 with _ -> None
               in
-              let records = Trace.to_list sink in
+              let integrity =
+                Fault.Check.data_integrity ~expected ~read_back:read_back_idx
+              in
               let verdicts =
-                Fault.Check.check_all ~read_back:(read_back fs) records
-                @ [
-                    Fault.Check.data_integrity ~expected
-                      ~read_back:read_back_idx;
-                  ]
+                Fault.Check.verdicts check
+                  ~read_back:(fun ~node:_ -> read_back fs)
+                @ [ integrity ]
               in
               let tr = Nfs_client.transport m in
               let ckdrops =
@@ -1425,7 +1421,7 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
                   | None -> 0)
               in
               row
-                (unless_wrapped sink (Fault.Check.summary verdicts))
+                (Fault.Check.summary verdicts)
                 ~retrans:(Client_transport.retransmits tr)
                 ~garbled:(Client_transport.garbled tr)
                 ~ckdrops)

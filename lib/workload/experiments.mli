@@ -153,10 +153,16 @@ val run_spec :
     order.  The deterministic slice (enter/fire counts) is identical at
     any [jobs]; the wall-clock attribution is real time and is not.
 
-    Flight recorder: with [flight], a private trace sink and profile
-    are forced on every cell, and a cell that raises {!Driver_stuck} or
-    returns a row with a {!failed_verdict} value (invariant or SLO
-    verdicts) dumps a post-mortem bundle before the sweep re-raises. *)
+    Verdicts: the chaos, fuzz and slo cells fold theirs over every
+    record as it is made ({!verdict_sink}), so they are exact at any
+    run length and the same with or without a trace.
+
+    Flight recorder: with [flight], a private trace sink holding the
+    bundle's tail ({!Renofs_profile.Flight.tail_records} records) and a
+    profile are forced on every cell, and a cell that raises
+    {!Driver_stuck} or returns a row with a {!failed_verdict} value
+    (invariant or SLO verdicts) dumps a post-mortem bundle before the
+    sweep re-raises. *)
 
 val run_specs :
   ?jobs:int ->
@@ -180,19 +186,12 @@ exception Driver_stuck of string
 
 val failed_verdict : string -> bool
 (** Whether a verdict text fails its cell: it starts with ["FAIL"] (an
-    invariant or SLO violated, a fuzz cell stuck or raising) or with
-    ["INCONCLUSIVE"] (see {!unless_wrapped}).  The CLI exits non-zero
-    on such a verdict and an armed flight recorder dumps a bundle. *)
+    invariant or SLO violated, a fuzz cell stuck or raising).  The CLI
+    exits non-zero on such a verdict and an armed flight recorder dumps
+    a bundle. *)
 
 val fail_value : value list -> string option
 (** The first {!failed_verdict} text in a cell's row, if any. *)
-
-val unless_wrapped : Renofs_trace.Trace.t -> string -> string
-(** [unless_wrapped sink verdict] is [verdict], or
-    ["INCONCLUSIVE:trace-ring-wrapped"] once [sink] has overwritten a
-    record: a verdict judged over a wrapped ring skips the evicted
-    records, so it could pass falsely.  The chaos, fuzz and slo cells
-    pass their verdicts through it. *)
 
 val advance_until :
   label:string -> window:float -> Renofs_engine.Sim.t -> (unit -> bool) -> unit
@@ -259,5 +258,11 @@ val read_back :
   Renofs_vfs.Fs.t -> file:int -> off:int -> len:int -> bytes option
 (** The durability checks' read-back: [len] bytes at [off] of inode
     [file], or [None] when the file or range is gone. *)
+
+val verdict_sink :
+  ctx -> (Renofs_trace.Trace.record_ -> unit) -> Renofs_trace.Trace.t
+(** [ctx.trace], or a sink keeping no ring, with [observe] as its
+    hook: a judging cell's sink, made before its world so the fold sees
+    every record. *)
 
 

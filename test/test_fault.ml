@@ -205,20 +205,26 @@ let test_new_events_jsonl_roundtrip () =
 
 let r ?(node = 1) time ev = { Trace.time; node; ev }
 
+(* One invariant's verdict over a record list, through [check_all]. *)
+let invariant name ?read_back records =
+  List.find
+    (fun v -> v.Check.v_name = name)
+    (Check.check_all ?read_back records)
+
 let test_hard_mount_invariant () =
   let bad = [ r 1.0 (Trace.Wl_error { op = "write"; soft = false }) ] in
   Alcotest.(check bool) "hard-mount error flagged" false
-    (Check.hard_mount_errors bad).Check.v_ok;
+    (invariant "hard-mount-errors" bad).Check.v_ok;
   let ok = [ r 1.0 (Trace.Wl_error { op = "write"; soft = true }) ] in
   Alcotest.(check bool) "soft give-up is legal" true
-    (Check.hard_mount_errors ok).Check.v_ok
+    (invariant "hard-mount-errors" ok).Check.v_ok
 
 let test_double_effect_invariant () =
   let svc t =
     r ~node:2 t (Trace.Srv_service { xid = 7l; proc = 9; service = 0.001 })
   in
   Alcotest.(check bool) "double CREATE flagged" false
-    (Check.no_double_effect [ svc 1.0; svc 2.0 ]).Check.v_ok;
+    (invariant "no-double-effect" [ svc 1.0; svc 2.0 ]).Check.v_ok;
   (* A crash between the two executions is the paper's known
      at-least-once hazard — the cache died with the server. *)
   let crashed =
@@ -226,7 +232,7 @@ let test_double_effect_invariant () =
       svc 2.0 ]
   in
   Alcotest.(check bool) "re-execution across a crash tolerated" true
-    (Check.no_double_effect crashed).Check.v_ok
+    (invariant "no-double-effect" crashed).Check.v_ok
 
 let test_stale_lease_invariant () =
   let base =
@@ -242,7 +248,7 @@ let test_stale_lease_invariant () =
     base @ [ r ~node:3 3.0 (Trace.Cached_read { file = 5; holder = 3; mtime = 1.0 }) ]
   in
   Alcotest.(check bool) "stale cached read flagged" false
-    (Check.no_stale_lease_reads stale).Check.v_ok;
+    (invariant "no-stale-lease-reads" stale).Check.v_ok;
   let after_crash =
     base
     @ [
@@ -251,7 +257,7 @@ let test_stale_lease_invariant () =
       ]
   in
   Alcotest.(check bool) "crash voids the conflicting lease" true
-    (Check.no_stale_lease_reads after_crash).Check.v_ok
+    (invariant "no-stale-lease-reads" after_crash).Check.v_ok
 
 let test_durability_invariant () =
   let commit t data =
@@ -269,19 +275,19 @@ let test_durability_invariant () =
   let returns s ~file:_ ~off:_ ~len:_ = Some (Bytes.of_string s) in
   let gone ~file:_ ~off:_ ~len:_ = None in
   Alcotest.(check bool) "matching read-back passes" true
-    (Check.durable_writes ~read_back:(returns "hello") [ w ]).Check.v_ok;
+    (invariant "durable-writes" ~read_back:(returns "hello") [ w ]).Check.v_ok;
   Alcotest.(check bool) "corrupted read-back flagged" false
-    (Check.durable_writes ~read_back:(returns "jello") [ w ]).Check.v_ok;
+    (invariant "durable-writes" ~read_back:(returns "jello") [ w ]).Check.v_ok;
   Alcotest.(check bool) "vanished file flagged" false
-    (Check.durable_writes ~read_back:gone [ w ]).Check.v_ok;
+    (invariant "durable-writes" ~read_back:gone [ w ]).Check.v_ok;
   (* A later overlapping write supersedes the first: only the final
      extent is digest-checked. *)
   let w2 = commit 2.0 (Bytes.of_string "world") in
   Alcotest.(check bool) "superseded write not checked" true
-    (Check.durable_writes ~read_back:(returns "world") [ w; w2 ]).Check.v_ok;
+    (invariant "durable-writes" ~read_back:(returns "world") [ w; w2 ]).Check.v_ok;
   Alcotest.(check bool) "summary names the failure" true
     (String.length
-       (Check.summary [ Check.hard_mount_errors [ r 1.0 (Trace.Wl_error { op = "x"; soft = false }) ] ])
+       (Check.summary [ invariant "hard-mount-errors" [ r 1.0 (Trace.Wl_error { op = "x"; soft = false }) ] ])
     >= 4)
 
 let test_committed_durable_invariant () =
@@ -309,35 +315,229 @@ let test_committed_durable_invariant () =
   let gone ~file:_ ~off:_ ~len:_ = None in
   (* The contract: commit-covered unstable data must survive. *)
   Alcotest.(check bool) "covered + present passes" true
-    (Check.committed_durable ~read_back:(returns "hello") [ wu 1.0 7; cok 2.0 7 ])
+    (invariant "committed-durable" ~read_back:(returns "hello") [ wu 1.0 7; cok 2.0 7 ])
       .Check.v_ok;
   let v =
-    Check.committed_durable ~read_back:gone [ wu 1.0 7; cok 2.0 7 ]
+    invariant "committed-durable" ~read_back:gone [ wu 1.0 7; cok 2.0 7 ]
   in
   Alcotest.(check bool) "covered + vanished flagged" false v.Check.v_ok;
   Alcotest.(check string) "named" "committed-durable" v.Check.v_name;
   (* Unstable data never covered by a COMMIT may legally vanish. *)
   Alcotest.(check bool) "uncovered may vanish" true
-    (Check.committed_durable ~read_back:gone [ wu 1.0 7 ]).Check.v_ok;
+    (invariant "committed-durable" ~read_back:gone [ wu 1.0 7 ]).Check.v_ok;
   (* A verifier change between write and commit leaves the write
      uncovered by construction: the client owes the replay, not the
      server the data. *)
   Alcotest.(check bool) "verifier change uncovers" true
-    (Check.committed_durable ~read_back:gone [ wu 1.0 7; cok 2.0 8 ]).Check.v_ok;
+    (invariant "committed-durable" ~read_back:gone [ wu 1.0 7; cok 2.0 8 ]).Check.v_ok;
   (* A later different committed write supersedes the extent... *)
   Alcotest.(check bool) "superseded extent not checked" true
-    (Check.committed_durable ~read_back:(returns "world")
+    (invariant "committed-durable" ~read_back:(returns "world")
        [ wu 1.0 7; cok 2.0 7; wc 3.0 "world" ])
       .Check.v_ok;
   (* ...but the server's own COMMIT-flush echo (identical extent and
      digest) does not — the data must still read back. *)
   Alcotest.(check bool) "flush echo does not supersede" false
-    (Check.committed_durable ~read_back:(returns "jello")
+    (invariant "committed-durable" ~read_back:(returns "jello")
        [ wu 1.0 7; cok 2.0 7; wc 2.0 "hello" ])
       .Check.v_ok;
   (* No read-back handle: vacuous pass, and it says so. *)
-  let vac = Check.committed_durable [ wu 1.0 7; cok 2.0 7 ] in
+  let vac = invariant "committed-durable" [ wu 1.0 7; cok 2.0 7 ] in
   Alcotest.(check bool) "vacuous without read_back" true vac.Check.v_ok
+
+(* A mark starts a fresh world: the post-run read-back cannot see the
+   old world's files, its xids restart and its leases are gone. *)
+let test_mark_starts_fresh_world () =
+  let mark t = r ~node:(-1) t (Trace.Run_mark { label = "next" }) in
+  let gone ~file:_ ~off:_ ~len:_ = None in
+  let hello = Bytes.of_string "hello" in
+  let wc t =
+    r ~node:2 t
+      (Trace.Write_committed
+         { file = 9; off = 0; len = 5; digest = Trace.digest hello; mtime = t })
+  in
+  let wu t =
+    r ~node:2 t
+      (Trace.Write_unstable
+         { file = 9; off = 0; len = 5; digest = Trace.digest hello; verf = 7 })
+  in
+  let cok t =
+    r ~node:2 t (Trace.Commit_ok { file = 9; off = 0; count = 0; verf = 7 })
+  in
+  let svc t =
+    r ~node:2 t (Trace.Srv_service { xid = 7l; proc = 9; service = 0.001 })
+  in
+  let grant t =
+    r ~node:2 t
+      (Trace.Lease_grant
+         { file = 9; mode = "write"; holder = 1; duration = 60.0 })
+  in
+  let cached t =
+    r ~node:3 t (Trace.Cached_read { file = 9; holder = 3; mtime = 0.0 })
+  in
+  let ok name v = Alcotest.(check bool) name true v.Check.v_ok in
+  let bad name v = Alcotest.(check bool) name false v.Check.v_ok in
+  let durable = invariant "durable-writes" ~read_back:gone in
+  let committed = invariant "committed-durable" ~read_back:gone in
+  let doubles = invariant "no-double-effect" in
+  let stale = invariant "no-stale-lease-reads" in
+  bad "write read back in its world" (durable [ wc 1.0 ]);
+  ok "not after a mark" (durable [ wc 1.0; mark 2.0 ]);
+  bad "commit read back in its world" (committed [ wu 1.0; cok 1.5 ]);
+  ok "not after a mark" (committed [ wu 1.0; cok 1.5; mark 2.0 ]);
+  bad "double in one world" (doubles [ svc 1.0; svc 3.0 ]);
+  ok "xids restart at a mark" (doubles [ svc 1.0; mark 2.0; svc 3.0 ]);
+  bad "stale in one world" (stale [ grant 1.0; wc 2.0; cached 3.0 ]);
+  ok "leases end at a mark" (stale [ grant 1.0; wc 2.0; mark 2.5; cached 3.0 ])
+
+(* Random streams of the events the invariants read: three server
+   nodes and four files, overlapping extents with right or wrong
+   digests, verifiers, commits, crashes, non-idempotent executions,
+   lease grants and cached reads, mount errors, marks, and
+   enable/disable toggles.  Times only grow, as a run's do. *)
+let content ~file ~off ~len =
+  Bytes.init len (fun i -> Char.chr (((file * 31) + off + i) land 0xff))
+
+(* File 3 is gone after the run; the others read back [content]. *)
+let model_read_back ~file ~off ~len =
+  if file = 3 then None else Some (content ~file ~off ~len)
+
+type step = Rec of Trace.record_ | Toggle of bool
+
+let gen_steps =
+  let open QCheck.Gen in
+  let server = int_range 1 3 and client = int_range 10 12 in
+  let file = int_bound 3 and verf = int_bound 2 in
+  let extent =
+    pair (map (fun k -> k * 512) (int_bound 7)) (oneofl [ 0; 512; 1024; 2048 ])
+  in
+  let digest ~file ~off ~len =
+    frequency
+      [
+        (4, return (Trace.digest (content ~file ~off ~len)));
+        (1, int_bound 1000);
+      ]
+  in
+  let write =
+    let* file = file and* off, len = extent in
+    let* d = digest ~file ~off ~len and* mtime = float_bound_inclusive 10.0 in
+    return (Trace.Write_committed { file; off; len; digest = d; mtime })
+  in
+  let unstable =
+    let* file = file and* off, len = extent and* verf = verf in
+    let* d = digest ~file ~off ~len in
+    return (Trace.Write_unstable { file; off; len; digest = d; verf })
+  in
+  let commit =
+    let+ file = file
+    and+ off = map (fun k -> k * 512) (int_bound 3)
+    and+ count = oneofl [ 0; 1024; 4096 ]
+    and+ verf = verf in
+    Trace.Commit_ok { file; off; count; verf }
+  in
+  let service =
+    let+ xid = int_range 1 4 and+ proc = oneofl [ 1; 9; 10; 11 ] in
+    Trace.Srv_service { xid = Int32.of_int xid; proc; service = 0.001 }
+  in
+  let grant =
+    let+ file = file
+    and+ mode = oneofl [ "write"; "read" ]
+    and+ holder = client
+    and+ duration = float_range 0.5 3.0 in
+    Trace.Lease_grant { file; mode; holder; duration }
+  in
+  let at_server ev = map2 (fun node ev -> (node, ev)) server ev in
+  let event =
+    frequency
+      [
+        (4, at_server write);
+        (4, at_server unstable);
+        (2, at_server commit);
+        (1, at_server (return Trace.Srv_crash));
+        (3, at_server service);
+        (2, at_server grant);
+        ( 2,
+          let+ holder = client
+          and+ file = file
+          and+ mtime = float_bound_inclusive 10.0 in
+          (holder, Trace.Cached_read { file; holder; mtime }) );
+        ( 1,
+          let+ node = client
+          and+ soft = frequency [ (5, return true); (1, return false) ] in
+          (node, Trace.Wl_error { op = "write"; soft }) );
+        (1, return (-1, Trace.Run_mark { label = "next" }));
+      ]
+  in
+  let* n = int_range 0 200 in
+  let rec steps k time acc =
+    if k = 0 then return (List.rev acc)
+    else
+      let* dt = float_bound_inclusive 0.5 and* toggle = int_bound 19 in
+      if toggle = 0 then
+        let* on = bool in
+        steps (k - 1) time (Toggle on :: acc)
+      else
+        let* node, ev = event in
+        let time = time +. dt in
+        steps (k - 1) time (Rec { Trace.time; node; ev } :: acc)
+  in
+  steps n 0.0 []
+
+let prop_hook_equals_list =
+  QCheck.Test.make ~name:"hook on a 64-record ring equals check_all" ~count:300
+    (QCheck.make
+       ~print:(fun steps -> Printf.sprintf "%d steps" (List.length steps))
+       gen_steps)
+    (fun steps ->
+      let check = Check.create () in
+      let ring = Trace.create ~capacity:64 () in
+      Trace.set_hook ring (Some (Check.observe check));
+      let full = Trace.create ~capacity:4096 () in
+      List.iter
+        (function
+          | Toggle on ->
+              Trace.set_enabled ring on;
+              Trace.set_enabled full on
+          | Rec r ->
+              List.iter
+                (fun tr ->
+                  Trace.record tr ~time:r.Trace.time ~node:r.Trace.node
+                    r.Trace.ev)
+                [ ring; full ])
+        steps;
+      let replay = Check.create () in
+      List.iter (Check.observe replay) (Trace.to_list full);
+      Check.verdicts check ~read_back:(fun ~node:_ -> model_read_back)
+      = Check.check_all ~read_back:model_read_back (Trace.to_list full)
+      && Check.recovery check = Check.recovery replay)
+
+(* The fold keeps live state only: 100,000 rewrites of one 8 KiB
+   extent, UNSTABLE and committed under COMMITs, with a write lease
+   regranted each time, leave one extent and one lease behind. *)
+let test_fold_state_bounded () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let check = Check.create () in
+  let w0 = live () in
+  for i = 1 to 100_000 do
+    let time = float_of_int i in
+    let digest = i land 0xffff in
+    List.iter
+      (fun ev -> Check.observe check { Trace.time; node = 2; ev })
+      [
+        Trace.Write_unstable { file = 7; off = 0; len = 8192; digest; verf = 1 };
+        Trace.Commit_ok { file = 7; off = 0; count = 0; verf = 1 };
+        Trace.Write_committed
+          { file = 7; off = 0; len = 8192; digest; mtime = time };
+        Trace.Lease_grant
+          { file = 7; mode = "write"; holder = 3; duration = 0.5 };
+      ]
+  done;
+  let words = live () - w0 in
+  ignore (Sys.opaque_identity check);
+  if words > 4_096 then Alcotest.failf "fold holds %d live words" words
 
 (* ---------------------------------------------------------------- *)
 (* v3 over the wire: lying COMMIT convicted, crash replay heals,     *)
@@ -404,7 +604,7 @@ let commit_durable_verdict_with ~lie =
          must run inside a fiber too. *)
       verdict :=
         Some
-          (Check.committed_durable
+          (invariant "committed-durable"
              ~read_back:(server_read_back w.w_server)
              (Trace.to_list w.w_trace)));
   Sim.run ~until:600.0 w.w_sim;
@@ -508,7 +708,7 @@ let test_v3_commit_digests_untraced_writes () =
             digest)
         committed;
       Alcotest.(check bool) "durable writes pass with read-back" true
-        (Check.durable_writes ~read_back:(server_read_back w.w_server) records)
+        (invariant "durable-writes" ~read_back:(server_read_back w.w_server) records)
           .Check.v_ok;
       finished := true);
   Sim.run ~until:600.0 w.w_sim;
@@ -631,7 +831,7 @@ let double_create_verdict ~dup_cache =
       Proc.sleep sim 0.5;
       send ());
   Sim.run ~until:5.0 sim;
-  Check.no_double_effect (Trace.to_list tr)
+  invariant "no-double-effect" (Trace.to_list tr)
 
 let test_dup_cache_off_double_create_flagged () =
   Alcotest.(check bool) "no cache: double effect flagged" false
@@ -671,10 +871,10 @@ let test_chaos_determinism () =
               | _ -> false))
             (E.run_spec ~jobs:1 mini).E.r_rows))
 
-(* A 64-record ring wraps within a chaos cell.  The full stream reads
-   "5/5 ok"; judged over what the ring kept, the verdict reads
-   INCONCLUSIVE, fails the cell and dumps a flight bundle naming it. *)
-let test_chaos_inconclusive_when_wrapped () =
+(* A 64-record ring wraps within a chaos cell.  The verdict is folded
+   over every record as it is made, so it reads the same with or
+   without the ring. *)
+let test_chaos_exact_over_wrapped_ring () =
   let spec = Option.get (E.spec ~scale:E.Quick "chaos") in
   let one = { spec with E.sp_cells = [ List.hd spec.E.sp_cells ] } in
   let verdict results =
@@ -682,21 +882,12 @@ let test_chaos_inconclusive_when_wrapped () =
     | E.Text v :: _ -> v
     | _ -> Alcotest.fail "verdict column is not text"
   in
-  Alcotest.(check string) "full stream" "5/5 ok"
+  Alcotest.(check string) "no trace" "5/5 ok"
     (verdict (E.run_spec ~jobs:1 one));
-  let dir = Filename.temp_file "renofs_wrapped" "" in
-  Sys.remove dir;
-  let flight =
-    Renofs_profile.Flight.arm ~dir ~spec:(Renofs_json.Json.Obj []) ~seed:0
-  in
   let trace = Trace.create ~capacity:64 () in
-  let v = verdict (E.run_spec ~jobs:1 ~trace ~flight one) in
-  Alcotest.(check string) "wrapped ring" "INCONCLUSIVE:trace-ring-wrapped" v;
-  Alcotest.(check bool) "fails the cell" true (E.failed_verdict v);
-  let reason =
-    Filename.concat (Filename.concat dir "chaos_crash_udp-fixed") "reason.txt"
-  in
-  Alcotest.(check bool) "flight bundle dumped" true (Sys.file_exists reason)
+  Alcotest.(check string) "wrapped ring" "5/5 ok"
+    (verdict (E.run_spec ~jobs:1 ~trace one));
+  Alcotest.(check bool) "the ring wrapped" true (Trace.dropped trace > 0)
 
 (* Two fuzz cells (corrupt and truncate on udp-fixed), deterministic
    across --jobs, and green with checksums on. *)
@@ -790,7 +981,12 @@ let () =
           Alcotest.test_case "data integrity" `Quick test_data_integrity_check;
           Alcotest.test_case "committed durable" `Quick
             test_committed_durable_invariant;
-        ] );
+          Alcotest.test_case "mark starts a fresh world" `Quick
+            test_mark_starts_fresh_world;
+          Alcotest.test_case "fold state bounded" `Quick
+            test_fold_state_bounded;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_hook_equals_list ] );
       ( "v3",
         [
           Alcotest.test_case "lying COMMIT convicted" `Quick
@@ -809,7 +1005,7 @@ let () =
             test_chaos_determinism;
           Alcotest.test_case "fuzz smoke + determinism" `Quick
             test_fuzz_smoke_and_determinism;
-          Alcotest.test_case "inconclusive over a wrapped ring" `Quick
-            test_chaos_inconclusive_when_wrapped;
+          Alcotest.test_case "exact over a wrapped ring" `Quick
+            test_chaos_exact_over_wrapped_ring;
         ] );
     ]

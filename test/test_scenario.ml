@@ -23,6 +23,14 @@ let rpc ?(node = 0) ~xid ~proc t rtt =
 
 let lookup = 4
 let read = 6
+let no_read_back ~node:_ ~file:_ ~off:_ ~len:_ = None
+
+(* The availability fraction of one SLO fold over [records]. *)
+let availability ~window records =
+  (Slo.evaluate
+     { Scenario.default_slo with slo_window = window }
+     ~server_nodes:[] ~read_back:no_read_back records)
+    .Slo.o_availability
 
 (* ------------------------------------------------------------------ *)
 (* p99                                                                 *)
@@ -48,10 +56,10 @@ let test_p99_nearest_rank () =
 (* ------------------------------------------------------------------ *)
 
 let test_availability_no_traffic () =
-  Alcotest.(check (float 0.0)) "no records" 1.0 (Slo.availability ~window:1.0 []);
+  Alcotest.(check (float 0.0)) "no records" 1.0 (availability ~window:1.0 []);
   Alcotest.(check (float 0.0))
     "non-RPC records only" 1.0
-    (Slo.availability ~window:1.0 [ rec_ 3.0 Trace.Srv_crash ])
+    (availability ~window:1.0 [ rec_ 3.0 Trace.Srv_crash ])
 
 let test_availability_fractions () =
   (* Window 0: send + reply.  Window 1: send, never answered.
@@ -63,14 +71,14 @@ let test_availability_fractions () =
   in
   Alcotest.(check (float 1e-9))
     "2/3 windows" (2.0 /. 3.0)
-    (Slo.availability ~window:1.0 records)
+    (availability ~window:1.0 records)
 
 let test_availability_idle_window_skipped () =
   (* Nothing at all happens in window 1: it is not judged. *)
   let records = rpc ~xid:1 ~proc:lookup 0.1 0.1 @ rpc ~xid:2 ~proc:lookup 2.1 0.1 in
   Alcotest.(check (float 0.0))
     "idle window not judged" 1.0
-    (Slo.availability ~window:1.0 records)
+    (availability ~window:1.0 records)
 
 let test_availability_window_edges () =
   (* Windows anchor at the earliest event (t=5.0).  A send exactly on
@@ -83,11 +91,11 @@ let test_availability_window_edges () =
   in
   Alcotest.(check (float 1e-9))
     "boundary send opens the next window" 0.5
-    (Slo.availability ~window:1.0 records);
+    (availability ~window:1.0 records);
   (* With a window wide enough to cover both, one judged window. *)
   Alcotest.(check (float 0.0))
     "one wide window" 1.0
-    (Slo.availability ~window:10.0 records)
+    (availability ~window:10.0 records)
 
 let test_availability_retransmit_judges () =
   (* A window containing only retransmissions of a dead RPC is judged
@@ -101,13 +109,11 @@ let test_availability_retransmit_judges () =
   in
   Alcotest.(check (float 0.0))
     "retransmit-only window unavailable" 0.5
-    (Slo.availability ~window:1.0 records)
+    (availability ~window:1.0 records)
 
 (* ------------------------------------------------------------------ *)
 (* evaluate                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let no_read_back ~node:_ ~file:_ ~off:_ ~len:_ = None
 
 let eval ?(server_nodes = []) slo records =
   Slo.evaluate slo ~server_nodes ~read_back:no_read_back records
@@ -204,6 +210,32 @@ let test_evaluate_integrity () =
   Alcotest.(check (list string))
     "integrity off" []
     (breach_names (eval off records))
+
+(* slo judges every invariant chaos and fuzz judge, per server node:
+   COMMIT-covered data that reads back wrong from its server breaches
+   committed-durability. *)
+let test_evaluate_committed_durable () =
+  let data = Bytes.of_string "hello" in
+  let records =
+    [
+      rec_ ~node:2 1.0
+        (Trace.Write_unstable
+           { file = 9; off = 0; len = 5; digest = Trace.digest data; verf = 7 });
+      rec_ ~node:2 2.0
+        (Trace.Commit_ok { file = 9; off = 0; count = 0; verf = 7 });
+    ]
+  in
+  let read_back s ~node ~file:_ ~off:_ ~len:_ =
+    if node = 2 then Some (Bytes.of_string s) else None
+  in
+  let eval s =
+    breach_names
+      (Slo.evaluate Scenario.default_slo ~server_nodes:[ 2; 3 ]
+         ~read_back:(read_back s) records)
+  in
+  Alcotest.(check (list string)) "read back intact" [] (eval "hello");
+  Alcotest.(check (list string))
+    "read back wrong" [ "integrity:committed-durable" ] (eval "jello")
 
 let test_evaluate_empty_records () =
   let slo =
@@ -381,8 +413,10 @@ let test_run_spec_of_json () =
 (* crash-at-peak, judged both ways                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_verdict ?trace sc =
-  let results = E.run_spec ~jobs:1 ?trace (Scenario.suite_spec [ sc ]) in
+let run_verdict ?trace ?flight sc =
+  let results =
+    E.run_spec ~jobs:1 ?trace ?flight (Scenario.suite_spec [ sc ])
+  in
   match results.E.r_rows with
   | [ row ] -> (
       match List.rev row with
@@ -390,57 +424,66 @@ let run_verdict ?trace sc =
       | _ -> Alcotest.fail "verdict column is not text")
   | _ -> Alcotest.fail "expected one row"
 
-let test_crash_at_peak_passes_with_reboot () =
+
+let crash_at_peak () =
   match Scenario.find_builtin "crash-at-peak" with
   | None -> Alcotest.fail "crash-at-peak builtin missing"
-  | Some sc ->
-      let verdict, fails = run_verdict sc in
-      Alcotest.(check string) "reboot meets the SLOs" "PASS" verdict;
-      Alcotest.(check (list string)) "no failures" [] fails
+  | Some sc -> sc
+
+(* crash-at-peak whose server never reboots. *)
+let crash_noreboot () =
+  {
+    (crash_at_peak ()) with
+    Scenario.sc_name = "crash-noreboot";
+    sc_faults =
+      [
+        Fault.Server_crash { at = 12.0; downtime = 9999.0; server = "server0" };
+      ];
+  }
+
+let test_crash_at_peak_passes_with_reboot () =
+  let verdict, fails = run_verdict (crash_at_peak ()) in
+  Alcotest.(check string) "reboot meets the SLOs" "PASS" verdict;
+  Alcotest.(check (list string)) "no failures" [] fails
 
 let test_crash_at_peak_fails_without_reboot () =
-  match Scenario.find_builtin "crash-at-peak" with
-  | None -> Alcotest.fail "crash-at-peak builtin missing"
-  | Some sc ->
-      let sc =
-        {
-          sc with
-          Scenario.sc_name = "crash-noreboot";
-          sc_faults =
-            [
-              Fault.Server_crash
-                { at = 12.0; downtime = 9999.0; server = "server0" };
-            ];
-        }
-      in
-      let verdict, fails = run_verdict sc in
-      let contains sub s =
-        let n = String.length sub and m = String.length s in
-        let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "verdict is FAIL" true (contains "FAIL:" verdict);
-      Alcotest.(check bool) "names the recovery SLO" true
-        (contains "recovery" verdict);
-      Alcotest.(check int) "one failure line" 1 (List.length fails);
-      Alcotest.(check bool) "failure names the scenario" true
-        (contains "crash-noreboot" (List.hd fails))
+  let verdict, fails = run_verdict (crash_noreboot ()) in
+  let contains sub s =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "verdict is FAIL" true (contains "FAIL:" verdict);
+  Alcotest.(check bool) "names the recovery SLO" true
+    (contains "recovery" verdict);
+  Alcotest.(check int) "one failure line" 1 (List.length fails);
+  Alcotest.(check bool) "failure names the scenario" true
+    (contains "crash-noreboot" (List.hd fails))
 
-(* A 64-record ring wraps: the SLOs judged over what it kept would
-   skip the evicted records, so the verdict reads INCONCLUSIVE and fails
-   the run where the full stream reads PASS. *)
-let test_crash_at_peak_inconclusive_when_wrapped () =
-  match Scenario.find_builtin "crash-at-peak" with
-  | None -> Alcotest.fail "crash-at-peak builtin missing"
-  | Some sc ->
-      let verdict, fails =
-        run_verdict ~trace:(Trace.create ~capacity:64 ()) sc
-      in
-      Alcotest.(check string) "wrapped ring" "INCONCLUSIVE:trace-ring-wrapped"
-        verdict;
-      Alcotest.(check (list string)) "fails the run"
-        [ "crash-at-peak: INCONCLUSIVE:trace-ring-wrapped" ]
-        fails
+(* A 64-record ring wraps.  The SLOs are folded over every record as it
+   is made, so each verdict reads as it does with no ring, and a failing
+   cell still leaves its flight bundle. *)
+let test_crash_at_peak_exact_over_wrapped_ring () =
+  let ring () = Trace.create ~capacity:64 () in
+  let verdict, fails = run_verdict ~trace:(ring ()) (crash_at_peak ()) in
+  Alcotest.(check string) "reboot meets the SLOs" "PASS" verdict;
+  Alcotest.(check (list string)) "no failures" [] fails;
+  let unringed, _ = run_verdict (crash_noreboot ()) in
+  let dir = Filename.temp_file "renofs_slo_flight" "" in
+  Sys.remove dir;
+  let flight =
+    Renofs_profile.Flight.arm ~dir ~spec:(Renofs_json.Json.Obj []) ~seed:0
+  in
+  let trace = ring () in
+  let verdict, _ = run_verdict ~trace ~flight (crash_noreboot ()) in
+  Alcotest.(check bool) "no reboot breaches" true (E.failed_verdict unringed);
+  Alcotest.(check string) "same verdict as with no ring" unringed verdict;
+  Alcotest.(check bool) "the ring wrapped" true (Trace.dropped trace > 0);
+  Alcotest.(check bool) "flight bundle dumped" true
+    (Sys.file_exists
+       (Filename.concat
+          (Filename.concat dir "slo_crash-noreboot")
+          "reason.txt"))
 
 let () =
   Alcotest.run "scenario"
@@ -472,6 +515,8 @@ let () =
           Alcotest.test_case "recovery per server" `Quick
             test_evaluate_recovery_per_server;
           Alcotest.test_case "integrity" `Quick test_evaluate_integrity;
+          Alcotest.test_case "committed durable" `Quick
+            test_evaluate_committed_durable;
           Alcotest.test_case "empty records" `Quick test_evaluate_empty_records;
         ] );
       ( "format",
@@ -492,7 +537,7 @@ let () =
             test_crash_at_peak_passes_with_reboot;
           Alcotest.test_case "fails without reboot" `Quick
             test_crash_at_peak_fails_without_reboot;
-          Alcotest.test_case "inconclusive over a wrapped ring" `Quick
-            test_crash_at_peak_inconclusive_when_wrapped;
+          Alcotest.test_case "exact over a wrapped ring" `Quick
+            test_crash_at_peak_exact_over_wrapped_ring;
         ] );
     ]

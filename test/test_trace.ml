@@ -235,7 +235,7 @@ let prop_round_trip =
                  = reference_export ~total:n (newest last (Trace.to_list tr))
               && same_records (Trace.to_list into)
                    (newest 4_097 (newest 3 records @ kept))
-              && Trace.total into = min n 3 + held)
+              && Trace.total into = min n 3 + n)
             round_trip_caps))
 
 (* Recording copies the event into its slot and keeps nothing: once
@@ -281,11 +281,89 @@ let test_create_allocation () =
   if words >= 1024.0 then Alcotest.failf "create allocated %.0f words" words;
   Alcotest.(check int) "empty" 0 (Trace.length tr)
 
+(* A merged ring that wrapped leaves its overwrite count behind: the
+   destination counts the lost records as dropped, and its export
+   header says so. *)
+let test_merge_keeps_overwrites () =
+  let src = Trace.create ~capacity:8 () in
+  for i = 0 to 19 do
+    Trace.record src ~time:(float_of_int i) ~node:1
+      (Trace.Cwnd_update { cwnd = float_of_int i })
+  done;
+  let into = Trace.create () in
+  Trace.merge ~into src;
+  Alcotest.(check int) "total" 20 (Trace.total into);
+  Alcotest.(check int) "dropped" 12 (Trace.dropped into);
+  Alcotest.(check (list (float 1e-9)))
+    "survivors merged" [ 12.0; 13.0; 14.0; 15.0; 16.0; 17.0; 18.0; 19.0 ]
+    (List.map cwnd_at (Trace.to_list into));
+  let path = Filename.temp_file "renofs_merge" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.export_jsonl into path;
+      let ic = open_in path in
+      let header = input_line ic in
+      close_in ic;
+      Alcotest.(check string)
+        "export header"
+        {|{"schema":"renofs-trace/1","held":8,"total":20,"overwritten":12}|}
+        header);
+  (* A disabled destination takes neither the records nor the count. *)
+  let off = Trace.create () in
+  Trace.set_enabled off false;
+  Trace.merge ~into:off src;
+  Alcotest.(check int) "gated merge" 0 (Trace.total off)
+
+(* The hook sees exactly the records offered while the sink is enabled,
+   whether or not a ring keeps them; a sink without a ring counts every
+   record as dropped. *)
+let test_hook_and_ringless_sink () =
+  let seen = ref [] in
+  let hooked cap =
+    let tr = Trace.create ~capacity:cap () in
+    Trace.set_hook tr (Some (fun r -> seen := cwnd_at r :: !seen));
+    tr
+  in
+  let feed tr =
+    seen := [];
+    for i = 0 to 9 do
+      Trace.set_enabled tr (i mod 3 <> 1);
+      Trace.record tr ~time:(float_of_int i) ~node:1
+        (Trace.Cwnd_update { cwnd = float_of_int i })
+    done;
+    Trace.set_enabled tr true;
+    List.rev !seen
+  in
+  let enabled = [ 0.0; 2.0; 3.0; 5.0; 6.0; 8.0; 9.0 ] in
+  let ringed = hooked 2 in
+  Alcotest.(check (list (float 1e-9))) "hook on a ring" enabled (feed ringed);
+  Alcotest.(check int) "ring keeps 2" 2 (Trace.length ringed);
+  let ringless = hooked 0 in
+  Alcotest.(check (list (float 1e-9))) "hook without a ring" enabled
+    (feed ringless);
+  Alcotest.(check int) "capacity" 0 (Trace.capacity ringless);
+  Alcotest.(check int) "total" 7 (Trace.total ringless);
+  Alcotest.(check int) "all dropped" 7 (Trace.dropped ringless);
+  Alcotest.(check int) "nothing held" 0 (List.length (Trace.to_list ringless));
+  Trace.set_hook ringless None;
+  Alcotest.(check (list (float 1e-9))) "detached" [] (feed ringless);
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Trace.create: negative capacity") (fun () ->
+      ignore (Trace.create ~capacity:(-1) ()))
+
 (* ------------------------------------------------------------------ *)
 (* Span joining                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let mk time ev = { Trace.time; node = 0; ev }
+
+(* The spans one join over [records] completes, in order. *)
+let spans records =
+  let out = ref [] in
+  let j = Trace.Report.join (fun sp -> out := sp :: !out) in
+  List.iter (Trace.Report.observe j) records;
+  List.rev !out
 
 let test_xid_join () =
   let records =
@@ -308,7 +386,7 @@ let test_xid_join () =
       mk 0.6 (Trace.Rpc_reply { xid = 1l; proc = 1; rtt = 0.1 });
     ]
   in
-  match Trace.Report.spans records with
+  match spans records with
   | [ s1; s2; s3 ] ->
       let feq = Alcotest.(check (float 1e-9)) in
       Alcotest.(check string) "label A" "runA" s1.Trace.Report.sp_label;
@@ -336,7 +414,7 @@ let test_rtx_wait_cap () =
       mk 1.5 (Trace.Rpc_reply { xid = 1l; proc = 4; rtt = 0.1 });
     ]
   in
-  match Trace.Report.spans records with
+  match spans records with
   | [ s ] ->
       Alcotest.(check (float 1e-9)) "wait within total" 0.4 s.Trace.Report.sp_rtx_wait;
       Alcotest.(check bool) "wire nonnegative" true (Trace.Report.wire_time s >= 0.0)
@@ -501,7 +579,7 @@ let test_live_trace () =
       Alcotest.(check bool) "wire time nonnegative" true
         (Trace.Report.wire_time sp >= 0.0);
       Alcotest.(check string) "segment label" "live" sp.Trace.Report.sp_label)
-    (Trace.Report.spans (Trace.to_list tr));
+    (spans (Trace.to_list tr));
   (* Exported JSONL is line-per-record, parseable, and complete. *)
   let path = Filename.temp_file "renofs_live" ".jsonl" in
   Fun.protect
@@ -582,6 +660,10 @@ let () =
             test_record_allocation;
           Alcotest.test_case "create allocates no ring" `Quick
             test_create_allocation;
+          Alcotest.test_case "merge keeps overwrites" `Quick
+            test_merge_keeps_overwrites;
+          Alcotest.test_case "hook and ringless sink" `Quick
+            test_hook_and_ringless_sink;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_round_trip ] );
       ( "report",
