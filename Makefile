@@ -48,8 +48,11 @@
 # quick`, `fuzz --seeds 15`, the checksums-off fuzz run (it must fail
 # its verdict), graph1 under examples/crash.json (the schedule is
 # installed after warmup), table5 with its trace, whose write
-# records carry data digests, the chaos and fuzz runs again with their
-# traces (the golden traces carry 22 of the 25 event kinds; the
+# records carry data digests, table2 (the Reno, Reno-TCP, Reno-nopush,
+# Reno-v3 and Ultrix2.2 mounts) with its trace and metrics and leases
+# (the Reno, Leases and noconsist mounts) with its trace, so that every
+# named mount's consistency rule is traced, the chaos and fuzz runs
+# again with their traces (the golden traces carry 22 of the 25 event kinds; the
 # round-trip test in test/test_trace.ml covers the other three), graph1
 # with its metrics as JSONL and as CSV, and the crash-without-reboot
 # scenario under --flight (it must breach; the bundle's profile.json
@@ -58,8 +61,10 @@
 # the same for any DIR.  A change that must leave simulated output
 # alone passes when `diff -r` of the parent's and the change's
 # directories is empty.
+# `make loc` prints the line count of lib/ and bin/ (.ml, .mli and dune
+# files), the figure every change reports.
 
-.PHONY: all build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate bench-baseline perf-gate perf-baseline profile-smoke golden check clean
+.PHONY: all build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate bench-baseline perf-gate perf-baseline profile-smoke golden loc check clean
 
 all: build
 
@@ -139,6 +144,8 @@ golden: build
 	! dune exec bin/nfsbench.exe -- fuzz --seeds 5 --jobs 2 --no-checksum > $(GOLDEN)/fuzz-5-nochecksum.txt
 	dune exec bin/nfsbench.exe -- run graph1 --jobs 2 --faults examples/crash.json > $(GOLDEN)/graph1-faults.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table5 --jobs 2 --trace table5-trace.jsonl > table5.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table2 --jobs 2 --trace table2-trace.jsonl --metrics table2-metrics.jsonl > table2.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run leases --jobs 2 --trace leases-trace.jsonl > leases.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- chaos --scale quick --jobs 2 --trace chaos-trace.jsonl > chaos-trace.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 --trace fuzz-trace.jsonl > fuzz-trace.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph1 --jobs 2 --metrics metrics.jsonl > graph1-metrics.txt
@@ -149,6 +156,9 @@ golden: build
 	cd $(GOLDEN) && ! dune exec --root $(CURDIR) bin/nfsbench.exe -- slo examples/crash_noreboot.scenario.json --jobs 2 --flight flight > slo-flight.txt
 	test -s $(GOLDEN)/flight/*/MANIFEST.json
 	rm -f $(GOLDEN)/flight/*/profile.json
+
+loc:
+	@find lib bin \( -name '*.ml' -o -name '*.mli' -o -name dune \) -print0 | xargs -0 cat | wc -l
 
 check: build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate perf-gate profile-smoke
 

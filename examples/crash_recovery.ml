@@ -97,7 +97,7 @@ let () =
       let fd = Nfs_client.create m "ledger" in
       (* A full 32K block goes out asynchronously as UNSTABLE. *)
       Nfs_client.write m fd ~off:0
-        (Bytes.make Nfs_client.v3_mount.Nfs_client.wsize 'v');
+        (Bytes.make Nfs_client.v3_mount.Nfs_client.bsize 'v');
       Proc.sleep sim 2.0;
       Printf.printf
         "t=%6.2fs  wrote 32K UNSTABLE; server buffers %d volatile bytes under verifier %d\n"

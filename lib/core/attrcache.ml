@@ -33,6 +33,5 @@ let update t fh attr =
   Hashtbl.replace t.table fh { attr; stamp = Sim.now t.sim }
 
 let invalidate t fh = Hashtbl.remove t.table fh
-let purge t = Hashtbl.reset t.table
 let hits t = t.hits
 let misses t = t.misses

@@ -21,6 +21,5 @@ val peek : t -> Nfs_proto.fhandle -> Nfs_proto.fattr option
 
 val update : t -> Nfs_proto.fhandle -> Nfs_proto.fattr -> unit
 val invalidate : t -> Nfs_proto.fhandle -> unit
-val purge : t -> unit
 val hits : t -> int
 val misses : t -> int

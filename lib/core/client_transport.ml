@@ -86,7 +86,7 @@ type t = {
   mutable n_garbled : int;
   rtt_all : Stats.Welford.t;
   rtt_by_proc : (string, Stats.Welford.t) Hashtbl.t;
-  mutable trace : (Stats.Series.t * Stats.Series.t) option;
+  mutable trace : (Stats.Timeseries.t * Stats.Timeseries.t) option;
 }
 
 let encode_instructions = 260.0
@@ -159,14 +159,14 @@ let record_rtt t p rtt =
   match t.trace with
   | Some (rtts, rtos) when p.p_proc = 6 ->
       let now = Sim.now t.sim in
-      Stats.Series.add rtts now rtt;
+      Stats.Timeseries.add rtts now rtt;
       let rto =
         match t.mode with
         | Udp_dynamic est -> Rtt.rto est.e_read.e_rtt ~default:t.timeo
         | Udp_fixed -> t.timeo
         | Tcp_stream _ -> 0.0
       in
-      Stats.Series.add rtos now rto
+      Stats.Timeseries.add rtos now rto
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -553,7 +553,7 @@ let call t call_v =
     Rpc_msg.encode_call ~ctr ?pool
       { Rpc_msg.xid; prog = P.program; vers = P.version; proc; cred = t.cred }
   in
-  P.encode_call ~ctr enc call_v;
+  P.encode_call enc call_v;
   let master = Xdr.Enc.chain enc in
   let p =
     {
@@ -604,7 +604,6 @@ let summary t =
 
 let retransmits t = t.n_retransmits
 let garbled t = t.n_garbled
-let outstanding t = t.outstanding
 let congestion_window t = t.cwnd
 
 let rtt_by_proc t =
@@ -613,10 +612,10 @@ let rtt_by_proc t =
 
 let enable_read_trace t =
   if t.trace = None then
-    t.trace <- Some (Stats.Series.create ~name:"rtt" (), Stats.Series.create ~name:"rto" ())
+    t.trace <- Some (Stats.Timeseries.create ~name:"rtt" (), Stats.Timeseries.create ~name:"rto" ())
 
 let read_rtt_trace t =
-  match t.trace with Some (r, _) -> Stats.Series.to_list r | None -> []
+  match t.trace with Some (r, _) -> Stats.Timeseries.to_list r | None -> []
 
 let read_rto_trace t =
-  match t.trace with Some (_, r) -> Stats.Series.to_list r | None -> []
+  match t.trace with Some (_, r) -> Stats.Timeseries.to_list r | None -> []

@@ -97,7 +97,6 @@ val garbled : t -> int
     request damaged in transit).  Each leaves its request pending for
     the normal retransmit/replay path. *)
 
-val outstanding : t -> int
 val congestion_window : t -> float
 (** Current window in requests; meaningful for the dynamic transport. *)
 

@@ -13,31 +13,24 @@ module P = Nfs_proto
 
 type write_policy = Write_through | Async | Delayed
 
+type consistency =
+  | Close_to_open
+  | Close_to_open_nopush
+  | Trusts_own_writes
+  | Noconsist
+  | Leases
+
 type mount_opts = {
   transport : [ `Udp_fixed | `Udp_dynamic | `Tcp ];
   timeo : float;
   mss : int;
-  rsize : int;
-  wsize : int;
-  attr_timeout : float;
+  bsize : int;
   num_biods : int;
   write_policy : write_policy;
-  push_on_close : bool;
-  consistency : bool;
+  consistency : consistency;
   name_cache : bool;
-  push_dirty_before_read : bool;
-  trust_own_writes : bool;
   read_ahead : int;
-  cache_blocks : int;
   use_readdirlook : bool;
-  delay_full_blocks : bool;
-      (** under [Delayed], also delay full blocks instead of starting
-          their write RPCs immediately — the "delayed write without push
-          on close" policy of the noconsist experiments *)
-  use_leases : bool;
-      (** the experimental NQNFS-style lease protocol: cached data is
-          valid while a read lease is held, and delayed writes without
-          push-on-close are safe under a write lease *)
   soft : bool;
       (** soft mount: fail operations with an I/O error after [retrans]
           retransmissions instead of retrying forever *)
@@ -62,22 +55,13 @@ let reno_mount =
     transport = `Udp_fixed;
     timeo = 1.0;
     mss = 1024;
-    rsize = 8192;
-    wsize = 8192;
-    attr_timeout = 5.0;
+    bsize = 8192;
     num_biods = 4;
     write_policy = Delayed;
-    push_on_close = true;
-    consistency = true;
+    consistency = Close_to_open;
     name_cache = true;
-    push_dirty_before_read = true;
-    trust_own_writes = false;
     read_ahead = 1;
-    (* 48 x 8K = 384 KB: the scale of a MicroVAXII buffer cache. *)
-    cache_blocks = 48;
     use_readdirlook = false;
-    delay_full_blocks = false;
-    use_leases = false;
     soft = false;
     retrans = 4;
     adaptive_transfer = false;
@@ -88,26 +72,9 @@ let reno_mount =
 
 let reno_tcp_mount = { reno_mount with transport = `Tcp }
 let reno_dynamic_mount = { reno_mount with transport = `Udp_dynamic }
-let reno_nopush_mount = { reno_mount with push_on_close = false }
-
-let noconsist_mount =
-  {
-    reno_mount with
-    consistency = false;
-    push_on_close = false;
-    delay_full_blocks = true;
-  }
-
-(* The paper's future-work configuration: full consistency through
-   leases, with the noconsist mount's write behaviour. *)
-let lease_mount =
-  {
-    reno_mount with
-    use_leases = true;
-    push_on_close = false;
-    delay_full_blocks = true;
-    push_dirty_before_read = false;
-  }
+let reno_nopush_mount = { reno_mount with consistency = Close_to_open_nopush }
+let noconsist_mount = { reno_mount with consistency = Noconsist }
+let lease_mount = { reno_mount with consistency = Leases }
 
 (* The v3 profile: asynchronous writes with COMMIT, 32K transfers, and
    the bulk-lookup READDIR — the NFSv3 feature set grafted onto the Reno
@@ -116,8 +83,7 @@ let v3_mount =
   {
     reno_mount with
     v3 = true;
-    rsize = P.max_data_v3;
-    wsize = P.max_data_v3;
+    bsize = P.max_data_v3;
     use_readdirlook = true;
   }
 
@@ -125,12 +91,17 @@ let ultrix_mount =
   {
     reno_mount with
     name_cache = false;
-    push_dirty_before_read = false;
-    trust_own_writes = true;
+    consistency = Trusts_own_writes;
     (* The reference port starts a write RPC per write call rather than
        delaying and merging partial-block dirty regions. *)
     write_policy = Async;
   }
+
+(* Fixed for every mount: the attribute cache's lifetime, and the
+   block cache's size (48 x 8K = 384 KB, the scale of a MicroVAXII
+   buffer cache). *)
+let attr_timeout = 5.0
+let cache_blocks = 48
 
 exception Nfs_error of P.stat
 
@@ -248,11 +219,32 @@ let rpc t call =
   | _ -> ());
   reply
 
+(* [rpc] for callers that must record a failure or clean up before
+   raising it: a soft mount's give-up comes back as an EIO reply. *)
+let try_rpc t call = try rpc t call with Nfs_error st -> P.Rstat st
+
+(* The status a failed reply carries; a reply of the wrong shape is an
+   I/O error. *)
+let error_of = function
+  | P.Rstat st | P.Rattr (Error st) | P.Rdirop (Error st) | P.Rreadlink (Error st)
+  | P.Rread (Error st) | P.Rreaddir (Error st) | P.Rstatfs (Error st)
+  | P.Rreaddirlook (Error st) | P.Rlease (Error st) | P.Rwrite3 (Error st)
+  | P.Rcommit (Error st)
+    when st <> P.NFS_OK ->
+      st
+  | _ -> P.NFSERR_IO
+
+(* The reply checks of the directory operations: [status] for those
+   whose reply is a bare status, [dirop] for those returning a handle
+   and its attributes. *)
+let status t call =
+  match rpc t call with P.Rstat P.NFS_OK -> () | failed -> fail (error_of failed)
+
+let dirop t call =
+  match rpc t call with P.Rdirop (Ok r) -> r | failed -> fail (error_of failed)
+
 let getattr_rpc t fh =
-  match rpc t (P.Getattr fh) with
-  | P.Rattr (Ok a) -> a
-  | P.Rattr (Error st) -> fail st
-  | _ -> fail P.NFSERR_IO
+  match rpc t (P.Getattr fh) with P.Rattr (Ok a) -> a | failed -> fail (error_of failed)
 
 let get_attrs t fh =
   match Attrcache.get t.attrs fh with Some a -> a | None -> getattr_rpc t fh
@@ -282,14 +274,6 @@ let name_enter t ~dir name fh =
 let name_remove t ~dir name =
   match t.names with Some nc -> Namecache.remove nc ~dir name | None -> ()
 
-let lookup_rpc t dir name =
-  match rpc t (P.Lookup { P.dir; name }) with
-  | P.Rdirop (Ok (fh, a)) ->
-      name_enter t ~dir name fh;
-      (fh, Some a)
-  | P.Rdirop (Error st) -> fail st
-  | _ -> fail P.NFSERR_IO
-
 let lookup_component t dir name =
   let cached =
     match t.names with
@@ -311,13 +295,15 @@ let lookup_component t dir name =
   in
   match cached with
   | Some fh -> fh
-  | None -> fst (lookup_rpc t dir name)
+  | None ->
+      let fh, _ = dirop t (P.Lookup { P.dir; name }) in
+      name_enter t ~dir name fh;
+      fh
 
 let readlink_rpc t fh =
   match rpc t (P.Readlink fh) with
   | P.Rreadlink (Ok target) -> target
-  | P.Rreadlink (Error st) -> fail st
-  | _ -> fail P.NFSERR_IO
+  | failed -> fail (error_of failed)
 
 (* An inode's type never changes, so a stale cache entry is still good
    enough to decide whether to follow; only an unknown handle costs a
@@ -359,19 +345,16 @@ let walk_parent t path =
 (* Block cache                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let cfile_of t fh ~attr =
+let cfile_of t fh (a : P.fattr) =
   match Hashtbl.find_opt t.files fh with
   | Some cf -> cf
   | None ->
-      let mtime, size =
-        match attr with Some a -> (mtime_of a, a.P.size) | None -> (0.0, 0)
-      in
       let cf =
         {
           c_fh = fh;
           blocks = Hashtbl.create 16;
-          cached_mtime = mtime;
-          csize = size;
+          cached_mtime = mtime_of a;
+          csize = a.P.size;
           dirty_count = 0;
           last_seq_blk = -2;
           outstanding = 0;
@@ -406,8 +389,8 @@ let note_transfer t =
     end
     else begin
       t.clean_transfers <- t.clean_transfers + 1;
-      if t.clean_transfers >= 25 && t.xfer_size < t.opts.rsize then begin
-        t.xfer_size <- min t.opts.rsize (t.xfer_size * 2);
+      if t.clean_transfers >= 25 && t.xfer_size < t.opts.bsize then begin
+        t.xfer_size <- min t.opts.bsize (t.xfer_size * 2);
         t.clean_transfers <- 0
       end
     end
@@ -464,6 +447,79 @@ let note_verf t cf verf =
       end
   | _ -> cf.commit_verf <- Some verf
 
+(* Fold a write reply's attributes into the file.  The rule decides
+   whether the new modify time is taken as this client's own, leaving
+   the cache valid under it; under a write lease nobody else can be
+   writing. *)
+let note_written t cf (a : P.fattr) =
+  let own =
+    match t.opts.consistency with
+    | Trusts_own_writes -> true
+    | Leases -> lease_valid t cf P.Lease_write
+    | Close_to_open | Close_to_open_nopush | Noconsist -> false
+  in
+  if own then cf.cached_mtime <- mtime_of a;
+  cf.csize <- max cf.csize a.P.size
+
+(* Write [lo, hi) of block [b], one WRITE (v2) or WRITE3 (v3) per current
+   transfer size: under adaptive transfer a big dirty region goes out in
+   smaller, fragment-safe pieces.  A failure is recorded in the file for
+   the next fsync or close to report. *)
+let rec write_range t cf b ~lo ~hi =
+  if lo < hi then begin
+    let n = min (hi - lo) (max 1024 t.xfer_size) in
+    let off = (b.b_blk * t.opts.bsize) + lo in
+    let payload = Bytes.sub b.data lo n in
+    let call =
+      if t.opts.v3 then
+        (* Write-through demands stability now; everything else goes
+           out UNSTABLE and is made durable by the COMMIT at
+           fsync/close. *)
+        let stable =
+          match t.opts.write_policy with
+          | Write_through -> P.File_sync
+          | Async | Delayed -> P.Unstable
+        in
+        P.Write3
+          { P.w3_file = cf.c_fh; w3_offset = off; w3_stable = stable; w3_data = payload }
+      else P.Write { P.write_file = cf.c_fh; write_offset = off; data = payload }
+    in
+    (match try_rpc t call with
+    | P.Rattr (Ok a) -> note_written t cf a
+    | P.Rwrite3 (Ok ok) ->
+        note_written t cf ok.P.w3_attr;
+        (if ok.P.w3_committed = P.Unstable then
+           (* Enter the range in the write-behind ledger: only a
+              covering COMMIT under the same verifier releases it. *)
+           let range =
+             match b.needs_commit with
+             | Some (clo, chi) -> (min lo clo, max (lo + n) chi)
+             | None -> (lo, lo + n)
+           in
+           b.needs_commit <- Some range);
+        note_verf t cf ok.P.w3_verf
+    | failed -> cf.write_error <- Some (error_of failed));
+    note_transfer t;
+    write_range t cf b ~lo:(lo + n) ~hi
+  end
+
+(* Push a busy block's dirty range, then whatever was re-dirtied while
+   the RPCs were in flight, still holding the block busy. *)
+let rec push_busy t cf b ~lo ~hi =
+  write_range t cf b ~lo ~hi;
+  match b.dirty with
+  | Some (lo, hi) ->
+      set_dirty cf b None;
+      push_busy t cf b ~lo ~hi
+  | None ->
+      b.pushing <- false;
+      cf.outstanding <- cf.outstanding - 1;
+      if cf.outstanding = 0 then begin
+        let waiters = cf.waiters in
+        cf.waiters <- [];
+        List.iter (fun resume -> Sim.after t.sim 0.0 resume) waiters
+      end
+
 let push_block t cf b ~wait =
   match b.dirty with
   | None -> ()
@@ -475,92 +531,8 @@ let push_block t cf b ~wait =
       b.pushing <- true;
       set_dirty cf b None;
       cf.outstanding <- cf.outstanding + 1;
-      let write_rpc ~lo ~hi =
-        (* One RPC per current transfer size: under adaptive transfer a
-           big dirty region goes out in smaller, fragment-safe pieces. *)
-        let rec go lo =
-          if lo < hi then begin
-            let n = min (hi - lo) (max 1024 t.xfer_size) in
-            let off = (b.b_blk * t.opts.rsize) + lo in
-            let payload = Bytes.sub b.data lo n in
-            (if t.opts.v3 then begin
-               (* Write-through demands stability now; everything else
-                  goes out UNSTABLE and is made durable by the COMMIT at
-                  fsync/close. *)
-               let stable =
-                 match t.opts.write_policy with
-                 | Write_through -> P.File_sync
-                 | Async | Delayed -> P.Unstable
-               in
-               match
-                 rpc t
-                   (P.Write3
-                      {
-                        P.w3_file = cf.c_fh;
-                        w3_offset = off;
-                        w3_stable = stable;
-                        w3_data = payload;
-                      })
-               with
-               | P.Rwrite3 (Ok ok) ->
-                   if t.opts.trust_own_writes || lease_valid t cf P.Lease_write
-                   then cf.cached_mtime <- mtime_of ok.P.w3_attr;
-                   cf.csize <- max cf.csize ok.P.w3_attr.P.size;
-                   (if ok.P.w3_committed = P.Unstable then
-                      (* Enter the range in the write-behind ledger:
-                         only a covering COMMIT under the same verifier
-                         releases it. *)
-                      let range =
-                        match b.needs_commit with
-                        | Some (clo, chi) -> (min lo clo, max (lo + n) chi)
-                        | None -> (lo, lo + n)
-                      in
-                      b.needs_commit <- Some range);
-                   note_verf t cf ok.P.w3_verf
-               | P.Rwrite3 (Error st) -> cf.write_error <- Some st
-               | exception Nfs_error st -> cf.write_error <- Some st
-               | _ -> cf.write_error <- Some P.NFSERR_IO
-             end
-             else
-               match
-                 rpc t
-                   (P.Write
-                      { P.write_file = cf.c_fh; write_offset = off; data = payload })
-               with
-               | P.Rattr (Ok a) ->
-                   (* Under a write lease nobody else can be writing, so
-                      the new modify time is certainly ours. *)
-                   if t.opts.trust_own_writes || lease_valid t cf P.Lease_write
-                   then cf.cached_mtime <- mtime_of a;
-                   cf.csize <- max cf.csize a.P.size
-               | P.Rattr (Error st) -> cf.write_error <- Some st
-               | exception Nfs_error st -> cf.write_error <- Some st
-               | _ -> cf.write_error <- Some P.NFSERR_IO);
-            note_transfer t;
-            go (lo + n)
-          end
-        in
-        go lo
-      in
-      let rec do_write ~lo ~hi =
-        write_rpc ~lo ~hi;
-        match b.dirty with
-        | Some (lo', hi') ->
-            (* Re-dirtied while the RPC was in flight: push that too,
-               still holding the block busy. *)
-            set_dirty cf b None;
-            do_write ~lo:lo' ~hi:hi'
-        | None ->
-            b.pushing <- false;
-            cf.outstanding <- cf.outstanding - 1;
-            if cf.outstanding = 0 then begin
-              let waiters = cf.waiters in
-              cf.waiters <- [];
-              List.iter (fun resume -> Sim.after t.sim 0.0 resume) waiters
-            end
-      in
-      if wait then do_write ~lo ~hi
-      else Biod.submit t.biods (fun () -> do_write ~lo ~hi)
+      if wait then push_busy t cf b ~lo ~hi
+      else Biod.submit t.biods (fun () -> push_busy t cf b ~lo ~hi)
 
 let flush_file t cf ~wait =
   Hashtbl.iter (fun _ b -> push_block t cf b ~wait:false) cf.blocks;
@@ -580,7 +552,7 @@ let rec commit_file t cf =
     | [] -> ()
     | uncommitted -> (
         let expected = cf.commit_verf in
-        match rpc t (P.Commit { P.cm_file = cf.c_fh; cm_offset = 0; cm_count = 0 }) with
+        match try_rpc t (P.Commit { P.cm_file = cf.c_fh; cm_offset = 0; cm_count = 0 }) with
         | P.Rcommit (Ok ok) -> (
             note_verf t cf ok.P.cmo_verf;
             match expected with
@@ -589,14 +561,8 @@ let rec commit_file t cf =
                    is gone; rewrite and try again. *)
                 commit_file t cf
             | _ -> List.iter (fun b -> b.needs_commit <- None) uncommitted)
-        | P.Rcommit (Error st) ->
-            cf.write_error <- Some st;
-            List.iter (fun b -> b.needs_commit <- None) uncommitted
-        | exception Nfs_error st ->
-            cf.write_error <- Some st;
-            List.iter (fun b -> b.needs_commit <- None) uncommitted
-        | _ ->
-            cf.write_error <- Some P.NFSERR_IO;
+        | failed ->
+            cf.write_error <- Some (error_of failed);
             List.iter (fun b -> b.needs_commit <- None) uncommitted)
 
 (* Evict the least-recently-used block across all files, pushing it
@@ -635,7 +601,7 @@ let get_or_create_block t cf blk =
       b.lru <- t.lru_clock;
       b
   | None ->
-      while t.total_blocks >= t.opts.cache_blocks do
+      while t.total_blocks >= cache_blocks do
         evict_one t
       done;
       t.lru_clock <- t.lru_clock + 1;
@@ -673,23 +639,33 @@ let invalidate_clean t cf =
       t.total_blocks <- t.total_blocks - 1)
     doomed
 
-(* The Reno consistency rule: cached data is valid only while the
-   server's modify time matches what we cached under.  A client that
-   does not [trust_own_writes] cannot tell its own writes from another
-   client's, so its own pushes invalidate its cache.  A valid lease
-   short-circuits all of it: the server has promised nobody else is
-   writing. *)
+(* The file's size as the server reports it; locally written data past
+   that size is not on the server yet. *)
+let note_size cf (a : P.fattr) =
+  cf.csize <- (if cf.dirty_count > 0 then max cf.csize a.P.size else a.P.size)
+
+(* Cached data is valid only while the server's modify time matches the
+   one it was cached under. *)
+let revalidate t cf (a : P.fattr) =
+  let m = mtime_of a in
+  if m <> cf.cached_mtime then begin
+    invalidate_clean t cf;
+    cf.cached_mtime <- m
+  end;
+  note_size cf a
+
+(* Check the cache against the server's attributes (through the
+   attribute cache), as every rule but noconsist does.  A client that
+   does not trust its own write replies cannot tell its own writes from
+   another client's, so its own pushes invalidate its cache.  A valid
+   read lease makes the check unnecessary: the server has promised
+   nobody else is writing. *)
 let validate t cf =
-  if t.opts.use_leases && lease_valid t cf P.Lease_read then ()
-  else if t.opts.consistency then begin
-    let a = get_attrs t cf.c_fh in
-    let m = mtime_of a in
-    if m <> cf.cached_mtime then begin
-      invalidate_clean t cf;
-      cf.cached_mtime <- m
-    end;
-    cf.csize <- (if cf.dirty_count > 0 then max cf.csize a.P.size else a.P.size)
-  end
+  match t.opts.consistency with
+  | Noconsist -> ()
+  | Leases when lease_valid t cf P.Lease_read -> ()
+  | Close_to_open | Close_to_open_nopush | Trusts_own_writes | Leases ->
+      revalidate t cf (get_attrs t cf.c_fh)
 
 (* Acquire, renew or upgrade a lease.  A refusal is a vacate order:
    flush everything and stop caching until re-acquired. *)
@@ -698,14 +674,7 @@ let getlease t cf mode =
     rpc t (P.Getlease { P.lease_file = cf.c_fh; lease_mode = mode; lease_duration = 6 })
   with
   | P.Rlease (Ok (Some ok)) ->
-      let m = mtime_of ok.P.lease_attr in
-      if m <> cf.cached_mtime then begin
-        invalidate_clean t cf;
-        cf.cached_mtime <- m
-      end;
-      cf.csize <-
-        (if cf.dirty_count > 0 then max cf.csize ok.P.lease_attr.P.size
-         else ok.P.lease_attr.P.size);
+      revalidate t cf ok.P.lease_attr;
       let held =
         match (cf.lease, mode) with
         | Some (P.Lease_write, _), _ -> P.Lease_write
@@ -721,8 +690,7 @@ let getlease t cf mode =
       flush_file t cf ~wait:true;
       invalidate_clean t cf;
       false
-  | P.Rlease (Error st) -> fail st
-  | _ -> fail P.NFSERR_IO
+  | failed -> fail (error_of failed)
 
 let ensure_lease t cf mode =
   if lease_valid t cf mode then true else getlease t cf mode
@@ -759,14 +727,14 @@ let mount ~udp ?tcp ~server ~root opts =
       xport;
       root;
       files = Hashtbl.create 64;
-      attrs = Attrcache.create (Node.sim node) ~timeout:opts.attr_timeout ();
+      attrs = Attrcache.create (Node.sim node) ~timeout:attr_timeout ();
       names = (if opts.name_cache then Some (Namecache.create ()) else None);
       name_stamps = Hashtbl.create 32;
       biods = Biod.create (Node.sim node) ~count:opts.num_biods;
       counters = Stats.Counter.create ();
       lru_clock = 0;
       total_blocks = 0;
-      xfer_size = opts.rsize;
+      xfer_size = opts.bsize;
       clean_transfers = 0;
       seen_retransmits = 0;
     }
@@ -799,35 +767,37 @@ let mount ~udp ?tcp ~server ~root opts =
   ignore (getattr_rpc t root);
   (* Lease renewal: dirty files keep their leases alive (and get told to
      vacate as soon as they are contested); clean leases just lapse. *)
-  if opts.use_leases then
-    Proc.spawn t.sim (fun () ->
-        let rec tick () =
-          Proc.sleep t.sim 2.0;
-          let snapshot = Hashtbl.fold (fun _ cf acc -> cf :: acc) t.files [] in
-          List.iter
-            (fun cf ->
-              match cf.lease with
-              | Some (_, expiry) when Sim.now t.sim >= expiry ->
-                  (* The lease lapsed: exclusivity can no longer be
-                     assumed (the server may even have rebooted and lost
-                     the lease table), so dirty data must be written back
-                     before anyone else is granted a lease. *)
-                  cf.lease <- None;
-                  if cf.dirty_count > 0 then flush_file t cf ~wait:false
-              | Some (mode, expiry) ->
-                  if
-                    (cf.dirty_count > 0 || cf.outstanding > 0)
-                    && expiry -. Sim.now t.sim < 4.0
-                  then (
-                    try ignore (getlease t cf mode)
-                    with Nfs_error _ | Client_transport.Rpc_error _ -> ())
-              | None ->
-                  (* Dirty data that lost its lease must not linger. *)
-                  if cf.dirty_count > 0 then flush_file t cf ~wait:false)
-            snapshot;
-          tick ()
-        in
-        tick ());
+  (match opts.consistency with
+  | Close_to_open | Close_to_open_nopush | Trusts_own_writes | Noconsist -> ()
+  | Leases ->
+      Proc.spawn t.sim (fun () ->
+          let rec tick () =
+            Proc.sleep t.sim 2.0;
+            let snapshot = Hashtbl.fold (fun _ cf acc -> cf :: acc) t.files [] in
+            List.iter
+              (fun cf ->
+                match cf.lease with
+                | Some (_, expiry) when Sim.now t.sim >= expiry ->
+                    (* The lease lapsed: exclusivity can no longer be
+                       assumed (the server may even have rebooted and lost
+                       the lease table), so dirty data must be written back
+                       before anyone else is granted a lease. *)
+                    cf.lease <- None;
+                    if cf.dirty_count > 0 then flush_file t cf ~wait:false
+                | Some (mode, expiry) ->
+                    if
+                      (cf.dirty_count > 0 || cf.outstanding > 0)
+                      && expiry -. Sim.now t.sim < 4.0
+                    then (
+                      try ignore (getlease t cf mode)
+                      with Nfs_error _ | Client_transport.Rpc_error _ -> ())
+                | None ->
+                    (* Dirty data that lost its lease must not linger. *)
+                    if cf.dirty_count > 0 then flush_file t cf ~wait:false)
+              snapshot;
+            tick ()
+          in
+          tick ()));
   (* The 30-second sync that pushes delayed writes. *)
   Proc.spawn t.sim (fun () ->
       let rec tick () =
@@ -928,7 +898,7 @@ let rec ensure_block t cf blk =
       if not b.valid then begin
         let iv = Proc.Ivar.create t.sim in
         b.fetching <- Some iv;
-        let bs = t.opts.rsize in
+        let bs = t.opts.bsize in
         let base = blk * bs in
         let finish_err st =
           b.fetching <- None;
@@ -945,15 +915,14 @@ let rec ensure_block t cf blk =
           else begin
             let want = min (bs - pos) (max 1024 t.xfer_size) in
             match
-              rpc t (P.Read { P.read_file = cf.c_fh; offset = base + pos; count = want })
+              try_rpc t (P.Read { P.read_file = cf.c_fh; offset = base + pos; count = want })
             with
             | P.Rread (Ok (a, data)) ->
                 let n = Bytes.length data in
                 (* More bytes than were asked for is a broken reply. *)
                 if n > want then finish_err P.NFSERR_IO;
                 if cf.cached_mtime = 0.0 then cf.cached_mtime <- mtime_of a;
-                cf.csize <-
-                  (if cf.dirty_count > 0 then max cf.csize a.P.size else a.P.size);
+                note_size cf a;
                 note_transfer t;
                 if pos = 0 && n = bs then data
                 else begin
@@ -965,9 +934,7 @@ let rec ensure_block t cf blk =
                   end
                   else fetch buf (pos + n)
                 end
-            | P.Rread (Error st) -> finish_err st
-            | exception Nfs_error st -> finish_err st
-            | _ -> finish_err P.NFSERR_IO
+            | failed -> finish_err (error_of failed)
           end
         in
         install_block b (fetch Bytes.empty 0);
@@ -980,7 +947,7 @@ let read_ahead t cf blk =
   if t.opts.read_ahead > 0 && Biod.count t.biods > 0 then
     for k = 1 to t.opts.read_ahead do
       let target = blk + k in
-      if target * t.opts.rsize < cf.csize then begin
+      if target * t.opts.bsize < cf.csize then begin
         let already =
           match Hashtbl.find_opt cf.blocks target with
           | Some b -> b.valid || b.fetching <> None
@@ -996,31 +963,27 @@ let read t fd ~off ~len =
   charge t syscall_instructions;
   if off < 0 || len < 0 then fail P.NFSERR_IO;
   let cf = fd in
-  let leased = t.opts.use_leases && ensure_lease t cf P.Lease_read in
-  if not leased then begin
-    if t.opts.consistency && t.opts.push_dirty_before_read && cf.dirty_count > 0
-    then flush_file t cf ~wait:true;
-    validate t cf
-  end
-  else begin
-    (* Serving from cache on lease authority alone: the staleness the
-       invariant checker audits against live write leases. *)
-    match Node.trace t.node with
-    | Some tr ->
-        Trace.record tr
-          ~time:(Sim.now t.sim)
-          ~node:(Node.id t.node)
-          (Trace.Cached_read
-             {
-               file = cf.c_fh;
-               holder = Node.id t.node;
-               mtime = cf.cached_mtime;
-             })
-    | None -> ()
-  end;
+  (match t.opts.consistency with
+  | Close_to_open | Close_to_open_nopush ->
+      (* Push before read: the check below must see the server's modify
+         time after this client's own writes. *)
+      if cf.dirty_count > 0 then flush_file t cf ~wait:true;
+      validate t cf
+  | Leases when ensure_lease t cf P.Lease_read -> (
+      (* Serving from cache on lease authority alone: the staleness the
+         invariant checker audits against live write leases. *)
+      match Node.trace t.node with
+      | Some tr ->
+          Trace.record tr
+            ~time:(Sim.now t.sim)
+            ~node:(Node.id t.node)
+            (Trace.Cached_read
+               { file = cf.c_fh; holder = Node.id t.node; mtime = cf.cached_mtime })
+      | None -> ())
+  | Trusts_own_writes | Noconsist | Leases -> validate t cf);
   let len = if off >= cf.csize then 0 else min len (cf.csize - off) in
   let out = Bytes.create len in
-  let bs = t.opts.rsize in
+  let bs = t.opts.bsize in
   let pos = ref 0 in
   while !pos < len do
     let abs = off + !pos in
@@ -1054,10 +1017,12 @@ let write t fd ~off data =
   charge t syscall_instructions;
   let cf = fd in
   (* Dirty data may only be delayed under a write lease. *)
-  let leased = t.opts.use_leases && ensure_lease t cf P.Lease_write in
+  (match t.opts.consistency with
+  | Leases -> ignore (ensure_lease t cf P.Lease_write)
+  | Close_to_open | Close_to_open_nopush | Trusts_own_writes | Noconsist -> ());
   let len = Bytes.length data in
   charge_copy t len;
-  let bs = t.opts.wsize in
+  let bs = t.opts.bsize in
   let pos = ref 0 in
   while !pos < len do
     let abs = off + !pos in
@@ -1069,7 +1034,7 @@ let write t fd ~off data =
     (* A buf holds a single dirty region: push the old one first if the
        new range cannot merge with it. *)
     if not (mergeable b lo hi) then push_block t cf b ~wait:true;
-    if Bytes.length b.data = 0 then b.data <- Bytes.make t.opts.rsize '\000';
+    if Bytes.length b.data = 0 then b.data <- Bytes.make bs '\000';
     Bytes.blit data !pos b.data lo n;
     let range =
       match b.dirty with
@@ -1086,12 +1051,16 @@ let write t fd ~off data =
     (match t.opts.write_policy with
     | Write_through -> push_block t cf b ~wait:true
     | Async -> push_block t cf b ~wait:false
-    | Delayed ->
+    | Delayed -> (
         (* Asynchronous for full blocks, delayed for partial ones —
-           unless the mount delays everything. *)
-        let dlo, dhi = match b.dirty with Some r -> r | None -> (0, 0) in
-        if dlo = 0 && dhi = bs && not (t.opts.delay_full_blocks || leased) then
-          push_block t cf b ~wait:false);
+           unless the rule delays everything: noconsist, and leases
+           under their write lease. *)
+        match t.opts.consistency with
+        | Noconsist | Leases -> ()
+        | Close_to_open | Close_to_open_nopush | Trusts_own_writes -> (
+            match b.dirty with
+            | Some (0, dhi) when dhi = bs -> push_block t cf b ~wait:false
+            | _ -> ())));
     pos := !pos + n
   done
 
@@ -1109,7 +1078,7 @@ let open_ t path =
   let fh = walk t path in
   let a = get_attrs t fh in
   if a.P.ftype = P.NFDIR then fail P.NFSERR_ISDIR;
-  let cf = cfile_of t fh ~attr:(Some a) in
+  let cf = cfile_of t fh a in
   validate t cf;
   cf.open_count <- cf.open_count + 1;
   cf
@@ -1117,46 +1086,46 @@ let open_ t path =
 let create t path =
   charge t syscall_instructions;
   let dir, name = walk_parent t path in
-  match
-    rpc t
+  let fh, a =
+    dirop t
       (P.Create
          {
            P.where = { P.dir; name };
            attributes = { P.sattr_none with P.s_mode = 0o644; s_size = 0 };
          })
-  with
-  | P.Rdirop (Ok (fh, a)) ->
-      name_enter t ~dir name fh;
-      (* Truncation by create: discard any cached data. *)
-      (match Hashtbl.find_opt t.files fh with
-      | Some old ->
-          Hashtbl.iter
-            (fun _ b ->
-              set_dirty old b None;
-              (* Truncation discards the ledger too: the data is gone by
-                 request, nothing is left to replay. *)
-              b.needs_commit <- None)
-            old.blocks;
-          invalidate_clean t old;
-          old.csize <- 0;
-          old.cached_mtime <- mtime_of a
-      | None -> ());
-      let cf = cfile_of t fh ~attr:(Some a) in
-      cf.cached_mtime <- mtime_of a;
-      cf.csize <- a.P.size;
-      cf.open_count <- cf.open_count + 1;
-      cf
-  | P.Rdirop (Error st) -> fail st
-  | _ -> fail P.NFSERR_IO
+  in
+  name_enter t ~dir name fh;
+  (* Truncation by create: discard any cached data. *)
+  (match Hashtbl.find_opt t.files fh with
+  | Some old ->
+      Hashtbl.iter
+        (fun _ b ->
+          set_dirty old b None;
+          (* Truncation discards the ledger too: the data is gone by
+             request, nothing is left to replay. *)
+          b.needs_commit <- None)
+        old.blocks;
+      invalidate_clean t old
+  | None -> ());
+  let cf = cfile_of t fh a in
+  cf.cached_mtime <- mtime_of a;
+  cf.csize <- a.P.size;
+  cf.open_count <- cf.open_count + 1;
+  cf
 
-let fsync t fd =
-  charge t syscall_instructions;
+(* Make the file's data durable and report the first write error since
+   the last report. *)
+let commit_and_report t fd =
   commit_file t fd;
   match fd.write_error with
   | Some st ->
       fd.write_error <- None;
       fail st
   | None -> ()
+
+let fsync t fd =
+  charge t syscall_instructions;
+  commit_and_report t fd
 
 (* Forget everything cached about a file (it is going away). *)
 let drop_cfile t fh =
@@ -1174,25 +1143,19 @@ let close t fd =
      match fd.silly with
      | Some (dir, name) ->
          fd.silly <- None;
-         (match rpc t (P.Remove { P.dir; name }) with
-         | P.Rstat _ -> ()
-         | _ -> ());
+         ignore (rpc t (P.Remove { P.dir; name }));
          name_remove t ~dir name;
          drop_cfile t fd.c_fh;
          Attrcache.invalidate t.attrs fd.c_fh
      | None -> ());
-  if t.opts.use_leases && lease_valid t fd P.Lease_write then
-    (* The write lease guarantees close/open consistency without the
-       blocking push: a later opener's lease request forces our flush. *)
-    ()
-  else if t.opts.push_on_close && t.opts.consistency then begin
-    commit_file t fd;
-    match fd.write_error with
-    | Some st ->
-        fd.write_error <- None;
-        fail st
-    | None -> ()
-  end
+  match t.opts.consistency with
+  | Close_to_open | Trusts_own_writes -> commit_and_report t fd
+  | Close_to_open_nopush | Noconsist -> ()
+  | Leases ->
+      (* The write lease guarantees close/open consistency without the
+         blocking push: a later opener's lease request forces our
+         flush. *)
+      ()
 
 let fd_size t fd =
   validate t fd;
@@ -1201,14 +1164,15 @@ let fd_size t fd =
 let unlink t path =
   charge t syscall_instructions;
   let dir, name = walk_parent t path in
+  let cached =
+    match t.names with Some nc -> Namecache.lookup nc ~dir name | None -> None
+  in
   (* Unlinking a file some process still has open: the stateless server
      would free the inode and later reads would see ESTALE, so the BSD
      client renames it out of the way and removes it at the last close
      — the silly rename. *)
   let open_cfile =
-    match
-      (match t.names with Some nc -> Namecache.lookup nc ~dir name | None -> None)
-    with
+    match cached with
     | Some fh -> (
         match Hashtbl.find_opt t.files fh with
         | Some cf when cf.open_count > 0 -> Some cf
@@ -1216,94 +1180,65 @@ let unlink t path =
     | None -> None
   in
   match open_cfile with
-  | Some cf -> (
+  | Some cf ->
       let silly_name = Printf.sprintf ".nfs%04d" cf.c_fh in
-      match
-        rpc t
-          (P.Rename
-             { P.from_dir = { P.dir; name }; to_dir = { P.dir; name = silly_name } })
-      with
-      | P.Rstat P.NFS_OK ->
-          name_remove t ~dir name;
-          cf.silly <- Some (dir, silly_name)
-      | P.Rstat st -> fail st
-      | _ -> fail P.NFSERR_IO)
+      status t
+        (P.Rename { P.from_dir = { P.dir; name }; to_dir = { P.dir; name = silly_name } });
+      name_remove t ~dir name;
+      cf.silly <- Some (dir, silly_name)
   | None -> (
-      let doomed =
-        match t.names with
-        | Some nc -> Namecache.lookup nc ~dir name
-        | None -> None
-      in
-      match rpc t (P.Remove { P.dir; name }) with
-      | P.Rstat P.NFS_OK ->
-          name_remove t ~dir name;
-          (match doomed with
-          | Some fh ->
-              drop_cfile t fh;
-              Attrcache.invalidate t.attrs fh
-          | None -> ())
-      | P.Rstat st -> fail st
-      | _ -> fail P.NFSERR_IO)
+      status t (P.Remove { P.dir; name });
+      name_remove t ~dir name;
+      match cached with
+      | Some fh ->
+          drop_cfile t fh;
+          Attrcache.invalidate t.attrs fh
+      | None -> ())
 
 let mkdir t path =
   charge t syscall_instructions;
   let dir, name = walk_parent t path in
-  match
-    rpc t
+  let fh, _ =
+    dirop t
       (P.Mkdir
          { P.where = { P.dir; name }; attributes = { P.sattr_none with P.s_mode = 0o755 } })
-  with
-  | P.Rdirop (Ok (fh, _)) -> name_enter t ~dir name fh
-  | P.Rdirop (Error st) -> fail st
-  | _ -> fail P.NFSERR_IO
+  in
+  name_enter t ~dir name fh
 
 let rmdir t path =
   charge t syscall_instructions;
   let dir, name = walk_parent t path in
-  match rpc t (P.Rmdir { P.dir; name }) with
-  | P.Rstat P.NFS_OK -> (
-      match t.names with
-      | Some nc ->
-          (match Namecache.lookup nc ~dir name with
-          | Some fh ->
-              Namecache.invalidate_dir nc fh;
-              Hashtbl.remove t.name_stamps fh
-          | None -> ());
-          Namecache.remove nc ~dir name
-      | None -> ())
-  | P.Rstat st -> fail st
-  | _ -> fail P.NFSERR_IO
+  status t (P.Rmdir { P.dir; name });
+  match t.names with
+  | Some nc ->
+      (match Namecache.lookup nc ~dir name with
+      | Some fh ->
+          Namecache.invalidate_dir nc fh;
+          Hashtbl.remove t.name_stamps fh
+      | None -> ());
+      Namecache.remove nc ~dir name
+  | None -> ()
 
 let rename t src dst =
   charge t syscall_instructions;
   let sdir, sname = walk_parent t src in
   let ddir, dname = walk_parent t dst in
-  match
-    rpc t (P.Rename { P.from_dir = { P.dir = sdir; name = sname };
-                      to_dir = { P.dir = ddir; name = dname } })
-  with
-  | P.Rstat P.NFS_OK -> (
-      match t.names with
-      | Some nc ->
-          (match Namecache.lookup nc ~dir:sdir sname with
-          | Some fh -> name_enter t ~dir:ddir dname fh
-          | None -> ());
-          Namecache.remove nc ~dir:sdir sname
-      | None -> ())
-  | P.Rstat st -> fail st
-  | _ -> fail P.NFSERR_IO
+  status t
+    (P.Rename
+       { P.from_dir = { P.dir = sdir; name = sname }; to_dir = { P.dir = ddir; name = dname } });
+  match t.names with
+  | Some nc ->
+      (match Namecache.lookup nc ~dir:sdir sname with
+      | Some fh -> name_enter t ~dir:ddir dname fh
+      | None -> ());
+      Namecache.remove nc ~dir:sdir sname
+  | None -> ()
 
 let symlink t path ~target =
   charge t syscall_instructions;
   let dir, name = walk_parent t path in
-  match
-    rpc t
-      (P.Symlink
-         { P.sym_where = { P.dir; name }; sym_target = target; sym_attr = P.sattr_none })
-  with
-  | P.Rstat P.NFS_OK -> ()
-  | P.Rstat st -> fail st
-  | _ -> fail P.NFSERR_IO
+  status t
+    (P.Symlink { P.sym_where = { P.dir; name }; sym_target = target; sym_attr = P.sattr_none })
 
 let readlink t path =
   charge t syscall_instructions;
@@ -1315,56 +1250,44 @@ let link t ~existing path =
   charge t syscall_instructions;
   let src = walk t existing in
   let dir, name = walk_parent t path in
-  match rpc t (P.Link { P.link_from = src; link_to = { P.dir; name } }) with
-  | P.Rstat P.NFS_OK ->
-      (* The v2 link reply carries no attributes and nlink changed:
-         invalidate, as the BSD client zaps n_attrstamp here. *)
-      Attrcache.invalidate t.attrs src;
-      name_enter t ~dir name src
-  | P.Rstat st -> fail st
-  | _ -> fail P.NFSERR_IO
+  status t (P.Link { P.link_from = src; link_to = { P.dir; name } });
+  (* The v2 link reply carries no attributes and nlink changed:
+     invalidate, as the BSD client zaps n_attrstamp here. *)
+  Attrcache.invalidate t.attrs src;
+  name_enter t ~dir name src
+
+(* One page of a directory: its entries and whether it is the last.
+   READDIRLOOK also returns each entry's handle and attributes, which
+   feed the name and attribute caches and save later lookup/getattr
+   RPCs. *)
+let readdir_page t dir cookie =
+  let args = { P.rd_dir = dir; cookie; rd_count = 8192 } in
+  if t.opts.use_readdirlook then
+    match rpc t (P.Readdirlook args) with
+    | P.Rreaddirlook (Ok (ents, eof)) ->
+        List.iter
+          (fun le ->
+            name_enter t ~dir le.P.le_entry.P.entry_name le.P.le_file;
+            Attrcache.update t.attrs le.P.le_file le.P.le_attr)
+          ents;
+        (List.map (fun le -> le.P.le_entry) ents, eof)
+    | failed -> fail (error_of failed)
+  else
+    match rpc t (P.Readdir args) with
+    | P.Rreaddir (Ok page) -> page
+    | failed -> fail (error_of failed)
 
 let readdir t path =
   charge t syscall_instructions;
   let dir = walk t path in
   let rec page cookie acc =
-    if t.opts.use_readdirlook then begin
-      match rpc t (P.Readdirlook { P.rd_dir = dir; cookie; rd_count = 8192 }) with
-      | P.Rreaddirlook (Ok (ents, eof)) ->
-          (* Prefetch: each entry's handle and attributes feed the name
-             and attribute caches, saving later lookup/getattr RPCs. *)
-          List.iter
-            (fun le ->
-              name_enter t ~dir le.P.le_entry.P.entry_name le.P.le_file;
-              Attrcache.update t.attrs le.P.le_file le.P.le_attr)
-            ents;
-          let acc = List.rev_append (List.map (fun le -> le.P.le_entry.P.entry_name) ents) acc in
-          if eof then List.rev acc
-          else
-            let next =
-              match List.rev ents with
-              | last :: _ -> last.P.le_entry.P.entry_cookie
-              | [] -> cookie
-            in
-            page next acc
-      | P.Rreaddirlook (Error st) -> fail st
-      | _ -> fail P.NFSERR_IO
-    end
-    else begin
-      match rpc t (P.Readdir { P.rd_dir = dir; cookie; rd_count = 8192 }) with
-      | P.Rreaddir (Ok (entries, eof)) ->
-          let acc = List.rev_append (List.map (fun e -> e.P.entry_name) entries) acc in
-          if eof then List.rev acc
-          else
-            let next =
-              match List.rev entries with
-              | last :: _ -> last.P.entry_cookie
-              | [] -> cookie
-            in
-            page next acc
-      | P.Rreaddir (Error st) -> fail st
-      | _ -> fail P.NFSERR_IO
-    end
+    let entries, eof = readdir_page t dir cookie in
+    let acc = List.rev_append (List.map (fun e -> e.P.entry_name) entries) acc in
+    if eof then List.rev acc
+    else
+      match List.rev entries with
+      | last :: _ -> page last.P.entry_cookie acc
+      | [] -> page cookie acc
   in
   page 0 []
 
@@ -1372,8 +1295,7 @@ let statfs t =
   charge t syscall_instructions;
   match rpc t (P.Statfs t.root) with
   | P.Rstatfs (Ok s) -> s
-  | P.Rstatfs (Error st) -> fail st
-  | _ -> fail P.NFSERR_IO
+  | failed -> fail (error_of failed)
 
 let flush_all t =
   Hashtbl.iter (fun _ cf -> flush_file t cf ~wait:false) t.files;

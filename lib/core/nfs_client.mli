@@ -2,57 +2,71 @@
     and attribute caches, biods, write policies and the cache
     consistency rules whose interplay Section 5 of the paper measures.
 
-    Mount profiles reproduce the paper's configurations:
-
-    - {!reno_mount}: 4.3BSD Reno semantics.  VFS name cache; no preread
-      for partial-block writes (the [buf] dirty region); dirty blocks
-      pushed before reads; a client that does {e not} trust its own
-      write RPCs to explain an mtime change — so its own writes
-      invalidate its cache (the +50% read RPCs of Table 3); delayed
-      writes pushed on close (close/open consistency).
-    - {!ultrix_mount}: Sun-reference-port-shaped client.  No name cache,
-      no push-before-read, and it assumes no other client writes the
-      file concurrently, so its own writes leave the cache valid.
-    - [reno_nopush_mount]: Reno without push-on-close (Table 2's
-      "Reno-nopush" row).
-    - [noconsist_mount]: the experimental mount flag that disables all
-      consistency machinery, giving the optimistic bound on what a real
-      cache consistency protocol could achieve.
+    Each named mount pairs one {!consistency} rule with the rest of a
+    configuration:
+    - {!reno_mount}: 4.3BSD Reno.  VFS name cache and no preread for
+      partial-block writes (the [buf] dirty region).  Also over TCP
+      ({!reno_tcp_mount}) and over the dynamic-RTO + congestion-window
+      UDP transport ({!reno_dynamic_mount}).
+    - {!reno_nopush_mount}: Table 2's "Reno-nopush" row.
+    - {!ultrix_mount}: the Sun reference port: no name cache, and a
+      write RPC per write call.
+    - {!noconsist_mount}: the experimental mount flag that disables all
+      consistency machinery.
+    - {!lease_mount}: the paper's Future Directions, NQNFS-style leases.
+    - {!v3_mount}: Reno under the v3-style protocol: UNSTABLE writes +
+      COMMIT, 32K blocks and the bulk-lookup READDIR.
 
     All syscalls must run inside a simulation process. *)
 
 type write_policy = Write_through | Async | Delayed
 
+(** When cached data may be used and when dirty data must reach the
+    server. *)
+type consistency =
+  | Close_to_open
+      (** {!reno_mount} and {!v3_mount}: cached data is valid while the
+          server's modify time matches the one it was cached under,
+          checked through the attribute cache on open and read; dirty
+          blocks are pushed before a read and on close.  The client does
+          {e not} trust its own write replies to explain an mtime
+          change, so its own writes invalidate its cache (the +50% read
+          RPCs of Table 3). *)
+  | Close_to_open_nopush  (** {!reno_nopush_mount}: the same without the push on close. *)
+  | Trusts_own_writes
+      (** {!ultrix_mount}: the modify-time check and the push on close,
+          but no push before read.  It assumes no other client writes
+          the file concurrently, so a write reply's modify time is its
+          own and its writes leave its cache valid. *)
+  | Noconsist
+      (** {!noconsist_mount}: no checks, no pushes on read or close, and
+          under [Delayed] full blocks are delayed too — the optimistic
+          bound on what a consistency protocol could save. *)
+  | Leases
+      (** {!lease_mount}: a read lease makes cached data valid without
+          attribute checks; a write lease makes delayed writes, full
+          blocks included, safe without the push on close, and a write
+          reply's modify time the client's own.  Without a lease the
+          modify-time check applies.  Every lease expires, so server
+          crashes and network partitions heal by timeout. *)
+
 type mount_opts = {
   transport : [ `Udp_fixed | `Udp_dynamic | `Tcp ];
   timeo : float;
   mss : int;  (** TCP segment size *)
-  rsize : int;
-  wsize : int;
-  attr_timeout : float;
+  bsize : int;
+      (** the cache's block size, which is also the largest read and
+          write transfer (the paper's rsize and wsize, kept equal) *)
   num_biods : int;
   write_policy : write_policy;
       (** [Delayed] is the BSD default: asynchronous for full blocks,
           delayed for partial blocks *)
-  push_on_close : bool;
-  consistency : bool;
+  consistency : consistency;
   name_cache : bool;
-  push_dirty_before_read : bool;
-  trust_own_writes : bool;
   read_ahead : int;
-  cache_blocks : int;
   use_readdirlook : bool;
       (** use the experimental bulk-lookup RPC to prefetch handles and
           attributes while reading directories *)
-  delay_full_blocks : bool;
-      (** under [Delayed], also delay full blocks — the "delayed write
-          without push on close" policy of the noconsist experiments *)
-  use_leases : bool;
-      (** the experimental NQNFS-style lease consistency protocol (the
-          paper's Future Directions): a read lease makes cached data
-          valid without attribute checks, a write lease makes delayed
-          writes without push-on-close safe, and every lease expires —
-          so server crashes and network partitions heal by timeout *)
   soft : bool;
       (** soft mount: operations fail with an I/O error after [retrans]
           retransmissions instead of retrying forever (hard mount) *)
@@ -72,23 +86,15 @@ type mount_opts = {
   uid : int;  (** AUTH_UNIX credentials presented to the server *)
   gid : int;
 }
+(** Every mount caches attributes for 5 s and holds at most 48 blocks. *)
 
 val reno_mount : mount_opts
 val reno_tcp_mount : mount_opts
 val reno_dynamic_mount : mount_opts
-(** Reno over the dynamic-RTO + congestion-window UDP transport. *)
-
 val reno_nopush_mount : mount_opts
 val noconsist_mount : mount_opts
-
 val lease_mount : mount_opts
-(** Reno with the lease protocol: the noconsist mount's write savings
-    {e with} consistency — the optimistic bound made safe. *)
-
 val v3_mount : mount_opts
-(** The v3 profile: Reno semantics with UNSTABLE writes + COMMIT, 32K
-    transfers ([Nfs_proto.max_data_v3]) and the bulk-lookup READDIR. *)
-
 val ultrix_mount : mount_opts
 
 exception Nfs_error of Nfs_proto.stat
@@ -159,7 +165,7 @@ val flush_all : t -> unit
 (* --- cache observability --- *)
 
 val current_transfer_size : t -> int
-(** The adaptive read/write transfer size (equals [rsize] unless
+(** The adaptive read/write transfer size (equals [bsize] unless
     [adaptive_transfer] has shrunk it). *)
 
 val dirty_blocks : t -> int

@@ -380,7 +380,7 @@ let dec_diropargs dec =
 (* Calls                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let encode_call ?ctr:_ enc call =
+let encode_call enc call =
   match call with
   | Null -> ()
   | Getattr fh | Readlink fh | Statfs fh -> enc_fhandle enc fh
@@ -524,7 +524,7 @@ let dec_result dec dec_ok =
   | NFS_OK -> Ok (dec_ok ())
   | st -> Error st
 
-let encode_reply ?ctr enc reply =
+let encode_reply enc reply =
   match reply with
   | Rnull -> ()
   | Rattr r -> enc_result enc r (fun a -> enc_fattr enc a)
@@ -536,8 +536,8 @@ let encode_reply ?ctr enc reply =
   | Rread r ->
       enc_result enc r (fun (a, data) ->
           enc_fattr enc a;
-          (* The data copy out of the buffer cache into mbufs: counted. *)
-          ignore ctr;
+          (* The data copy out of the buffer cache into mbufs, counted by
+             the encoder's copy counters. *)
           Xdr.Enc.opaque enc data)
   | Rstat st -> enc_status enc st
   | Rreaddir r ->

@@ -217,13 +217,11 @@ val classify : int -> [ `Big | `Small ]
 (** The paper's split: Read, Write and Readdir are [`Big] (high-variance
     RTT, RTO [A+4D]); everything else is [`Small]. *)
 
-val encode_call :
-  ?ctr:Renofs_mbuf.Mbuf.Counters.t -> Renofs_xdr.Xdr.Enc.t -> call -> unit
+val encode_call : Renofs_xdr.Xdr.Enc.t -> call -> unit
 
 val decode_call : proc:int -> Renofs_xdr.Xdr.Dec.t -> call
 (** Raises [Xdr.Decode_error] on malformed input or unknown [proc]. *)
 
-val encode_reply :
-  ?ctr:Renofs_mbuf.Mbuf.Counters.t -> Renofs_xdr.Xdr.Enc.t -> reply -> unit
+val encode_reply : Renofs_xdr.Xdr.Enc.t -> reply -> unit
 
 val decode_reply : proc:int -> Renofs_xdr.Xdr.Dec.t -> reply

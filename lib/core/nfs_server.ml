@@ -842,7 +842,7 @@ let handle_message_inner t ?arrived_at chain ~src ~src_port =
                   Rpc_msg.encode_reply ~ctr ?pool ~xid:hdr.Rpc_msg.xid
                     (Rpc_msg.Accepted Rpc_msg.Success)
                 in
-                P.encode_reply ~ctr enc body;
+                P.encode_reply enc body;
                 enc
           in
           let reply = Xdr.Enc.chain enc in

@@ -2,7 +2,7 @@ type t = {
   sim : Sim.t;
   cpu : Cpu.t;
   interval : float;
-  series : Stats.Series.t;
+  series : Stats.Timeseries.t;
   started_at : float;
   started_busy : float;
   mutable running : bool;
@@ -15,7 +15,7 @@ let start sim cpu ?(interval = 1.0) () =
       sim;
       cpu;
       interval;
-      series = Stats.Series.create ~name:"cpu-util" ();
+      series = Stats.Timeseries.create ~name:"cpu-util" ();
       started_at = Sim.now sim;
       started_busy = Cpu.busy_time cpu;
       running = true;
@@ -26,7 +26,7 @@ let start sim cpu ?(interval = 1.0) () =
         if t.running then begin
           Proc.sleep sim interval;
           let busy = Cpu.busy_time cpu in
-          Stats.Series.add t.series (Sim.now sim) ((busy -. prev_busy) /. interval);
+          Stats.Timeseries.add t.series (Sim.now sim) ((busy -. prev_busy) /. interval);
           tick busy
         end
       in
@@ -34,7 +34,7 @@ let start sim cpu ?(interval = 1.0) () =
   t
 
 let stop t = t.running <- false
-let samples t = Stats.Series.to_list t.series
+let samples t = Stats.Timeseries.to_list t.series
 
 let mean_utilization t =
   let elapsed = Sim.now t.sim -. t.started_at in

@@ -119,8 +119,6 @@ module Timeseries = struct
           rest
 end
 
-module Series = Timeseries
-
 module Counter = struct
   type t = (string, int ref) Hashtbl.t
 

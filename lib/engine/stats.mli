@@ -51,9 +51,6 @@ module Timeseries : sig
       skipped; empty and single-point inputs yield []. *)
 end
 
-module Series = Timeseries
-(** Compatibility alias for {!Timeseries}. *)
-
 (** Named integer counters, e.g. per-RPC-type counts. *)
 module Counter : sig
   type t

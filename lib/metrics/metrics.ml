@@ -36,7 +36,6 @@ let create ?(interval = 0.5) () =
 
 let interval t = t.m_interval
 let set_enabled t b = t.m_enabled := b
-let enabled t = !(t.m_enabled)
 let runs t = List.rev t.m_runs_rev
 
 let uniquify t label =

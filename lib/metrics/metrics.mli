@@ -50,8 +50,6 @@ val set_enabled : t -> bool -> unit
 (** Gate sampling without tearing the tick down — used to exclude
     warmup phases, mirroring [Trace.set_enabled]. *)
 
-val enabled : t -> bool
-
 val start_run : t -> sim:Renofs_engine.Sim.t -> label:string -> run
 (** Open a run on [sim] and start its sampling tick.  [label] is
     uniquified against the sink's existing runs ([#2], [#3]...) so

@@ -297,7 +297,6 @@ let queue_length t = Queue.length t.queue
 let stats t = t.stats
 let loss t = t.loss
 let set_loss t p = t.loss <- Float.max 0.0 (Float.min 1.0 p)
-let is_up t = t.up
 let set_up t up = t.up <- up
 
 (* Deterministic, non-randomized string hash (FNV-1a), so mangle RNG

@@ -56,7 +56,6 @@ val set_loss : t -> float -> unit
 (** Change the per-packet corruption probability (clamped to [0..1]);
     applies to packets whose transmission completes after the call. *)
 
-val is_up : t -> bool
 val set_up : t -> bool -> unit
 (** A downed link drops every newly offered packet (counted as an error
     drop, traced as [Link_down]); packets already queued or in flight

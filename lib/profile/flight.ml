@@ -5,7 +5,6 @@ module Json = Renofs_json.Json
 type t = { f_dir : string; f_spec : Json.json; f_seed : int }
 
 let arm ~dir ~spec ~seed = { f_dir = dir; f_spec = spec; f_seed = seed }
-let dir t = t.f_dir
 let tail_records = 20_000
 
 let sanitize label =

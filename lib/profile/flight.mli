@@ -25,8 +25,6 @@ val arm : dir:string -> spec:Renofs_json.Json.json -> seed:int -> t
 (** Immutable arming record; nothing is written until a dump.  [spec]
     becomes the bundle's [run_spec.json], on one line. *)
 
-val dir : t -> string
-
 val tail_records : int
 (** How many of the newest trace records a bundle keeps (20_000). *)
 

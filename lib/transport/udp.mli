@@ -50,7 +50,6 @@ val sendto : socket -> dst:int -> dst_port:int -> Renofs_mbuf.Mbuf.t -> unit
 val recv : socket -> datagram
 (** Block until a datagram arrives. *)
 
-val try_recv : socket -> datagram option
 val pending : socket -> int
 
 val drops : socket -> int

@@ -512,13 +512,13 @@ let test_hist_quantile_bounds () =
   check_float "overflowed tail" infinity (Stats.Hist.quantile h 1.0)
 
 let test_series () =
-  let s = Stats.Series.create ~name:"rtt" () in
-  Stats.Series.add s 1.0 0.1;
-  Stats.Series.add s 2.0 0.2;
-  Alcotest.(check int) "length" 2 (Stats.Series.length s);
-  Alcotest.(check string) "name" "rtt" (Stats.Series.name s);
+  let s = Stats.Timeseries.create ~name:"rtt" () in
+  Stats.Timeseries.add s 1.0 0.1;
+  Stats.Timeseries.add s 2.0 0.2;
+  Alcotest.(check int) "length" 2 (Stats.Timeseries.length s);
+  Alcotest.(check string) "name" "rtt" (Stats.Timeseries.name s);
   Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-    "order" [ (1.0, 0.1); (2.0, 0.2) ] (Stats.Series.to_list s)
+    "order" [ (1.0, 0.1); (2.0, 0.2) ] (Stats.Timeseries.to_list s)
 
 let check_points = Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
 

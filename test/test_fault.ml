@@ -623,8 +623,8 @@ let test_lying_commit_convicted () =
 
 let test_v3_crash_replay () =
   let w = make_v3_world () in
-  let wsize = Nfs_client.v3_mount.Nfs_client.wsize in
-  let payload = Bytes.init wsize (fun i -> Char.chr (i land 0xff)) in
+  let bsize = Nfs_client.v3_mount.Nfs_client.bsize in
+  let payload = Bytes.init bsize (fun i -> Char.chr (i land 0xff)) in
   let finished = ref false in
   Proc.spawn w.w_sim (fun () ->
       let m = w.w_mount Nfs_client.v3_mount in
@@ -658,7 +658,7 @@ let test_v3_crash_replay () =
       let fs = Nfs_server.fs w.w_server in
       let v = Renofs_vfs.Fs.lookup fs (Renofs_vfs.Fs.root fs) "replay" in
       Alcotest.(check bytes) "replayed data durable" payload
-        (Renofs_vfs.Fs.read fs v ~off:0 ~len:wsize);
+        (Renofs_vfs.Fs.read fs v ~off:0 ~len:bsize);
       Alcotest.(check int) "no unstable residue" 0
         (Nfs_server.unstable_bytes w.w_server);
       List.iter
@@ -676,8 +676,8 @@ let test_v3_commit_digests_untraced_writes () =
      with the sink off must still be echoed at COMMIT with the digest of
      their data, or the durability check cannot vouch for them. *)
   let w = make_v3_world () in
-  let wsize = Nfs_client.v3_mount.Nfs_client.wsize in
-  let payload = Bytes.init (2 * wsize) (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let bsize = Nfs_client.v3_mount.Nfs_client.bsize in
+  let payload = Bytes.init (2 * bsize) (fun i -> Char.chr ((i * 7) land 0xff)) in
   let finished = ref false in
   Proc.spawn w.w_sim (fun () ->
       let m = w.w_mount Nfs_client.v3_mount in
@@ -719,8 +719,8 @@ let test_soft_v3_commit_never_wedges () =
   let soft =
     { Nfs_client.v3_mount with Nfs_client.soft = true; retrans = 2 }
   in
-  let wsize = soft.Nfs_client.wsize in
-  let payload = Bytes.make wsize 's' in
+  let bsize = soft.Nfs_client.bsize in
+  let payload = Bytes.make bsize 's' in
   let finished = ref false in
   Proc.spawn w.w_sim (fun () ->
       let m = w.w_mount soft in
@@ -736,14 +736,14 @@ let test_soft_v3_commit_never_wedges () =
       (* The give-up released the write-behind ledger: once the server
          returns, the same fd keeps working and a clean write commits. *)
       Nfs_server.reboot w.w_server;
-      let second = Bytes.make wsize 'S' in
+      let second = Bytes.make bsize 'S' in
       Nfs_client.write m fd ~off:0 second;
       Nfs_client.fsync m fd;
       Nfs_client.close m fd;
       let fs = Nfs_server.fs w.w_server in
       let v = Renofs_vfs.Fs.lookup fs (Renofs_vfs.Fs.root fs) "soft" in
       Alcotest.(check bytes) "post-recovery write durable" second
-        (Renofs_vfs.Fs.read fs v ~off:0 ~len:wsize);
+        (Renofs_vfs.Fs.read fs v ~off:0 ~len:bsize);
       finished := true);
   Sim.run ~until:3_600.0 w.w_sim;
   Alcotest.(check bool) "client finished" true !finished

@@ -120,6 +120,80 @@ let test_noconsist_never_revalidates () =
       Alcotest.(check string) "b still serves stale cache" "old"
         (Bytes.to_string (Nfs_client.read b fdb ~off:0 ~len:10)))
 
+(* Each named mount's consistency rule, pinned by five probes with the
+   write policy held at [Delayed] so that only the rule varies:
+   - bytes of a 100-byte partial write on the server when [close]
+     returns (the push on close);
+   - READ RPCs to reread that file after [open_] (whether the mount's
+     own writes invalidate its cache);
+   - write RPCs issued by a [read] of the mount's own dirty 100-byte
+     block (the push before read);
+   - write RPCs for one full block within 1 s, before close (whether
+     full blocks are delayed);
+   - whether any GETLEASE went out. *)
+let rule_probes w tag opts =
+  let m = mount_in w { opts with Nfs_client.write_policy = Nfs_client.Delayed } in
+  let count procs =
+    List.fold_left (fun n p -> n + Stats.Counter.get (Nfs_client.rpc_counters m) p) 0 procs
+  in
+  let during procs f =
+    let before = count procs in
+    f ();
+    count procs - before
+  in
+  let writes = [ "write"; "write3" ] in
+  let closed = tag ^ "-closed" in
+  let fd = Nfs_client.create m closed in
+  Nfs_client.write m fd ~off:0 (Bytes.make 100 'c');
+  Nfs_client.close m fd;
+  let fs = Nfs_server.fs w.server in
+  let vnode = Renofs_vfs.Fs.lookup fs (Renofs_vfs.Fs.root fs) closed in
+  let on_server = Bytes.length (Renofs_vfs.Fs.read fs vnode ~off:0 ~len:100) in
+  let rereads =
+    during [ "read" ] (fun () ->
+        let fd = Nfs_client.open_ m closed in
+        ignore (Nfs_client.read m fd ~off:0 ~len:100);
+        Nfs_client.close m fd)
+  in
+  let fd = Nfs_client.create m (tag ^ "-dirty") in
+  Nfs_client.write m fd ~off:0 (Bytes.make 100 'd');
+  let pushed_by_read = during writes (fun () -> ignore (Nfs_client.read m fd ~off:0 ~len:100)) in
+  Nfs_client.close m fd;
+  let fd = Nfs_client.create m (tag ^ "-full") in
+  let block = Nfs_client.current_transfer_size m in
+  let early =
+    during writes (fun () ->
+        Nfs_client.write m fd ~off:0 (Bytes.make block 'f');
+        Proc.sleep w.sim 1.0)
+  in
+  Nfs_client.close m fd;
+  (on_server, rereads, pushed_by_read, early, count [ "getlease" ] > 0)
+
+(* One row of the table, naming each decision beside its probe. *)
+let rule_row (on_server, rereads, pushed_by_read, early, leased) =
+  Printf.sprintf
+    "push on close %d B | own writes invalidate %d READ | push before read %d | \
+     full block early %d | leases %b"
+    on_server rereads pushed_by_read early leased
+
+let test_rule_table () =
+  let w = make_world () in
+  let rows =
+    [
+      ("reno", Nfs_client.reno_mount, (100, 1, 1, 1, false));
+      ("reno_nopush", Nfs_client.reno_nopush_mount, (0, 1, 1, 1, false));
+      ("ultrix", Nfs_client.ultrix_mount, (100, 0, 0, 1, false));
+      ("noconsist", Nfs_client.noconsist_mount, (0, 0, 0, 0, false));
+      ("lease", Nfs_client.lease_mount, (0, 0, 0, 0, true));
+      ("v3", Nfs_client.v3_mount, (100, 1, 1, 1, false));
+    ]
+  in
+  run_client w (fun () ->
+      List.iter
+        (fun (tag, opts, expected) ->
+          Alcotest.(check string) tag (rule_row expected) (rule_row (rule_probes w tag opts)))
+        rows)
+
 let test_disjoint_writers_merge () =
   let w = make_world () in
   run_client w (fun () ->
@@ -306,6 +380,7 @@ let () =
           Alcotest.test_case "close/open" `Quick test_close_open_consistency;
           Alcotest.test_case "staleness bounded" `Quick test_staleness_bounded_by_attr_timeout;
           Alcotest.test_case "noconsist stays stale" `Quick test_noconsist_never_revalidates;
+          Alcotest.test_case "one row per mount's rule" `Quick test_rule_table;
           Alcotest.test_case "disjoint writers merge" `Quick test_disjoint_writers_merge;
           Alcotest.test_case "stale handle" `Quick test_stale_handle_after_remove;
           Alcotest.test_case "rename across clients" `Quick test_rename_visible_across_clients;

@@ -193,7 +193,29 @@ let test_name_cache_halves_lookups () =
   Alcotest.(check bool) "reno needs few lookups" true (reno <= 2);
   Alcotest.(check bool) "ultrix looks up repeatedly" true (ultrix >= 10)
 
-let test_push_on_close_blocks () =
+let test_unlink_probes_name_cache_once () =
+  (* One stat of a cached name is one hit; an unlink of a name nobody
+     has open is one miss, so the gauge reads 50%, not 33%. *)
+  let w = make_world () in
+  let sink = Renofs_metrics.Metrics.create ~interval:1.0 () in
+  let run = Renofs_metrics.Metrics.start_run sink ~sim:w.sim ~label:"unlink" in
+  Net.Node.attach w.topo.Net.Topology.client { Net.Node.detached with metrics = Some run };
+  run_client w (fun () ->
+      let m = mount_in w Nfs_client.reno_mount in
+      Nfs_client.close m (Nfs_client.create m "cached");
+      ignore (Nfs_client.stat m "cached");
+      let fs = Nfs_server.fs w.server in
+      ignore (Renofs_vfs.Fs.create_file fs ~dir:(Renofs_vfs.Fs.root fs) "uncached" ~mode:0o644 ());
+      Nfs_client.unlink m "uncached");
+  let gauge =
+    List.find
+      (fun s -> s.Renofs_metrics.Metrics.e_name = "client.cli.namecache.hit_ratio")
+      (Renofs_metrics.Metrics.series sink)
+  in
+  let _, last = List.hd (List.rev gauge.Renofs_metrics.Metrics.e_points) in
+  Alcotest.(check string) "hit ratio" "50.00" (Printf.sprintf "%.2f" last)
+
+let test_close_pushes () =
   let w = make_world () in
   run_client w (fun () ->
       let m = mount_in w Nfs_client.reno_mount in
@@ -718,7 +740,9 @@ let () =
         [
           Alcotest.test_case "attr cache" `Quick test_attr_cache_suppresses_getattr;
           Alcotest.test_case "name cache vs ultrix" `Quick test_name_cache_halves_lookups;
-          Alcotest.test_case "push on close" `Quick test_push_on_close_blocks;
+          Alcotest.test_case "push on close" `Quick test_close_pushes;
+          Alcotest.test_case "unlink probes the name cache once" `Quick
+            test_unlink_probes_name_cache_once;
           Alcotest.test_case "nopush defers" `Quick test_nopush_defers_writes;
           Alcotest.test_case "noconsist discard on unlink" `Quick
             test_noconsist_discards_on_unlink;
