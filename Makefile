@@ -51,7 +51,9 @@
 # records carry data digests, table2 (the Reno, Reno-TCP, Reno-nopush,
 # Reno-v3 and Ultrix2.2 mounts) with its trace and metrics and leases
 # (the Reno, Leases and noconsist mounts) with its trace, so that every
-# named mount's consistency rule is traced, the chaos and fuzz runs
+# named mount's consistency rule is traced, graph8 (the reno, reno-nonc
+# and ultrix servers) with its trace, so that every server profile is
+# traced, the chaos and fuzz runs
 # again with their traces (the golden traces carry 22 of the 25 event kinds; the
 # round-trip test in test/test_trace.ml covers the other three), graph1
 # with its metrics as JSONL and as CSV, and the crash-without-reboot
@@ -146,6 +148,7 @@ golden: build
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table5 --jobs 2 --trace table5-trace.jsonl > table5.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table2 --jobs 2 --trace table2-trace.jsonl --metrics table2-metrics.jsonl > table2.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run leases --jobs 2 --trace leases-trace.jsonl > leases.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph8 --jobs 2 --trace graph8-trace.jsonl > graph8.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- chaos --scale quick --jobs 2 --trace chaos-trace.jsonl > chaos-trace.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 --trace fuzz-trace.jsonl > fuzz-trace.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph1 --jobs 2 --metrics metrics.jsonl > graph1-metrics.txt

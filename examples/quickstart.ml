@@ -61,6 +61,6 @@ let () =
         (String.concat ", "
            (List.map
               (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-              (Renofs_engine.Stats.Counter.to_list (Nfs_server.counters server)))));
+              (Renofs_engine.Stats.Counter.to_list (Nfs_client.rpc_counters m)))));
   (* The mount keeps a 30-second sync daemon alive, so bound the run. *)
   Sim.run ~until:60.0 sim

@@ -4,41 +4,14 @@ let program = 100005
 let version = 1
 let port = 635
 let max_path = 1024
-let max_name = 255
 
-type call =
-  | Mnt_null
-  | Mnt of string
-  | Dump
-  | Umnt of string
-  | Umntall
-  | Export
+type call = Mnt_null | Mnt of string
 
 type mnt_status = Mnt_ok of Nfs_proto.fhandle | Mnt_error of int
 
-type reply =
-  | Rmnt_null
-  | Rmnt of mnt_status
-  | Rdump of (string * string) list
-  | Rumnt
-  | Rexport of string list
+type reply = Rmnt_null | Rmnt of mnt_status
 
-let proc_of_call = function
-  | Mnt_null -> 0
-  | Mnt _ -> 1
-  | Dump -> 2
-  | Umnt _ -> 3
-  | Umntall -> 4
-  | Export -> 5
-
-let proc_name = function
-  | 0 -> "null"
-  | 1 -> "mnt"
-  | 2 -> "dump"
-  | 3 -> "umnt"
-  | 4 -> "umntall"
-  | 5 -> "export"
-  | n -> Printf.sprintf "mountproc%d" n
+let proc_of_call = function Mnt_null -> 0 | Mnt _ -> 1
 
 (* File handles share the NFS 32-byte representation. *)
 let enc_fhandle enc fh =
@@ -51,42 +24,21 @@ let dec_fhandle dec =
   Int32.to_int (Bytes.get_int32_be b 0) land 0xFFFFFFFF
 
 let encode_call enc = function
-  | Mnt_null | Dump | Umntall | Export -> ()
-  | Mnt path | Umnt path -> Xdr.Enc.string enc path
+  | Mnt_null -> ()
+  | Mnt path -> Xdr.Enc.string enc path
 
 let decode_call ~proc dec =
   match proc with
   | 0 -> Mnt_null
   | 1 -> Mnt (Xdr.Dec.string dec ~max:max_path)
-  | 2 -> Dump
-  | 3 -> Umnt (Xdr.Dec.string dec ~max:max_path)
-  | 4 -> Umntall
-  | 5 -> Export
   | n -> raise (Xdr.Decode_error (Printf.sprintf "unknown MOUNT procedure %d" n))
 
 let encode_reply enc = function
-  | Rmnt_null | Rumnt -> ()
+  | Rmnt_null -> ()
   | Rmnt (Mnt_ok fh) ->
       Xdr.Enc.enum enc 0;
       enc_fhandle enc fh
   | Rmnt (Mnt_error errno) -> Xdr.Enc.enum enc errno
-  | Rdump records ->
-      List.iter
-        (fun (host, path) ->
-          Xdr.Enc.bool enc true;
-          Xdr.Enc.string enc host;
-          Xdr.Enc.string enc path)
-        records;
-      Xdr.Enc.bool enc false
-  | Rexport dirs ->
-      List.iter
-        (fun dir ->
-          Xdr.Enc.bool enc true;
-          Xdr.Enc.string enc dir;
-          (* empty groups list *)
-          Xdr.Enc.bool enc false)
-        dirs;
-      Xdr.Enc.bool enc false
 
 let decode_reply ~proc dec =
   match proc with
@@ -95,31 +47,4 @@ let decode_reply ~proc dec =
       match Xdr.Dec.enum dec with
       | 0 -> Rmnt (Mnt_ok (dec_fhandle dec))
       | errno -> Rmnt (Mnt_error errno))
-  | 2 ->
-      let rec entries acc =
-        if Xdr.Dec.bool dec then begin
-          let host = Xdr.Dec.string dec ~max:max_name in
-          let path = Xdr.Dec.string dec ~max:max_path in
-          entries ((host, path) :: acc)
-        end
-        else List.rev acc
-      in
-      Rdump (entries [])
-  | 3 | 4 -> Rumnt
-  | 5 ->
-      let rec dirs acc =
-        if Xdr.Dec.bool dec then begin
-          let dir = Xdr.Dec.string dec ~max:max_path in
-          let rec skip_groups () =
-            if Xdr.Dec.bool dec then begin
-              ignore (Xdr.Dec.string dec ~max:max_name);
-              skip_groups ()
-            end
-          in
-          skip_groups ();
-          dirs (dir :: acc)
-        end
-        else List.rev acc
-      in
-      Rexport (dirs [])
   | n -> raise (Xdr.Decode_error (Printf.sprintf "unknown MOUNT procedure %d" n))

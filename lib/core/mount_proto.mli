@@ -2,10 +2,10 @@
 
     NFS itself has no way to turn a path name into an initial file
     handle — that is the mount protocol's job.  Our server registers it
-    on the same UDP stack (port 635, as many systems did) and supports
-    the calls the paper's experiments would have used: MNT to obtain a
-    root handle, UMNT/UMNTALL to drop the record, DUMP to list current
-    mounts and EXPORT to list exported trees. *)
+    on the same UDP stack (port 635, as many systems did) and speaks the
+    two procedures clients send: NULL, and MNT to obtain the file handle
+    of an exported path.  DUMP, UMNT, UMNTALL and EXPORT are not
+    modelled; a call to one of them fails to decode and is dropped. *)
 
 val program : int
 (** 100005. *)
@@ -16,25 +16,13 @@ val version : int
 val port : int
 (** 635. *)
 
-type call =
-  | Mnt_null
-  | Mnt of string  (** directory path -> file handle *)
-  | Dump  (** list (hostname, path) mount records *)
-  | Umnt of string
-  | Umntall
-  | Export  (** list exported directories *)
+type call = Mnt_null | Mnt of string  (** directory path -> file handle *)
 
 type mnt_status = Mnt_ok of Nfs_proto.fhandle | Mnt_error of int
 
-type reply =
-  | Rmnt_null
-  | Rmnt of mnt_status
-  | Rdump of (string * string) list
-  | Rumnt
-  | Rexport of string list
+type reply = Rmnt_null | Rmnt of mnt_status
 
 val proc_of_call : call -> int
-val proc_name : int -> string
 
 val encode_call : Renofs_xdr.Xdr.Enc.t -> call -> unit
 val decode_call : proc:int -> Renofs_xdr.Xdr.Dec.t -> call

@@ -7,21 +7,10 @@ module Udp = Renofs_transport.Udp
 module Fs = Renofs_vfs.Fs
 module MP = Mount_proto
 
-type t = {
-  server : Nfs_server.t;
-  mutable records : (string * string) list; (* newest first *)
-  mutable served : int;
-}
-
-let mounts t = List.rev t.records
-let requests_served t = t.served
-
-let client_name src src_port = Printf.sprintf "host%d:%d" src src_port
-
 (* Resolve an exported path to a file handle by walking the server's
    filesystem directly (mountd runs on the server host). *)
-let resolve t path =
-  let fs = Nfs_server.fs t.server in
+let resolve server path =
+  let fs = Nfs_server.fs server in
   let components =
     String.split_on_char '/' path |> List.filter (fun c -> c <> "" && c <> ".")
   in
@@ -31,29 +20,11 @@ let resolve t path =
   with Fs.Err Fs.Enoent -> MP.Mnt_error 2 (* ENOENT *)
      | Fs.Err Fs.Enotdir -> MP.Mnt_error 20
 
-let execute t ~src ~src_port (call : MP.call) : MP.reply =
-  match call with
+let execute server : MP.call -> MP.reply = function
   | MP.Mnt_null -> MP.Rmnt_null
-  | MP.Mnt path ->
-      let status = resolve t path in
-      (match status with
-      | MP.Mnt_ok _ -> t.records <- (client_name src src_port, path) :: t.records
-      | MP.Mnt_error _ -> ());
-      MP.Rmnt status
-  | MP.Dump -> MP.Rdump (mounts t)
-  | MP.Umnt path ->
-      let me = client_name src src_port in
-      t.records <-
-        List.filter (fun (host, p) -> not (host = me && p = path)) t.records;
-      MP.Rumnt
-  | MP.Umntall ->
-      let me = client_name src src_port in
-      t.records <- List.filter (fun (host, _) -> host <> me) t.records;
-      MP.Rumnt
-  | MP.Export -> MP.Rexport [ "/" ]
+  | MP.Mnt path -> MP.Rmnt (resolve server path)
 
 let start server =
-  let t = { server; records = []; served = 0 } in
   let node = Nfs_server.node server in
   let sock = Udp.bind (Nfs_server.udp_stack server) ~port:MP.port in
   Proc.spawn (Node.sim node) (fun () ->
@@ -67,10 +38,7 @@ let start server =
             match MP.decode_call ~proc:hdr.Rpc_msg.proc dec with
             | exception Xdr.Decode_error _ -> ()
             | call ->
-                t.served <- t.served + 1;
-                let reply =
-                  execute t ~src:dg.Udp.src ~src_port:dg.Udp.src_port call
-                in
+                let reply = execute server call in
                 let enc =
                   Rpc_msg.encode_reply ~xid:hdr.Rpc_msg.xid
                     (Rpc_msg.Accepted Rpc_msg.Success)
@@ -80,5 +48,4 @@ let start server =
                   (Xdr.Enc.chain enc)));
         serve ()
       in
-      serve ());
-  t
+      serve ())

@@ -1,13 +1,5 @@
 (** The mount daemon: serves the {!Mount_proto} program next to an NFS
-    server, translating exported path names into file handles and
-    keeping the classic rmtab-style record of who mounted what. *)
+    server, translating exported path names into file handles. *)
 
-type t
-
-val start : Nfs_server.t -> t
+val start : Nfs_server.t -> unit
 (** Bind port 635 on the server's UDP stack and serve forever. *)
-
-val mounts : t -> (string * string) list
-(** Current (client, path) records, oldest first. *)
-
-val requests_served : t -> int

@@ -227,30 +227,22 @@ let proc_of_call = function
   | Write3 _ -> 20
   | Commit _ -> 21
 
-let proc_name = function
-  | 0 -> "null"
-  | 1 -> "getattr"
-  | 2 -> "setattr"
-  | 3 -> "root"
-  | 4 -> "lookup"
-  | 5 -> "readlink"
-  | 6 -> "read"
-  | 7 -> "writecache"
-  | 8 -> "write"
-  | 9 -> "create"
-  | 10 -> "remove"
-  | 11 -> "rename"
-  | 12 -> "link"
-  | 13 -> "symlink"
-  | 14 -> "mkdir"
-  | 15 -> "rmdir"
-  | 16 -> "readdir"
-  | 17 -> "statfs"
-  | 18 -> "readdirlook"
-  | 19 -> "getlease"
-  | 20 -> "write3"
-  | 21 -> "commit"
-  | n -> Printf.sprintf "proc%d" n
+let proc_name = Renofs_trace.Trace.proc_name
+
+let error_reply call stat =
+  match call with
+  | Null -> Rnull
+  | Getattr _ | Setattr _ | Write _ -> Rattr (Error stat)
+  | Lookup _ | Create _ | Mkdir _ -> Rdirop (Error stat)
+  | Readlink _ -> Rreadlink (Error stat)
+  | Read _ -> Rread (Error stat)
+  | Remove _ | Rename _ | Link _ | Symlink _ | Rmdir _ -> Rstat stat
+  | Readdir _ -> Rreaddir (Error stat)
+  | Statfs _ -> Rstatfs (Error stat)
+  | Readdirlook _ -> Rreaddirlook (Error stat)
+  | Getlease _ -> Rlease (Error stat)
+  | Write3 _ -> Rwrite3 (Error stat)
+  | Commit _ -> Rcommit (Error stat)
 
 (* COMMIT (21) is idempotent: re-flushing already-stable data changes
    nothing.  WRITE3 (20) is too in the overwrite sense, but is kept out

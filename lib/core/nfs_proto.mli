@@ -207,7 +207,12 @@ type reply =
 
 val proc_of_call : call -> int
 val proc_name : int -> string
-(** e.g. "read", "lookup"; "proc18" for unknown numbers. *)
+(** e.g. "read", "lookup"; "proc22" for unknown numbers.
+    {!Renofs_trace.Trace.proc_name}'s table. *)
+
+val error_reply : call -> stat -> reply
+(** The failed reply to [call]: its procedure's result carrying [stat]
+    ([Rnull] for [Null], which cannot fail). *)
 
 val is_idempotent : int -> bool
 (** Getattr/lookup/read-style procedures may be repeated harmlessly;

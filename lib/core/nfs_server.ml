@@ -17,36 +17,37 @@ module Fs = Renofs_vfs.Fs
 module Disk = Renofs_vfs.Disk
 module P = Nfs_proto
 
-type profile = {
-  fs_config : Fs.config;
-  nfsd_count : int;
-  duplicate_cache : bool;
-  decode_instructions : float;
-  encode_instructions : float;
-  xdr_layer_instructions : float;
-}
+type profile = Reno | Reno_no_name_cache | Reference_port
 
-let reno_profile =
-  {
-    fs_config = Fs.reno_config;
-    nfsd_count = 4;
-    duplicate_cache = true;
-    decode_instructions = 320.0;
-    encode_instructions = 280.0;
-    xdr_layer_instructions = 0.0;
-  }
+let reno_profile = Reno
+let reference_port_profile = Reference_port
 
-let reference_port_profile =
-  {
-    fs_config = Fs.reference_port_config;
-    nfsd_count = 4;
-    duplicate_cache = false;
-    decode_instructions = 320.0;
-    encode_instructions = 280.0;
-    (* The user-mode RPC/XDR runtime ported into the kernel: extra
-       buffer management and dispatch layers on every RPC. *)
-    xdr_layer_instructions = 900.0;
-  }
+(* What every profile shares: four nfsds, and the per-RPC cost of
+   decoding the request and building the reply in mbufs. *)
+let nfsd_count = 4
+let decode_instructions = 320.0
+let encode_instructions = 280.0
+
+let duplicate_cache = function
+  | Reno | Reno_no_name_cache -> true
+  | Reference_port -> false
+
+(* The user-mode RPC/XDR runtime ported into the kernel: extra buffer
+   management and dispatch layers on every RPC. *)
+let xdr_layer_instructions = function
+  | Reno | Reno_no_name_cache -> 0.0
+  | Reference_port -> 900.0
+
+(* Buffer-cache search and the server name cache. *)
+let fs_config = function
+  | Reno -> Fs.reno_config
+  | Reno_no_name_cache -> { Fs.reno_config with name_cache = false }
+  | Reference_port ->
+      {
+        Fs.reno_config with
+        bcache_search = Renofs_vfs.Bcache.Global_scan;
+        name_cache = false;
+      }
 
 (* A recent-request cache entry [Juszczak89]: requests still executing
    must also be recognised, or a retransmission arriving mid-execution
@@ -75,8 +76,6 @@ type t = {
   fs : Fs.t;
   udp : Udp.stack;
   tcp : Tcp.stack option;
-  counters : Stats.Counter.t;
-  service_times : (string, Stats.Welford.t) Hashtbl.t;
   mutable served : int;
   mutable dups : int;
   mutable in_service : int; (* RPCs currently inside [execute] *)
@@ -145,7 +144,7 @@ let register_metrics t =
 let create node ?(profile = reno_profile) ~udp ?tcp () =
   let sim = Node.sim node in
   let disk = Disk.create sim () in
-  let fs = Fs.create sim (Node.cpu node) disk profile.fs_config in
+  let fs = Fs.create sim (Node.cpu node) disk (fs_config profile) in
   let t =
     {
       node;
@@ -153,8 +152,6 @@ let create node ?(profile = reno_profile) ~udp ?tcp () =
       fs;
       udp;
       tcp;
-      counters = Stats.Counter.create ();
-      service_times = Hashtbl.create 20;
       served = 0;
       dups = 0;
       in_service = 0;
@@ -179,25 +176,6 @@ let udp_stack t = t.udp
 let tcp_stack t = t.tcp
 let node t = t.node
 let root_fhandle t = Fs.ino (Fs.root t.fs)
-let counters t = t.counters
-
-let service_times t =
-  Hashtbl.fold
-    (fun name w acc -> (name, Stats.Welford.mean w, Stats.Welford.count w) :: acc)
-    t.service_times []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let note_service t name seconds =
-  let w =
-    match Hashtbl.find_opt t.service_times name with
-    | Some w -> w
-    | None ->
-        let w = Stats.Welford.create () in
-        Hashtbl.replace t.service_times name w;
-        w
-  in
-  Stats.Welford.add w seconds
-
 let rpcs_served t = t.served
 let duplicates_dropped t = t.dups
 let write_verf t = t.write_verf
@@ -211,15 +189,17 @@ let uext_digest e =
   if e.ue_digest < 0 then e.ue_digest <- Trace.digest e.ue_data;
   e.ue_digest
 
+(* [fh]'s list in a per-fhandle table, added empty on first use. *)
+let list_of tbl fh =
+  match Hashtbl.find_opt tbl fh with
+  | Some r -> r
+  | None ->
+      let r = ref [] in
+      Hashtbl.replace tbl fh r;
+      r
+
 let unstable_append t fh ~off data =
-  let r =
-    match Hashtbl.find_opt t.unstable fh with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace t.unstable fh r;
-        r
-  in
+  let r = list_of t.unstable fh in
   let e = { ue_off = off; ue_data = data; ue_digest = -1 } in
   r := e :: !r;
   e
@@ -309,17 +289,7 @@ let sattr_to_fs (s : P.sattr) =
   (opt s.P.s_mode, opt s.P.s_uid, opt s.P.s_gid, opt s.P.s_size,
    Option.map P.float_of_time s.P.s_mtime)
 
-(* Execute one NFS call against the filesystem.  Every [Fs] operation
-   charges its own CPU and disk costs. *)
 (* --- lease machinery ------------------------------------------------ *)
-
-let lease_holders t fh =
-  match Hashtbl.find_opt t.leases fh with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.replace t.leases fh r;
-      r
 
 let purge_expired t holders =
   let now = Sim.now (Node.sim t.node) in
@@ -332,7 +302,7 @@ let conflicts_with ~client ~mode h =
    contested holder is refused renewal, so the wait is bounded by one
    lease duration.  Runs in the serving nfsd's process. *)
 let rec obtain_lease t ~client ~mode fh =
-  let holders = lease_holders t fh in
+  let holders = list_of t.leases fh in
   purge_expired t holders;
   let mine = List.find_opt (fun h -> h.lh_client = client) !holders in
   (match mine with
@@ -371,18 +341,6 @@ let rec obtain_lease t ~client ~mode fh =
 
 exception Access_denied
 
-(* Classic Unix permission bits against the AUTH_UNIX credential; uid 0
-   bypasses, as the kernel's VOP_ACCESS does. *)
-let access_ok (a : Fs.attrs) ~uid ~gid ~want =
-  uid = 0
-  ||
-  let bits =
-    if uid = a.Fs.uid then (a.Fs.mode lsr 6) land 7
-    else if gid = a.Fs.gid then (a.Fs.mode lsr 3) land 7
-    else a.Fs.mode land 7
-  in
-  bits land want = want
-
 let r_ok = 4
 let w_ok = 2
 let x_ok = 1
@@ -399,329 +357,278 @@ let trace_event t ev =
 let tracing t =
   match Node.trace t.node with Some tr -> Trace.enabled tr | None -> false
 
-let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
-    P.reply =
+(* Trace [data], just written through at [off] of [file], as committed;
+   the digest is computed only when traced.  [mtime] is the caller's own
+   read-back after the write: v2 WRITE traces its reply's wire mtime,
+   WRITE3 and COMMIT the file system's. *)
+let trace_committed t ~file ~off data ~mtime digest =
+  if tracing t then
+    trace_event t
+      (Trace.Write_committed
+         { file; off; len = Bytes.length data; digest = digest (); mtime })
+
+let vn t fh = Fs.vnode_by_ino t.fs fh
+
+(* Attributes reflect buffered unstable data too: a client that just
+   wrote UNSTABLE past EOF must see the grown size. *)
+let attr t v =
+  let a = fattr_of_attrs (Fs.getattr t.fs v) in
+  let os = unstable_size t a.P.fileid in
+  if os > a.P.size then { a with P.size = os; blocks = (os + 511) / 512 }
+  else a
+
+(* Classic Unix permission bits against the AUTH_UNIX credential; uid 0
+   bypasses, as the kernel's VOP_ACCESS does. *)
+let check t ~uid ~gid v ~want =
+  let a = Fs.getattr t.fs v in
+  let bits =
+    if uid = a.Fs.uid then (a.Fs.mode lsr 6) land 7
+    else if gid = a.Fs.gid then (a.Fs.mode lsr 3) land 7
+    else a.Fs.mode land 7
+  in
+  if uid <> 0 && bits land want <> want then raise Access_denied
+
+(* One page of directory [v] from [cookie]: the entries that fit
+   [rd_count] reply bytes at [per_entry] bytes each, numbered from
+   [cookie + 1] and passed through [f] in order. *)
+let readdir_page t v ~cookie ~rd_count ~per_entry f =
+  let entries, eof =
+    Fs.readdir t.fs v ~cookie ~count:(max 1 (rd_count / per_entry))
+  in
+  ( List.mapi
+      (fun i (name, ino) ->
+        f { P.fileid = ino; entry_name = name; entry_cookie = cookie + i + 1 })
+      entries,
+    eof )
+
+(* Execute one NFS call against the filesystem.  Every [Fs] operation
+   charges its own CPU and disk costs.  A failure raises [Fs.Err] or
+   [Access_denied], which {!reply} turns into the failed reply. *)
+let execute t ~client ~uid ~gid (call : P.call) : P.reply =
+  match call with
+  | P.Null -> P.Rnull
+  | P.Getattr fh -> P.Rattr (Ok (attr t (vn t fh)))
+  | P.Setattr (fh, s) ->
+      let v = vn t fh in
+      (* Only the owner (or root) may change attributes. *)
+      let a = Fs.getattr t.fs v in
+      if uid <> 0 && uid <> a.Fs.uid then raise Access_denied;
+      let mode, s_uid, s_gid, size, mtime = sattr_to_fs s in
+      P.Rattr
+        (Ok
+           (fattr_of_attrs
+              (Fs.setattr t.fs v ?mode ?uid:s_uid ?gid:s_gid ?size ?mtime ())))
+  | P.Lookup { P.dir; name } ->
+      let d = vn t dir in
+      check t ~uid ~gid d ~want:x_ok;
+      let v = Fs.lookup t.fs d name in
+      P.Rdirop (Ok (Fs.ino v, attr t v))
+  | P.Readlink fh -> P.Rreadlink (Ok (Fs.readlink t.fs (vn t fh)))
+  | P.Read { P.read_file; offset; count } ->
+      let v = vn t read_file in
+      check t ~uid ~gid v ~want:r_ok;
+      let fsize = (Fs.getattr t.fs v).Fs.size in
+      let data =
+        if offset >= fsize then Bytes.empty
+        else Fs.read t.fs v ~off:offset ~len:count
+      in
+      let data = overlay_read t read_file ~off:offset ~len:count data in
+      (* Buffer cache to mbuf copy: the residual bottleneck of
+         Section 3. *)
+      charge_copy t (Bytes.length data);
+      P.Rread (Ok (attr t v, data))
+  | P.Write { P.write_file; write_offset; data } ->
+      let v = vn t write_file in
+      check t ~uid ~gid v ~want:w_ok;
+      (* mbuf to buffer cache copy before the synchronous write. *)
+      charge_copy t (Bytes.length data);
+      Fs.write t.fs v ~off:write_offset data;
+      let a = attr t v in
+      trace_committed t ~file:write_file ~off:write_offset data
+        ~mtime:(P.float_of_time a.P.mtime) (fun () -> Trace.digest data);
+      P.Rattr (Ok a)
+  | P.Create { P.where = { P.dir; name }; attributes } ->
+      let mode, _, _, size, _ = sattr_to_fs attributes in
+      let parent = vn t dir in
+      check t ~uid ~gid parent ~want:w_ok;
+      let v =
+        try
+          Fs.create_file t.fs ~dir:parent name
+            ~mode:(Option.value mode ~default:0o644) ~uid ~gid ()
+        with Fs.Err Fs.Eexist ->
+          (* NFS create of an existing file truncates per [size]. *)
+          Fs.lookup t.fs parent name
+      in
+      (match size with Some s -> ignore (Fs.setattr t.fs v ~size:s ()) | None -> ());
+      P.Rdirop (Ok (Fs.ino v, attr t v))
+  | P.Remove { P.dir; name } ->
+      let d = vn t dir in
+      check t ~uid ~gid d ~want:w_ok;
+      Fs.remove t.fs ~dir:d name;
+      P.Rstat P.NFS_OK
+  | P.Rename { P.from_dir; to_dir } ->
+      let src_dir = vn t from_dir.P.dir and dst_dir = vn t to_dir.P.dir in
+      check t ~uid ~gid src_dir ~want:w_ok;
+      check t ~uid ~gid dst_dir ~want:w_ok;
+      Fs.rename t.fs ~src_dir from_dir.P.name ~dst_dir to_dir.P.name;
+      P.Rstat P.NFS_OK
+  | P.Link { P.link_from; link_to } ->
+      let d = vn t link_to.P.dir in
+      check t ~uid ~gid d ~want:w_ok;
+      Fs.link t.fs ~src:(vn t link_from) ~dir:d link_to.P.name;
+      P.Rstat P.NFS_OK
+  | P.Symlink { P.sym_where = { P.dir; name }; sym_target; _ } ->
+      let d = vn t dir in
+      check t ~uid ~gid d ~want:w_ok;
+      Fs.symlink t.fs ~dir:d name ~target:sym_target ~uid ~gid ();
+      P.Rstat P.NFS_OK
+  | P.Mkdir { P.where = { P.dir; name }; attributes } ->
+      let mode, _, _, _, _ = sattr_to_fs attributes in
+      let parent = vn t dir in
+      check t ~uid ~gid parent ~want:w_ok;
+      let v =
+        Fs.mkdir t.fs ~dir:parent name ~mode:(Option.value mode ~default:0o755)
+          ~uid ~gid ()
+      in
+      P.Rdirop (Ok (Fs.ino v, attr t v))
+  | P.Rmdir { P.dir; name } ->
+      let d = vn t dir in
+      check t ~uid ~gid d ~want:w_ok;
+      Fs.rmdir t.fs ~dir:d name;
+      P.Rstat P.NFS_OK
+  | P.Readdir { P.rd_dir; cookie; rd_count } ->
+      let v = vn t rd_dir in
+      check t ~uid ~gid v ~want:r_ok;
+      (* ~16 bytes of framing plus the name, per entry. *)
+      P.Rreaddir (Ok (readdir_page t v ~cookie ~rd_count ~per_entry:24 Fun.id))
+  | P.Statfs fh ->
+      ignore (vn t fh);
+      let st = Fs.statfs t.fs in
+      P.Rstatfs
+        (Ok
+           {
+             P.tsize = P.max_data;
+             bsize = st.Fs.block_size;
+             blocks_total = st.Fs.total_blocks;
+             blocks_free = st.Fs.free_blocks;
+             blocks_avail = st.Fs.free_blocks;
+           })
+  | P.Getlease { P.lease_file; lease_mode; lease_duration = want } -> (
+      let v = vn t lease_file in
+      (* Grace period after a reboot: the lease table died with the
+         kernel, so leases issued before the crash may still live in
+         client memories.  Refuse grants (a vacate) until they must all
+         have expired; the refusal also makes lapsed holders flush their
+         delayed writes promptly. *)
+      if Sim.now (Node.sim t.node) < t.no_leases_before then P.Rlease (Ok None)
+      else
+        match obtain_lease t ~client ~mode:lease_mode lease_file with
+        | `Granted ->
+            let dur = min (max 1 want) (int_of_float lease_duration) in
+            trace_event t
+              (Trace.Lease_grant
+                 {
+                   file = lease_file;
+                   mode =
+                     (match lease_mode with
+                     | P.Lease_read -> "read"
+                     | P.Lease_write -> "write");
+                   holder = fst client;
+                   duration = float_of_int dur;
+                 });
+            P.Rlease (Ok (Some { P.granted_duration = dur; lease_attr = attr t v }))
+        | `Vacate -> P.Rlease (Ok None))
+  | P.Readdirlook { P.rd_dir; cookie; rd_count } ->
+      let v = vn t rd_dir in
+      P.Rreaddirlook
+        (Ok
+           (readdir_page t v ~cookie ~rd_count ~per_entry:96 (fun e ->
+                {
+                  P.le_entry = e;
+                  le_file = e.P.fileid;
+                  le_attr = fattr_of_attrs (Fs.getattr t.fs (vn t e.P.fileid));
+                })))
+  | P.Write3 { P.w3_file; w3_offset; w3_stable; w3_data } ->
+      let v = vn t w3_file in
+      check t ~uid ~gid v ~want:w_ok;
+      (* mbuf to buffer cache copy; for UNSTABLE that is the whole
+         cost — no disk until COMMIT, the v3 write-behind win. *)
+      charge_copy t (Bytes.length w3_data);
+      let committed =
+        match w3_stable with
+        | P.Unstable ->
+            let e = unstable_append t w3_file ~off:w3_offset w3_data in
+            if tracing t then
+              trace_event t
+                (Trace.Write_unstable
+                   {
+                     file = w3_file;
+                     off = w3_offset;
+                     len = Bytes.length w3_data;
+                     digest = uext_digest e;
+                     verf = t.write_verf;
+                   });
+            P.Unstable
+        | P.Data_sync | P.File_sync ->
+            Fs.write t.fs v ~off:w3_offset w3_data;
+            trace_committed t ~file:w3_file ~off:w3_offset w3_data
+              ~mtime:(Fs.getattr t.fs v).Fs.mtime (fun () -> Trace.digest w3_data);
+            P.File_sync
+      in
+      P.Rwrite3
+        (Ok
+           {
+             P.w3_attr = attr t v;
+             w3_count = Bytes.length w3_data;
+             w3_committed = committed;
+             w3_verf = t.write_verf;
+           })
+  | P.Commit { P.cm_file; cm_offset; cm_count } ->
+      let v = vn t cm_file in
+      check t ~uid ~gid v ~want:w_ok;
+      let upto = if cm_count = 0 then max_int else cm_offset + cm_count in
+      (* A lying server skips the flush but still acknowledges: the
+         committed_durable invariant must convict it at read-back. *)
+      (if not t.lie_on_commit then
+         match Hashtbl.find_opt t.unstable cm_file with
+         | None -> ()
+         | Some r ->
+             let covered, kept =
+               List.partition
+                 (fun e -> e.ue_off < upto && uext_end e > cm_offset)
+                 !r
+             in
+             r := kept;
+             if kept = [] then Hashtbl.remove t.unstable cm_file;
+             (* Flush in arrival order so overlaps resolve
+                last-writer-wins, matching reads through the overlay. *)
+             List.iter
+               (fun e ->
+                 Fs.write t.fs v ~off:e.ue_off e.ue_data;
+                 trace_committed t ~file:cm_file ~off:e.ue_off e.ue_data
+                   ~mtime:(Fs.getattr t.fs v).Fs.mtime (fun () -> uext_digest e))
+               (List.rev covered));
+      trace_event t
+        (Trace.Commit_ok
+           {
+             file = cm_file;
+             off = cm_offset;
+             count = cm_count;
+             verf = t.write_verf;
+           });
+      P.Rcommit (Ok { P.cmo_attr = attr t v; cmo_verf = t.write_verf })
+
+(* The one reply path: whatever [execute] raises becomes the failed
+   reply of [call]'s procedure. *)
+let reply t ~client ~cred call =
   let uid, gid =
     match cred with
     | Rpc_msg.Auth_unix { uid; gid; _ } -> (uid, gid)
     | Rpc_msg.Auth_null -> (65534, 65534) (* nobody *)
   in
-  let vn fh = Fs.vnode_by_ino t.fs fh in
-  (* Attributes reflect buffered unstable data too: a client that just
-     wrote UNSTABLE past EOF must see the grown size. *)
-  let attr v =
-    let a = fattr_of_attrs (Fs.getattr t.fs v) in
-    let os = unstable_size t a.P.fileid in
-    if os > a.P.size then
-      { a with P.size = os; blocks = (os + 511) / 512 }
-    else a
-  in
-  (* Raises through the wrap_* handlers below. *)
-  let check v ~want =
-    if not (access_ok (Fs.getattr t.fs v) ~uid ~gid ~want) then raise Access_denied
-  in
-  let wrap_attr f =
-    try P.Rattr (Ok (f ())) with
-    | Fs.Err e -> P.Rattr (Error (stat_of_fs_err e))
-    | Access_denied -> P.Rattr (Error P.NFSERR_ACCES)
-  in
-  let wrap_dirop f =
-    try P.Rdirop (Ok (f ())) with
-    | Fs.Err e -> P.Rdirop (Error (stat_of_fs_err e))
-    | Access_denied -> P.Rdirop (Error P.NFSERR_ACCES)
-  in
-  let wrap_stat f =
-    try
-      f ();
-      P.Rstat P.NFS_OK
-    with
-    | Fs.Err e -> P.Rstat (stat_of_fs_err e)
-    | Access_denied -> P.Rstat P.NFSERR_ACCES
-  in
-  match call with
-  | P.Null -> P.Rnull
-  | P.Getattr fh -> wrap_attr (fun () -> attr (vn fh))
-  | P.Setattr (fh, s) ->
-      wrap_attr (fun () ->
-          let v = vn fh in
-          (* Only the owner (or root) may change attributes. *)
-          let a = Fs.getattr t.fs v in
-          if uid <> 0 && uid <> a.Fs.uid then raise Access_denied;
-          let mode, s_uid, s_gid, size, mtime = sattr_to_fs s in
-          fattr_of_attrs
-            (Fs.setattr t.fs v ?mode ?uid:s_uid ?gid:s_gid ?size ?mtime ()))
-  | P.Lookup { P.dir; name } ->
-      wrap_dirop (fun () ->
-          let d = vn dir in
-          check d ~want:x_ok;
-          let v = Fs.lookup t.fs d name in
-          (Fs.ino v, attr v))
-  | P.Readlink fh -> (
-      try P.Rreadlink (Ok (Fs.readlink t.fs (vn fh)))
-      with Fs.Err e -> P.Rreadlink (Error (stat_of_fs_err e)))
-  | P.Read { P.read_file; offset; count } -> (
-      try
-        let v = vn read_file in
-        check v ~want:r_ok;
-        let fsize = (Fs.getattr t.fs v).Fs.size in
-        let data =
-          if offset >= fsize then Bytes.empty
-          else Fs.read t.fs v ~off:offset ~len:count
-        in
-        let data = overlay_read t read_file ~off:offset ~len:count data in
-        (* Buffer cache to mbuf copy: the residual bottleneck of
-           Section 3. *)
-        charge_copy t (Bytes.length data);
-        P.Rread (Ok (attr v, data))
-      with
-      | Fs.Err e -> P.Rread (Error (stat_of_fs_err e))
-      | Access_denied -> P.Rread (Error P.NFSERR_ACCES))
-  | P.Write { P.write_file; write_offset; data } ->
-      wrap_attr (fun () ->
-          let v = vn write_file in
-          check v ~want:w_ok;
-          (* mbuf to buffer cache copy before the synchronous write. *)
-          charge_copy t (Bytes.length data);
-          Fs.write t.fs v ~off:write_offset data;
-          let a = attr v in
-          if tracing t then
-            trace_event t
-              (Trace.Write_committed
-                 {
-                   file = write_file;
-                   off = write_offset;
-                   len = Bytes.length data;
-                   digest = Trace.digest data;
-                   mtime = P.float_of_time a.P.mtime;
-                 });
-          a)
-  | P.Create { P.where = { P.dir; name }; attributes } ->
-      wrap_dirop (fun () ->
-          let mode, _, _, size, _ = sattr_to_fs attributes in
-          let parent = vn dir in
-          check parent ~want:w_ok;
-          let v =
-            try
-              Fs.create_file t.fs ~dir:parent name
-                ~mode:(Option.value mode ~default:0o644) ~uid ~gid ()
-            with Fs.Err Fs.Eexist ->
-              (* NFS create of an existing file truncates per [size]. *)
-              Fs.lookup t.fs parent name
-          in
-          (match size with Some s -> ignore (Fs.setattr t.fs v ~size:s ()) | None -> ());
-          (Fs.ino v, attr v))
-  | P.Remove { P.dir; name } ->
-      wrap_stat (fun () ->
-          let d = vn dir in
-          check d ~want:w_ok;
-          Fs.remove t.fs ~dir:d name)
-  | P.Rename { P.from_dir; to_dir } ->
-      wrap_stat (fun () ->
-          let src_dir = vn from_dir.P.dir and dst_dir = vn to_dir.P.dir in
-          check src_dir ~want:w_ok;
-          check dst_dir ~want:w_ok;
-          Fs.rename t.fs ~src_dir from_dir.P.name ~dst_dir to_dir.P.name)
-  | P.Link { P.link_from; link_to } ->
-      wrap_stat (fun () ->
-          let d = vn link_to.P.dir in
-          check d ~want:w_ok;
-          Fs.link t.fs ~src:(vn link_from) ~dir:d link_to.P.name)
-  | P.Symlink { P.sym_where = { P.dir; name }; sym_target; _ } ->
-      wrap_stat (fun () ->
-          let d = vn dir in
-          check d ~want:w_ok;
-          Fs.symlink t.fs ~dir:d name ~target:sym_target ~uid ~gid ())
-  | P.Mkdir { P.where = { P.dir; name }; attributes } ->
-      wrap_dirop (fun () ->
-          let mode, _, _, _, _ = sattr_to_fs attributes in
-          let parent = vn dir in
-          check parent ~want:w_ok;
-          let v =
-            Fs.mkdir t.fs ~dir:parent name ~mode:(Option.value mode ~default:0o755)
-              ~uid ~gid ()
-          in
-          (Fs.ino v, attr v))
-  | P.Rmdir { P.dir; name } ->
-      wrap_stat (fun () ->
-          let d = vn dir in
-          check d ~want:w_ok;
-          Fs.rmdir t.fs ~dir:d name)
-  | P.Readdir { P.rd_dir; cookie; rd_count } -> (
-      try
-        let v = vn rd_dir in
-        check v ~want:r_ok;
-        (* Entries fit [rd_count] reply bytes: ~16 bytes of framing plus
-           the name, per entry. *)
-        let approx_entries = max 1 (rd_count / 24) in
-        let entries, eof = Fs.readdir t.fs v ~cookie ~count:approx_entries in
-        let entries =
-          List.mapi
-            (fun i (name, ino_) ->
-              { P.fileid = ino_; entry_name = name; entry_cookie = cookie + i + 1 })
-            entries
-        in
-        P.Rreaddir (Ok (entries, eof))
-      with
-      | Fs.Err e -> P.Rreaddir (Error (stat_of_fs_err e))
-      | Access_denied -> P.Rreaddir (Error P.NFSERR_ACCES))
-  | P.Statfs fh -> (
-      try
-        ignore (vn fh);
-        let st = Fs.statfs t.fs in
-        P.Rstatfs
-          (Ok
-             {
-               P.tsize = P.max_data;
-               bsize = st.Fs.block_size;
-               blocks_total = st.Fs.total_blocks;
-               blocks_free = st.Fs.free_blocks;
-               blocks_avail = st.Fs.free_blocks;
-             })
-      with Fs.Err e -> P.Rstatfs (Error (stat_of_fs_err e)))
-  | P.Getlease { P.lease_file; lease_mode; lease_duration = want } -> (
-      try
-        let v = vn lease_file in
-        (* Grace period after a reboot: the lease table died with the
-           kernel, so leases issued before the crash may still live in
-           client memories.  Refuse grants (a vacate) until they must
-           all have expired; the refusal also makes lapsed holders
-           flush their delayed writes promptly. *)
-        if Sim.now (Node.sim t.node) < t.no_leases_before then P.Rlease (Ok None)
-        else
-          match obtain_lease t ~client ~mode:lease_mode lease_file with
-          | `Granted ->
-              let dur = min (max 1 want) (int_of_float lease_duration) in
-              trace_event t
-                (Trace.Lease_grant
-                   {
-                     file = lease_file;
-                     mode =
-                       (match lease_mode with
-                       | P.Lease_read -> "read"
-                       | P.Lease_write -> "write");
-                     holder = fst client;
-                     duration = float_of_int dur;
-                   });
-              P.Rlease (Ok (Some { P.granted_duration = dur; lease_attr = attr v }))
-          | `Vacate -> P.Rlease (Ok None)
-      with Fs.Err e -> P.Rlease (Error (stat_of_fs_err e)))
-  | P.Readdirlook { P.rd_dir; cookie; rd_count } -> (
-      try
-        let v = vn rd_dir in
-        let approx_entries = max 1 (rd_count / 96) in
-        let entries, eof = Fs.readdir t.fs v ~cookie ~count:approx_entries in
-        let ents =
-          List.mapi
-            (fun i (name, ino_) ->
-              let target = Fs.vnode_by_ino t.fs ino_ in
-              {
-                P.le_entry =
-                  { P.fileid = ino_; entry_name = name; entry_cookie = cookie + i + 1 };
-                le_file = ino_;
-                le_attr = fattr_of_attrs (Fs.getattr t.fs target);
-              })
-            entries
-        in
-        P.Rreaddirlook (Ok (ents, eof))
-      with Fs.Err e -> P.Rreaddirlook (Error (stat_of_fs_err e)))
-  | P.Write3 { P.w3_file; w3_offset; w3_stable; w3_data } -> (
-      try
-        let v = vn w3_file in
-        check v ~want:w_ok;
-        (* mbuf to buffer cache copy; for UNSTABLE that is the whole
-           cost — no disk until COMMIT, the v3 write-behind win. *)
-        charge_copy t (Bytes.length w3_data);
-        let committed =
-          match w3_stable with
-          | P.Unstable ->
-              let e = unstable_append t w3_file ~off:w3_offset w3_data in
-              if tracing t then
-                trace_event t
-                  (Trace.Write_unstable
-                     {
-                       file = w3_file;
-                       off = w3_offset;
-                       len = Bytes.length w3_data;
-                       digest = uext_digest e;
-                       verf = t.write_verf;
-                     });
-              P.Unstable
-          | P.Data_sync | P.File_sync ->
-              Fs.write t.fs v ~off:w3_offset w3_data;
-              let a = Fs.getattr t.fs v in
-              if tracing t then
-                trace_event t
-                  (Trace.Write_committed
-                     {
-                       file = w3_file;
-                       off = w3_offset;
-                       len = Bytes.length w3_data;
-                       digest = Trace.digest w3_data;
-                       mtime = a.Fs.mtime;
-                     });
-              P.File_sync
-        in
-        P.Rwrite3
-          (Ok
-             {
-               P.w3_attr = attr v;
-               w3_count = Bytes.length w3_data;
-               w3_committed = committed;
-               w3_verf = t.write_verf;
-             })
-      with
-      | Fs.Err e -> P.Rwrite3 (Error (stat_of_fs_err e))
-      | Access_denied -> P.Rwrite3 (Error P.NFSERR_ACCES))
-  | P.Commit { P.cm_file; cm_offset; cm_count } -> (
-      try
-        let v = vn cm_file in
-        check v ~want:w_ok;
-        let upto = if cm_count = 0 then max_int else cm_offset + cm_count in
-        (* A lying server skips the flush but still acknowledges: the
-           committed_durable invariant must convict it at read-back. *)
-        (if not t.lie_on_commit then
-           match Hashtbl.find_opt t.unstable cm_file with
-           | None -> ()
-           | Some r ->
-               let covered, kept =
-                 List.partition
-                   (fun e -> e.ue_off < upto && uext_end e > cm_offset)
-                   !r
-               in
-               r := kept;
-               if kept = [] then Hashtbl.remove t.unstable cm_file;
-               (* Flush in arrival order so overlaps resolve
-                  last-writer-wins, matching reads through the overlay. *)
-               List.iter
-                 (fun e ->
-                   Fs.write t.fs v ~off:e.ue_off e.ue_data;
-                   let a = Fs.getattr t.fs v in
-                   if tracing t then
-                     trace_event t
-                       (Trace.Write_committed
-                          {
-                            file = cm_file;
-                            off = e.ue_off;
-                            len = Bytes.length e.ue_data;
-                            digest = uext_digest e;
-                            mtime = a.Fs.mtime;
-                          }))
-                 (List.rev covered));
-        trace_event t
-          (Trace.Commit_ok
-             {
-               file = cm_file;
-               off = cm_offset;
-               count = cm_count;
-               verf = t.write_verf;
-             });
-        P.Rcommit (Ok { P.cmo_attr = attr v; cmo_verf = t.write_verf })
-      with
-      | Fs.Err e -> P.Rcommit (Error (stat_of_fs_err e))
-      | Access_denied -> P.Rcommit (Error P.NFSERR_ACCES))
-
-let dup_key (hdr : Rpc_msg.call_header) ~src ~src_port =
-  (hdr.Rpc_msg.xid, src, src_port)
+  try execute t ~client ~uid ~gid call with
+  | Fs.Err e -> P.error_reply call (stat_of_fs_err e)
+  | Access_denied -> P.error_reply call P.NFSERR_ACCES
 
 (* [`Execute]: new request, marked in-progress.  [`Drop]: a duplicate of
    a request still executing.  [`Replay r]: a duplicate of a completed
@@ -754,43 +661,40 @@ let dup_store t key reply =
                ~len:(Mbuf.length reply);
          })
 
+(* Whether the server is up in the boot [boots] was noted in. *)
+let alive t boots = t.up && t.boots = boots
+
 (* Handle one RPC message; returns the reply chain, or [None] for
    undecodable garbage (dropped, as a datagram server does).
    [arrived_at] is when the request entered the socket queue (UDP only):
-   it turns into the [Srv_queue] wait-time trace event. *)
+   it turns into the [Srv_queue] wait-time trace event.  A request dies
+   with its server: if the server is down when it arrives, or is down or
+   has rebooted by the end of its decode or its execution, it leaves no
+   service record, no duplicate-cache entry and no reply. *)
 let handle_message_inner t ?arrived_at chain ~src ~src_port =
+  let boots = t.boots in
   if not t.up then None
   else begin
-  charge t (t.profile.decode_instructions +. t.profile.xdr_layer_instructions);
+  charge t (decode_instructions +. xdr_layer_instructions t.profile);
   match Rpc_msg.decode_call chain with
+  | _ when not (alive t boots) -> None
   | exception (Rpc_msg.Bad_message _ | Xdr.Decode_error _) -> None
   | hdr, dec -> (
-      (match Node.trace t.node with
-      | Some tr -> (
-          match arrived_at with
-          | Some at ->
-              let now = Sim.now (Node.sim t.node) in
-              Trace.record tr ~time:now ~node:(Node.id t.node)
-                (Trace.Srv_queue
-                   { xid = hdr.Rpc_msg.xid; proc = hdr.Rpc_msg.proc; wait = now -. at })
-          | None -> ())
-      | None -> ());
-      let key = dup_key hdr ~src ~src_port in
-      let verdict =
-        if t.profile.duplicate_cache && not (P.is_idempotent hdr.Rpc_msg.proc) then
-          dup_check t key
-        else `Execute_untracked
+      (match arrived_at with
+      | Some at when tracing t ->
+          let wait = Sim.now (Node.sim t.node) -. at in
+          trace_event t
+            (Trace.Srv_queue { xid = hdr.Rpc_msg.xid; proc = hdr.Rpc_msg.proc; wait })
+      | _ -> ());
+      let key = (hdr.Rpc_msg.xid, src, src_port) in
+      let tracked =
+        duplicate_cache t.profile && not (P.is_idempotent hdr.Rpc_msg.proc)
       in
-      (match Node.trace t.node with
-      | Some tr -> (
-          let hit ev =
-            Trace.record tr ~time:(Sim.now (Node.sim t.node)) ~node:(Node.id t.node) ev
-          in
-          match verdict with
-          | `Drop | `Replay _ -> hit (Trace.Cache_hit { cache = "drc" })
-          | `Execute -> hit (Trace.Cache_miss { cache = "drc" })
-          | `Execute_untracked -> ())
-      | None -> ());
+      let verdict = if tracked then dup_check t key else `Execute_untracked in
+      (match verdict with
+      | `Drop | `Replay _ -> trace_event t (Trace.Cache_hit { cache = "drc" })
+      | `Execute -> trace_event t (Trace.Cache_miss { cache = "drc" })
+      | `Execute_untracked -> ());
       match verdict with
       | `Drop ->
           t.dups <- t.dups + 1;
@@ -805,52 +709,48 @@ let handle_message_inner t ?arrived_at chain ~src ~src_port =
             match P.decode_call ~proc:hdr.Rpc_msg.proc dec with
             | exception Xdr.Decode_error _ -> None
             | call ->
-                Stats.Counter.incr t.counters (P.proc_name hdr.Rpc_msg.proc);
                 t.served <- t.served + 1;
                 let t0 = Sim.now (Node.sim t.node) in
                 t.in_service <- t.in_service + 1;
-                let reply = execute t ~client:(src, src_port) ~cred:hdr.Rpc_msg.cred call in
+                let body = reply t ~client:(src, src_port) ~cred:hdr.Rpc_msg.cred call in
                 t.in_service <- t.in_service - 1;
                 let elapsed = Sim.now (Node.sim t.node) -. t0 in
-                note_service t (P.proc_name hdr.Rpc_msg.proc) elapsed;
-                (match t.service_hist with
-                | Some h -> Stats.Hist.add h (elapsed *. 1e3)
-                | None -> ());
-                (match Node.trace t.node with
-                | Some tr ->
-                    Trace.record tr
-                      ~time:(Sim.now (Node.sim t.node))
-                      ~node:(Node.id t.node)
+                if alive t boots then begin
+                  (match t.service_hist with
+                  | Some h -> Stats.Hist.add h (elapsed *. 1e3)
+                  | None -> ());
+                  if tracing t then
+                    trace_event t
                       (Trace.Srv_service
                          {
                            xid = hdr.Rpc_msg.xid;
                            proc = hdr.Rpc_msg.proc;
                            service = elapsed;
                          })
-                | None -> ());
-                Some reply
+                end;
+                Some body
           in
-          charge t (t.profile.encode_instructions +. t.profile.xdr_layer_instructions);
-          let ctr = Node.copy_counters t.node in
-          let pool = Node.pool t.node in
-          let enc =
-            match reply_body with
-            | None -> Rpc_msg.encode_reply ~ctr ?pool ~xid:hdr.Rpc_msg.xid
-                        (Rpc_msg.Accepted Rpc_msg.Garbage_args)
-            | Some body ->
-                let enc =
-                  Rpc_msg.encode_reply ~ctr ?pool ~xid:hdr.Rpc_msg.xid
-                    (Rpc_msg.Accepted Rpc_msg.Success)
-                in
-                P.encode_reply enc body;
-                enc
-          in
-          let reply = Xdr.Enc.chain enc in
-          if t.profile.duplicate_cache && not (P.is_idempotent hdr.Rpc_msg.proc)
-          then
-            if reply_body <> None then dup_store t key reply
-            else Hashtbl.remove t.dup_table key;
-          Some reply)
+          if not (alive t boots) then None
+          else begin
+            charge t (encode_instructions +. xdr_layer_instructions t.profile);
+            let status =
+              match reply_body with
+              | Some _ -> Rpc_msg.Success
+              | None -> Rpc_msg.Garbage_args
+            in
+            let enc =
+              Rpc_msg.encode_reply ~ctr:(Node.copy_counters t.node)
+                ?pool:(Node.pool t.node) ~xid:hdr.Rpc_msg.xid
+                (Rpc_msg.Accepted status)
+            in
+            (match reply_body with Some body -> P.encode_reply enc body | None -> ());
+            let reply = Xdr.Enc.chain enc in
+            (match reply_body with
+            | _ when not tracked -> ()
+            | Some _ -> dup_store t key reply
+            | None -> Hashtbl.remove t.dup_table key);
+            Some reply
+          end)
   end
 
 (* Request service is fiber code ([execute] suspends on the simulated
@@ -913,7 +813,7 @@ let start_udp t =
         ~unit_:"count" ~kind:Metrics.Gauge
         (fun () -> float_of_int (Udp.pending sock))
   | None -> ());
-  for _ = 1 to t.profile.nfsd_count do
+  for _ = 1 to nfsd_count do
     Proc.spawn (Node.sim t.node) (fun () ->
         let rec serve () =
           let dg = Udp.recv sock in
@@ -938,7 +838,7 @@ let start_tcp t stack =
      served by up to [nfsd_count] concurrent workers per connection. *)
   Tcp.listen stack ~port:P.port (fun conn ->
       let sim = Node.sim t.node in
-      let slots = Proc.Semaphore.create sim t.profile.nfsd_count in
+      let slots = Proc.Semaphore.create sim nfsd_count in
       let reader = Record_mark.Reader.create () in
       let rec pump () =
         match Tcp.recv conn ~max:65536 with

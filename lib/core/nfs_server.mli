@@ -1,28 +1,35 @@
-(** The NFS server: a pool of nfsd processes serving NFSv2 RPCs from a
-    {!Renofs_vfs.Fs} backing store, over UDP and TCP simultaneously.
+(** The NFS server: a pool of four nfsd processes serving NFSv2 RPCs
+    (plus the v3 WRITE/COMMIT pair and the lease and READDIRLOOK
+    extensions) from a {!Renofs_vfs.Fs} backing store, over UDP and TCP
+    simultaneously.  Every call has one reply path: a failure anywhere
+    in its execution becomes that procedure's failed reply
+    ({!Nfs_proto.error_reply}).
 
-    Two cost profiles mirror the paper's comparison: the Reno profile
-    decodes and builds RPCs directly in mbufs (cheap, [nfsm_build] /
-    [nfsm_disect]) with vnode-chained buffer search and a server name
-    cache; the reference-port profile pays an extra per-RPC toll for the
-    user-level RPC/XDR library that was "ported into the kernel" (paper,
-    Section 1), searches the buffer cache globally, and has no name
-    cache.  A Juszczak-style duplicate request cache protects
-    non-idempotent procedures from retransmitted requests. *)
+    Three profiles mirror the paper's comparison (Section 3, Graphs 8
+    and 9).  Each decodes a request in 320 instructions and builds its
+    reply in 280, and keeps a 256-buffer cache of 8K blocks written
+    through synchronously.  They differ in four decisions:
 
-type profile = {
-  fs_config : Renofs_vfs.Fs.config;
-  nfsd_count : int;
-  duplicate_cache : bool;
-  decode_instructions : float;  (** per-RPC request decode *)
-  encode_instructions : float;  (** per-RPC reply build *)
-  xdr_layer_instructions : float;
-      (** extra per-RPC cost of the layered RPC/XDR library (0 for Reno) *)
-}
+    - Juszczak's duplicate request cache for non-idempotent procedures
+      [Juszczak89]: Reno and Reno without a name cache; not the
+      reference port.
+    - The layered RPC/XDR library that was "ported into the kernel"
+      (paper, Section 1): 900 more instructions on each of decode and
+      reply build for the reference port only.
+    - Buffer-cache search: vnode-chained for Reno and Reno without a
+      name cache, a global scan for the reference port.
+    - The server name cache: Reno only. *)
+
+type profile =
+  | Reno
+  | Reno_no_name_cache  (** Reno with its server name cache off *)
+  | Reference_port  (** the Ultrix-2.2-shaped Sun reference port *)
 
 val reno_profile : profile
+(** [Reno]. *)
+
 val reference_port_profile : profile
-(** The Ultrix-2.2-shaped server used in Graphs 8-9 and Tables 2-4. *)
+(** [Reference_port]: the server of Graphs 8-9 and Tables 2-4. *)
 
 type t
 
@@ -52,13 +59,6 @@ val tcp_stack : t -> Renofs_transport.Tcp.stack option
 val root_fhandle : t -> Nfs_proto.fhandle
 val node : t -> Renofs_net.Node.t
 
-val counters : t -> Renofs_engine.Stats.Counter.t
-(** RPCs served, keyed by procedure name. *)
-
-val service_times : t -> (string * float * int) list
-(** nfsstat-style view: (procedure, mean service seconds, count), the
-    in-server execution time excluding network and queueing. *)
-
 val rpcs_served : t -> int
 val duplicates_dropped : t -> int
 
@@ -82,8 +82,9 @@ val crash_and_reboot : t -> downtime:float -> unit
     [downtime] seconds and bring it back with every volatile structure
     gone — buffer cache, name cache, duplicate-request cache and lease
     table — while the synchronously-written filesystem survives.  While
-    down, requests are silently dropped (clients' RPC retransmission is
-    the whole recovery story).  After reboot the server observes an
+    down, requests are silently dropped, and so is any request the crash
+    caught in service (clients' RPC retransmission is the whole recovery
+    story).  After reboot the server observes an
     NQNFS-style grace period of one lease duration before granting new
     leases, so leases issued before the crash cannot be contradicted.
     Call from a process.  Equivalent to {!crash}, a [downtime] sleep,

@@ -95,45 +95,33 @@ end
 (* Fleet worlds                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type member = {
-  m_server : Nfs_server.t;
-  m_mountd : Mountd.t;
-  m_udp : Udp.stack;
-}
-
 type t = {
-  members : member array;
+  servers : Nfs_server.t array;
   map : Shard_map.t;
   shards : string list;
 }
 
 let shard_name i = Printf.sprintf "/home%d" i
 
-let create ?profile ?(policy = Hash) ?(seed = 0) ~shards nodes =
+let create ?(policy = Hash) ?(seed = 0) ~shards nodes =
   if nodes = [] then invalid_arg "Fleet.create: needs at least one server node";
   if shards < 1 then invalid_arg "Fleet.create: needs at least one shard";
-  let members =
+  let servers =
     List.map
       (fun node ->
-        let udp = Udp.install node in
-        let srv =
-          match profile with
-          | Some profile -> Nfs_server.create node ~profile ~udp ()
-          | None -> Nfs_server.create node ~udp ()
-        in
+        let srv = Nfs_server.create node ~udp:(Udp.install node) () in
         Nfs_server.start srv;
-        { m_server = srv; m_mountd = Mountd.start srv; m_udp = udp })
+        Mountd.start srv;
+        srv)
       nodes
   in
-  let members = Array.of_list members in
-  let map = Shard_map.create ~seed policy ~servers:(Array.length members) in
-  { members; map; shards = List.init shards shard_name }
+  let servers = Array.of_list servers in
+  let map = Shard_map.create ~seed policy ~servers:(Array.length servers) in
+  { servers; map; shards = List.init shards shard_name }
 
 let shards t = t.shards
-let servers t = Array.to_list t.members |> List.map (fun m -> m.m_server)
-
-let server_of_shard t shard =
-  t.members.(Shard_map.assign t.map shard).m_server
+let servers t = Array.to_list t.servers
+let server_of_shard t shard = t.servers.(Shard_map.assign t.map shard)
 
 let provision t =
   List.iter
@@ -164,13 +152,12 @@ let mount_shard t ~udp ?tcp ~shard opts =
     ~path:shard opts
 
 let total_served t =
-  Array.fold_left (fun acc m -> acc + Nfs_server.rpcs_served m.m_server) 0
-    t.members
+  Array.fold_left (fun acc srv -> acc + Nfs_server.rpcs_served srv) 0 t.servers
 
 let balance t =
-  let n = Array.length t.members in
+  let n = Array.length t.servers in
   let served =
-    Array.map (fun m -> float_of_int (Nfs_server.rpcs_served m.m_server)) t.members
+    Array.map (fun srv -> float_of_int (Nfs_server.rpcs_served srv)) t.servers
   in
   let total = Array.fold_left ( +. ) 0.0 served in
   if total <= 0.0 then 1.0

@@ -58,14 +58,13 @@ end
 type t
 
 val create :
-  ?profile:Renofs_core.Nfs_server.profile ->
   ?policy:policy ->
   ?seed:int ->
   shards:int ->
   Renofs_net.Node.t list ->
   t
-(** Bring up one NFS server (UDP transport) and mount daemon on each
-    node — pass [Topology.build_graph]'s [servers] list — and name
+(** Bring up one Reno NFS server (UDP transport) and mount daemon on
+    each node — pass [Topology.build_graph]'s [servers] list — and name
     [shards] mount points ["/home0"] .. ["/home<shards-1>"].  Policy
     defaults to [Hash].  Placement happens lazily as shards are first
     provisioned or mounted. *)

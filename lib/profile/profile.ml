@@ -124,13 +124,17 @@ let probe t =
     fire_leave = (fun d -> fire_leave t d);
   }
 
+(* [Gc.quick_stat]'s [minor_words] leaves out the words allocated since
+   the last minor collection; [Gc.minor_words ()] counts them. *)
+let gc_stat () = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
+
 let start t =
   let now = t.clock_fn () in
   t.depth <- 1;
   t.mark <- now;
   t.win_start <- now;
   t.running <- true;
-  t.gc0 <- Some (Gc.quick_stat ())
+  t.gc0 <- Some (gc_stat ())
 
 let stop t =
   if t.running then begin
@@ -141,7 +145,7 @@ let stop t =
     match t.gc0 with
     | None -> ()
     | Some g0 ->
-        let g1 = Gc.quick_stat () in
+        let g1 = gc_stat () in
         t.minor_words <- t.minor_words +. (g1.Gc.minor_words -. g0.Gc.minor_words);
         let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
         t.promoted_words <- t.promoted_words +. promoted;

@@ -4,8 +4,8 @@
     system, a [Profile.t] observes the {e simulator} — per-subsystem
     wall-clock attribution, per-tag event fire counts and duration
     histograms from {!Renofs_engine.Sim}, and GC/allocation pressure
-    from [Gc.quick_stat] deltas — so a perf regression has somewhere to
-    look, not just a number that moved.
+    from [Gc] deltas — so a perf regression has somewhere to look, not
+    just a number that moved.
 
     A profile turns into a {!Renofs_engine.Probe.t} via {!probe};
     attach it with [Sim.set_probe] (and [Trace.set_probe]) and every

@@ -385,8 +385,6 @@ let merge ~into src =
     (fun { time; node; ev } -> record into ~time ~node ev)
     (to_list src)
 
-(* Same table as [Nfs_proto.proc_name]; duplicated because the trace
-   library sits below the protocol layer. *)
 let proc_name = function
   | 0 -> "null"
   | 1 -> "getattr"

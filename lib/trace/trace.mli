@@ -162,9 +162,9 @@ val merge : into:t -> t -> unit
     mark-delimited and never interleave. *)
 
 val proc_name : int -> string
-(** NFSv2 procedure names (plus this repo's extensions), matching
-    [Nfs_proto.proc_name]; kept here so the trace library stays below
-    the protocol layer in the dependency order. *)
+(** NFSv2 procedure names (plus this repo's extensions): the one table,
+    which [Nfs_proto.proc_name] reuses.  It lives here because the trace
+    library sits below the protocol layer. *)
 
 val digest : bytes -> int
 (** FNV-1a folded to 30 bits — a small nonnegative int that survives the

@@ -30,29 +30,21 @@ type err =
 exception Err of err
 
 type config = {
-  bcache_blocks : int;
   bcache_search : Bcache.search_mode;
   name_cache : bool;
-  block_size : int;
   sync_data : bool;
-  sync_meta : bool;
 }
 
 let reno_config =
-  {
-    bcache_blocks = 256;
-    bcache_search = Bcache.Vnode_chained;
-    name_cache = true;
-    block_size = 8192;
-    sync_data = true;
-    sync_meta = true;
-  }
-
-let reference_port_config =
-  { reno_config with bcache_search = Bcache.Global_scan; name_cache = false }
+  { bcache_search = Bcache.Vnode_chained; name_cache = true; sync_data = true }
 
 (* FFS on a local disk: synchronous metadata, delayed data. *)
 let local_config = { reno_config with sync_data = false }
+
+(* Every configuration has a 256-buffer cache of 8K blocks, and writes
+   metadata synchronously, as both NFS servers and local FFS do. *)
+let bcache_blocks = 256
+let block_size = 8192
 
 (* A regular file's bytes in [chunk_size] chunks.  A chunk is
    [Bytes.empty] until first written, and so is every chunk past the end
@@ -137,7 +129,7 @@ let create sim cpu disk config =
       inodes = Hashtbl.create 512;
       next_ino = root_ino + 1;
       namecache = (if config.name_cache then Some (Namecache.create ()) else None);
-      bcache = Bcache.create sim cpu ~blocks:config.bcache_blocks ~search:config.bcache_search ();
+      bcache = Bcache.create sim cpu ~blocks:bcache_blocks ~search:config.bcache_search ();
     }
   in
   let now = Sim.now sim in
@@ -205,19 +197,17 @@ let touch_dir_blocks t dir_v ~upto_entry =
   let blocks = (upto_entry / dirents_per_block) + 1 in
   for blk = 0 to blocks - 1 do
     if not (Bcache.lookup t.bcache ~ino:dir_v.v_ino ~blk) then begin
-      Disk.read t.disk ~bytes:t.config.block_size;
+      Disk.read t.disk ~bytes:block_size;
       Bcache.insert t.bcache ~ino:dir_v.v_ino ~blk
     end
   done
 
-(* Write a directory's metadata: the directory data block plus the inode;
-   synchronous when the configuration demands it. *)
+(* Write a directory's metadata, synchronously: the directory data
+   block plus the inode. *)
 let flush_dir_update t dir_v =
   Bcache.insert t.bcache ~ino:dir_v.v_ino ~blk:0;
-  if t.config.sync_meta then begin
-    Disk.write t.disk ~bytes:t.config.block_size;
-    Disk.write t.disk ~bytes:512 (* inode *)
-  end
+  Disk.write t.disk ~bytes:block_size;
+  Disk.write t.disk ~bytes:512 (* inode *)
 
 let getattr t v =
   charge t getattr_instr;
@@ -296,7 +286,7 @@ let setattr t v ?mode ?uid ?gid ?size ?mtime () =
   | None -> ());
   (match mtime with Some m -> v.mtime <- m | None -> ());
   v.ctime <- now t;
-  if t.config.sync_meta then Disk.write t.disk ~bytes:512;
+  Disk.write t.disk ~bytes:512;
   attrs_of v
 
 (* Position of [name] in directory insertion order (oldest first), used
@@ -342,11 +332,11 @@ let lookup t dirv name =
             v)
   end
 
-let blocks_in_range t ~off ~len =
+let blocks_in_range ~off ~len =
   if len = 0 then []
   else begin
-    let first = off / t.config.block_size in
-    let last = (off + len - 1) / t.config.block_size in
+    let first = off / block_size in
+    let last = (off + len - 1) / block_size in
     List.init (last - first + 1) (fun i -> first + i)
   end
 
@@ -358,10 +348,10 @@ let read t v ~off ~len =
   List.iter
     (fun blk ->
       if not (Bcache.lookup t.bcache ~ino:v.v_ino ~blk) then begin
-        Disk.read t.disk ~bytes:t.config.block_size;
+        Disk.read t.disk ~bytes:block_size;
         Bcache.insert t.bcache ~ino:v.v_ino ~blk
       end)
-    (blocks_in_range t ~off ~len);
+    (blocks_in_range ~off ~len);
   v.atime <- now t;
   let ci = off / chunk_size in
   if len = chunk_size && off mod chunk_size = 0 && Bytes.length (chunk f ci) > 0
@@ -385,12 +375,12 @@ let write t v ~off data =
   let len = Bytes.length data in
   let total = off + len in
   if total > max_file_size then raise (Err Efbig);
-  let old_blocks = (f.len + t.config.block_size - 1) / t.config.block_size in
+  let old_blocks = (f.len + block_size - 1) / block_size in
   reserve f total;
   iter_chunks ~off ~len (fun ci ~lo ~pos ~n ->
       Bytes.blit data pos (own_chunk f ci ~whole:(n = chunk_size)) lo n);
   if total > f.len then f.len <- total;
-  let touched = blocks_in_range t ~off ~len in
+  let touched = blocks_in_range ~off ~len in
   List.iter
     (fun blk ->
       ignore (Bcache.lookup t.bcache ~ino:v.v_ino ~blk);
@@ -401,9 +391,9 @@ let write t v ~off data =
   if t.config.sync_data then begin
     (* Data block(s), the inode, and one indirect block when the file
        has grown past the direct blocks: the paper's 1-3 disk writes. *)
-    List.iter (fun _ -> Disk.write t.disk ~bytes:t.config.block_size) touched;
+    List.iter (fun _ -> Disk.write t.disk ~bytes:block_size) touched;
     Disk.write t.disk ~bytes:512;
-    let new_blocks = (f.len + t.config.block_size - 1) / t.config.block_size in
+    let new_blocks = (f.len + block_size - 1) / block_size in
     if new_blocks > old_blocks && new_blocks > 12 then
       Disk.write t.disk ~bytes:512
   end
@@ -458,7 +448,7 @@ let create_file t ~dir name ~mode ?uid ?gid () =
     alloc_vnode t ~body:(File { chunks = [||]; lent = [||]; len = 0 }) ~mode ?uid ?gid
       ~parent:dir.v_ino ()
   in
-  if t.config.sync_meta then Disk.write t.disk ~bytes:512 (* new inode *);
+  Disk.write t.disk ~bytes:512 (* new inode *);
   add_entry t dir name v.v_ino;
   v
 
@@ -472,7 +462,7 @@ let mkdir t ~dir name ~mode ?uid ?gid () =
   in
   v.nlink <- 2;
   dir.nlink <- dir.nlink + 1;
-  if t.config.sync_meta then Disk.write t.disk ~bytes:512;
+  Disk.write t.disk ~bytes:512;
   add_entry t dir name v.v_ino;
   v
 
@@ -482,7 +472,7 @@ let symlink t ~dir name ~target ?uid ?gid () =
   let v =
     alloc_vnode t ~body:(Symlink target) ~mode:0o777 ?uid ?gid ~parent:dir.v_ino ()
   in
-  if t.config.sync_meta then Disk.write t.disk ~bytes:512;
+  Disk.write t.disk ~bytes:512;
   add_entry t dir name v.v_ino
 
 let readlink t v =
@@ -524,7 +514,7 @@ let remove t ~dir name =
   drop_entry t dir name;
   v.nlink <- v.nlink - 1;
   if v.nlink <= 0 then forget t v
-  else if t.config.sync_meta then Disk.write t.disk ~bytes:512
+  else Disk.write t.disk ~bytes:512
 
 let rmdir t ~dir name =
   charge t (base_op_instr +. 120.0);
@@ -604,13 +594,13 @@ let statfs t =
   let used =
     Hashtbl.fold
       (fun _ v acc ->
-        acc + ((size_of v + t.config.block_size - 1) / t.config.block_size))
+        acc + ((size_of v + block_size - 1) / block_size))
       t.inodes 0
   in
   {
     total_blocks = 65536;
     free_blocks = max 0 (65536 - used);
-    block_size = t.config.block_size;
+    block_size = block_size;
   }
 
 let namecache t = t.namecache

@@ -36,30 +36,22 @@ type err =
 exception Err of err
 
 type config = {
-  bcache_blocks : int;
   bcache_search : Bcache.search_mode;
   name_cache : bool;
-  block_size : int;
   sync_data : bool;
       (** push data blocks to disk before returning, as a stateless NFS
           server must *)
-  sync_meta : bool;
-      (** push inode/directory updates synchronously (both NFS servers
-          and local FFS do) *)
 }
+(** Every configuration has a 256-buffer cache of 8K blocks and writes
+    inode and directory updates synchronously (both NFS servers and
+    local FFS do). *)
 
 val reno_config : config
-(** Vnode-chained buffers, name cache on, 8K blocks, 256-buffer cache,
-    synchronous writes. *)
-
-val reference_port_config : config
-(** The Sun-reference-port-shaped server: global buffer search, no server
-    name cache; same cache size (the paper configured identical caches
-    for the comparison). *)
+(** Vnode-chained buffers, name cache on, synchronous writes. *)
 
 val local_config : config
-(** {!reno_config} with delayed data writes but synchronous metadata —
-    local FFS behaviour, the "Local" baseline of Table 5. *)
+(** {!reno_config} with delayed data writes — local FFS behaviour, the
+    "Local" baseline of Table 5. *)
 
 type t
 type vnode

@@ -659,14 +659,9 @@ let server_comparison ~id ~title ~mix ~scale =
   let duration = sweep_duration scale in
   let profiles =
     [
-      ("reno", Nfs_server.reno_profile);
-      ( "reno-nonc",
-        {
-          Nfs_server.reno_profile with
-          Nfs_server.fs_config =
-            { Fs.reno_config with Fs.name_cache = false };
-        } );
-      ("ultrix", Nfs_server.reference_port_profile);
+      ("reno", Nfs_server.Reno);
+      ("reno-nonc", Nfs_server.Reno_no_name_cache);
+      ("ultrix", Nfs_server.Reference_port);
     ]
   in
   grid ~id ~title
@@ -1021,11 +1016,12 @@ let scaling_spec scale =
           let finished = ref 0 in
           let achieved = ref 0.0 and latency = ref 0.0 in
           let ready = Proc.Ivar.create sim in
-          let iostat = ref None in
+          let cpu = Node.cpu topo.Topology.server in
+          let load_start = ref (0.0, 0.0) in
           Proc.spawn sim (fun () ->
               Fileset.preload_server server standard_fileset;
               (* Measure server CPU only over the loaded phase. *)
-              iostat := Some (Renofs_engine.Iostat.start sim (Node.cpu topo.Topology.server) ());
+              load_start := (Sim.now sim, Cpu.busy_time cpu);
               install_faults ~ctx sim topo [ server ];
               Proc.Ivar.fill ready ());
           List.iteri
@@ -1055,13 +1051,8 @@ let scaling_spec scale =
                   incr finished))
             clients;
           advance_until ~label ~window:50.0 sim (fun () -> !finished >= n);
-          let util =
-            match !iostat with
-            | Some io ->
-                Renofs_engine.Iostat.stop io;
-                Renofs_engine.Iostat.mean_utilization io
-            | None -> 0.0
-          in
+          let since_time, since_busy = !load_start in
+          let util = Cpu.utilization cpu ~since_time ~since_busy in
           [
             rate1 (float_of_int n *. per_client_rate);
             rate1 !achieved;

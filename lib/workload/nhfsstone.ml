@@ -48,7 +48,6 @@ type config = {
 }
 
 type result = {
-  offered : float;
   achieved : float;
   ops_completed : int;
   mean_rtt : float;
@@ -67,23 +66,35 @@ let pick_op rng mix =
   in
   go 0.0 mix
 
-(* Shared per-run op machinery — open-file table, counters, latency
-   accounting — so the fixed-rate runner and the program runner issue
-   byte-identical operations; they differ only in pacing and in which
-   mix each op draws from.  The RNG draw sequence per op (file pick,
-   mix pick, read offset) must not change: the committed bench
-   baselines depend on it. *)
-type engine = {
-  en_one_op : Rng.t -> mix -> unit;
-  en_completed : int ref;
-  en_reads : int ref;
-  en_latency : Stats.Welford.t;
+(* ------------------------------------------------------------------ *)
+(* Rate-schedule programs                                             *)
+(* ------------------------------------------------------------------ *)
+
+type segment = {
+  sg_label : string;
+  sg_duration : float;
+  sg_rate : float;
+  sg_rate_end : float option;
+  sg_mix : mix;
 }
 
-let make_engine ?latency_hist ~who mount fileset =
+type program = {
+  pg_segments : segment list;
+  pg_children : int;
+  pg_seed : int;
+}
+
+let program_duration p =
+  List.fold_left (fun acc s -> acc +. s.sg_duration) 0.0 p.pg_segments
+
+(* The RNG draw sequence per op (file pick, mix pick, read offset)
+   must not change: the committed bench baselines depend on it. *)
+let run_program ?latency_hist mount fileset program =
   let sim = Nfs_client.sim mount in
+  if program.pg_segments = [] then
+    invalid_arg "Nhfsstone.run_program: empty program";
   let files = Array.of_list fileset.Fileset.files in
-  if Array.length files = 0 then invalid_arg (who ^ ": empty fileset");
+  if Array.length files = 0 then invalid_arg "Nhfsstone.run_program: empty fileset";
   let completed = ref 0 and reads_done = ref 0 in
   let op_latency = Stats.Welford.create () in
   (* Shared open-file table, filled lazily. *)
@@ -124,101 +135,6 @@ let make_engine ?latency_hist ~who mount fileset =
     match latency_hist with
     | Some h -> Stats.Hist.add h (dt *. 1000.0)
     | None -> ()
-  in
-  {
-    en_one_op = one_op;
-    en_completed = completed;
-    en_reads = reads_done;
-    en_latency = op_latency;
-  }
-
-let finish ~offered ~duration ~before ~xport engine =
-  let after = Client_transport.summary xport in
-  let rtts =
-    Client_transport.rtt_by_proc xport
-    |> List.map (fun (name, w) -> (name, Stats.Welford.mean w, Stats.Welford.count w))
-  in
-  {
-    offered;
-    achieved = float_of_int !(engine.en_completed) /. duration;
-    ops_completed = !(engine.en_completed);
-    mean_rtt = after.Client_transport.mean_rtt;
-    rtt_by_proc = rtts;
-    retransmits =
-      after.Client_transport.retransmits - before.Client_transport.retransmits;
-    read_rate = float_of_int !(engine.en_reads) /. duration;
-    mean_op_latency = Stats.Welford.mean engine.en_latency;
-  }
-
-let run ?latency_hist mount fileset config =
-  let sim = Nfs_client.sim mount in
-  let engine = make_engine ?latency_hist ~who:"Nhfsstone.run" mount fileset in
-  let xport = Nfs_client.transport mount in
-  let before = Client_transport.summary xport in
-  let children = max 1 config.children in
-  let stop_at = Sim.now sim +. config.duration in
-  let child_rate = config.rate /. float_of_int children in
-  let finished = ref 0 in
-  let all_done = Proc.Ivar.create sim in
-  for i = 1 to children do
-    let crng = Rng.create (config.seed + (i * 7919)) in
-    Proc.spawn sim (fun () ->
-        let rec loop () =
-          if Sim.now sim < stop_at then begin
-            Proc.sleep sim (Rng.exponential crng (1.0 /. child_rate));
-            if Sim.now sim < stop_at then engine.en_one_op crng config.mix;
-            loop ()
-          end
-        in
-        loop ();
-        incr finished;
-        if !finished = children then Proc.Ivar.fill all_done ())
-  done;
-  Proc.Ivar.read all_done;
-  finish ~offered:config.rate ~duration:config.duration ~before ~xport engine
-
-(* ------------------------------------------------------------------ *)
-(* Rate-schedule programs                                             *)
-(* ------------------------------------------------------------------ *)
-
-type segment = {
-  sg_label : string;
-  sg_duration : float;
-  sg_rate : float;
-  sg_rate_end : float option;
-  sg_mix : mix;
-}
-
-type program = {
-  pg_segments : segment list;
-  pg_children : int;
-  pg_seed : int;
-}
-
-let program_duration p =
-  List.fold_left (fun acc s -> acc +. s.sg_duration) 0.0 p.pg_segments
-
-let program_mean_rate p =
-  let total = program_duration p in
-  if total <= 0.0 then 0.0
-  else
-    List.fold_left
-      (fun acc s ->
-        let mean =
-          match s.sg_rate_end with
-          | None -> s.sg_rate
-          | Some re -> (s.sg_rate +. re) /. 2.0
-        in
-        acc +. (mean *. s.sg_duration))
-      0.0 p.pg_segments
-    /. total
-
-let run_program ?latency_hist mount fileset program =
-  let sim = Nfs_client.sim mount in
-  if program.pg_segments = [] then
-    invalid_arg "Nhfsstone.run_program: empty program";
-  let engine =
-    make_engine ?latency_hist ~who:"Nhfsstone.run_program" mount fileset
   in
   let xport = Nfs_client.transport mount in
   let before = Client_transport.summary xport in
@@ -280,7 +196,7 @@ let run_program ?latency_hist mount fileset program =
                 (* The op uses the mix of the segment it fires in, not
                    the one it was scheduled from. *)
                 let (_, _, s) = seg_at (Sim.now sim -. start) in
-                engine.en_one_op crng s.sg_mix
+                one_op crng s.sg_mix
               end;
               loop ()
             end
@@ -291,5 +207,35 @@ let run_program ?latency_hist mount fileset program =
         if !finished = children then Proc.Ivar.fill all_done ())
   done;
   Proc.Ivar.read all_done;
-  finish ~offered:(program_mean_rate program) ~duration:total ~before ~xport
-    engine
+  let after = Client_transport.summary xport in
+  {
+    achieved = float_of_int !completed /. total;
+    ops_completed = !completed;
+    mean_rtt = after.Client_transport.mean_rtt;
+    rtt_by_proc =
+      Client_transport.rtt_by_proc xport
+      |> List.map (fun (name, w) ->
+             (name, Stats.Welford.mean w, Stats.Welford.count w));
+    retransmits =
+      after.Client_transport.retransmits - before.Client_transport.retransmits;
+    read_rate = float_of_int !reads_done /. total;
+    mean_op_latency = Stats.Welford.mean op_latency;
+  }
+
+(* A fixed-rate run is a program of one constant segment. *)
+let run ?latency_hist mount fileset config =
+  run_program ?latency_hist mount fileset
+    {
+      pg_segments =
+        [
+          {
+            sg_label = "run";
+            sg_duration = config.duration;
+            sg_rate = config.rate;
+            sg_rate_end = None;
+            sg_mix = config.mix;
+          };
+        ];
+      pg_children = config.children;
+      pg_seed = config.seed;
+    }

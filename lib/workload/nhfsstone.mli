@@ -44,7 +44,6 @@ type config = {
 }
 
 type result = {
-  offered : float;
   achieved : float;  (** completed ops/second *)
   ops_completed : int;
   mean_rtt : float;  (** mean RPC round-trip over the run, seconds *)
@@ -62,11 +61,11 @@ val run :
   config ->
   result
 (** Drive the load from inside a process; returns after [duration] of
-    virtual time (plus drain).  RPC statistics are deltas over the run
-    as long as the mount is fresh.  [latency_hist] additionally records
-    every op's syscall-level latency in milliseconds — share one
-    histogram across a population of clients to get fleet-wide
-    quantiles. *)
+    virtual time (plus drain): a {!run_program} of one constant
+    segment.  RPC statistics are deltas over the run as long as the
+    mount is fresh.  [latency_hist] additionally records every op's
+    syscall-level latency in milliseconds — share one histogram across
+    a population of clients to get fleet-wide quantiles. *)
 
 (** {2 Rate-schedule programs}
 
@@ -100,7 +99,6 @@ val run_program :
 (** As {!run}, but pacing follows the program: each child draws its
     next inter-arrival gap from the instantaneous per-child rate, an op
     uses the mix of the segment it fires in, and zero-rate segments are
-    skipped to their boundary.  [offered] in the result is the
-    time-weighted mean offered rate (ramps count their midpoint);
-    [achieved] and [read_rate] divide by the total duration of all
-    segments.  Raises [Invalid_argument] on an empty program. *)
+    skipped to their boundary.  [achieved] and [read_rate] divide by
+    the total duration of all segments.  Raises [Invalid_argument] on
+    an empty program. *)

@@ -10,6 +10,7 @@ module Sim = Renofs_engine.Sim
 module Proc = Renofs_engine.Proc
 module Udp = Renofs_transport.Udp
 module Tcp = Renofs_transport.Tcp
+module Trace = Renofs_trace.Trace
 module P = Nfs_proto
 
 let make_world () =
@@ -153,6 +154,63 @@ let test_tcp_mount_survives_if_connection_lives () =
       Alcotest.(check bool) "created after reboot" true
         ((Nfs_client.stat m "tcp-post").P.size >= 0))
 
+let test_request_in_service_dies_with_the_server () =
+  (* A crash 5 ms after the first WRITE reaches the server's socket
+     queue catches requests inside the nfsds.  They die with the
+     machine: no service is recorded while the server is down, no reply
+     is sent, and the first service after the crash waits for the
+     reboot 2 s later. *)
+  let sim = Sim.create () in
+  let quiet =
+    { Net.Topology.default_params with cross_traffic = false; link_loss = 0.0 }
+  in
+  let topo =
+    Net.Topology.build sim
+      { Net.Topology.shape = Net.Topology.Lan; clients = 1; params = quiet }
+  in
+  let tr = Trace.create () in
+  List.iter
+    (fun n -> Net.Node.attach n { Net.Node.detached with trace = Some tr })
+    topo.Net.Topology.all;
+  let sudp = Udp.install topo.Net.Topology.server in
+  let server = Nfs_server.create topo.Net.Topology.server ~udp:sudp () in
+  Nfs_server.start server;
+  let cudp = Udp.install topo.Net.Topology.client in
+  let ctcp = Tcp.install topo.Net.Topology.client in
+  let armed = ref true in
+  Trace.set_hook tr
+    (Some
+       (fun r ->
+         match r.Trace.ev with
+         | Trace.Srv_queue { proc = 8; _ } when !armed ->
+             armed := false;
+             Sim.at sim (r.Trace.time +. 0.005) (fun () ->
+                 Nfs_server.crash server);
+             Sim.at sim (r.Trace.time +. 2.005) (fun () ->
+                 Nfs_server.reboot server)
+         | _ -> ()));
+  run sim (fun () ->
+      let m = mount_in (topo, server, cudp, ctcp) Nfs_client.reno_mount in
+      let fd = Nfs_client.create m "f" in
+      Nfs_client.write m fd ~off:0 (Bytes.make (8 * 8192) 'c');
+      Nfs_client.close m fd);
+  let records = Trace.to_list tr in
+  let down = ref false and served_while_down = ref 0 in
+  let check = Renofs_fault.Fault.Check.create () in
+  List.iter
+    (fun r ->
+      Renofs_fault.Fault.Check.observe check r;
+      match r.Trace.ev with
+      | Trace.Srv_crash -> down := true
+      | Trace.Srv_reboot -> down := false
+      | Trace.Srv_service _ when !down -> incr served_while_down
+      | _ -> ())
+    records;
+  Alcotest.(check bool) "the crash caught a write" false !armed;
+  Alcotest.(check int) "no service while down" 0 !served_while_down;
+  Alcotest.(check bool) "recovery waits for the reboot" true
+    (Renofs_fault.Fault.Check.recovery check >= 2.0)
+
 let () =
   Alcotest.run "crash"
     [
@@ -166,5 +224,7 @@ let () =
           Alcotest.test_case "lease grace period" `Quick test_lease_grace_period;
           Alcotest.test_case "tcp mount survives" `Quick
             test_tcp_mount_survives_if_connection_lives;
+          Alcotest.test_case "request in service dies with the server" `Quick
+            test_request_in_service_dies_with_the_server;
         ] );
     ]

@@ -659,30 +659,26 @@ let test_cpu_utilization () =
   Sim.run sim;
   check_float "50%% busy over 4s" 0.5 (Cpu.utilization cpu ~since_time:0.0 ~since_busy:0.0)
 
-let test_iostat_sampling () =
+let test_cpu_utilization_window () =
+  (* The scaling experiment's view: the busy fraction since a point
+     noted when the load starts, here after 2 s of work the window must
+     not count. *)
   let sim = Sim.create () in
   let cpu = Cpu.create sim ~mips:1.0 in
-  let io = Iostat.start sim cpu ~interval:1.0 () in
-  (* 50% duty cycle: 0.5 s of work at the start of each second. *)
+  let start = ref (0.0, 0.0) in
   Proc.spawn sim (fun () ->
+      Cpu.consume cpu 2.0;
+      start := (Sim.now sim, Cpu.busy_time cpu);
+      (* 50% duty cycle: 0.5 s of work at the start of each second. *)
       for _ = 1 to 10 do
         Cpu.consume cpu 0.5;
         Proc.sleep sim 0.5
       done);
-  Sim.run ~until:10.5 sim;
-  Iostat.stop io;
-  Alcotest.(check bool) "several samples" true (List.length (Iostat.samples io) >= 9);
-  let mean = Iostat.mean_utilization io in
-  Alcotest.(check bool) "mean near 50%" true (mean > 0.4 && mean < 0.6);
-  Alcotest.(check bool) "peak at least mean" true (Iostat.peak_utilization io >= mean)
-
-let test_iostat_idle () =
-  let sim = Sim.create () in
-  let cpu = Cpu.create sim ~mips:1.0 in
-  let io = Iostat.start sim cpu () in
-  Sim.run ~until:5.0 sim;
-  Iostat.stop io;
-  Alcotest.(check (float 1e-9)) "idle cpu" 0.0 (Iostat.mean_utilization io)
+  Sim.run sim;
+  let since_time, since_busy = !start in
+  check_float "50%% over the window" 0.5 (Cpu.utilization cpu ~since_time ~since_busy);
+  check_float "empty window" 0.0
+    (Cpu.utilization cpu ~since_time:(Sim.now sim) ~since_busy:(Cpu.busy_time cpu))
 
 let test_cpu_instructions () =
   let sim = Sim.create () in
@@ -754,11 +750,8 @@ let () =
           Alcotest.test_case "interrupt priority" `Quick test_cpu_interrupt_priority;
           Alcotest.test_case "async charge" `Quick test_cpu_charge_async;
           Alcotest.test_case "utilization" `Quick test_cpu_utilization;
+          Alcotest.test_case "utilization over a window" `Quick
+            test_cpu_utilization_window;
           Alcotest.test_case "instruction conversion" `Quick test_cpu_instructions;
-        ] );
-      ( "iostat",
-        [
-          Alcotest.test_case "duty-cycle sampling" `Quick test_iostat_sampling;
-          Alcotest.test_case "idle" `Quick test_iostat_idle;
         ] );
     ]

@@ -779,16 +779,13 @@ let test_soft_giveup_reports_capped_timeo () =
 (* Juszczak cache does (and flags its absence)                       *)
 (* ---------------------------------------------------------------- *)
 
-let double_create_verdict ~dup_cache =
+let double_create_verdict profile =
   let sim = Sim.create () in
   let topo = Net.Topology.build sim Net.Topology.default_spec in
   let tr = Trace.create () in
   List.iter (fun n -> Net.Node.attach n { Net.Node.detached with trace = Some tr }) topo.Net.Topology.all;
   let sudp = Udp.install topo.Net.Topology.server in
   let stcp = Tcp.install topo.Net.Topology.server in
-  let profile =
-    { Nfs_server.reno_profile with Nfs_server.duplicate_cache = dup_cache }
-  in
   let server =
     Nfs_server.create topo.Net.Topology.server ~profile ~udp:sudp ~tcp:stcp ()
   in
@@ -835,11 +832,11 @@ let double_create_verdict ~dup_cache =
 
 let test_dup_cache_off_double_create_flagged () =
   Alcotest.(check bool) "no cache: double effect flagged" false
-    (double_create_verdict ~dup_cache:false).Check.v_ok
+    (double_create_verdict Nfs_server.reference_port_profile).Check.v_ok
 
 let test_dup_cache_on_double_create_clean () =
   Alcotest.(check bool) "cache replays, no second effect" true
-    (double_create_verdict ~dup_cache:true).Check.v_ok
+    (double_create_verdict Nfs_server.reno_profile).Check.v_ok
 
 (* ---------------------------------------------------------------- *)
 (* Chaos determinism: identical trace and JSON at any --jobs         *)

@@ -7,6 +7,8 @@ module Udp = Renofs_transport.Udp
 module Tcp = Renofs_transport.Tcp
 module Xdr = Renofs_xdr.Xdr
 module Rpc_msg = Renofs_rpc.Rpc_msg
+module Trace = Renofs_trace.Trace
+module Fileset = Renofs_workload.Fileset
 module P = Nfs_proto
 
 let quiet =
@@ -557,25 +559,46 @@ let test_silly_rename () =
         (List.exists (fun n -> String.length n > 4 && String.sub n 0 4 = ".nfs") names))
 
 let test_server_service_times () =
+  (* nfsstat-style service times, from the server's Srv_service trace
+     records: the in-server execution time, excluding network and
+     queueing. *)
   let w = make_world () in
+  let tr = Trace.create () in
+  List.iter
+    (fun n -> Net.Node.attach n { Net.Node.detached with trace = Some tr })
+    w.topo.Net.Topology.all;
   run_client w (fun () ->
       let m = mount_in w Nfs_client.reno_mount in
       let fd = Nfs_client.create m "f" in
       Nfs_client.write m fd ~off:0 (pattern (2 * 8192));
       Nfs_client.close m fd;
       ignore (Nfs_client.read m (Nfs_client.open_ m "f") ~off:0 ~len:8192));
-  let times = Nfs_server.service_times w.server in
-  Alcotest.(check bool) "several procs recorded" true (List.length times >= 3);
+  let times = Hashtbl.create 8 in
   List.iter
-    (fun (name, mean, count) ->
-      Alcotest.(check bool) (name ^ " count positive") true (count > 0);
+    (fun r ->
+      match r.Trace.ev with
+      | Trace.Srv_service { proc; service; _ } ->
+          let w =
+            match Hashtbl.find_opt times (P.proc_name proc) with
+            | Some w -> w
+            | None ->
+                let w = Stats.Welford.create () in
+                Hashtbl.replace times (P.proc_name proc) w;
+                w
+          in
+          Stats.Welford.add w service
+      | _ -> ())
+    (Trace.to_list tr);
+  Alcotest.(check bool) "several procs recorded" true (Hashtbl.length times >= 3);
+  Hashtbl.iter
+    (fun name w ->
+      let mean = Stats.Welford.mean w in
       Alcotest.(check bool) (name ^ " mean sane") true (mean >= 0.0 && mean < 1.0))
     times;
   (* A synchronous write (disk) must cost more service time than a
      getattr. *)
-  let mean_of n = match List.find_opt (fun (x, _, _) -> x = n) times with
-    | Some (_, m, _) -> m
-    | None -> 0.0
+  let mean_of n =
+    match Hashtbl.find_opt times n with Some w -> Stats.Welford.mean w | None -> 0.0
   in
   Alcotest.(check bool) "write dearer than getattr" true
     (mean_of "write" > mean_of "getattr")
@@ -600,6 +623,117 @@ let test_ultrix_server_slower_lookups () =
   let reno = busy Nfs_server.reno_profile in
   let ultrix = busy Nfs_server.reference_port_profile in
   Alcotest.(check bool) "reference port costs more" true (ultrix > reno *. 1.2)
+
+(* One row per server profile, naming each decision the profile makes:
+   Srv_service records for one CREATE sent twice with one xid (the
+   duplicate cache), server CPU for 10 NULLs (the XDR layer's toll on
+   every RPC), server CPU for 10 LOOKUPs (buffer search and name cache
+   on top), and whether the server's fs keeps a name cache. *)
+let server_profile_row profile =
+  let sim = Sim.create () in
+  let topo =
+    Net.Topology.build sim
+      { Net.Topology.shape = Net.Topology.Lan; clients = 1; params = quiet }
+  in
+  let tr = Trace.create () in
+  List.iter
+    (fun n -> Net.Node.attach n { Net.Node.detached with trace = Some tr })
+    topo.Net.Topology.all;
+  let server =
+    Nfs_server.create topo.Net.Topology.server ~profile
+      ~udp:(Udp.install topo.Net.Topology.server) ()
+  in
+  Nfs_server.start server;
+  let cudp = Udp.install topo.Net.Topology.client in
+  let cpu = Net.Node.cpu topo.Net.Topology.server in
+  let busy_ms = ref [] in
+  Proc.spawn sim (fun () ->
+      Fileset.preload_server server
+        (Fileset.generate ~dirs:10 ~files_per_dir:20 ~file_size:8192
+           ~long_names:false);
+      let sock = Udp.bind_ephemeral cudp in
+      let send xid call =
+        let enc =
+          Rpc_msg.encode_call
+            {
+              Rpc_msg.xid;
+              prog = P.program;
+              vers = P.version;
+              proc = P.proc_of_call call;
+              cred = Rpc_msg.Auth_unix { stamp = 0; machine = "t"; uid = 0; gid = 0 };
+            }
+        in
+        P.encode_call enc call;
+        Udp.sendto sock ~dst:(Net.Topology.server_id topo) ~dst_port:P.port
+          (Xdr.Enc.chain enc)
+      in
+      let root = Nfs_server.root_fhandle server in
+      let create =
+        P.Create
+          {
+            P.where = { P.dir = root; name = "dup" };
+            attributes =
+              {
+                P.s_mode = 0o644;
+                s_uid = 0;
+                s_gid = 0;
+                s_size = 0;
+                s_atime = None;
+                s_mtime = None;
+              };
+          }
+      in
+      send 4242l create;
+      Proc.sleep sim 0.5;
+      send 4242l create;
+      Proc.sleep sim 1.0;
+      let fs = Nfs_server.fs server in
+      let d03 = Renofs_vfs.Fs.ino (Renofs_vfs.Fs.lookup fs (Renofs_vfs.Fs.root fs) "d03") in
+      let measure gap calls =
+        let b0 = Renofs_engine.Cpu.busy_time cpu in
+        List.iteri
+          (fun i call ->
+            send (Int32.of_int (100 + i)) call;
+            Proc.sleep sim gap)
+          calls;
+        busy_ms := (Renofs_engine.Cpu.busy_time cpu -. b0) *. 1e3 :: !busy_ms
+      in
+      measure 0.2 (List.init 10 (fun _ -> P.Null));
+      measure 0.5
+        (List.init 10 (fun i ->
+             P.Lookup { P.dir = d03; name = Printf.sprintf "f03_%02d" (i + 1) })));
+  Sim.run ~until:600.0 sim;
+  let services =
+    List.length
+      (List.filter
+         (fun r ->
+           match r.Trace.ev with
+           | Trace.Srv_service { xid = 4242l; _ } -> true
+           | _ -> false)
+         (Trace.to_list tr))
+  in
+  match List.rev !busy_ms with
+  | [ null_ms; lookup_ms ] ->
+      Printf.sprintf "%d / %.2f ms / %.2f ms / %s" services null_ms lookup_ms
+        (if Renofs_vfs.Fs.namecache (Nfs_server.fs server) = None then "no"
+         else "yes")
+  | _ -> "probes never finished"
+
+let test_server_profile_rows () =
+  let row (name, profile) = name ^ ": " ^ server_profile_row profile in
+  Alcotest.(check (list string))
+    "double-CREATE services / 10 NULLs' CPU / 10 LOOKUPs' CPU / name cache"
+    [
+      "reno: 1 / 20.95 ms / 26.55 ms / yes";
+      "reno-nonc: 1 / 20.95 ms / 28.37 ms / no";
+      "reference port: 2 / 40.95 ms / 76.51 ms / no";
+    ]
+    (List.map row
+       [
+         ("reno", Nfs_server.reno_profile);
+         ("reno-nonc", Nfs_server.Reno_no_name_cache);
+         ("reference port", Nfs_server.reference_port_profile);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Hand-written responders                                            *)
@@ -770,6 +904,8 @@ let () =
           Alcotest.test_case "reference-port server dearer" `Quick
             test_ultrix_server_slower_lookups;
           Alcotest.test_case "service times" `Quick test_server_service_times;
+          Alcotest.test_case "one row per server profile" `Quick
+            test_server_profile_rows;
           Alcotest.test_case "rpc denied" `Quick test_rpc_denied;
           Alcotest.test_case "prog unavail" `Quick test_rpc_prog_unavail;
           Alcotest.test_case "oversized read reply is EIO" `Quick test_oversized_read_reply;

@@ -200,6 +200,22 @@ let test_profile_json_roundtrip () =
       Alcotest.(check (float 0.0)) "minor words survive"
         orig.Profile.p_minor_words s.Profile.p_minor_words
 
+(* Minor words are exact, not quantized by the minor heap: right after
+   a minor collection, 1,000 iterations that each allocate a pair and a
+   list cell (6 words) read at least 6,000 words. *)
+let test_exact_minor_words () =
+  let p = Profile.create () in
+  Gc.minor ();
+  Profile.start p;
+  let keep = ref [] in
+  for i = 1 to 1000 do
+    keep := [ Sys.opaque_identity (i, i) ];
+    ignore (Sys.opaque_identity !keep)
+  done;
+  Profile.stop p;
+  let words = (Profile.snapshot p).Profile.p_minor_words in
+  if words < 6000.0 then Alcotest.failf "read %.0f minor words, want >= 6000" words
+
 (* The validator is also the accountant: a profile whose self-times do
    not sum to its wall time is rejected. *)
 let test_profile_json_rejects_bad_attribution () =
@@ -462,6 +478,7 @@ let () =
           Alcotest.test_case "fire counts" `Quick test_fire_counts_and_durations;
           Alcotest.test_case "heap work charged to scheduler" `Quick
             test_heap_work_charged_to_scheduler;
+          Alcotest.test_case "exact minor words" `Quick test_exact_minor_words;
         ] );
       ( "real run",
         [

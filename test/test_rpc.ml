@@ -188,7 +188,7 @@ let nfs_sample_replies =
     ]
 
 let mount_sample_calls =
-  Mount_proto.[ Mnt_null; Mnt "/export"; Dump; Umnt "/export"; Umntall; Export ]
+  Mount_proto.[ Mnt_null; Mnt "/export" ]
 
 let mount_sample_replies =
   Mount_proto.
@@ -196,9 +196,6 @@ let mount_sample_replies =
       (0, Rmnt_null);
       (1, Rmnt (Mnt_ok 7));
       (1, Rmnt (Mnt_error 13));
-      (2, Rdump [ ("client1", "/export") ]);
-      (3, Rumnt);
-      (5, Rexport [ "/export"; "/home" ]);
     ]
 
 let test_nfs_truncation () =
@@ -225,7 +222,7 @@ let test_mount_truncation () =
     (fun call ->
       let proc = Mount_proto.proc_of_call call in
       check_prefixes
-        ~what:("mount call " ^ Mount_proto.proc_name proc)
+        ~what:(Printf.sprintf "mount call %d" proc)
         ~encode:(fun enc -> Mount_proto.encode_call enc call)
         ~decode:(fun chain ->
           ignore (Mount_proto.decode_call ~proc (Xdr.Dec.create chain))))
@@ -233,7 +230,7 @@ let test_mount_truncation () =
   List.iter
     (fun (proc, reply) ->
       check_prefixes
-        ~what:("mount reply " ^ Mount_proto.proc_name proc)
+        ~what:(Printf.sprintf "mount reply %d" proc)
         ~encode:(fun enc -> Mount_proto.encode_reply enc reply)
         ~decode:(fun chain ->
           ignore (Mount_proto.decode_reply ~proc (Xdr.Dec.create chain))))
