@@ -116,6 +116,8 @@ type cblock = {
   mutable data : Bytes.t;
       (* [Bytes.empty] until the block is first written or fetched; a
          fetch installs new storage, often the READ reply's own bytes *)
+  mutable lent : bool;
+      (* [read] returned [data] itself: a write copies it first *)
   mutable valid : bool;
   mutable dirty : (int * int) option;
   mutable lru : int;
@@ -609,6 +611,7 @@ let get_or_create_block t cf blk =
         {
           b_blk = blk;
           data = Bytes.empty;
+          lent = false;
           valid = false;
           dirty = None;
           lru = t.lru_clock;
@@ -886,6 +889,7 @@ let install_block b buf =
   | Some (lo, hi) -> Bytes.blit b.data lo buf lo (hi - lo)
   | None -> ());
   b.data <- buf;
+  b.lent <- false;
   b.valid <- true
 
 let rec ensure_block t cf blk =
@@ -982,8 +986,10 @@ let read t fd ~off ~len =
       | None -> ())
   | Trusts_own_writes | Noconsist | Leases -> validate t cf);
   let len = if off >= cf.csize then 0 else min len (cf.csize - off) in
-  let out = Bytes.create len in
   let bs = t.opts.bsize in
+  (* One whole aligned block is lent, not copied. *)
+  let whole = len = bs && off mod bs = 0 in
+  let out = ref (if whole then Bytes.empty else Bytes.create len) in
   let pos = ref 0 in
   while !pos < len do
     let abs = off + !pos in
@@ -991,14 +997,18 @@ let read t fd ~off ~len =
     let b = ensure_block t cf blk in
     let in_blk = abs mod bs in
     let n = min (bs - in_blk) (len - !pos) in
-    Bytes.blit b.data in_blk out !pos n;
+    if whole then begin
+      b.lent <- true;
+      out := b.data
+    end
+    else Bytes.blit b.data in_blk !out !pos n;
     pos := !pos + n;
     (* Sequential access triggers read-ahead. *)
     if blk = cf.last_seq_blk + 1 || blk = cf.last_seq_blk then read_ahead t cf blk;
     cf.last_seq_blk <- blk
   done;
   charge_copy t len;
-  out
+  !out
 
 (* ------------------------------------------------------------------ *)
 (* Writes                                                             *)
@@ -1034,7 +1044,9 @@ let write t fd ~off data =
     (* A buf holds a single dirty region: push the old one first if the
        new range cannot merge with it. *)
     if not (mergeable b lo hi) then push_block t cf b ~wait:true;
-    if Bytes.length b.data = 0 then b.data <- Bytes.make bs '\000';
+    if Bytes.length b.data = 0 then b.data <- Bytes.make bs '\000'
+    else if b.lent then b.data <- Bytes.copy b.data;
+    b.lent <- false;
     Bytes.blit data !pos b.data lo n;
     let range =
       match b.dirty with

@@ -154,6 +154,11 @@ val statfs : t -> Nfs_proto.statfsok
 (* --- fd syscalls --- *)
 
 val read : t -> fd -> off:int -> len:int -> bytes
+(** Short at EOF.  The result may share the mount's block cache (a read
+    of exactly one whole aligned block returns the cached block itself,
+    still charged as a copy) and must not be mutated; later writes
+    never change it, as with {!Renofs_vfs.Fs.read}. *)
+
 val write : t -> fd -> off:int -> bytes -> unit
 val fsync : t -> fd -> unit
 val close : t -> fd -> unit

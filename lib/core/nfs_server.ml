@@ -540,6 +540,7 @@ let execute t ~client ~uid ~gid (call : P.call) : P.reply =
         | `Vacate -> P.Rlease (Ok None))
   | P.Readdirlook { P.rd_dir; cookie; rd_count } ->
       let v = vn t rd_dir in
+      check t ~uid ~gid v ~want:r_ok;
       P.Rreaddirlook
         (Ok
            (readdir_page t v ~cookie ~rd_count ~per_entry:96 (fun e ->

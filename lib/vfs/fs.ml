@@ -368,17 +368,22 @@ let read t v ~off ~len =
     out
   end
 
-let write t v ~off data =
+let blit_in f ~off data =
+  iter_chunks ~off ~len:(Bytes.length data) (fun ci ~lo ~pos ~n ->
+      Bytes.blit data pos (own_chunk f ci ~whole:(n = chunk_size)) lo n)
+
+(* The body of every write of [len] bytes at [off]: [fill] puts the
+   bytes into the file's chunks, and the costs depend on [off] and [len]
+   alone. *)
+let store t v ~off ~len fill =
   charge t (base_op_instr +. 60.0);
   if off < 0 then raise (Err Einval);
   let f = file_of v in
-  let len = Bytes.length data in
   let total = off + len in
   if total > max_file_size then raise (Err Efbig);
   let old_blocks = (f.len + block_size - 1) / block_size in
   reserve f total;
-  iter_chunks ~off ~len (fun ci ~lo ~pos ~n ->
-      Bytes.blit data pos (own_chunk f ci ~whole:(n = chunk_size)) lo n);
+  fill f;
   if total > f.len then f.len <- total;
   let touched = blocks_in_range ~off ~len in
   List.iter
@@ -397,6 +402,24 @@ let write t v ~off data =
     if new_blocks > old_blocks && new_blocks > 12 then
       Disk.write t.disk ~bytes:512
   end
+
+let write t v ~off data =
+  store t v ~off ~len:(Bytes.length data) (fun f -> blit_in f ~off data)
+
+(* A whole aligned piece becomes the chunk, marked lent as [read] marks
+   the chunks it hands out, so [own_chunk] copies it before any change. *)
+let write_lent t v ~off pieces =
+  let len = List.fold_left (fun n p -> n + Bytes.length p) 0 pieces in
+  store t v ~off ~len (fun f ->
+      let lend off p =
+        if Bytes.length p = chunk_size && off mod chunk_size = 0 then begin
+          f.chunks.(off / chunk_size) <- p;
+          f.lent.(off / chunk_size) <- true
+        end
+        else blit_in f ~off p;
+        off + Bytes.length p
+      in
+      ignore (List.fold_left lend off pieces))
 
 let alloc_vnode t ~body ~mode ?(uid = 0) ?(gid = 0) ~parent () =
   let i = t.next_ino in

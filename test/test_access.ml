@@ -131,6 +131,25 @@ let test_unsearchable_directory_blocks_lookup () =
       let _ = Fs.create_file fs ~dir:d "inner" ~mode:0o644 ~uid:100 ~gid:10 () in
       expect_acces (fun () -> ignore (Nfs_client.stat bob "noexec/inner")))
 
+(* A 0700 directory is listed to its owner only, by READDIR and by
+   READDIRLOOK, which would also hand out each entry's attributes. *)
+let test_unreadable_directory_is_not_listed () =
+  let sim, topo, server, cudp, ctcp = make_world () in
+  run sim (fun () ->
+      let w = (topo, server, cudp, ctcp) in
+      let bob = mount_as w ~uid:200 ~gid:20 in
+      let fs = Nfs_server.fs server in
+      let d = Fs.mkdir fs ~dir:(Fs.root fs) "private" ~mode:0o700 ~uid:100 ~gid:10 () in
+      let _ = Fs.create_file fs ~dir:d "secret-name" ~mode:0o644 ~uid:100 ~gid:10 () in
+      let x = Nfs_client.transport bob in
+      let listing = { P.rd_dir = Fs.ino d; cookie = 0; rd_count = 4096 } in
+      (match Client_transport.call x (P.Readdir listing) with
+      | P.Rreaddir (Error P.NFSERR_ACCES) -> ()
+      | _ -> Alcotest.fail "READDIR listed a 0700 directory");
+      match Client_transport.call x (P.Readdirlook listing) with
+      | P.Rreaddirlook (Error P.NFSERR_ACCES) -> ()
+      | _ -> Alcotest.fail "READDIRLOOK listed a 0700 directory")
+
 let test_setattr_owner_only () =
   let sim, topo, server, cudp, ctcp = make_world () in
   run sim (fun () ->
@@ -172,6 +191,7 @@ let () =
           Alcotest.test_case "unwritable dir" `Quick test_unwritable_directory;
           Alcotest.test_case "unsearchable dir" `Quick
             test_unsearchable_directory_blocks_lookup;
+          Alcotest.test_case "unreadable dir" `Quick test_unreadable_directory_is_not_listed;
           Alcotest.test_case "setattr owner only" `Quick test_setattr_owner_only;
         ] );
     ]

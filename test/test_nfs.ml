@@ -358,6 +358,33 @@ let test_gap_after_fetched_eof () =
       Alcotest.(check bytes) "gap reads as zeros" expect
         (Nfs_client.read m fd ~off:0 ~len:8192))
 
+(* A read of one whole aligned block returns the cached block itself; a
+   later write copies the block before changing it. *)
+let test_whole_block_read_lends () =
+  let w = make_world () in
+  run_client w (fun () ->
+      let m = mount_in w Nfs_client.reno_mount in
+      let fd = Nfs_client.create m "f" in
+      Nfs_client.write m fd ~off:0 (pattern 16384);
+      Nfs_client.close m fd;
+      let fd = Nfs_client.open_ m "f" in
+      let first = Nfs_client.read m fd ~off:0 ~len:8192 in
+      let again = Nfs_client.read m fd ~off:0 ~len:8192 in
+      Alcotest.(check bool) "one cached block" true (first == again);
+      Nfs_client.write m fd ~off:0 (Bytes.make 100 'W');
+      Alcotest.(check bytes) "first result unchanged" (pattern 8192) first;
+      let written = Bytes.cat (Bytes.make 100 'W') (Bytes.sub (pattern 8192) 100 8092) in
+      Alcotest.(check bytes) "a new read sees the write" written
+        (Nfs_client.read m fd ~off:0 ~len:8192);
+      Nfs_client.close m fd;
+      (* 32 KiB blocks: an 8 KiB read is part of one, and a copy. *)
+      let v3 = mount_in w Nfs_client.v3_mount in
+      let fd = Nfs_client.open_ v3 "f" in
+      let first = Nfs_client.read v3 fd ~off:0 ~len:8192 in
+      let again = Nfs_client.read v3 fd ~off:0 ~len:8192 in
+      Alcotest.(check bytes) "v3 reads the write" written first;
+      Alcotest.(check bool) "v3 copies" false (first == again))
+
 let test_fsync () =
   let w = make_world () in
   run_client w (fun () ->
@@ -887,6 +914,7 @@ let () =
           Alcotest.test_case "fetched block merges a write" `Quick
             test_fetched_block_merges_write;
           Alcotest.test_case "gap after fetched eof" `Quick test_gap_after_fetched_eof;
+          Alcotest.test_case "whole-block read lends" `Quick test_whole_block_read_lends;
           Alcotest.test_case "fsync" `Quick test_fsync;
           Alcotest.test_case "readahead" `Quick test_readahead_prefetches;
           Alcotest.test_case "readdirlook prefetch" `Quick test_readdirlook_prefetch;

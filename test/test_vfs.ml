@@ -550,6 +550,75 @@ let test_fs_whole_chunk_read_lends () =
       Fs.write fs f ~off:9000 (Bytes.make 10 'W');
       Alcotest.(check bytes) "lent bytes unchanged" (Bytes.sub body 8192 8192) got)
 
+(* Two files in one filesystem and a third in another, all written by
+   [Fs.write_lent] from one list of pieces. *)
+let test_fs_write_lent_shares_pieces () =
+  let sim = Sim.create () in
+  let make () =
+    Fs.create sim (Cpu.create sim ~mips:0.9) (Disk.create sim ()) Fs.reno_config
+  in
+  let fs1 = make () and fs2 = make () in
+  let p0 = Bytes.init 8192 (fun i -> Char.chr (i mod 251)) in
+  let p1 = Bytes.init 8192 (fun i -> Char.chr (i mod 13)) in
+  let pieces = [ p0; p1; p0 ] in
+  let body = Bytes.concat Bytes.empty pieces in
+  let held = List.map Bytes.copy pieces in
+  let finished = ref false in
+  Proc.spawn sim (fun () ->
+      let file fs name =
+        let v = Fs.create_file fs ~dir:(Fs.root fs) name ~mode:0o644 () in
+        Fs.write_lent fs v ~off:0 pieces;
+        (fs, v)
+      in
+      let a = file fs1 "a" and b = file fs1 "b" and c = file fs2 "c" in
+      let all fs v = Fs.read fs v ~off:0 ~len:(Bytes.length body) in
+      List.iter
+        (fun (fs, v) ->
+          Alcotest.(check bytes) "reads back" body (all fs v);
+          Alcotest.(check bool) "whole chunk is the shared piece" true
+            (Fs.read fs v ~off:8192 ~len:8192 == p1))
+        [ a; b; c ];
+      (* Change [a] every way a file changes. *)
+      let fsa, va = a in
+      let model = Bytes.copy body in
+      Fs.write fsa va ~off:100 (Bytes.make 10 'P');
+      Bytes.fill model 100 10 'P';
+      Fs.write fsa va ~off:8192 (Bytes.make 8192 'W');
+      Bytes.fill model 8192 8192 'W';
+      ignore (Fs.setattr fsa va ~size:20000 ());
+      Bytes.fill model 20000 (Bytes.length body - 20000) '\000';
+      ignore (Fs.setattr fsa va ~size:(Bytes.length body) ());
+      Alcotest.(check bytes) "changed file" model (all fsa va);
+      List.iter
+        (fun (fs, v) -> Alcotest.(check bytes) "other files unchanged" body (all fs v))
+        [ b; c ];
+      List.iter2
+        (fun p h -> Alcotest.(check bytes) "shared pieces unchanged" h p)
+        pieces held;
+      (* A short piece is copied: changing it afterwards, as no caller
+         may, leaves the file as written. *)
+      let short = Bytes.make 5000 's' in
+      let vs = Fs.create_file fs2 ~dir:(Fs.root fs2) "short" ~mode:0o644 () in
+      Fs.write_lent fs2 vs ~off:0 [ short ];
+      Bytes.fill short 0 5000 'X';
+      Alcotest.(check string) "short piece copied" (String.make 5000 's')
+        (Bytes.to_string (Fs.read fs2 vs ~off:0 ~len:8192));
+      finished := true);
+  Sim.run sim;
+  Alcotest.(check bool) "finished" true !finished
+
+let test_fs_write_lent_costs_as_write () =
+  let pieces = [ Bytes.make 8192 'a'; Bytes.make 8192 'b'; Bytes.make 3000 'c' ] in
+  let finish write =
+    in_world (fun sim fs ->
+        let v = Fs.create_file fs ~dir:(Fs.root fs) "f" ~mode:0o644 () in
+        write fs v;
+        Sim.now sim)
+  in
+  Alcotest.(check (float 0.0)) "same simulated time"
+    (finish (fun fs v -> Fs.write fs v ~off:0 (Bytes.concat Bytes.empty pieces)))
+    (finish (fun fs v -> Fs.write_lent fs v ~off:0 pieces))
+
 (* Property: random writes, [setattr ~size] truncations and extensions,
    and reads behave like a reference byte array.  Reads favour 8 KiB
    chunk boundaries, whole aligned chunks (the lending path) and holes;
@@ -655,6 +724,10 @@ let () =
           Alcotest.test_case "extend allocates nothing" `Quick
             test_fs_extend_allocates_nothing;
           Alcotest.test_case "whole-chunk read lends" `Quick test_fs_whole_chunk_read_lends;
+          Alcotest.test_case "lending write shares pieces" `Quick
+            test_fs_write_lent_shares_pieces;
+          Alcotest.test_case "lending write costs as write" `Quick
+            test_fs_write_lent_costs_as_write;
           Alcotest.test_case "sync writes hit disk" `Quick test_fs_sync_writes_hit_disk;
           Alcotest.test_case "name cache accelerates" `Quick test_fs_lookup_uses_name_cache;
           Alcotest.test_case "statfs" `Quick test_fs_statfs;
