@@ -4,8 +4,10 @@
 # only — see dune-project), and the nfsbench CLI must survive a smoke
 # run: list the registry, run one experiment across 2 domains with
 # JSON output, validate that output against the renofs-bench/1
-# schema, and exercise the fault layer (builtin listing, a schedule
-# file on a normal experiment).
+# schema, exercise the fault layer (builtin listing, a schedule
+# file on a normal experiment), and check that a flag a subcommand
+# does not honour is refused (perf --jobs, slo --seed, chaos
+# --faults; each inverted with `!`).
 # `make chaos-smoke` runs the quick chaos matrix — every fault
 # schedule crossed with the three transports plus the v3
 # UNSTABLE+COMMIT profile — failing on any invariant violation, and
@@ -53,7 +55,8 @@
 # (the Reno, Leases and noconsist mounts) with its trace, so that every
 # named mount's consistency rule is traced, graph8 (the reno, reno-nonc
 # and ultrix servers) with its trace, so that every server profile is
-# traced, the chaos and fuzz runs
+# traced, scaling (the N-client star) with its trace and metrics
+# under the crash schedule, the chaos and fuzz runs
 # again with their traces (the golden traces carry 22 of the 25 event kinds; the
 # round-trip test in test/test_trace.ml covers the other three), graph1
 # with its metrics as JSONL and as CSV, and the crash-without-reboot
@@ -85,6 +88,9 @@ smoke: build
 	dune exec bin/nfsbench.exe -- validate-json /tmp/renofs-smoke.json
 	dune exec bin/nfsbench.exe -- faults
 	dune exec bin/nfsbench.exe -- run graph1 --jobs 2 --faults examples/crash.json
+	! dune exec bin/nfsbench.exe -- perf --jobs 2
+	! dune exec bin/nfsbench.exe -- slo --seed 3
+	! dune exec bin/nfsbench.exe -- chaos --faults crash
 
 chaos-smoke: build
 	dune exec bin/nfsbench.exe -- chaos --scale quick --jobs 2 > /tmp/renofs-chaos-smoke2.txt
@@ -149,6 +155,7 @@ golden: build
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run table2 --jobs 2 --trace table2-trace.jsonl --metrics table2-metrics.jsonl > table2.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run leases --jobs 2 --trace leases-trace.jsonl > leases.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph8 --jobs 2 --trace graph8-trace.jsonl > graph8.txt
+	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run scaling --jobs 2 --trace scaling-trace.jsonl --metrics scaling-metrics.jsonl --faults crash > scaling.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- chaos --scale quick --jobs 2 --trace chaos-trace.jsonl > chaos-trace.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- fuzz --seeds 15 --jobs 2 --trace fuzz-trace.jsonl > fuzz-trace.txt
 	cd $(GOLDEN) && dune exec --root $(CURDIR) bin/nfsbench.exe -- run graph1 --jobs 2 --metrics metrics.jsonl > graph1-metrics.txt

@@ -28,6 +28,11 @@
      nfsbench diff OLD.json NEW.json   regression-gate two --json files
      nfsbench validate-json FILE       check a --json file against the schema
 
+   Each subcommand parses only the flags it honours, so any other is an
+   unknown option: run and all take no --seed, chaos and fuzz no
+   --faults, slo none of --scale, --seed and --faults, and perf only
+   --json, --baseline and --tolerance.
+
    Results are assembled by cell index, never completion order, so any
    --jobs value produces byte-identical tables and JSON. *)
 
@@ -50,88 +55,48 @@ let print_with_chart table =
       Format.printf "%s@." chart
   | _ -> ()
 
-(* Every subcommand shares one flag surface (the Run_spec record); a
-   flag a given subcommand cannot honour is refused up front rather
-   than silently dropped. *)
-let check_unused ~cmd (rs : R.t) unsupported =
-  let set = function
-    | "scale" -> rs.R.rs_scale <> None
-    | "jobs" -> rs.R.rs_jobs <> None
-    | "seed" -> rs.R.rs_seed <> None
-    | "json" -> rs.R.rs_json <> None
-    | "trace" -> rs.R.rs_trace <> None
-    | "report" -> rs.R.rs_report
-    | "metrics" -> rs.R.rs_metrics <> None
-    | "faults" -> rs.R.rs_faults <> None
-    | "profile" -> rs.R.rs_profile <> None
-    | "perfetto" -> rs.R.rs_perfetto <> None
-    | "flight" -> rs.R.rs_flight <> None
-    | _ -> false
-  in
-  match List.filter set unsupported with
-  | [] -> None
-  | offending ->
-      Some
-        (Printf.sprintf "%s does not support --%s" cmd
-           (String.concat " or --" offending))
-
 let run_result = function
   | Ok () -> `Ok ()
   | Error msg -> `Error (false, msg)
 
 let run_one id rs =
-  match check_unused ~cmd:"run" rs [ "seed" ] with
-  | Some msg -> `Error (false, msg)
-  | None -> (
-      match E.spec ~scale:(R.scale rs) id with
-      | None ->
-          `Error
-            ( false,
-              Printf.sprintf "unknown experiment %S; try one of: %s" id
-                (String.concat ", " (List.map fst E.specs)) )
-      | Some spec ->
-          run_result
-            (Result.map ignore (R.execute ~print:print_with_chart rs spec)))
+  match E.spec ~scale:(R.scale rs) id with
+  | None ->
+      `Error
+        ( false,
+          Printf.sprintf "unknown experiment %S; try one of: %s" id
+            (String.concat ", " (List.map fst E.specs)) )
+  | Some spec ->
+      run_result (Result.map ignore (R.execute ~print:print_with_chart rs spec))
 
 let run_all rs =
-  match check_unused ~cmd:"all" rs [ "seed" ] with
-  | Some msg -> `Error (false, msg)
-  | None ->
-      let scale = R.scale rs in
-      let built = List.map (fun (_, mk) -> mk scale) E.specs in
-      Format.printf "running %d experiments (%s scale)...@."
-        (List.length E.specs)
-        (match scale with E.Quick -> "quick" | E.Full -> "full");
-      (* One pooled sweep across every experiment's cells: short
-         experiments overlap long ones instead of serialising. *)
-      run_result
-        (Result.map ignore (R.execute_many ~print:print_with_chart rs built))
+  let scale = R.scale rs in
+  let built = List.map (fun (_, mk) -> mk scale) E.specs in
+  Format.printf "running %d experiments (%s scale)...@."
+    (List.length E.specs)
+    (match scale with E.Quick -> "quick" | E.Full -> "full");
+  (* One pooled sweep across every experiment's cells: short
+     experiments overlap long ones instead of serialising. *)
+  run_result
+    (Result.map ignore (R.execute_many ~print:print_with_chart rs built))
 
-(* chaos and fuzz assemble one row per cell, in cell order, so each
-   failing row names its cell. *)
-let failed_cells spec results =
-  List.filter_map
-    (fun (c, row) ->
-      Option.map (fun v -> c.E.cell_label ^ ": " ^ v) (E.fail_value row))
-    (List.combine spec.E.sp_cells results.E.r_rows)
-
-(* chaos and fuzz install their own schedules per cell, so an outer
-   --faults would be silently ignored — refuse it instead. *)
+(* chaos, fuzz and slo exit non-zero when any cell fails its verdict,
+   naming each failing cell on stderr. *)
 let run_verdict ~cmd rs spec =
-  match check_unused ~cmd rs [ "faults" ] with
-  | Some msg -> `Error (false, msg)
-  | None -> (
-      match R.execute ~print:print_with_chart rs spec with
-      | Error msg -> `Error (false, msg)
-      | Ok results -> (
-          match failed_cells spec results with
-          | [] -> `Ok ()
-          | fails ->
-              List.iter (fun f -> Format.eprintf "%s: %s@." cmd f) fails;
-              `Error
-                ( false,
-                  Printf.sprintf "%s: %d cell(s) failed their verdict" cmd
-                    (List.length fails) )))
+  match R.execute ~print:print_with_chart rs spec with
+  | Error msg -> `Error (false, msg)
+  | Ok results -> (
+      match E.failures spec results with
+      | [] -> `Ok ()
+      | fails ->
+          List.iter
+            (fun (label, verdict) ->
+              Format.eprintf "%s: %s: %s@." cmd label verdict)
+            fails;
+          `Error
+            ( false,
+              Printf.sprintf "%s: %d cell(s) failed their verdict" cmd
+                (List.length fails) ))
 
 let run_chaos rs =
   let seed = R.seed rs in
@@ -150,17 +115,15 @@ let run_fuzz rs seeds no_checksum =
   run_verdict ~cmd:"fuzz" rs
     (E.fuzz_spec ~seeds ~base_seed:seed ~checksum (R.scale rs))
 
-(* Scenarios carry their own world seed, load program and fault
-   timeline, so --scale/--seed/--faults would be silently ignored —
-   refuse them.  A single scenario's "run" section is layered under
-   the CLI flags; with several scenarios only the CLI applies. *)
+(* A single scenario's "run" section is layered under the CLI flags;
+   with several scenarios only the CLI applies. *)
 let run_slo rs names =
   let resolved = List.map Scenario.resolve names in
   match
     List.find_map (function Error msg -> Some msg | Ok _ -> None) resolved
   with
   | Some msg -> `Error (false, msg)
-  | None -> (
+  | None ->
       let scenarios =
         match names with
         | [] -> Scenario.builtins
@@ -171,22 +134,7 @@ let run_slo rs names =
         | [ sc ] -> R.override ~base:sc.Scenario.sc_run rs
         | _ -> rs
       in
-      match check_unused ~cmd:"slo" rs [ "scale"; "seed"; "faults" ] with
-      | Some msg -> `Error (false, msg)
-      | None -> (
-          match
-            R.execute ~print:print_with_chart rs (Scenario.suite_spec scenarios)
-          with
-          | Error msg -> `Error (false, msg)
-          | Ok results -> (
-              match Scenario.failures results with
-              | [] -> `Ok ()
-              | fails ->
-                  List.iter (fun f -> Format.eprintf "slo: %s@." f) fails;
-                  `Error
-                    ( false,
-                      Printf.sprintf "slo: %d scenario(s) breached their SLOs"
-                        (List.length fails) ))))
+      run_verdict ~cmd:"slo" rs (Scenario.suite_spec scenarios)
 
 (* A series address is "run/name"; PATTERN is a case-sensitive
    substring of it.  Counters plot as per-interval rates — the level of
@@ -300,22 +248,12 @@ let run_diff old_path new_path tolerance_pct =
 
 (* Wall-clock throughput of the engine itself; see Perf.  Serial by
    design — measuring real time wants the machine to itself. *)
-let run_perf rs baseline_path tolerance_pct =
-  let unsupported =
-    [
-      "scale"; "jobs"; "seed"; "trace"; "report"; "metrics"; "faults";
-      "profile"; "perfetto"; "flight";
-    ]
-  in
-  match check_unused ~cmd:"perf (serial by design)" rs unsupported with
+let run_perf json_path baseline_path tolerance_pct =
+  match R.check_outputs [ ("json", json_path) ] with
   | Some msg -> `Error (false, msg)
-  | None -> (
-      let json_path = rs.R.rs_json in
-      match R.check_outputs [ ("json", json_path) ] with
-      | Some msg -> `Error (false, msg)
-      | None ->
-          if tolerance_pct < 0.0 then `Error (false, "--tolerance must be >= 0")
-          else begin
+  | None ->
+      if tolerance_pct < 0.0 then `Error (false, "--tolerance must be >= 0")
+      else begin
         let baseline =
           (* Read the baseline before the minutes-long measurement so a
              bad path fails fast. *)
@@ -361,7 +299,7 @@ let run_perf rs baseline_path tolerance_pct =
                         (List.length v.Perf.regressions)
                         tolerance_pct )
                 else `Ok ())
-      end)
+      end
 
 let list_faults () =
   List.iter
@@ -407,9 +345,8 @@ let validate_json path =
                  renofs-scenario/1, renofs-fault/1, renofs-perf/1 or \
                  renofs-profile/1)" ))
 
-(* The one flag surface.  Every subcommand parses the same options with
-   the same help text into a Run_spec; a scenario file's "run" object
-   carries the same fields. *)
+(* The run flags, each with one help text; {!spec_term} picks a
+   subcommand's. *)
 
 let full_flag =
   Arg.(
@@ -521,27 +458,36 @@ let flight_arg =
            trace-ring tail, metrics tail, self-profile snapshot, run spec \
            and seed — for post-mortem without a rerun.")
 
-let spec_term =
-  let make full scale jobs seed json trace report metrics faults profile
-      perfetto flight =
+(* The Run_spec of the run flags; [scale], [seed] and [faults] say
+   whether the subcommand takes those flags.  A flag it does not take is
+   an unknown option to Cmdliner, and its field stays unset. *)
+let spec_term ~scale ~seed ~faults =
+  let only on term = if on then term else Term.const None in
+  let scale_term =
+    Term.(
+      const (fun full scale -> if full then Some E.Full else scale)
+      $ full_flag $ scale_arg)
+  in
+  let make rs_scale rs_jobs rs_seed rs_json rs_trace rs_report rs_metrics
+      rs_faults rs_profile rs_perfetto rs_flight =
     {
-      R.rs_scale = (if full then Some E.Full else scale);
-      rs_jobs = jobs;
-      rs_seed = seed;
-      rs_json = json;
-      rs_trace = trace;
-      rs_report = report;
-      rs_metrics = metrics;
-      rs_faults = faults;
-      rs_profile = profile;
-      rs_perfetto = perfetto;
-      rs_flight = flight;
+      R.rs_scale;
+      rs_jobs;
+      rs_seed;
+      rs_json;
+      rs_trace;
+      rs_report;
+      rs_metrics;
+      rs_faults;
+      rs_profile;
+      rs_perfetto;
+      rs_flight;
     }
   in
   Term.(
-    const make $ full_flag $ scale_arg $ jobs_arg $ seed_arg $ json_arg
-    $ trace_arg $ report_flag $ metrics_arg $ faults_arg $ profile_arg
-    $ perfetto_arg $ flight_arg)
+    const make $ only scale scale_term $ jobs_arg $ only seed seed_arg
+    $ json_arg $ trace_arg $ report_flag $ metrics_arg $ only faults faults_arg
+    $ profile_arg $ perfetto_arg $ flight_arg)
 
 let id_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT"
@@ -550,7 +496,8 @@ let id_arg =
 let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment and print its table")
-    Term.(ret (const run_one $ id_arg $ spec_term))
+    Term.(
+      ret (const run_one $ id_arg $ spec_term ~scale:true ~seed:false ~faults:true))
 
 let plot_cmd =
   let metrics_file =
@@ -613,7 +560,7 @@ let chaos_cmd =
        ~doc:
          "Run the fault-schedule x transport matrix and check the recovery \
           invariants; exits non-zero on any violation")
-    Term.(ret (const run_chaos $ spec_term))
+    Term.(ret (const run_chaos $ spec_term ~scale:true ~seed:true ~faults:false))
 
 let fuzz_cmd =
   let seeds_arg =
@@ -641,9 +588,20 @@ let fuzz_cmd =
           reorder/storm) across the three transports and the v3 profile \
           under load; exits non-zero on any invariant or data-integrity \
           violation, stuck driver, or uncaught exception")
-    Term.(ret (const run_fuzz $ spec_term $ seeds_arg $ no_checksum_flag))
+    Term.(
+      ret
+        (const run_fuzz
+        $ spec_term ~scale:true ~seed:true ~faults:false
+        $ seeds_arg $ no_checksum_flag))
 
 let perf_cmd =
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:"Write the measurement as JSON (schema renofs-perf/1) to $(docv).")
+  in
   let baseline_arg =
     Arg.(
       value
@@ -667,7 +625,7 @@ let perf_cmd =
          "Measure wall-clock engine throughput (events/s, RPCs/s) over the \
           fixed graph5 full cell set; optionally write a renofs-perf/1 JSON \
           and gate against a baseline")
-    Term.(ret (const run_perf $ spec_term $ baseline_arg $ tolerance))
+    Term.(ret (const run_perf $ json_arg $ baseline_arg $ tolerance))
 
 let faults_cmd =
   Cmd.v
@@ -677,7 +635,7 @@ let faults_cmd =
 let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment")
-    Term.(ret (const run_all $ spec_term))
+    Term.(ret (const run_all $ spec_term ~scale:true ~seed:false ~faults:true))
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List experiment ids") Term.(const list_ids $ const ())
@@ -699,7 +657,11 @@ let slo_cmd =
           fault timeline — and judge each against its SLOs (p99 latency per \
           op class, availability, recovery time, integrity invariants); \
           exits non-zero on any breach, naming the violated SLOs")
-    Term.(ret (const run_slo $ spec_term $ scenarios_arg))
+    Term.(
+      ret
+        (const run_slo
+        $ spec_term ~scale:false ~seed:false ~faults:false
+        $ scenarios_arg))
 
 let validate_cmd =
   let file_arg =

@@ -501,14 +501,14 @@ let create_udp_fixed stack ~server ?(timeo = 1.0) ?max_retries ?uid ?gid () =
   start_udp_receiver t;
   t
 
-let create_udp_dynamic stack ~server ?(timeo = 1.0) ?max_retries ?uid ?gid
-    ?(cwnd_init = 4.0) ?(cwnd_max = 12.0) () =
+let create_udp_dynamic stack ~server ?(timeo = 1.0) ?max_retries ?uid ?gid () =
   let node = Udp.node stack in
   let sock = Udp.bind_ephemeral stack in
   let t =
     base node
       ~mode:(Udp_dynamic (fresh_estimators ()))
-      ~sock:(Some sock) ~server ~timeo ?max_retries ?uid ?gid ~cwnd_init ~cwnd_max ()
+      ~sock:(Some sock) ~server ~timeo ?max_retries ?uid ?gid ~cwnd_init:4.0
+      ~cwnd_max:12.0 ()
   in
   start_udp_receiver t;
   t

@@ -59,10 +59,11 @@ val create_udp_dynamic :
   ?max_retries:int ->
   ?uid:int ->
   ?gid:int ->
-  ?cwnd_init:float ->
-  ?cwnd_max:float ->
   unit ->
   t
+(** The dynamic transport: per-procedure RTO estimators and a
+    congestion window of outstanding RPCs that opens at 4 and grows to
+    at most 12. *)
 
 val create_tcp :
   Renofs_transport.Tcp.stack ->

@@ -143,7 +143,7 @@ let register_metrics t =
 
 let create node ?(profile = reno_profile) ~udp ?tcp () =
   let sim = Node.sim node in
-  let disk = Disk.create sim () in
+  let disk = Disk.create sim in
   let fs = Fs.create sim (Node.cpu node) disk (fs_config profile) in
   let t =
     {

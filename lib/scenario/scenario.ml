@@ -702,12 +702,3 @@ let suite_spec scenarios =
     sp_cells = List.map cell scenarios;
     sp_assemble = (fun outs -> outs);
   }
-
-let failures (results : E.results) =
-  List.filter_map
-    (fun row ->
-      match (List.nth_opt row 0, List.rev row) with
-      | Some (E.Text name), E.Text verdict :: _ when E.failed_verdict verdict ->
-          Some (name ^ ": " ^ verdict)
-      | _ -> None)
-    results.E.r_rows

@@ -7,7 +7,7 @@
     diurnal curves, flash crowds, bulk phases), a fault timeline
     (reusing [renofs-fault/1] action objects verbatim), an {!slo} to
     judge the run against, and a {!Renofs_workload.Run_spec.t} run
-    section sharing the CLI's flag surface.
+    section holding [nfsbench slo]'s flags.
 
     [nfsbench slo] compiles each scenario to one experiment cell
     ({!cell}), so a suite sweeps under the ordinary deterministic
@@ -16,7 +16,8 @@
     operation class, availability over fixed windows, worst
     crash-to-service recovery gap, and the
     {!Renofs_fault.Fault.Check} integrity invariants — and the verdict
-    column says [PASS] or [FAIL:] followed by the violated SLO names. *)
+    column says [PASS] or [FAIL:] followed by the violated SLO names;
+    {!Renofs_workload.Experiments.failures} names the failing cells. *)
 
 type world = {
   w_servers : int;  (** 1 .. 90 *)
@@ -186,8 +187,3 @@ val cell : t -> Renofs_workload.Experiments.cell
 val suite_spec : t list -> Renofs_workload.Experiments.spec
 (** The ["slo"] spec: one {!cell} per scenario, rows in scenario
     order. *)
-
-val failures : Renofs_workload.Experiments.results -> string list
-(** ["<scenario>: <verdict>"] for each row whose verdict fails
-    ({!Renofs_workload.Experiments.failed_verdict}) — the [nfsbench slo]
-    exit-code and stderr source. *)

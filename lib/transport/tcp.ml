@@ -561,7 +561,10 @@ let conn_input c (h : header) payload =
 (* Stack                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let make_conn stack ~local_port ~peer ~peer_port ~mss ~rcv_buffer ~state =
+(* Per-connection receive buffer, bytes. *)
+let rcv_buffer = 16384
+
+let make_conn stack ~local_port ~peer ~peer_port ~mss ~state =
   {
     stack;
     local_port;
@@ -605,17 +608,15 @@ let make_conn stack ~local_port ~peer ~peer_port ~mss ~rcv_buffer ~state =
     n_bytes_sent = 0;
   }
 
-let default_rcv_buffer = 16384
-
-let install ?(send_instructions = 480.0) ?(recv_instructions = 480.0)
-    ?(ack_instructions = 200.0) node =
+(* Per-segment protocol processing, in instructions. *)
+let install node =
   let per n = Cpu.seconds_of_instructions (Node.cpu node) n in
   let stack =
     {
       node;
-      send_cost = per send_instructions;
-      recv_cost = per recv_instructions;
-      ack_cost = per ack_instructions;
+      send_cost = per 480.0;
+      recv_cost = per 480.0;
+      ack_cost = per 200.0;
       listeners = Hashtbl.create 8;
       conns = Hashtbl.create 32;
       next_ephemeral = 50000;
@@ -661,8 +662,7 @@ let install ?(send_instructions = 480.0) ?(recv_instructions = 480.0)
             | Some accept_fn when h.flags land flag_syn <> 0 ->
                 let conn =
                   make_conn stack ~local_port:dg.Node.dst_port ~peer:dg.Node.src
-                    ~peer_port:dg.Node.src_port ~mss:512
-                    ~rcv_buffer:default_rcv_buffer ~state:Syn_received
+                    ~peer_port:dg.Node.src_port ~mss:512 ~state:Syn_received
                 in
                 conn.rcv_nxt <- 1;
                 conn.snd_nxt <- 1;
@@ -683,7 +683,7 @@ let listen stack ~port fn =
     invalid_arg (Printf.sprintf "Tcp.listen: port %d in use" port);
   Hashtbl.replace stack.listeners port fn
 
-let connect ?(mss = 512) ?(rcv_buffer = default_rcv_buffer) stack ~dst ~dst_port =
+let connect ?(mss = 512) stack ~dst ~dst_port =
   let rec pick () =
     let p = stack.next_ephemeral in
     stack.next_ephemeral <- stack.next_ephemeral + 1;
@@ -691,7 +691,7 @@ let connect ?(mss = 512) ?(rcv_buffer = default_rcv_buffer) stack ~dst ~dst_port
   in
   let local_port = pick () in
   let conn =
-    make_conn stack ~local_port ~peer:dst ~peer_port:dst_port ~mss ~rcv_buffer
+    make_conn stack ~local_port ~peer:dst ~peer_port:dst_port ~mss
       ~state:Syn_sent
   in
   Hashtbl.replace stack.conns (local_port, dst, dst_port) conn;

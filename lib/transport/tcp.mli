@@ -32,15 +32,10 @@ type stats = {
   cwnd : float;
 }
 
-val install :
-  ?send_instructions:float ->
-  ?recv_instructions:float ->
-  ?ack_instructions:float ->
-  Renofs_net.Node.t ->
-  stack
-(** Claim the node's TCP input.  The instruction counts are per-segment
-    protocol-processing costs (defaults 480 / 480 / 200), converted to
-    seconds on this node's CPU. *)
+val install : Renofs_net.Node.t -> stack
+(** Claim the node's TCP input.  Protocol processing costs 480
+    instructions per data segment sent or received and 200 per pure
+    ACK received, converted to seconds on this node's CPU. *)
 
 val node : stack -> Renofs_net.Node.t
 
@@ -53,10 +48,10 @@ val listen : stack -> port:int -> (conn -> unit) -> unit
 (** Accept connections on [port]; the callback runs as a new process per
     connection. *)
 
-val connect :
-  ?mss:int -> ?rcv_buffer:int -> stack -> dst:int -> dst_port:int -> conn
+val connect : ?mss:int -> stack -> dst:int -> dst_port:int -> conn
 (** Active open; blocks until established.  [mss] defaults to 512, the
     4.3BSD choice for non-local destinations (1460 is the on-LAN value).
+    Every connection has a 16 KiB receive buffer.
     Raises {!Connect_timeout} after repeated unanswered SYNs. *)
 
 val send : conn -> Renofs_mbuf.Mbuf.t -> unit

@@ -29,18 +29,13 @@ and stack = {
 
 (* 0.2 ms of socket-layer work on a 0.9 MIPS machine = 180 instructions'
    worth; scale with CPU speed via instruction count. *)
-let default_sock_instructions = 180.0
+let sock_instructions = 180.0
 
-let install ?sock_cost ?(checksum = true) node =
-  let cost =
-    match sock_cost with
-    | Some c -> c
-    | None -> Cpu.seconds_of_instructions (Node.cpu node) default_sock_instructions
-  in
+let install ?(checksum = true) node =
   let stack =
     {
       node;
-      sock_cost = cost;
+      sock_cost = Cpu.seconds_of_instructions (Node.cpu node) sock_instructions;
       checksum;
       sockets = Hashtbl.create 16;
       next_ephemeral = 40000;

@@ -19,10 +19,10 @@ type datagram = {
   arrived_at : float;
 }
 
-val install : ?sock_cost:float -> ?checksum:bool -> Renofs_net.Node.t -> stack
-(** Claim the node's UDP input.  [sock_cost] is CPU seconds of socket-
-    layer processing charged per datagram in each direction (default
-    0.2 ms at MicroVAXII scale: scaled by the node's MIPS).
+val install : ?checksum:bool -> Renofs_net.Node.t -> stack
+(** Claim the node's UDP input.  Each datagram is charged 180
+    instructions of socket-layer processing in each direction (0.2 ms
+    on a 0.9-MIPS MicroVAXII, scaled by the node's MIPS).
 
     [checksum] (default [true]) controls the optional UDP checksum:
     senders attach [(length, Internet checksum)] metadata and receivers

@@ -3,22 +3,21 @@ module Proc = Renofs_engine.Proc
 
 type t = {
   sim : Sim.t;
-  avg_seek : float;
-  avg_rotation : float;
-  transfer_rate : float;
   lock : Proc.Semaphore.t;
   mutable reads : int;
   mutable writes : int;
   mutable busy : float;
 }
 
-let create sim ?(avg_seek = 0.030) ?(avg_rotation = 0.0083)
-    ?(transfer_rate = 0.6e6) () =
+(* An RD53: average seek and rotational delay in seconds, transfer in
+   bytes per second. *)
+let avg_seek = 0.030
+let avg_rotation = 0.0083
+let transfer_rate = 0.6e6
+
+let create sim =
   {
     sim;
-    avg_seek;
-    avg_rotation;
-    transfer_rate;
     lock = Proc.Semaphore.create sim 1;
     reads = 0;
     writes = 0;
@@ -27,7 +26,7 @@ let create sim ?(avg_seek = 0.030) ?(avg_rotation = 0.0083)
 
 let io t ~bytes =
   let service =
-    t.avg_seek +. t.avg_rotation +. (float_of_int bytes /. t.transfer_rate)
+    avg_seek +. avg_rotation +. (float_of_int bytes /. transfer_rate)
   in
   Proc.Semaphore.acquire t.lock;
   t.busy <- t.busy +. service;

@@ -1,5 +1,5 @@
-(** A simple seek + rotation + transfer disk model (RD53-class by
-    default), serving one request at a time.
+(** A simple seek + rotation + transfer disk model of an RD53, serving
+    one request at a time.
 
     NFSv2 servers must push every write RPC to stable storage before
     replying — "every write RPC requires 1-3 disk writes on the server"
@@ -8,15 +8,9 @@
 
 type t
 
-val create :
-  Renofs_engine.Sim.t ->
-  ?avg_seek:float ->
-  ?avg_rotation:float ->
-  ?transfer_rate:float ->
-  unit ->
-  t
-(** Defaults model an RD53: 30 ms average seek, 8.3 ms rotational delay
-    (3600 rpm), 0.6 MB/s transfer. *)
+val create : Renofs_engine.Sim.t -> t
+(** Each I/O costs a 30 ms average seek, 8.3 ms of rotational delay
+    (3600 rpm) and its bytes at 0.6 MB/s. *)
 
 val read : t -> bytes:int -> unit
 (** Block the calling process for one read I/O of [bytes]. *)

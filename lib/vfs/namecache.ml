@@ -1,16 +1,17 @@
 type stats = { mutable hits : int; mutable misses : int; mutable too_long : int }
 
 type t = {
-  max_name_len : int;
   capacity : int;
   table : (int * string, int) Hashtbl.t;
   order : (int * string) Queue.t; (* FIFO eviction order *)
   stats : stats;
 }
 
-let create ?(max_name_len = 31) ?(capacity = 256) () =
+(* 4.3BSD Reno's NCHNAMLEN. *)
+let max_name_len = 31
+
+let create ?(capacity = 256) () =
   {
-    max_name_len;
     capacity;
     table = Hashtbl.create capacity;
     order = Queue.create ();
@@ -18,7 +19,7 @@ let create ?(max_name_len = 31) ?(capacity = 256) () =
   }
 
 let lookup t ~dir name =
-  if String.length name > t.max_name_len then begin
+  if String.length name > max_name_len then begin
     t.stats.too_long <- t.stats.too_long + 1;
     None
   end
@@ -37,7 +38,7 @@ let evict_one t =
   | None -> ()
 
 let enter t ~dir name ino =
-  if String.length name <= t.max_name_len then begin
+  if String.length name <= max_name_len then begin
     let key = (dir, name) in
     if not (Hashtbl.mem t.table key) then begin
       while Hashtbl.length t.table >= t.capacity do

@@ -15,8 +15,9 @@ type stats = {
   mutable too_long : int;  (** lookups skipped because the name is > 31 chars *)
 }
 
-val create : ?max_name_len:int -> ?capacity:int -> unit -> t
-(** Defaults: 31-character limit, 256 entries, LRU-ish FIFO eviction. *)
+val create : ?capacity:int -> unit -> t
+(** Names up to 31 characters; [capacity] entries (default 256),
+    LRU-ish FIFO eviction. *)
 
 val lookup : t -> dir:int -> string -> int option
 val enter : t -> dir:int -> string -> int -> unit

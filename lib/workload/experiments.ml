@@ -141,145 +141,109 @@ let render r =
 
 let failed_verdict s = String.starts_with ~prefix:"FAIL" s
 
-(* A cell that failed, in its own verdict: any row value that is a
-   failed verdict text — chaos/fuzz invariant verdicts, the fuzzer's
-   FAIL:stuck / FAIL:exn rows, a scenario's SLO-breach verdict. *)
+(* A cell that failed, in its own verdict: the last value of its row
+   when that is a failed verdict text — chaos/fuzz invariant verdicts,
+   the fuzzer's FAIL:stuck / FAIL:exn rows, a scenario's SLO-breach
+   verdict.  The other columns hold names, which may start with
+   anything. *)
 let fail_value out =
-  List.find_map
-    (function Text s when failed_verdict s -> Some s | _ -> None)
-    out
+  match List.rev out with
+  | Text s :: _ when failed_verdict s -> Some s
+  | _ -> None
 
-(* Each cell records into its own sinks (trace, metrics and profile
-   alike); the sinks are merged into the main ones in cell order after
-   the sweep, so the combined streams are identical to a serial run's
-   (trace segments stay mark-delimited; metrics runs keep start order;
-   profile counters commute).
+let failures spec results =
+  List.filter_map
+    (fun (c, row) -> Option.map (fun v -> (c.cell_label, v)) (fail_value row))
+    (List.combine spec.sp_cells results.r_rows)
 
-   An armed flight recorder forces a private trace sink (as large as
-   the bundle's tail) and profile on every cell even when the caller
-   asked for neither, so a failing cell always has a tail and a
-   snapshot to dump.  Dumps happen inside the cell body — in the worker
-   domain, before [Sweep.run] re-raises — so a [Driver_stuck] on one
-   cell cannot lose another cell's bundle. *)
-let run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics cells =
-  let trace_sinks =
-    match (trace, flight) with
-    | Some main, _ ->
-        let cap = Trace.capacity main in
-        List.map (fun _ -> Some (Trace.create ~capacity:cap ())) cells
-    | None, Some _ ->
-        List.map
-          (fun _ -> Some (Trace.create ~capacity:Flight.tail_records ()))
-          cells
-    | None, None -> List.map (fun _ -> None) cells
+(* A cell's ctx: a private sink of each kind the runner holds.  An armed
+   flight recorder forces a private trace sink (as large as the bundle's
+   tail) and profile on every cell even when the caller asked for
+   neither, so a failing cell always has a tail and a snapshot to
+   dump. *)
+let cell_ctx ?trace ?faults ?metrics ?profile ?flight c =
+  {
+    trace =
+      (match (trace, flight) with
+      | Some main, _ -> Some (Trace.create ~capacity:(Trace.capacity main) ())
+      | None, Some _ -> Some (Trace.create ~capacity:Flight.tail_records ())
+      | None, None -> None);
+    faults;
+    metrics =
+      Option.map
+        (fun main -> Metrics.create ~interval:(Metrics.interval main) ())
+        metrics;
+    profile =
+      (if Option.is_some profile || Option.is_some flight then
+         Some (Profile.create ())
+       else None);
+    cell_label = c.cell_label;
+  }
+
+(* Dumps happen inside the cell body — in the worker domain, before
+   [Sweep.run] re-raises — so a [Driver_stuck] on one cell cannot lose
+   another cell's bundle. *)
+let run_cell ?flight c ctx () =
+  Option.iter Profile.start ctx.profile;
+  let finish () = Option.iter Profile.stop ctx.profile in
+  let dump reason =
+    Option.iter
+      (fun f ->
+        ignore
+          (Flight.dump f ~label:c.cell_label ~reason ?trace:ctx.trace
+             ?metrics:ctx.metrics ?profile:ctx.profile ()))
+      flight
   in
-  let metric_sinks =
-    match metrics with
-    | None -> List.map (fun _ -> None) cells
-    | Some main ->
-        List.map
-          (fun _ -> Some (Metrics.create ~interval:(Metrics.interval main) ()))
-          cells
-  in
-  let profile_sinks =
-    match (profile, flight) with
-    | Some _, _ | None, Some _ ->
-        List.map (fun _ -> Some (Profile.create ())) cells
-    | None, None -> List.map (fun _ -> None) cells
-  in
-  let run_one c ctx =
-    (match ctx.profile with Some p -> Profile.start p | None -> ());
-    let finish () =
-      match ctx.profile with Some p -> Profile.stop p | None -> ()
-    in
-    let dump reason =
-      match flight with
-      | None -> ()
-      | Some f ->
-          ignore
-            (Flight.dump f ~label:c.cell_label ~reason ?trace:ctx.trace
-               ?metrics:ctx.metrics ?profile:ctx.profile ())
-    in
-    match c.cell_run ctx with
-    | out ->
-        finish ();
-        (match fail_value out with Some reason -> dump reason | None -> ());
-        out
-    | exception e ->
-        finish ();
-        (match e with Driver_stuck msg -> dump msg | _ -> ());
-        raise e
-  in
+  match c.cell_run ctx with
+  | out ->
+      finish ();
+      Option.iter dump (fail_value out);
+      out
+  | exception e ->
+      finish ();
+      (match e with Driver_stuck msg -> dump msg | _ -> ());
+      raise e
+
+(* Every spec's cells run in one pool, so single-cell experiments
+   overlap their neighbours instead of serialising the tail.  Each cell
+   records into its own sinks; after the sweep one pass in cell order
+   merges them into the main ones, so the combined streams are identical
+   to a serial run's (trace segments stay mark-delimited; metrics runs
+   keep start order; profile counters commute). *)
+let run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight specs =
+  let cells = List.concat_map (fun s -> s.sp_cells) specs in
+  let ctxs = List.map (cell_ctx ?trace ?faults ?metrics ?profile ?flight) cells in
   let outs =
     Sweep.run ?jobs
       (List.map2
-         (fun c ((tr, mt), pf) ->
-           Sweep.cell ~label:c.cell_label (fun () ->
-               run_one c
-                 {
-                   trace = tr;
-                   faults;
-                   metrics = mt;
-                   profile = pf;
-                   cell_label = c.cell_label;
-                 }))
-         cells
-         (List.combine (List.combine trace_sinks metric_sinks) profile_sinks))
+         (fun c ctx -> Sweep.cell ~label:c.cell_label (run_cell ?flight c ctx))
+         cells ctxs)
   in
-  (match trace with
-  | Some main ->
-      List.iter
-        (function Some sink -> Trace.merge ~into:main sink | None -> ())
-        trace_sinks
-  | None -> ());
-  (match metrics with
-  | Some main ->
-      List.iter
-        (function Some sink -> Metrics.merge ~into:main sink | None -> ())
-        metric_sinks
-  | None -> ());
-  (match profile with
-  | Some main ->
-      List.iter
-        (function Some sink -> Profile.merge ~into:main sink | None -> ())
-        profile_sinks
-  | None -> ());
-  outs
-
-let run_spec ?jobs ?trace ?faults ?metrics ?profile ?flight spec =
-  let outs =
-    run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics spec.sp_cells
+  let merge main sink f =
+    match (main, sink) with Some into, Some s -> f ~into s | _ -> ()
   in
-  {
-    r_id = spec.sp_id;
-    r_title = spec.sp_title;
-    r_header = spec.sp_header;
-    r_rows = spec.sp_assemble outs;
-  }
-
-let run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight specs =
-  (* One shared pool across every spec: single-cell experiments overlap
-     with their neighbours instead of serialising the tail. *)
-  let outs =
-    run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics
-      (List.concat_map (fun s -> s.sp_cells) specs)
-  in
-  let rec split specs outs =
-    match specs with
+  List.iter
+    (fun ctx ->
+      merge trace ctx.trace Trace.merge;
+      merge metrics ctx.metrics Metrics.merge;
+      merge profile ctx.profile Profile.merge)
+    ctxs;
+  let rec split outs = function
     | [] -> []
     | s :: rest ->
         let k = List.length s.sp_cells in
-        let mine = List.filteri (fun i _ -> i < k) outs in
-        let theirs = List.filteri (fun i _ -> i >= k) outs in
         {
           r_id = s.sp_id;
           r_title = s.sp_title;
           r_header = s.sp_header;
-          r_rows = s.sp_assemble mine;
+          r_rows = s.sp_assemble (List.filteri (fun i _ -> i < k) outs);
         }
-        :: split rest theirs
+        :: split (List.filteri (fun i _ -> i >= k) outs) rest
   in
-  split specs outs
+  split outs specs
+
+let run_spec ?jobs ?trace ?faults ?metrics ?profile ?flight spec =
+  List.hd (run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight [ spec ])
 
 (* ------------------------------------------------------------------ *)
 (* World plumbing                                                     *)
@@ -289,8 +253,7 @@ type world = {
   sim : Sim.t;
   topo : Topology.t;
   server : Nfs_server.t;
-  client_udp : Udp.stack;
-  client_tcp : Tcp.stack;
+  stacks : (Udp.stack * Tcp.stack) array;
 }
 
 (* Attach one observers record to every node in this world: the cell's
@@ -337,34 +300,31 @@ let install_faults ~ctx sim topo servers =
 
 (* [defer_faults] leaves the schedule uninstalled so runners with a
    warmup phase can install it (via {!install_faults}) when the
-   measured run starts. *)
+   measured run starts.  [clients] above 1 needs the "star" topology.
+   Installing a stack schedules no event and draws no randomness, so
+   every stack is installed here, before the caller spawns anything. *)
 let make_world ?(params = Topology.default_params)
     ?(server_profile = Nfs_server.reno_profile) ?(defer_faults = false)
-    ?(udp_checksum = true) ?run_label ~ctx ~topology () =
+    ?(udp_checksum = true) ?(clients = 1) ?run_label ~ctx ~topology () =
   let sim = Sim.create () in
   let topo =
     Topology.build sim
-      { Topology.shape = Topology.shape_of_name topology; clients = 1; params }
+      { Topology.shape = Topology.shape_of_name topology; clients; params }
   in
   attach_observers ctx sim topo (Option.value run_label ~default:topology);
-  let sudp = Udp.install ~checksum:udp_checksum topo.Topology.server in
-  let stcp = Tcp.install topo.Topology.server in
+  let stacks node =
+    let udp = Udp.install ~checksum:udp_checksum node in
+    (udp, Tcp.install node)
+  in
+  let sudp, stcp = stacks topo.Topology.server in
   let server =
     Nfs_server.create topo.Topology.server ~profile:server_profile ~udp:sudp
       ~tcp:stcp ()
   in
   Nfs_server.start server;
-  let world =
-    {
-      sim;
-      topo;
-      server;
-      client_udp = Udp.install ~checksum:udp_checksum topo.Topology.client;
-      client_tcp = Tcp.install topo.Topology.client;
-    }
-  in
+  let stacks = Array.of_list (List.map stacks topo.Topology.clients) in
   if not defer_faults then install_faults ~ctx sim topo [ server ];
-  world
+  { sim; topo; server; stacks }
 
 let advance_until ~label ~window sim finished =
   let windows = ref 0 in
@@ -400,8 +360,9 @@ let mount_opts_for ~transport ~topology =
   in
   { base with Nfs_client.mss = mss_for topology }
 
-let mount_in world opts =
-  Nfs_client.mount ~udp:world.client_udp ~tcp:world.client_tcp
+let mount_in ?(client = 0) world opts =
+  let udp, tcp = world.stacks.(client) in
+  Nfs_client.mount ~udp ~tcp
     ~server:(Topology.server_id world.topo)
     ~root:(Nfs_server.root_fhandle world.server)
     opts
@@ -574,6 +535,35 @@ let table1_spec scale =
       in
       [ rate2 r.Nhfsstone.read_rate ])
 
+(* Server CPU seconds and bytes copied per RPC served over one
+   read/lookup Nhfsstone run on the LAN, after the preload and mount. *)
+let server_cost_per_rpc ?params ?run_label ~ctx ~label ~transport ~rate
+    ~duration ~seed () =
+  let world = make_world ?params ?run_label ~ctx ~topology:"lan" () in
+  drive ~label world (fun () ->
+      Fileset.preload_server world.server standard_fileset;
+      let m = mount_in world (mount_opts_for ~transport ~topology:"lan") in
+      let cpu = Node.cpu world.topo.Topology.server in
+      let ctr = Node.copy_counters world.topo.Topology.server in
+      let busy0 = Cpu.busy_time cpu
+      and served0 = Nfs_server.rpcs_served world.server
+      and copied0 = ctr.Renofs_mbuf.Mbuf.Counters.bytes_copied in
+      let _ =
+        Nhfsstone.run m standard_fileset
+          {
+            Nhfsstone.rate;
+            duration;
+            children = 4;
+            mix = Nhfsstone.read_lookup_mix;
+            seed;
+          }
+      in
+      let served = Nfs_server.rpcs_served world.server - served0 in
+      let busy = Cpu.busy_time cpu -. busy0 in
+      let copied = ctr.Renofs_mbuf.Mbuf.Counters.bytes_copied - copied0 in
+      if served = 0 then (0.0, 0)
+      else (busy /. float_of_int served, copied / served))
+
 let graph6_spec scale =
   let duration = sweep_duration scale in
   grid ~id:"graph6" ~title:"Server CPU overhead per RPC, UDP vs TCP, read mix"
@@ -581,27 +571,9 @@ let graph6_spec scale =
     ~rows:(load_rows (sweep_loads scale))
     ~columns:[ ("udp", `Udp_fixed); ("tcp", `Tcp) ]
     (fun ctx load (name, transport) ->
-      let world = make_world ~ctx ~topology:"lan" () in
-      let per_rpc =
-        drive ~label:(Printf.sprintf "graph6/%s" name) world (fun () ->
-            Fileset.preload_server world.server standard_fileset;
-            let m = mount_in world (mount_opts_for ~transport ~topology:"lan") in
-            let cpu = Node.cpu world.topo.Topology.server in
-            let busy0 = Cpu.busy_time cpu
-            and served0 = Nfs_server.rpcs_served world.server in
-            let _ =
-              Nhfsstone.run m standard_fileset
-                {
-                  Nhfsstone.rate = load;
-                  duration;
-                  children = 4;
-                  mix = Nhfsstone.read_lookup_mix;
-                  seed = 13;
-                }
-            in
-            let served = Nfs_server.rpcs_served world.server - served0 in
-            if served = 0 then 0.0
-            else (Cpu.busy_time cpu -. busy0) /. float_of_int served)
+      let per_rpc, _ =
+        server_cost_per_rpc ~ctx ~label:(Printf.sprintf "graph6/%s" name)
+          ~transport ~rate:load ~duration ~seed:13 ()
       in
       [ ms per_rpc ])
 
@@ -823,7 +795,7 @@ let table5_spec scale =
     (* Purely local: no network, nothing to trace. *)
     let sim = Sim.create () in
     let cpu = Cpu.create sim ~mips:0.9 in
-    let disk = Disk.create sim () in
+    let disk = Disk.create sim in
     let fs = Fs.create sim cpu disk Fs.local_config in
     let result = ref None in
     Proc.spawn sim (fun () ->
@@ -876,31 +848,10 @@ let section3_spec scale =
       cell_run =
         (fun ctx ->
           let params = { Topology.default_params with Topology.server_nic = nic } in
-          let world = make_world ~params ~run_label:name ~ctx ~topology:"lan" () in
           let cpu_per_rpc, copied_per_rpc =
-            drive ~label:("section3/" ^ name) world (fun () ->
-                Fileset.preload_server world.server standard_fileset;
-                let m = mount_in world (mount_opts_for ~transport:`Udp_fixed ~topology:"lan") in
-                let cpu = Node.cpu world.topo.Topology.server in
-                let ctr = Node.copy_counters world.topo.Topology.server in
-                let busy0 = Cpu.busy_time cpu
-                and served0 = Nfs_server.rpcs_served world.server
-                and copied0 = ctr.Renofs_mbuf.Mbuf.Counters.bytes_copied in
-                let _ =
-                  Nhfsstone.run m standard_fileset
-                    {
-                      Nhfsstone.rate = 20.0;
-                      duration;
-                      children = 4;
-                      mix = Nhfsstone.read_lookup_mix;
-                      seed = 5;
-                    }
-                in
-                let served = Nfs_server.rpcs_served world.server - served0 in
-                let busy = Cpu.busy_time cpu -. busy0 in
-                let copied = ctr.Renofs_mbuf.Mbuf.Counters.bytes_copied - copied0 in
-                ( (if served = 0 then 0.0 else busy /. float_of_int served),
-                  if served = 0 then 0 else copied / served ))
+            server_cost_per_rpc ~params ~run_label:name ~ctx
+              ~label:("section3/" ^ name) ~transport:`Udp_fixed ~rate:20.0
+              ~duration ~seed:5 ()
           in
           [ ms cpu_per_rpc; byte_count copied_per_rpc ]);
     }
@@ -995,61 +946,40 @@ let scaling_spec scale =
       cell_label = label;
       cell_run =
         (fun ctx ->
-          let sim = Sim.create () in
-          let topo =
-            Topology.build sim
-              {
-                Topology.shape = Topology.Star;
-                clients = n;
-                params = Topology.default_params;
-              }
+          let world =
+            make_world ~defer_faults:true ~clients:n ~run_label:label ~ctx
+              ~topology:"star" ()
           in
-          let clients = topo.Topology.clients in
-          attach_observers ctx sim topo label;
-          let sudp = Udp.install topo.Topology.server in
-          let stcp = Tcp.install topo.Topology.server in
-          let server =
-            Nfs_server.create topo.Topology.server ~profile:Nfs_server.reno_profile
-              ~udp:sudp ~tcp:stcp ()
-          in
-          Nfs_server.start server;
+          let sim = world.sim in
           let finished = ref 0 in
           let achieved = ref 0.0 and latency = ref 0.0 in
           let ready = Proc.Ivar.create sim in
-          let cpu = Node.cpu topo.Topology.server in
+          let cpu = Node.cpu world.topo.Topology.server in
           let load_start = ref (0.0, 0.0) in
           Proc.spawn sim (fun () ->
-              Fileset.preload_server server standard_fileset;
+              Fileset.preload_server world.server standard_fileset;
               (* Measure server CPU only over the loaded phase. *)
               load_start := (Sim.now sim, Cpu.busy_time cpu);
-              install_faults ~ctx sim topo [ server ];
+              install_faults ~ctx sim world.topo [ world.server ];
               Proc.Ivar.fill ready ());
-          List.iteri
-            (fun i client ->
-              let cudp = Udp.install client in
-              let ctcp = Tcp.install client in
-              Proc.spawn sim (fun () ->
-                  Proc.Ivar.read ready;
-                  let m =
-                    Nfs_client.mount ~udp:cudp ~tcp:ctcp
-                      ~server:(Topology.server_id topo)
-                      ~root:(Nfs_server.root_fhandle server)
-                      Nfs_client.reno_mount
-                  in
-                  let r =
-                    Nhfsstone.run m standard_fileset
-                      {
-                        Nhfsstone.rate = per_client_rate;
-                        duration;
-                        children = 3;
-                        mix = Nhfsstone.read_lookup_mix;
-                        seed = 31 + i;
-                      }
-                  in
-                  achieved := !achieved +. r.Nhfsstone.achieved;
-                  latency := !latency +. r.Nhfsstone.mean_op_latency;
-                  incr finished))
-            clients;
+          for i = 0 to n - 1 do
+            Proc.spawn sim (fun () ->
+                Proc.Ivar.read ready;
+                let m = mount_in ~client:i world Nfs_client.reno_mount in
+                let r =
+                  Nhfsstone.run m standard_fileset
+                    {
+                      Nhfsstone.rate = per_client_rate;
+                      duration;
+                      children = 3;
+                      mix = Nhfsstone.read_lookup_mix;
+                      seed = 31 + i;
+                    }
+                in
+                achieved := !achieved +. r.Nhfsstone.achieved;
+                latency := !latency +. r.Nhfsstone.mean_op_latency;
+                incr finished)
+          done;
           advance_until ~label ~window:50.0 sim (fun () -> !finished >= n);
           let since_time, since_busy = !load_start in
           let util = Cpu.utilization cpu ~since_time ~since_busy in
@@ -1403,10 +1333,11 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
                 @ [ integrity ]
               in
               let tr = Nfs_client.transport m in
+              let cudp, ctcp = world.stacks.(0) in
               let ckdrops =
-                Udp.checksum_drops world.client_udp
+                Udp.checksum_drops cudp
                 + Udp.checksum_drops (Nfs_server.udp_stack world.server)
-                + Tcp.checksum_drops world.client_tcp
+                + Tcp.checksum_drops ctcp
                 + (match Nfs_server.tcp_stack world.server with
                   | Some s -> Tcp.checksum_drops s
                   | None -> 0)

@@ -4,10 +4,11 @@
     An experiment is declared as a list of {!cell}s — one self-contained
     measurement per (transport x load x topology x profile) point, each
     building its own fresh world — plus an assembly function that turns
-    the typed per-cell results into rows.  {!run_spec} executes the
-    cells, serially or across domains via {!Sweep}, and returns typed
+    the typed per-cell results into rows.  {!run_specs} executes the
+    cells of any number of specs in one {!Sweep} pool and returns typed
     {!results}; {!render} turns those into the printable string
-    {!table}.  No runner formats measurement strings itself.
+    {!table}, and {!failures} names the cells whose verdict failed.
+    No runner formats measurement strings itself.
 
     [Quick] scale keeps every experiment in seconds of wall time for
     tests; [Full] runs longer sweeps for the bench harness. *)
@@ -50,7 +51,7 @@ type ctx = {
 }
 (** Everything a cell receives from the runner.  The trace, metrics and
     profile sinks, when present, are private to the cell — see
-    {!run_spec}.  The fault schedule, when present, is installed on
+    {!run_specs}.  The fault schedule, when present, is installed on
     every world the cell builds (see {!section-worlds}).  [cell_label]
     labels the cell's metrics runs. *)
 
@@ -78,7 +79,7 @@ type results = {
 val specs : (string * (scale -> spec)) list
 (** Every experiment, keyed by id ("graph1" ... "table5", "section3",
     plus the extensions "leases", "scaling" and "fleet").  Building a
-    spec is cheap — no simulation runs until {!run_spec}. *)
+    spec is cheap — no simulation runs until {!run_specs}. *)
 
 val spec : ?scale:scale -> string -> spec option
 (** Look up and build one spec ([Quick] by default).  The extra id
@@ -112,58 +113,6 @@ val fuzz_spec : ?seeds:int -> ?base_seed:int -> ?checksum:bool -> scale -> spec
     corruption the paper recounts — and under the corrupt profile is
     expected to produce data-integrity violations. *)
 
-val run_spec :
-  ?jobs:int ->
-  ?trace:Renofs_trace.Trace.t ->
-  ?faults:Renofs_fault.Fault.schedule ->
-  ?metrics:Renofs_metrics.Metrics.t ->
-  ?profile:Renofs_profile.Profile.t ->
-  ?flight:Renofs_profile.Flight.t ->
-  spec ->
-  results
-(** Execute a spec's cells across [jobs] domains (default
-    {!Sweep.default_jobs}) and assemble the typed rows.  Results are
-    reassembled by cell index, never completion order, so output is
-    identical for every [jobs].
-
-    Tracing: with [trace], every cell records into a private sink of
-    the same capacity, attached to its worlds and mark-delimited per
-    world; the private sinks are merged into the main one in cell order
-    after the sweep.  The combined stream is therefore race-free and
-    identical to a serial run's.
-
-    Faults: with [faults], the schedule is installed on every world the
-    cells build, so any experiment can run under any schedule (the
-    [nfsbench run ID --faults FILE] path).  Schedule times count from
-    the start of the world's load: after an Nhfsstone sweep's warmup,
-    when a fleet or scaling world has provisioned its files, and at
-    world build for the others.  The chaos and fuzz cells replace it
-    with their own schedules (the CLI refuses [--faults] for them and
-    for [slo]).
-
-    Metrics: with [metrics], every cell samples into a private sink of
-    the same interval, one labelled run per world; the sinks are merged
-    into the main one in cell order after the sweep, so the exported
-    series are byte-identical at any [jobs] (the [nfsbench run ID
-    --metrics FILE] path).
-
-    Profiling: with [profile], every cell gets a private
-    {!Renofs_profile.Profile.t}, which becomes a [Sim] probe on each
-    world the cell builds; the per-cell counters are merged in cell
-    order.  The deterministic slice (enter/fire counts) is identical at
-    any [jobs]; the wall-clock attribution is real time and is not.
-
-    Verdicts: the chaos, fuzz and slo cells fold theirs over every
-    record as it is made ({!verdict_sink}), so they are exact at any
-    run length and the same with or without a trace.
-
-    Flight recorder: with [flight], a private trace sink holding the
-    bundle's tail ({!Renofs_profile.Flight.tail_records} records) and a
-    profile are forced on every cell, and a cell that raises
-    {!Driver_stuck} or returns a row with a {!failed_verdict} value
-    (invariant or SLO verdicts) dumps a post-mortem bundle before the
-    sweep re-raises. *)
-
 val run_specs :
   ?jobs:int ->
   ?trace:Renofs_trace.Trace.t ->
@@ -173,8 +122,62 @@ val run_specs :
   ?flight:Renofs_profile.Flight.t ->
   spec list ->
   results list
-(** As {!run_spec} over several specs, pooling all their cells into one
-    sweep so short experiments overlap long ones. *)
+(** Execute every spec's cells in one sweep across [jobs] domains
+    (default {!Sweep.default_jobs}), so short experiments overlap long
+    ones, and assemble each spec's typed rows.  Results are reassembled
+    by cell index, never completion order, so output is identical for
+    every [jobs].
+
+    Each cell gets one ctx holding a private sink of each kind the
+    runner was given; after the sweep, one pass in cell order merges
+    every cell's trace, metrics and profile sinks into the main ones.
+
+    Tracing: with [trace], every cell records into a private sink of
+    the same capacity, attached to its worlds and mark-delimited per
+    world.  The combined stream is therefore race-free and identical to
+    a serial run's.
+
+    Faults: with [faults], the schedule is installed on every world the
+    cells build, so any experiment can run under any schedule (the
+    [nfsbench run ID --faults FILE] path).  Schedule times count from
+    the start of the world's load: after an Nhfsstone sweep's warmup,
+    when a fleet or scaling world has provisioned its files, and at
+    world build for the others.  The chaos and fuzz cells replace it
+    with their own schedules (the [chaos], [fuzz] and [slo] commands
+    have no [--faults] flag).
+
+    Metrics: with [metrics], every cell samples into a private sink of
+    the same interval, one labelled run per world, so the exported
+    series are byte-identical at any [jobs] (the [nfsbench run ID
+    --metrics FILE] path).
+
+    Profiling: with [profile], every cell gets a private
+    {!Renofs_profile.Profile.t}, which becomes a [Sim] probe on each
+    world the cell builds.  The deterministic slice (enter/fire counts)
+    is identical at any [jobs]; the wall-clock attribution is real time
+    and is not.
+
+    Verdicts: the chaos, fuzz and slo cells fold theirs over every
+    record as it is made ({!verdict_sink}), so they are exact at any
+    run length and the same with or without a trace.
+
+    Flight recorder: with [flight], a private trace sink holding the
+    bundle's tail ({!Renofs_profile.Flight.tail_records} records) and a
+    profile are forced on every cell, and a cell that raises
+    {!Driver_stuck} or returns a row that ends in a {!failed_verdict}
+    text (invariant or SLO verdicts) dumps a post-mortem bundle before
+    the sweep re-raises. *)
+
+val run_spec :
+  ?jobs:int ->
+  ?trace:Renofs_trace.Trace.t ->
+  ?faults:Renofs_fault.Fault.schedule ->
+  ?metrics:Renofs_metrics.Metrics.t ->
+  ?profile:Renofs_profile.Profile.t ->
+  ?flight:Renofs_profile.Flight.t ->
+  spec ->
+  results
+(** {!run_specs} on one spec. *)
 
 val render : results -> table
 (** Pure rendering of typed results: fixed-precision decimals, a ["%"]
@@ -186,12 +189,15 @@ exception Driver_stuck of string
 
 val failed_verdict : string -> bool
 (** Whether a verdict text fails its cell: it starts with ["FAIL"] (an
-    invariant or SLO violated, a fuzz cell stuck or raising).  The CLI
-    exits non-zero on such a verdict and an armed flight recorder dumps
-    a bundle. *)
+    invariant or SLO violated, a fuzz cell stuck or raising).  A cell's
+    verdict is the last value of its row.  The CLI exits non-zero on
+    such a verdict and an armed flight recorder dumps a bundle. *)
 
-val fail_value : value list -> string option
-(** The first {!failed_verdict} text in a cell's row, if any. *)
+val failures : spec -> results -> (string * string) list
+(** [(cell_label, verdict)] for each cell whose row ends in a
+    {!failed_verdict} text, in cell order.  It pairs cells with rows,
+    so it applies to specs whose rows are their cells' outputs (chaos,
+    fuzz, slo); the CLI exits non-zero when it is not empty. *)
 
 val advance_until :
   label:string -> window:float -> Renofs_engine.Sim.t -> (unit -> bool) -> unit
@@ -203,9 +209,10 @@ val advance_until :
 
 (** {2:worlds Worlds}
 
-    A cell's world is a single-server paper world (the graphs and
-    tables; see {!graph5_points}) or a sharded {!fleet_world} (the
-    fleet family and the scenarios).  Either way the cell's observers
+    A cell's world is a single-server {!world} (the graphs and tables,
+    section3, leases, scaling's N-client star, chaos and fuzz; see
+    {!graph5_points}) or a sharded {!fleet_world} (the fleet family and
+    the scenarios).  Either way the cell's observers
     are attached the same way — the trace sink with a [Run_mark] naming
     the world, a metrics run labelled by [ctx.cell_label], a profile
     probe and a per-world mbuf pool — and [ctx.faults] is installed
@@ -215,10 +222,11 @@ type world = {
   sim : Renofs_engine.Sim.t;
   topo : Renofs_net.Topology.t;
   server : Renofs_core.Nfs_server.t;
-  client_udp : Renofs_transport.Udp.stack;
-  client_tcp : Renofs_transport.Tcp.stack;
+  stacks : (Renofs_transport.Udp.stack * Renofs_transport.Tcp.stack) array;
+      (** one pair per client, in [topo.clients] order *)
 }
-(** A single-server world: one client, one server. *)
+(** A single-server world: one server and its clients (one, or
+    scaling's N on a star). *)
 
 val graph5_points : scale -> (string * (ctx -> world)) list
 (** The cells of [graph5] at [scale], in cell order: each label with a

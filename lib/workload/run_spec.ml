@@ -60,23 +60,16 @@ let of_json ~ctx o =
   List.iter
     (fun (k, _) ->
       match k with
-      | "scale" | "jobs" | "seed" | "json" | "trace" | "report" | "metrics"
-      | "faults" | "profile" | "perfetto" | "flight" ->
+      | "jobs" | "json" | "trace" | "report" | "metrics" | "profile"
+      | "perfetto" | "flight" ->
           ()
+      | "scale" | "seed" | "faults" ->
+          bad "%S cannot be set here: a scenario's world, load and faults fix it"
+            k
       | other -> bad "unknown run field %S" other)
     o;
   let str name =
     Option.map (Json.str ~ctx:(ctx ^ "." ^ name)) (Json.member_opt name o)
-  in
-  let int name =
-    Option.map (Json.int ~ctx:(ctx ^ "." ^ name)) (Json.member_opt name o)
-  in
-  let scale =
-    match str "scale" with
-    | None -> None
-    | Some "quick" -> Some E.Quick
-    | Some "full" -> Some E.Full
-    | Some other -> bad "scale %S (expected \"quick\" or \"full\")" other
   in
   let report =
     match Json.member_opt "report" o with
@@ -85,14 +78,13 @@ let of_json ~ctx o =
     | Some _ -> bad "report: expected a boolean"
   in
   {
-    rs_scale = scale;
-    rs_jobs = int "jobs";
-    rs_seed = int "seed";
+    empty with
+    rs_jobs =
+      Option.map (Json.int ~ctx:(ctx ^ ".jobs")) (Json.member_opt "jobs" o);
     rs_json = str "json";
     rs_trace = str "trace";
     rs_report = report;
     rs_metrics = str "metrics";
-    rs_faults = str "faults";
     rs_profile = str "profile";
     rs_perfetto = str "perfetto";
     rs_flight = str "flight";
@@ -118,8 +110,8 @@ let check_outputs paths =
 (* The default is already clamped to the machine and to the cell count
    (a 9-cell fleet run should not spawn idle domains); an explicit
    larger --jobs still runs, oversubscribed, with a warning. *)
-let effective_jobs ?cells jobs =
-  let cap j = match cells with Some n when n >= 1 -> min j n | _ -> j in
+let effective_jobs ~cells jobs =
+  let cap j = if cells >= 1 then min j cells else j in
   match jobs with
   | None -> cap (Sweep.default_jobs ())
   | Some j ->
@@ -130,13 +122,11 @@ let effective_jobs ?cells jobs =
           "nfsbench: --jobs %d exceeds this machine's %d recommended domains; \
            running oversubscribed@."
           j recommended;
-      (match cells with
-      | Some n when j > n && n >= 1 ->
-          Format.eprintf
-            "nfsbench: --jobs %d exceeds the %d cells; extra domains would \
-             idle, capping to %d@."
-            j n n
-      | _ -> ());
+      if j > cells && cells >= 1 then
+        Format.eprintf
+          "nfsbench: --jobs %d exceeds the %d cells; extra domains would \
+           idle, capping to %d@."
+          j cells cells;
       cap j
 
 let resolve_faults = function

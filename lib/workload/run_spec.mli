@@ -1,11 +1,15 @@
 (** The one spelling of "how to run an experiment".
 
-    Every nfsbench subcommand (run, chaos, fuzz, perf, slo, all) and
-    the scenario loader build one of these records — from command-line
+    The nfsbench subcommands run, all, chaos, fuzz and slo, and the
+    scenario loader, build one of these records — from command-line
     flags or from a scenario file's ["run"] object — and hand it to
-    {!execute}.  A scenario file and a CLI invocation are therefore two
-    spellings of the same spec: same fields, same defaults, same
-    output-path checks, same export behavior.
+    {!execute}.  Each subcommand parses only the flags it honours, so a
+    field it cannot use stays unset: run and all have no [--seed],
+    chaos and fuzz no [--faults], and slo none of [--scale], [--seed]
+    and [--faults].  A scenario file's ["run"] object holds exactly
+    slo's flags, so it and slo's command line are two spellings of the
+    same spec: same fields, same defaults, same output-path checks,
+    same export behavior.
 
     Fields are optional ("not set") so that a scenario file's run
     section and the command line can be layered with {!override}
@@ -41,12 +45,13 @@ val override : base:t -> t -> t
     ~base:(from_file) (from_cli)]. *)
 
 val of_json : ctx:string -> (string * Renofs_json.Json.json) list -> t
-(** Decode a run object — [{"scale","jobs","seed","json","trace",
-    "report","metrics","faults","profile","perfetto","flight"}], every
-    field optional — raising
-    {!Renofs_json.Json.Bad} (prefixed with [ctx]) on unknown fields or
-    wrong shapes, so a typo in a scenario file fails loudly instead of
-    silently running with defaults. *)
+(** Decode a scenario's run object — slo's flags [{"jobs","json",
+    "trace","report","metrics","profile","perfetto","flight"}], every
+    field optional — raising {!Renofs_json.Json.Bad} (prefixed with
+    [ctx]) on wrong shapes and on any other field, naming it.  A typo
+    fails loudly instead of silently running with defaults, and
+    ["scale"], ["seed"] and ["faults"] fail because the scenario's
+    world, load and faults fix them. *)
 
 val check_outputs : (string * string option) list -> string option
 (** [check_outputs [("json", t.rs_json); ...]] probe-opens each set

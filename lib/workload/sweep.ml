@@ -7,9 +7,13 @@ let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
 (* Work-stealing would be overkill: cells are coarse (whole simulated
    worlds), so a shared next-cell counter balances fine and keeps the
-   result array indexed by cell, not by completion order. *)
-let run_pool ~jobs cells =
+   result array indexed by cell, not by completion order.  The calling
+   domain is one of the [jobs] workers, so a one-job pool spawns no
+   domain. *)
+let run ?jobs cells =
+  let cells = Array.of_list cells in
   let n = Array.length cells in
+  let jobs = max 1 (min n (Option.value jobs ~default:(default_jobs ()))) in
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let worker () =
@@ -29,32 +33,8 @@ let run_pool ~jobs cells =
   let helpers = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
   worker ();
   Array.iter Domain.join helpers;
-  Array.map
-    (function
-      | Some r -> r
-      | None -> assert false (* the counter visits every index *))
-    results
-
-let run ?jobs cells =
-  let arr = Array.of_list cells in
-  let n = Array.length arr in
-  if n = 0 then []
-  else
-    let jobs =
-      max 1 (min n (match jobs with Some j -> j | None -> default_jobs ()))
-    in
-    let outs =
-      if jobs = 1 then
-        (* No need to pay domain spawns for a serial run. *)
-        Array.map
-          (fun c ->
-            match c.cl_run () with
-            | v -> Ok v
-            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-          arr
-      else run_pool ~jobs arr
-    in
-    Array.to_list outs
-    |> List.map (function
-         | Ok v -> v
-         | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+  Array.to_list results
+  |> List.map (function
+       | Some (Ok v) -> v
+       | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+       | None -> assert false (* the counter visits every index *))

@@ -27,10 +27,12 @@ val default_jobs : unit -> int
 val run : ?jobs:int -> 'a cell list -> 'a list
 (** Execute the cells across [jobs] domains (default {!default_jobs};
     clamped to [1 .. length cells] — extra domains would have no cell
-    to start on).  Workers pull the next
-    unstarted cell from a shared atomic counter, so long cells do not
-    serialise behind short ones.  Results come back in cell order.
+    to start on).  The calling domain is one of the workers, so
+    [jobs = 1] runs every cell in it and spawns no domain.  Workers pull
+    the next unstarted cell from a shared atomic counter, so long cells
+    do not serialise behind short ones.  Results come back in cell
+    order.
 
-    If any cell raises, [run] still waits for every worker, then
+    If any cell raises, every other cell still runs; [run] then
     re-raises the exception of the lowest-indexed failing cell with its
     backtrace. *)

@@ -404,7 +404,20 @@ let test_flight_on_fail_value () =
   check_bundle bundle;
   Alcotest.(check bool) "reason carries the verdict" true
     (contains "FAIL: synthetic"
-       (read_all (Filename.concat bundle "reason.txt")))
+       (read_all (Filename.concat bundle "reason.txt")));
+  Alcotest.(check (list (pair string string)))
+    "the failing cell" [ ("failcell/one", "FAIL: synthetic") ]
+    (E.failures spec results);
+  (* A verdict is a row's last value: a passing cell whose name starts
+     with FAIL neither fails nor dumps. *)
+  let named =
+    one_cell_spec ~id:"failname" (fun _ -> [ E.Text "FAILover"; E.Text "PASS" ])
+  in
+  Alcotest.(check (list (pair string string)))
+    "a FAIL name is not a verdict" []
+    (E.failures named (E.run_spec ~jobs:1 ~flight named));
+  Alcotest.(check bool) "no bundle for a passing cell" false
+    (Sys.file_exists (Filename.concat dir "failname_one"))
 
 (* The full CLI path: an SLO-breaching scenario under Run_spec with
    rs_flight set leaves a bundle, exactly what
@@ -426,11 +439,12 @@ let test_flight_on_slo_breach () =
       in
       let dir = tmppath "renofs_flight_slo" "" in
       let rs = { R.empty with R.rs_jobs = Some 1; rs_flight = Some dir } in
-      (match R.execute rs (Scenario.suite_spec [ sc ]) with
+      let spec = Scenario.suite_spec [ sc ] in
+      (match R.execute rs spec with
       | Error msg -> Alcotest.fail msg
       | Ok results ->
           Alcotest.(check int) "the SLO breach is reported" 1
-            (List.length (Scenario.failures results)));
+            (List.length (E.failures spec results)));
       let bundles =
         Sys.readdir dir |> Array.to_list
         |> List.filter (fun d ->

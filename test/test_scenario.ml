@@ -390,6 +390,9 @@ let test_run_spec_override () =
   Alcotest.(check bool) "report ors" true merged.R.rs_report;
   Alcotest.(check bool) "unset stays unset" true (merged.R.rs_scale = None)
 
+(* A run section holds slo's flags.  slo cannot honour scale, seed or
+   faults (the scenario's world, load and faults fix them), so each is
+   refused by name, as a typo is. *)
 let test_run_spec_of_json () =
   let fields ctx doc =
     match Json.parse_exn doc with
@@ -397,30 +400,48 @@ let test_run_spec_of_json () =
     | _ -> Alcotest.fail "not an object"
   in
   let rs =
-    fields "run" {|{ "scale": "full", "jobs": 4, "seed": 0, "report": true }|}
+    fields "run" {|{ "jobs": 4, "report": true, "json": "r.json" }|}
   in
-  Alcotest.(check bool) "scale" true (rs.R.rs_scale = Some E.Full);
   Alcotest.(check bool) "jobs" true (rs.R.rs_jobs = Some 4);
-  Alcotest.(check bool) "seed 0" true (rs.R.rs_seed = Some 0);
   Alcotest.(check bool) "report" true rs.R.rs_report;
-  (match fields "run" {|{ "jbos": 4 }|} with
-  | exception Json.Bad msg ->
-      Alcotest.(check bool) "names the field" true
-        (String.length msg > 0)
-  | _ -> Alcotest.fail "unknown run field accepted")
+  Alcotest.(check bool) "json" true (rs.R.rs_json = Some "r.json");
+  Alcotest.(check bool) "scale unset" true (rs.R.rs_scale = None);
+  let contains sub s =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (field, doc) ->
+      match fields "run" doc with
+      | exception Json.Bad msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s" msg field)
+            true
+            (contains (Printf.sprintf "%S" field) msg)
+      | _ -> Alcotest.failf "run field %s accepted" field)
+    [
+      ("scale", {|{ "scale": "full" }|});
+      ("seed", {|{ "seed": 0 }|});
+      ("faults", {|{ "faults": "crash" }|});
+      ("jbos", {|{ "jbos": 4 }|});
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* crash-at-peak, judged both ways                                     *)
 (* ------------------------------------------------------------------ *)
 
 let run_verdict ?trace ?flight sc =
-  let results =
-    E.run_spec ~jobs:1 ?trace ?flight (Scenario.suite_spec [ sc ])
-  in
+  let spec = Scenario.suite_spec [ sc ] in
+  let results = E.run_spec ~jobs:1 ?trace ?flight spec in
   match results.E.r_rows with
   | [ row ] -> (
       match List.rev row with
-      | E.Text verdict :: _ -> (verdict, Scenario.failures results)
+      | E.Text verdict :: _ ->
+          ( verdict,
+            List.map
+              (fun (label, v) -> label ^ ": " ^ v)
+              (E.failures spec results) )
       | _ -> Alcotest.fail "verdict column is not text")
   | _ -> Alcotest.fail "expected one row"
 

@@ -57,6 +57,27 @@ let test_sweep_exn_lowest_index () =
           Alcotest.(check int) (Printf.sprintf "jobs %d" jobs) 1 i)
     [ 1; 2; 5 ]
 
+(* A raise must not cancel the cells after it: every failing cell of a
+   flight-recorded sweep leaves its bundle from inside the cell. *)
+let test_sweep_runs_every_cell () =
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
+      let cells =
+        List.init 5 (fun i ->
+            Sweep.cell (fun () ->
+                Atomic.incr ran;
+                if i = 0 || i = 3 then raise (Boom i) else i))
+      in
+      (match Sweep.run ~jobs cells with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom i ->
+          Alcotest.(check int) (Printf.sprintf "jobs %d re-raises" jobs) 0 i);
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d runs every cell" jobs)
+        5 (Atomic.get ran))
+    [ 1; 2; 5 ]
+
 let test_default_jobs_positive () =
   Alcotest.(check bool) "at least one" true (Sweep.default_jobs () >= 1)
 
@@ -194,6 +215,8 @@ let () =
           Alcotest.test_case "uneven cells" `Quick test_sweep_uneven_cells;
           Alcotest.test_case "lowest-index exception" `Quick
             test_sweep_exn_lowest_index;
+          Alcotest.test_case "every cell runs after a raise" `Quick
+            test_sweep_runs_every_cell;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_positive;
         ] );
       ( "determinism",

@@ -7,7 +7,7 @@ module Cpu = Renofs_engine.Cpu
 let in_world ?(config = Fs.reno_config) body =
   let sim = Sim.create () in
   let cpu = Cpu.create sim ~mips:0.9 in
-  let disk = Disk.create sim () in
+  let disk = Disk.create sim in
   let fs = Fs.create sim cpu disk config in
   let result = ref None in
   Proc.spawn sim (fun () -> result := Some (body sim fs));
@@ -26,7 +26,7 @@ let check_err expected f =
 
 let test_disk_latency () =
   let sim = Sim.create () in
-  let disk = Disk.create sim () in
+  let disk = Disk.create sim in
   let t_done = ref 0.0 in
   Proc.spawn sim (fun () ->
       Disk.read disk ~bytes:8192;
@@ -38,7 +38,7 @@ let test_disk_latency () =
 
 let test_disk_serializes () =
   let sim = Sim.create () in
-  let disk = Disk.create sim () in
+  let disk = Disk.create sim in
   let done_times = ref [] in
   for _ = 1 to 3 do
     Proc.spawn sim (fun () ->
@@ -393,7 +393,7 @@ let test_fs_sync_writes_hit_disk () =
   let disk_writes config =
     let sim = Sim.create () in
     let cpu = Cpu.create sim ~mips:0.9 in
-    let disk = Disk.create sim () in
+    let disk = Disk.create sim in
     let fs = Fs.create sim cpu disk config in
     Proc.spawn sim (fun () ->
         let f = Fs.create_file fs ~dir:(Fs.root fs) "w" ~mode:0o644 () in
@@ -413,7 +413,7 @@ let test_fs_lookup_uses_name_cache () =
   let lookup_cost config =
     let sim = Sim.create () in
     let cpu = Cpu.create sim ~mips:0.9 in
-    let disk = Disk.create sim () in
+    let disk = Disk.create sim in
     let fs = Fs.create sim cpu disk config in
     let cost = ref 0.0 in
     Proc.spawn sim (fun () ->
@@ -555,7 +555,7 @@ let test_fs_whole_chunk_read_lends () =
 let test_fs_write_lent_shares_pieces () =
   let sim = Sim.create () in
   let make () =
-    Fs.create sim (Cpu.create sim ~mips:0.9) (Disk.create sim ()) Fs.reno_config
+    Fs.create sim (Cpu.create sim ~mips:0.9) (Disk.create sim) Fs.reno_config
   in
   let fs1 = make () and fs2 = make () in
   let p0 = Bytes.init 8192 (fun i -> Char.chr (i mod 251)) in

@@ -389,7 +389,7 @@ let test_create_delete_policies () =
 let test_create_delete_local_baseline () =
   let sim = Sim.create () in
   let cpu = Cpu.create sim ~mips:0.9 in
-  let disk = Disk.create sim () in
+  let disk = Disk.create sim in
   let fs = Fs.create sim cpu disk Fs.local_config in
   let result = ref None in
   Proc.spawn sim (fun () ->
@@ -490,6 +490,21 @@ let test_graph7_trace_tracks () =
   in
   Alcotest.(check bool) "rto mostly above rtt" true
     (2 * List.length above > List.length t.Experiments.rows)
+
+(* scaling's Quick rows: N clients on one star server.  Pinned so that
+   a change to how its world is built shows as a changed row. *)
+let test_scaling_quick_rows () =
+  let t = quick_table "scaling" in
+  Alcotest.(check (list (list string)))
+    "clients, achieved, latency, server CPU"
+    [
+      [ "1"; "9.7"; "48.6"; "7%" ];
+      [ "2"; "18.9"; "53.0"; "14%" ];
+      [ "4"; "37.2"; "70.6"; "28%" ];
+    ]
+    (List.map
+       (fun row -> List.filteri (fun i _ -> i <> 1) row)
+       t.Experiments.rows)
 
 (* Every driver advances its world through [Experiments.advance_until];
    one that never finishes must end in a typed error naming its run,
@@ -688,6 +703,7 @@ let () =
           Alcotest.test_case "table3 cache claims" `Quick test_table3_cache_claims;
           Alcotest.test_case "table1 56K transports" `Quick test_table1_congestion_control_wins_on_56k;
           Alcotest.test_case "graph7 trace" `Quick test_graph7_trace_tracks;
+          Alcotest.test_case "scaling quick rows" `Quick test_scaling_quick_rows;
           Alcotest.test_case "driver stuck names label" `Quick
             test_driver_stuck_names_label;
         ] );
