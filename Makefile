@@ -59,9 +59,10 @@
 # under the crash schedule, the chaos and fuzz runs
 # again with their traces (the golden traces carry 22 of the 25 event kinds; the
 # round-trip test in test/test_trace.ml covers the other three), graph1
-# with its metrics as JSONL and as CSV, and the crash-without-reboot
+# with its metrics as JSONL and as CSV, the crash-without-reboot
 # scenario under --flight (it must breach; the bundle's profile.json
-# carries host time and is removed).
+# carries host time and is removed), and the five examples (quickstart
+# prints the per-procedure RPC counts and the mean RTT).
 # Those runs happen inside DIR, so every path they print or store is
 # the same for any DIR.  A change that must leave simulated output
 # alone passes when `diff -r` of the parent's and the change's
@@ -166,6 +167,11 @@ golden: build
 	cd $(GOLDEN) && ! dune exec --root $(CURDIR) bin/nfsbench.exe -- slo examples/crash_noreboot.scenario.json --jobs 2 --flight flight > slo-flight.txt
 	test -s $(GOLDEN)/flight/*/MANIFEST.json
 	rm -f $(GOLDEN)/flight/*/profile.json
+	dune exec examples/quickstart.exe > $(GOLDEN)/example-quickstart.txt
+	dune exec examples/transport_shootout.exe > $(GOLDEN)/example-transport_shootout.txt
+	dune exec examples/cache_policies.exe > $(GOLDEN)/example-cache_policies.txt
+	dune exec examples/wan_tuning.exe > $(GOLDEN)/example-wan_tuning.txt
+	dune exec examples/crash_recovery.exe > $(GOLDEN)/example-crash_recovery.txt
 
 loc:
 	@find lib bin \( -name '*.ml' -o -name '*.mli' -o -name dune \) -print0 | xargs -0 cat | wc -l

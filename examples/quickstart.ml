@@ -61,6 +61,6 @@ let () =
         (String.concat ", "
            (List.map
               (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-              (Renofs_engine.Stats.Counter.to_list (Nfs_client.rpc_counters m)))));
+              (Client_transport.calls_by_proc (Nfs_client.transport m)))));
   (* The mount keeps a 30-second sync daemon alive, so bound the run. *)
   Sim.run ~until:60.0 sim

@@ -81,11 +81,11 @@ type t = {
   mutable outstanding : int;
   mutable gate : (unit -> unit) list;
   (* statistics *)
+  proc_calls : int array; (* calls made, by procedure number *)
   mutable n_calls : int;
   mutable n_retransmits : int;
   mutable n_garbled : int;
   rtt_all : Stats.Welford.t;
-  rtt_by_proc : (string, Stats.Welford.t) Hashtbl.t;
   mutable trace : (Stats.Timeseries.t * Stats.Timeseries.t) option;
 }
 
@@ -133,16 +133,6 @@ let rto_for t p =
 
 let record_rtt t p rtt =
   Stats.Welford.add t.rtt_all rtt;
-  let name = P.proc_name p.p_proc in
-  let w =
-    match Hashtbl.find_opt t.rtt_by_proc name with
-    | Some w -> w
-    | None ->
-        let w = Stats.Welford.create () in
-        Hashtbl.replace t.rtt_by_proc name w;
-        w
-  in
-  Stats.Welford.add w rtt;
   (match t.mode with
   | Udp_dynamic est -> (
       match estimator_for est p.p_proc with
@@ -480,11 +470,11 @@ let base node ~mode ~sock ~server ~timeo ?max_retries ?(uid = 100) ?(gid = 100)
     last_cwnd_cut = -1.0;
     outstanding = 0;
     gate = [];
+    proc_calls = Array.make P.n_procs 0;
     n_calls = 0;
     n_retransmits = 0;
     n_garbled = 0;
       rtt_all = Stats.Welford.create ();
-      rtt_by_proc = Hashtbl.create 8;
       trace = None;
     }
   in
@@ -544,6 +534,7 @@ let gate_wait t =
 
 let call t call_v =
   let proc = P.proc_of_call call_v in
+  t.proc_calls.(proc) <- t.proc_calls.(proc) + 1;
   charge t encode_instructions;
   let xid = t.next_xid in
   t.next_xid <- Int32.add t.next_xid 1l;
@@ -606,8 +597,10 @@ let retransmits t = t.n_retransmits
 let garbled t = t.n_garbled
 let congestion_window t = t.cwnd
 
-let rtt_by_proc t =
-  Hashtbl.fold (fun k w acc -> (k, w) :: acc) t.rtt_by_proc []
+let calls_by_proc t =
+  Array.to_list t.proc_calls
+  |> List.mapi (fun proc n -> (P.proc_name proc, n))
+  |> List.filter (fun (_, n) -> n > 0)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let enable_read_trace t =

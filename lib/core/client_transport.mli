@@ -101,8 +101,11 @@ val garbled : t -> int
 val congestion_window : t -> float
 (** Current window in requests; meaningful for the dynamic transport. *)
 
-val rtt_by_proc : t -> (string * Renofs_engine.Stats.Welford.t) list
-(** Completed-call round-trip statistics keyed by procedure name. *)
+val calls_by_proc : t -> (string * int) list
+(** Calls made per procedure, nfsstat's client RPC counts (the paper's
+    Table 3): one entry per procedure called at least once, named by
+    {!Nfs_proto.proc_name} and sorted by name.  A call counts when it
+    is made, before it is encoded or sent. *)
 
 val enable_read_trace : t -> unit
 (** Start recording (time, RTT) and (time, RTO) samples for Read RPCs —

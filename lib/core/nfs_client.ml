@@ -1,7 +1,6 @@
 module Sim = Renofs_engine.Sim
 module Proc = Renofs_engine.Proc
 module Cpu = Renofs_engine.Cpu
-module Stats = Renofs_engine.Stats
 module Node = Renofs_net.Node
 module Nic = Renofs_net.Nic
 module Udp = Renofs_transport.Udp
@@ -171,7 +170,6 @@ type t = {
          changed mtime invalidates them, as the BSD cache_purge on
          directory change does *)
   biods : Biod.t;
-  counters : Stats.Counter.t;
   mutable lru_clock : int;
   mutable total_blocks : int;
   mutable xfer_size : int; (* current read/write transfer size *)
@@ -182,7 +180,6 @@ type t = {
 let transport t = t.xport
 let sim t = t.sim
 let node t = t.node
-let rpc_counters t = t.counters
 
 let syscall_instructions = 180.0
 
@@ -195,10 +192,9 @@ let charge_copy t bytes =
 
 let mtime_of (a : P.fattr) = P.float_of_time a.P.mtime
 
-(* Issue one RPC, counting it and folding any returned attributes into
-   the attribute cache (the piggyback updates that keep Getattr rare). *)
+(* Issue one RPC, folding any returned attributes into the attribute
+   cache (the piggyback updates that keep Getattr rare). *)
 let rpc t call =
-  Stats.Counter.incr t.counters (P.proc_name (P.proc_of_call call));
   let reply =
     try Client_transport.call t.xport call
     with Client_transport.Rpc_timed_out _ ->
@@ -734,7 +730,6 @@ let mount ~udp ?tcp ~server ~root opts =
       names = (if opts.name_cache then Some (Namecache.create ()) else None);
       name_stamps = Hashtbl.create 32;
       biods = Biod.create (Node.sim node) ~count:opts.num_biods;
-      counters = Stats.Counter.create ();
       lru_clock = 0;
       total_blocks = 0;
       xfer_size = opts.bsize;

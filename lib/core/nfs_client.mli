@@ -127,11 +127,11 @@ val mount_path :
     denies the path or never answers. *)
 
 val transport : t -> Client_transport.t
+(** The mount's own transport: its {!Client_transport.calls_by_proc} is
+    the mount's RPCs by procedure, the data of Table 3. *)
+
 val sim : t -> Renofs_engine.Sim.t
 val node : t -> Renofs_net.Node.t
-
-val rpc_counters : t -> Renofs_engine.Stats.Counter.t
-(** RPCs issued by this mount, by procedure name — the data of Table 3. *)
 
 (* --- pathname syscalls (paths are "/"-separated, relative to the
    mount root) --- *)

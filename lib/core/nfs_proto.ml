@@ -227,6 +227,7 @@ let proc_of_call = function
   | Write3 _ -> 20
   | Commit _ -> 21
 
+let n_procs = 22
 let proc_name = Renofs_trace.Trace.proc_name
 
 let error_reply call stat =
@@ -250,8 +251,6 @@ let error_reply call stat =
 let is_idempotent = function
   | 0 | 1 | 4 | 5 | 6 | 16 | 17 | 18 | 19 | 21 -> true
   | _ -> false
-
-let classify = function 6 | 8 | 16 | 18 | 20 -> `Big | _ -> `Small
 
 let int_of_stable_how = function Unstable -> 0 | Data_sync -> 1 | File_sync -> 2
 

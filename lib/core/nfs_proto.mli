@@ -206,6 +206,11 @@ type reply =
   | Rcommit of (commitok, stat) result
 
 val proc_of_call : call -> int
+(** The procedure number, below {!n_procs}. *)
+
+val n_procs : int
+(** 22: procedures 0 to 21, NFSv2's 18 and the four extensions. *)
+
 val proc_name : int -> string
 (** e.g. "read", "lookup"; "proc22" for unknown numbers.
     {!Renofs_trace.Trace.proc_name}'s table. *)
@@ -217,10 +222,6 @@ val error_reply : call -> stat -> reply
 val is_idempotent : int -> bool
 (** Getattr/lookup/read-style procedures may be repeated harmlessly;
     remove/create/rename-style ones may not [Juszczak89]. *)
-
-val classify : int -> [ `Big | `Small ]
-(** The paper's split: Read, Write and Readdir are [`Big] (high-variance
-    RTT, RTO [A+4D]); everything else is [`Small]. *)
 
 val encode_call : Renofs_xdr.Xdr.Enc.t -> call -> unit
 

@@ -1,6 +1,8 @@
 module Welford = struct
+  (* Every field is a float, so the record is stored flat and its
+     updates allocate nothing. *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
@@ -9,20 +11,20 @@ module Welford = struct
   }
 
   let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
+    { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
 
   let add t x =
-    t.n <- t.n + 1;
+    t.n <- t.n +. 1.0;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.mean <- t.mean +. (delta /. t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x;
     t.total <- t.total +. x
 
-  let count t = t.n
-  let mean t = if t.n = 0 then 0.0 else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+  let count t = int_of_float t.n
+  let mean t = if t.n = 0.0 then 0.0 else t.mean
+  let variance t = if t.n < 2.0 then 0.0 else t.m2 /. (t.n -. 1.0)
   let min t = t.min
   let max t = t.max
   let total t = t.total
@@ -117,24 +119,4 @@ module Timeseries = struct
             prev_v := v;
             if dt > 0.0 then Some (t, dv /. dt) else None)
           rest
-end
-
-module Counter = struct
-  type t = (string, int ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-
-  let incr ?(by = 1) t key =
-    match Hashtbl.find_opt t key with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t key (ref by)
-
-  let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0
-  let total t = Hashtbl.fold (fun _ r acc -> acc + !r) t 0
-
-  let to_list t =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let reset t = Hashtbl.reset t
 end

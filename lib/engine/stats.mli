@@ -50,17 +50,3 @@ module Timeseries : sig
       counter-valued series.  Pairs with a nonpositive time step are
       skipped; empty and single-point inputs yield []. *)
 end
-
-(** Named integer counters, e.g. per-RPC-type counts. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
-  val get : t -> string -> int
-  val total : t -> int
-  val to_list : t -> (string * int) list
-  (** Sorted by key. *)
-
-  val reset : t -> unit
-end

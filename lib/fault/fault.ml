@@ -123,11 +123,13 @@ let action_of_json j =
   let o = Json.obj ~ctx j in
   let kind = Json.str ~ctx:(ctx ^ ".kind") (Json.member ~ctx "kind" o) in
   let ctx = kind in
+  let only known = Json.reject_unknown ~ctx ("kind" :: "at" :: known) o in
   let num name = Json.num ~ctx:(ctx ^ "." ^ name) (Json.member ~ctx name o) in
   let str name = Json.str ~ctx:(ctx ^ "." ^ name) (Json.member ~ctx name o) in
   let at = num "at" in
   match kind with
   | "server_crash" ->
+      only [ "downtime"; "server" ];
       Server_crash
         {
           at;
@@ -138,14 +140,18 @@ let action_of_json j =
             | None -> "*");
         }
   | "link_down" ->
+      only [ "duration"; "link" ];
       Link_down { at; duration = num "duration"; link = str "link" }
   | "loss_burst" ->
+      only [ "duration"; "link"; "loss" ];
       Loss_burst
         { at; duration = num "duration"; link = str "link"; loss = num "loss" }
   | "cpu_slow" ->
+      only [ "duration"; "node"; "factor" ];
       Cpu_slow
         { at; duration = num "duration"; node = str "node"; factor = num "factor" }
   | "partition" -> (
+      only [ "duration"; "between" ];
       match Json.arr ~ctx:"partition.between" (Json.member ~ctx "between" o) with
       | [ a; b ] ->
           Partition
@@ -158,6 +164,7 @@ let action_of_json j =
             }
       | _ -> raise (Json.Bad "partition.between: expected a two-element array"))
   | "corrupt" | "truncate" | "duplicate" | "reorder" ->
+      only [ "duration"; "link"; "rate"; "seed" ];
       let m =
         {
           at;
@@ -180,6 +187,9 @@ let action_of_json j =
 let of_json j =
   try
     let top = Json.obj ~ctx:"schedule" j in
+    Json.reject_unknown ~ctx:"schedule"
+      [ "schema"; "name"; "description"; "actions" ]
+      top;
     let version =
       Json.str ~ctx:"schema" (Json.member ~ctx:"schedule" "schema" top)
     in

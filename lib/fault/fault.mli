@@ -101,11 +101,15 @@ val find_builtin : string -> schedule option
 
 val action_of_json : Renofs_json.Json.json -> action
 (** One action object (the elements of a schedule's ["actions"] array);
-    raises {!Renofs_json.Json.Bad} on shape errors.  Exposed so other
+    raises {!Renofs_json.Json.Bad} on shape errors and on any field its
+    kind does not take, naming the field.  Exposed so other
     schemas embedding fault actions (e.g. [renofs-scenario/1]) decode
     them identically. *)
 
 val of_json : Renofs_json.Json.json -> (schedule, string) result
+(** A [renofs-fault/1] schedule: ["schema"], ["name"], ["actions"] and
+    an optional ["description"]; any other field is an error. *)
+
 val parse : string -> (schedule, string) result
 val load_file : string -> (schedule, string) result
 

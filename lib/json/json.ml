@@ -271,6 +271,12 @@ let int ~ctx j =
 let arr ~ctx = function Arr l -> l | _ -> fail ctx "expected array"
 let obj ~ctx = function Obj o -> o | _ -> fail ctx "expected object"
 
+let reject_unknown ~ctx known o =
+  List.iter
+    (fun (k, _) ->
+      if not (List.mem k known) then fail ctx (Printf.sprintf "unknown field %S" k))
+    o
+
 (* ------------------------------------------------------------------ *)
 (* Located file/line decoding                                         *)
 (* ------------------------------------------------------------------ *)

@@ -85,6 +85,11 @@ val int : ctx:string -> json -> int
 val arr : ctx:string -> json -> json list
 val obj : ctx:string -> json -> (string * json) list
 
+val reject_unknown : ctx:string -> string list -> (string * json) list -> unit
+(** [reject_unknown ~ctx known obj] raises "[ctx]: unknown field [k]"
+    for the first member of [obj] whose name is not in [known], so a
+    misspelt field is refused instead of silently taking its default. *)
+
 (** {2 Located file/line decoding}
 
     The one place [path:] / [path:line:] error prefixes are built, so

@@ -343,8 +343,4 @@ let mangle_rate t op =
       | Duplicate -> m.m_duplicate
       | Reorder -> m.m_reorder)
 
-let utilization t =
-  let now = Sim.now t.sim in
-  if now <= 0.0 then 0.0 else t.busy.b /. now
-
 let busy_time t = t.busy.b

@@ -81,9 +81,6 @@ val mangle_rate : t -> mangle_op -> float
 (** The current rate for [op] (0 when no mangler is configured) — lets
     fault schedules save and restore rates around a burst. *)
 
-val utilization : t -> float
-(** Fraction of time spent transmitting since creation. *)
-
 val busy_time : t -> float
 (** Cumulative transmission seconds — a counter; sampled periodically
     and differentiated, it yields the utilization over each window. *)

@@ -213,12 +213,6 @@ end
 
 let bad fmt = Printf.ksprintf (fun msg -> raise (Json.Bad msg)) fmt
 
-let reject_unknown ~ctx known fields =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k known) then bad "%s: unknown field %S" ctx k)
-    fields
-
 let num_field ~ctx fields name default =
   match Json.member_opt name fields with
   | None -> default
@@ -248,7 +242,7 @@ let tier_of_string ~ctx s =
 
 let world_of_json ~ctx j =
   let fields = Json.obj ~ctx j in
-  reject_unknown ~ctx [ "servers"; "clients"; "tier"; "wan_fraction"; "seed" ]
+  Json.reject_unknown ~ctx [ "servers"; "clients"; "tier"; "wan_fraction"; "seed" ]
     fields;
   let w =
     {
@@ -274,7 +268,7 @@ let world_of_json ~ctx j =
 let segment_of_json ~ctx i j =
   let ctx = Printf.sprintf "%s[%d]" ctx i in
   let fields = Json.obj ~ctx j in
-  reject_unknown ~ctx [ "label"; "duration"; "rate"; "rate_end"; "mix" ] fields;
+  Json.reject_unknown ~ctx [ "label"; "duration"; "rate"; "rate_end"; "mix" ] fields;
   let duration = num_field ~ctx fields "duration" nan in
   if Float.is_nan duration then bad "%s: missing field duration" ctx;
   if duration <= 0.0 then bad "%s.duration: want > 0" ctx;
@@ -309,7 +303,7 @@ let segment_of_json ~ctx i j =
 
 let slo_of_json ~ctx j =
   let fields = Json.obj ~ctx j in
-  reject_unknown ~ctx
+  Json.reject_unknown ~ctx
     [ "p99_ms"; "availability"; "window"; "max_recovery_s"; "integrity" ]
     fields;
   let s =
@@ -346,7 +340,7 @@ let slo_of_json ~ctx j =
 let of_json_exn doc =
   let ctx = "scenario" in
   let fields = Json.obj ~ctx doc in
-  reject_unknown ~ctx
+  Json.reject_unknown ~ctx
     [ "schema"; "name"; "description"; "world"; "load"; "faults"; "slo"; "run" ]
     fields;
   (match Json.member ~ctx "schema" fields with

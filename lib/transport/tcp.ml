@@ -154,7 +154,6 @@ and stack = {
 
 let node t = t.node
 let checksum_drops t = t.checksum_drops
-let mss conn = conn.mss
 let peer conn = conn.peer
 let peer_port conn = conn.peer_port
 

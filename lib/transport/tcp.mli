@@ -75,7 +75,6 @@ val reset_all : stack -> unit
 (** {!abort} every connection — what a host reboot does. *)
 
 val stats : conn -> stats
-val mss : conn -> int
 
 val peer : conn -> int
 (** Remote host id. *)

@@ -147,8 +147,6 @@ let bind_ephemeral ?recv_buffer stack =
   in
   bind ?recv_buffer stack ~port:(pick ())
 
-let port sock = sock.port
-
 let sendto sock ~dst ~dst_port payload =
   if sock.closed then invalid_arg "Udp.sendto: socket closed";
   Cpu.consume (Node.cpu sock.stack.node) sock.stack.sock_cost;

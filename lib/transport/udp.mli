@@ -42,7 +42,6 @@ val bind : ?recv_buffer:int -> stack -> port:int -> socket
     ~4 x 8.5 KB). *)
 
 val bind_ephemeral : ?recv_buffer:int -> stack -> socket
-val port : socket -> int
 
 val sendto : socket -> dst:int -> dst_port:int -> Renofs_mbuf.Mbuf.t -> unit
 (** Transmit one datagram (process context; consumes CPU). *)

@@ -6,7 +6,6 @@ type t = {
   lock : Proc.Semaphore.t;
   mutable reads : int;
   mutable writes : int;
-  mutable busy : float;
 }
 
 (* An RD53: average seek and rotational delay in seconds, transfer in
@@ -21,7 +20,6 @@ let create sim =
     lock = Proc.Semaphore.create sim 1;
     reads = 0;
     writes = 0;
-    busy = 0.0;
   }
 
 let io t ~bytes =
@@ -29,7 +27,6 @@ let io t ~bytes =
     avg_seek +. avg_rotation +. (float_of_int bytes /. transfer_rate)
   in
   Proc.Semaphore.acquire t.lock;
-  t.busy <- t.busy +. service;
   Proc.sleep t.sim service;
   Proc.Semaphore.release t.lock
 
@@ -43,4 +40,3 @@ let write t ~bytes =
 
 let reads t = t.reads
 let writes t = t.writes
-let busy_time t = t.busy

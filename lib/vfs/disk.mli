@@ -19,4 +19,3 @@ val write : t -> bytes:int -> unit
 
 val reads : t -> int
 val writes : t -> int
-val busy_time : t -> float

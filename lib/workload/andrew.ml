@@ -1,9 +1,9 @@
 module Sim = Renofs_engine.Sim
 module Cpu = Renofs_engine.Cpu
 module Rng = Renofs_engine.Rng
-module Stats = Renofs_engine.Stats
 module Node = Renofs_net.Node
 module Nfs_client = Renofs_core.Nfs_client
+module Client_transport = Renofs_core.Client_transport
 
 type config = {
   source_files : int;
@@ -94,8 +94,8 @@ let run m ?(config = default_config) () =
   let cpu = Node.cpu (Nfs_client.node m) in
   let think instructions = Cpu.consume cpu (Cpu.seconds_of_instructions cpu instructions) in
   let rng = Rng.create config.seed in
-  let counters = Nfs_client.rpc_counters m in
-  let counts_before = Stats.Counter.to_list counters in
+  let xport = Nfs_client.transport m in
+  let counts_before = Client_transport.calls_by_proc xport in
   let phase_times = Array.make 5 0.0 in
   let timed i f =
     let t0 = Sim.now sim in
@@ -190,15 +190,14 @@ let run m ?(config = default_config) () =
           Nfs_client.close m fd)
         sources);
 
-  let counts_after = Stats.Counter.to_list counters in
-  let delta name =
-    let get l = try List.assoc name l with Not_found -> 0 in
-    get counts_after - get counts_before
+  (* Counts only grow: every procedure called before the run is in the
+     list after it. *)
+  let before name = Option.value ~default:0 (List.assoc_opt name counts_before) in
+  let rpc_counts =
+    List.map
+      (fun (name, n) -> (name, n - before name))
+      (Client_transport.calls_by_proc xport)
   in
-  let names =
-    List.sort_uniq compare (List.map fst counts_before @ List.map fst counts_after)
-  in
-  let rpc_counts = List.map (fun n -> (n, delta n)) names in
   {
     phase_times;
     time_i_iv = phase_times.(0) +. phase_times.(1) +. phase_times.(2) +. phase_times.(3);

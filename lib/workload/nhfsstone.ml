@@ -50,8 +50,6 @@ type config = {
 type result = {
   achieved : float;
   ops_completed : int;
-  mean_rtt : float;
-  rtt_by_proc : (string * float * int) list;
   retransmits : int;
   read_rate : float;
   mean_op_latency : float;
@@ -211,11 +209,6 @@ let run_program ?latency_hist mount fileset program =
   {
     achieved = float_of_int !completed /. total;
     ops_completed = !completed;
-    mean_rtt = after.Client_transport.mean_rtt;
-    rtt_by_proc =
-      Client_transport.rtt_by_proc xport
-      |> List.map (fun (name, w) ->
-             (name, Stats.Welford.mean w, Stats.Welford.count w));
     retransmits =
       after.Client_transport.retransmits - before.Client_transport.retransmits;
     read_rate = float_of_int !reads_done /. total;

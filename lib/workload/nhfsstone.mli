@@ -2,7 +2,7 @@
 
     Offers a target RPC rate against a mounted filesystem with a given
     operation mix, from several concurrent child processes, and reports
-    the achieved rate plus round-trip statistics.  As in the paper's
+    the achieved rate, op latency and retransmissions.  As in the paper's
     Section 4 experiments, the mixes used for the transport comparison
     avoid operations that modify the subtree, so runs are repeatable
     without reloading. *)
@@ -46,10 +46,7 @@ type config = {
 type result = {
   achieved : float;  (** completed ops/second *)
   ops_completed : int;
-  mean_rtt : float;  (** mean RPC round-trip over the run, seconds *)
-  rtt_by_proc : (string * float * int) list;
-      (** (procedure, mean RTT, samples) *)
-  retransmits : int;
+  retransmits : int;  (** the mount's retransmissions during the run *)
   read_rate : float;  (** completed read ops/second *)
   mean_op_latency : float;  (** syscall-level latency, seconds *)
 }
@@ -62,8 +59,7 @@ val run :
   result
 (** Drive the load from inside a process; returns after [duration] of
     virtual time (plus drain): a {!run_program} of one constant
-    segment.  RPC statistics are deltas over the run as long as the
-    mount is fresh.  [latency_hist] additionally records every op's
+    segment.  [latency_hist] additionally records every op's
     syscall-level latency in milliseconds — share one histogram across
     a population of clients to get fleet-wide quantiles. *)
 

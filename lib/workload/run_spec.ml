@@ -59,14 +59,11 @@ let of_json ~ctx o =
   let bad fmt = Printf.ksprintf (fun m -> raise (Json.Bad (ctx ^ ": " ^ m))) fmt in
   List.iter
     (fun (k, _) ->
-      match k with
-      | "jobs" | "json" | "trace" | "report" | "metrics" | "profile"
-      | "perfetto" | "flight" ->
-          ()
-      | "scale" | "seed" | "faults" ->
-          bad "%S cannot be set here: a scenario's world, load and faults fix it"
-            k
-      | other -> bad "unknown run field %S" other)
+      if List.mem k [ "scale"; "seed"; "faults" ] then
+        bad "%S cannot be set here: a scenario's world, load and faults fix it" k)
+    o;
+  Json.reject_unknown ~ctx
+    [ "jobs"; "json"; "trace"; "report"; "metrics"; "profile"; "perfetto"; "flight" ]
     o;
   let str name =
     Option.map (Json.str ~ctx:(ctx ^ "." ^ name)) (Json.member_opt name o)
@@ -138,22 +135,26 @@ let export_metrics mt path =
   if Filename.check_suffix path ".csv" then Metrics.export_csv mt path
   else Metrics.export_jsonl mt path
 
-(* The effective run spec, stored in flight bundles so a dump can be
-   replayed without the original command line. *)
+(* The run spec, stored in flight bundles so a dump can be replayed
+   without the original command line.  Only the fields that were set
+   are written: slo's bundle holds slo's flags, which a scenario's run
+   section accepts. *)
 let spec_json t =
   let str name = Option.map (fun s -> (name, Json.Str s)) in
+  let int name = Option.map (fun n -> (name, Json.Num (float_of_int n))) in
   Json.Obj
-    ([
-       ("schema", Json.Str "renofs-runspec/1");
-       ("scale", Str (match scale t with E.Quick -> "quick" | E.Full -> "full"));
-       ("seed", Num (float_of_int (seed t)));
-     ]
-    @ List.filter_map Fun.id
-        [
-          Option.map (fun j -> ("jobs", Json.Num (float_of_int j))) t.rs_jobs;
-          str "faults" t.rs_faults;
-          str "flight" t.rs_flight;
-        ])
+    (("schema", Json.Str "renofs-runspec/1")
+    :: List.filter_map Fun.id
+         [
+           str "scale"
+             (Option.map
+                (function E.Quick -> "quick" | E.Full -> "full")
+                t.rs_scale);
+           int "seed" t.rs_seed;
+           int "jobs" t.rs_jobs;
+           str "faults" t.rs_faults;
+           str "flight" t.rs_flight;
+         ])
 
 let execute_many ?(print = fun _ -> ()) t specs =
   match

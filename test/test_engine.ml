@@ -540,30 +540,6 @@ let test_timeseries_rate () =
   check_points "zero dt skipped" [ (3.0, 1.0) ]
     (Stats.Timeseries.rate [ (1.0, 5.0); (1.0, 9.0); (3.0, 11.0) ])
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "read";
-  Stats.Counter.incr c "read";
-  Stats.Counter.incr ~by:3 c "lookup";
-  Alcotest.(check int) "read" 2 (Stats.Counter.get c "read");
-  Alcotest.(check int) "lookup" 3 (Stats.Counter.get c "lookup");
-  Alcotest.(check int) "absent" 0 (Stats.Counter.get c "write");
-  Alcotest.(check int) "total" 5 (Stats.Counter.total c);
-  Alcotest.(check (list (pair string int)))
-    "sorted" [ ("lookup", 3); ("read", 2) ] (Stats.Counter.to_list c)
-
-let test_counter_reset () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "read";
-  Stats.Counter.incr ~by:7 c "write";
-  Stats.Counter.reset c;
-  Alcotest.(check int) "total cleared" 0 (Stats.Counter.total c);
-  Alcotest.(check int) "key cleared" 0 (Stats.Counter.get c "read");
-  Alcotest.(check (list (pair string int))) "empty" [] (Stats.Counter.to_list c);
-  (* Usable again after a reset. *)
-  Stats.Counter.incr c "read";
-  Alcotest.(check int) "recounts" 1 (Stats.Counter.get c "read")
-
 (* ------------------------------------------------------------------ *)
 (* Rtt                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -734,8 +710,6 @@ let () =
           Alcotest.test_case "series" `Quick test_series;
           Alcotest.test_case "timeseries delta" `Quick test_timeseries_delta;
           Alcotest.test_case "timeseries rate" `Quick test_timeseries_rate;
-          Alcotest.test_case "counter" `Quick test_counter;
-          Alcotest.test_case "counter reset" `Quick test_counter_reset;
         ] );
       ( "rtt",
         [

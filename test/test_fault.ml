@@ -59,6 +59,24 @@ let test_schedule_json () =
    with
   | Ok _ -> Alcotest.fail "unknown action kind accepted"
   | Error _ -> ());
+  (* A field the schedule or an action does not take is refused by
+     name, not silently ignored. *)
+  List.iter
+    (fun (field, text) ->
+      match Fault.parse text with
+      | Ok _ -> Alcotest.failf "field %s accepted" field
+      | Error e ->
+          Alcotest.(check bool) ("names the field: " ^ e) true
+            (contains e (Printf.sprintf "%S" field)))
+    [
+      ( "descripton",
+        {|{"schema":"renofs-fault/1","name":"x","descripton":"d",
+           "actions":[{"kind":"server_crash","at":4.0,"downtime":3.0}]}|} );
+      ( "rate",
+        {|{"schema":"renofs-fault/1","name":"x","actions":[
+           {"kind":"link_down","at":3.0,"duration":0.5,"link":"eth0","rate":0.1}]}|}
+      );
+    ];
   (match Fault.resolve "crash" with
   | Ok s -> Alcotest.(check string) "builtin resolves" "crash" s.Fault.name
   | Error e -> Alcotest.fail e);

@@ -7,7 +7,6 @@ module Net = Renofs_net
 module Sim = Renofs_engine.Sim
 module Proc = Renofs_engine.Proc
 module Cpu = Renofs_engine.Cpu
-module Stats = Renofs_engine.Stats
 module Udp = Renofs_transport.Udp
 module Tcp = Renofs_transport.Tcp
 module P = Nfs_proto
@@ -134,7 +133,10 @@ let test_noconsist_never_revalidates () =
 let rule_probes w tag opts =
   let m = mount_in w { opts with Nfs_client.write_policy = Nfs_client.Delayed } in
   let count procs =
-    List.fold_left (fun n p -> n + Stats.Counter.get (Nfs_client.rpc_counters m) p) 0 procs
+    let calls = Client_transport.calls_by_proc (Nfs_client.transport m) in
+    List.fold_left
+      (fun n p -> n + Option.value ~default:0 (List.assoc_opt p calls))
+      0 procs
   in
   let during procs f =
     let before = count procs in
@@ -305,9 +307,11 @@ let test_server_counters_match_client_counters () =
       ignore (Nfs_client.readdir m "/");
       (* Every client-issued RPC must have been served exactly once
          (clean LAN: no retransmissions, no duplicates). *)
-      let client_total = Stats.Counter.total (Nfs_client.rpc_counters m) in
-      (* The mount itself did one getattr before counters existed? No:
-         counters include it.  Server counters must match. *)
+      let client_total =
+        List.fold_left ( + ) 0
+          (List.map snd
+             (Client_transport.calls_by_proc (Nfs_client.transport m)))
+      in
       Alcotest.(check int) "rpc conservation" client_total
         (Nfs_server.rpcs_served w.server))
 

@@ -6,7 +6,6 @@ open Renofs_core
 module Net = Renofs_net
 module Sim = Renofs_engine.Sim
 module Proc = Renofs_engine.Proc
-module Stats = Renofs_engine.Stats
 module Udp = Renofs_transport.Udp
 module Tcp = Renofs_transport.Tcp
 module P = Nfs_proto
@@ -46,7 +45,9 @@ let mount_in w opts =
     ~root:(Nfs_server.root_fhandle w.server)
     opts
 
-let count m proc = Stats.Counter.get (Nfs_client.rpc_counters m) proc
+let count m proc =
+  Option.value ~default:0
+    (List.assoc_opt proc (Client_transport.calls_by_proc (Nfs_client.transport m)))
 
 (* ------------------------------------------------------------------ *)
 (* Single-client behaviour                                            *)

@@ -163,7 +163,9 @@ let test_sparse_write () =
 (* RPC counting and cache semantics                                   *)
 (* ------------------------------------------------------------------ *)
 
-let count m proc = Stats.Counter.get (Nfs_client.rpc_counters m) proc
+let count m proc =
+  Option.value ~default:0
+    (List.assoc_opt proc (Client_transport.calls_by_proc (Nfs_client.transport m)))
 
 let test_attr_cache_suppresses_getattr () =
   let w = make_world () in
@@ -514,9 +516,8 @@ let test_rtt_stats_populated () =
       Nfs_client.close m fd;
       ignore (Nfs_client.read m (Nfs_client.open_ m "f") ~off:0 ~len:(4 * 8192));
       let x = Nfs_client.transport m in
-      let by_proc = Client_transport.rtt_by_proc x in
-      Alcotest.(check bool) "read rtts recorded" true
-        (List.mem_assoc "read" by_proc);
+      Alcotest.(check bool) "read calls counted" true
+        (List.mem_assoc "read" (Client_transport.calls_by_proc x));
       Alcotest.(check bool) "trace recorded" true
         (List.length (Client_transport.read_rtt_trace x) > 0);
       let s = Client_transport.summary x in

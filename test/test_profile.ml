@@ -458,9 +458,16 @@ let test_flight_on_slo_breach () =
           let manifest = read_all (Filename.concat bundle "MANIFEST.json") in
           Alcotest.(check bool) "manifest schema" true
             (contains "renofs-flight/1" manifest);
-          Alcotest.(check bool) "run spec preserved" true
-            (contains "renofs-runspec/1"
-               (read_all (Filename.concat bundle "run_spec.json")))
+          (* The bundle's run spec, less its schema, is a run section
+             a scenario file accepts. *)
+          (match Json.load_file (Filename.concat bundle "run_spec.json") with
+          | Ok (Json.Obj (("schema", Json.Str "renofs-runspec/1") :: fields)) ->
+              let rs = R.of_json ~ctx:"run_spec.json" fields in
+              Alcotest.(check bool) "jobs replayed" true (rs.R.rs_jobs = Some 1);
+              Alcotest.(check bool) "flight replayed" true
+                (rs.R.rs_flight = Some dir)
+          | Ok _ -> Alcotest.fail "run_spec.json lacks its schema"
+          | Error msg -> Alcotest.fail msg)
       | other ->
           Alcotest.failf "expected one bundle, found %d" (List.length other))
 

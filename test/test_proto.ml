@@ -259,15 +259,6 @@ let test_bad_stat_rejected () =
 
 (* Classification tables. *)
 
-let test_classification () =
-  Alcotest.(check bool) "read is big" true (P.classify 6 = `Big);
-  Alcotest.(check bool) "write is big" true (P.classify 8 = `Big);
-  Alcotest.(check bool) "readdir is big" true (P.classify 16 = `Big);
-  Alcotest.(check bool) "write3 is big" true (P.classify 20 = `Big);
-  Alcotest.(check bool) "lookup is small" true (P.classify 4 = `Small);
-  Alcotest.(check bool) "getattr is small" true (P.classify 1 = `Small);
-  Alcotest.(check bool) "commit is small" true (P.classify 21 = `Small)
-
 let test_idempotency_table () =
   (* COMMIT is idempotent (re-flushing flushed data is harmless);
      WRITE3 is not — an UNSTABLE write replayed after an intervening
@@ -342,7 +333,6 @@ let () =
         ] );
       ( "tables",
         [
-          Alcotest.test_case "big/small classes" `Quick test_classification;
           Alcotest.test_case "idempotency" `Quick test_idempotency_table;
           Alcotest.test_case "time conversion" `Quick test_time_conversion;
         ] );

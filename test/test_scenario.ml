@@ -331,6 +331,13 @@ let test_parse_rejects () =
   expect_error ~needle:"unknown field"
     {|{ "schema": "renofs-scenario/1", "name": "x",
         "load": [ { "duration": 1.0, "rate": 1.0, "mx": "bulk" } ] }|};
+  (* A fault action is checked as strictly as the rest of the file:
+     "sever" would otherwise crash every server. *)
+  expect_error ~needle:{|"sever"|}
+    {|{ "schema": "renofs-scenario/1", "name": "x",
+        "load": [ { "duration": 1.0, "rate": 1.0 } ],
+        "faults": [ { "kind": "server_crash", "at": 2.0, "downtime": 1.0,
+                      "sever": "server0" } ] }|};
   expect_error ~needle:"unknown mix"
     {|{ "schema": "renofs-scenario/1", "name": "x",
         "load": [ { "duration": 1.0, "rate": 1.0, "mix": "nope" } ] }|};
@@ -361,6 +368,18 @@ let test_parse_rejects () =
       ("scenario.world.seed", {|"world": { "seed": 1e300 }|});
       ("scenario.run.jobs", {|"run": { "jobs": 0.4 }|});
     ]
+
+(* The example files still load under the strict readers. *)
+let test_example_files_load () =
+  (match Fault.load_file "../examples/crash.json" with
+  | Ok s -> Alcotest.(check string) "crash.json" "crash-demo" s.Fault.name
+  | Error msg -> Alcotest.fail msg);
+  List.iter
+    (fun path ->
+      match Scenario.load_file path with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg)
+    [ "../examples/busy.scenario.json"; "../examples/crash_noreboot.scenario.json" ]
 
 let test_builtins_resolve () =
   Alcotest.(check int) "five builtins" 5 (List.length Scenario.builtins);
@@ -546,6 +565,7 @@ let () =
           Alcotest.test_case "full" `Quick test_parse_full;
           Alcotest.test_case "rejects" `Quick test_parse_rejects;
           Alcotest.test_case "builtins resolve" `Quick test_builtins_resolve;
+          Alcotest.test_case "example files load" `Quick test_example_files_load;
         ] );
       ( "run-spec",
         [

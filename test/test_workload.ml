@@ -9,6 +9,8 @@ module Fs = Renofs_vfs.Fs
 module Disk = Renofs_vfs.Disk
 module Nfs_server = Renofs_core.Nfs_server
 module Nfs_client = Renofs_core.Nfs_client
+module Client_transport = Renofs_core.Client_transport
+module Trace = Renofs_trace.Trace
 
 let cell t ~row ~col =
   match List.nth_opt t.Experiments.rows row with
@@ -230,9 +232,15 @@ let prop_periodic_matches_formula =
 (* Nhfsstone                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let with_lan_mount opts body =
+let with_lan_mount ?trace opts body =
   let sim = Sim.create () in
   let topo = Net.Topology.build sim Net.Topology.default_spec in
+  Option.iter
+    (fun tr ->
+      List.iter
+        (fun n -> Net.Node.attach n { Net.Node.detached with trace = Some tr })
+        topo.Net.Topology.all)
+    trace;
   let sudp = Udp.install topo.Net.Topology.server in
   let stcp = Tcp.install topo.Net.Topology.server in
   let server = Nfs_server.create topo.Net.Topology.server ~udp:sudp ~tcp:stcp () in
@@ -273,7 +281,7 @@ let test_nhfsstone_achieves_offered_rate () =
     (int_of_float (r.Nhfsstone.achieved *. 30.0))
 
 let test_nhfsstone_lookup_mix_generates_lookups () =
-  let counters =
+  let calls =
     with_lan_mount Nfs_client.reno_mount (fun m fileset _ ->
         let _ =
           Nhfsstone.run m fileset
@@ -285,9 +293,9 @@ let test_nhfsstone_lookup_mix_generates_lookups () =
               seed = 3;
             }
         in
-        Nfs_client.rpc_counters m)
+        Client_transport.calls_by_proc (Nfs_client.transport m))
   in
-  let lookups = Renofs_engine.Stats.Counter.get counters "lookup" in
+  let lookups = Option.value ~default:0 (List.assoc_opt "lookup" calls) in
   (* Long names defeat the client name cache, so nearly every op is a
      real lookup RPC. *)
   Alcotest.(check bool) "lookup RPCs flowed" true (lookups > 100)
@@ -297,7 +305,7 @@ let test_nhfsstone_default_mix_writes () =
      are world-readable but owned by uid 0, so the generator writes are
      denied by permissions — nhfsstone runs as root for exactly this
      reason). *)
-  let counters =
+  let calls =
     with_lan_mount { Nfs_client.reno_mount with Nfs_client.uid = 0; gid = 0 }
       (fun m fileset _ ->
         let _ =
@@ -310,28 +318,30 @@ let test_nhfsstone_default_mix_writes () =
               seed = 3;
             }
         in
-        Nfs_client.rpc_counters m)
+        Client_transport.calls_by_proc (Nfs_client.transport m))
   in
-  let c name = Renofs_engine.Stats.Counter.get counters name in
+  let c name = Option.value ~default:0 (List.assoc_opt name calls) in
   Alcotest.(check bool) "writes flowed" true (c "write" > 0);
   Alcotest.(check bool) "reads flowed" true (c "read" > 0);
   Alcotest.(check bool) "lookups dominate" true (c "lookup" > c "write")
 
 let test_nhfsstone_read_mix_reads () =
-  let r =
+  let r, calls =
     with_lan_mount Nfs_client.reno_mount (fun m fileset _ ->
-        Nhfsstone.run m fileset
-          {
-            Nhfsstone.rate = 10.0;
-            duration = 20.0;
-            children = 4;
-            mix = Nhfsstone.read_lookup_mix;
-            seed = 3;
-          })
+        let r =
+          Nhfsstone.run m fileset
+            {
+              Nhfsstone.rate = 10.0;
+              duration = 20.0;
+              children = 4;
+              mix = Nhfsstone.read_lookup_mix;
+              seed = 3;
+            }
+        in
+        (r, Client_transport.calls_by_proc (Nfs_client.transport m)))
   in
   Alcotest.(check bool) "reads happened" true (r.Nhfsstone.read_rate > 2.0);
-  Alcotest.(check bool) "read rtts recorded" true
-    (List.exists (fun (n, _, c) -> n = "read" && c > 0) r.Nhfsstone.rtt_by_proc)
+  Alcotest.(check bool) "read RPCs sent" true (List.mem_assoc "read" calls)
 
 (* ------------------------------------------------------------------ *)
 (* Andrew                                                             *)
@@ -364,6 +374,34 @@ let test_andrew_reno_vs_ultrix_lookups () =
   let l r = List.assoc "lookup" r.Andrew.rpc_counts in
   Alcotest.(check bool) "name cache cuts lookup RPCs at least in half" true
     (l reno * 2 <= l ultrix)
+
+(* Two observers of one run count each RPC once: the transport's
+   per-procedure counts (Table 3's source) and the Rpc_send records on
+   the client's node, both read when Andrew finishes. *)
+let test_andrew_counts_match_rpc_sends () =
+  let tr = Trace.create ~capacity:0 () in
+  let sends = Hashtbl.create 16 in
+  Trace.set_hook tr
+    (Some
+       (function
+       | { Trace.node; ev = Trace.Rpc_send { proc; _ }; _ } ->
+           let key = (node, Trace.proc_name proc) in
+           Hashtbl.replace sends key
+             (1 + Option.value ~default:0 (Hashtbl.find_opt sends key))
+       | _ -> ()));
+  let traced, calls =
+    with_lan_mount ~trace:tr Nfs_client.reno_mount (fun m _ _ ->
+        ignore (Andrew.run m ~config:tiny_andrew ());
+        let client = Net.Node.id (Nfs_client.node m) in
+        ( Hashtbl.fold
+            (fun (node, name) n acc -> if node = client then (name, n) :: acc else acc)
+            sends []
+          |> List.sort compare,
+          Client_transport.calls_by_proc (Nfs_client.transport m) ))
+  in
+  Alcotest.(check bool) "several procedures" true (List.length calls >= 5);
+  Alcotest.(check (list (pair string int))) "calls_by_proc = Rpc_send records"
+    traced calls
 
 let test_andrew_noconsist_fewer_writes () =
   let reno = run_andrew Nfs_client.reno_mount in
@@ -687,6 +725,8 @@ let () =
           Alcotest.test_case "phases and counts" `Quick test_andrew_phases_and_counts;
           Alcotest.test_case "reno vs ultrix lookups" `Quick test_andrew_reno_vs_ultrix_lookups;
           Alcotest.test_case "noconsist fewer writes" `Quick test_andrew_noconsist_fewer_writes;
+          Alcotest.test_case "counts match the traced sends" `Quick
+            test_andrew_counts_match_rpc_sends;
         ] );
       ( "create-delete",
         [
