@@ -82,8 +82,8 @@ let run_all rs =
 
 (* chaos, fuzz and slo exit non-zero when any cell fails its verdict,
    naming each failing cell on stderr. *)
-let run_verdict ~cmd rs spec =
-  match R.execute ~print:print_with_chart rs spec with
+let run_verdict ~cmd ?scenarios rs spec =
+  match R.execute ~print:print_with_chart ?scenarios rs spec with
   | Error msg -> `Error (false, msg)
   | Ok results -> (
       match E.failures spec results with
@@ -118,23 +118,18 @@ let run_fuzz rs seeds no_checksum =
 (* A single scenario's "run" section is layered under the CLI flags;
    with several scenarios only the CLI applies. *)
 let run_slo rs names =
-  let resolved = List.map Scenario.resolve names in
-  match
-    List.find_map (function Error msg -> Some msg | Ok _ -> None) resolved
-  with
-  | Some msg -> `Error (false, msg)
-  | None ->
-      let scenarios =
-        match names with
-        | [] -> Scenario.builtins
-        | _ -> List.filter_map Result.to_option resolved
-      in
+  match Scenario.resolve_all names with
+  | Error msg -> `Error (false, msg)
+  | Ok given ->
+      let scenarios = List.map fst given in
       let rs =
         match scenarios with
         | [ sc ] -> R.override ~base:sc.Scenario.sc_run rs
         | _ -> rs
       in
-      run_verdict ~cmd:"slo" rs (Scenario.suite_spec scenarios)
+      run_verdict ~cmd:"slo"
+        ~scenarios:(List.map (fun (sc, how) -> (Scenario.label sc, how)) given)
+        rs (Scenario.suite_spec scenarios)
 
 (* A series address is "run/name"; PATTERN is a case-sensitive
    substring of it.  Counters plot as per-interval rates — the level of

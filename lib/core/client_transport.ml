@@ -163,9 +163,11 @@ let record_rtt t p rtt =
 (* UDP transmission and retransmission                                *)
 (* ------------------------------------------------------------------ *)
 
-let request_copy t p =
-  Mbuf.sub_copy ?pool:(Node.pool t.node) p.request ~pos:0
-    ~len:(Mbuf.length p.request)
+(* Each transmission's own chain, laid out as a copy of the master
+   would be (the NIC's cost reads the layout): views of the master's
+   full mbufs, each holding a reference, so the master's storage
+   recycles only when every transmission is released too. *)
+let request_copy t p = Mbuf.share ?pool:(Node.pool t.node) p.request
 
 let rec transmit_udp t p =
   let sock = Option.get t.sock in
@@ -245,9 +247,9 @@ let complete t p chain outcome =
   Mbuf.release ?pool:(Node.pool t.node) chain;
   Hashtbl.remove t.pending p.p_xid;
   (match p.timer with Some tm -> Sim.cancel tm | None -> ());
-  (* The master copy can never be retransmitted again; recycle it.
-     Every transmission sent a fresh [request_copy], so no in-flight
-     packet aliases this storage. *)
+  (* The master copy can never be retransmitted again; release it.  A
+     transmission still in flight holds its own references, so shared
+     storage recycles only when that is released too. *)
   Mbuf.release ?pool:(Node.pool t.node) p.request;
   (* Karn's rule: no RTT sample from retransmitted requests. *)
   if not p.retransmitted then record_rtt t p (Sim.now t.sim -. p.sent_at);
@@ -315,8 +317,9 @@ let try_complete t chain =
               garbage_reply t chain
           | _, Rpc_msg.Accepted Rpc_msg.Success, dec -> (
               (* The reply's one decode: it validates the body and is
-                 the caller's result.  Decoded values are fresh bytes
-                 (the cursor copies out of the chain). *)
+                 the caller's result.  Decoded values are fresh bytes,
+                 or lent file data that releasing the chain leaves
+                 alone. *)
               match P.decode_reply ~proc:p.p_proc dec with
               | exception (Rpc_msg.Bad_message _ | Xdr.Decode_error _) ->
                   garbage_reply t chain

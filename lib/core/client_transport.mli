@@ -82,10 +82,15 @@ val call : t -> Nfs_proto.call -> Nfs_proto.reply
     Blocks the calling process; concurrent calls are supported and
     (for the dynamic transport) gated by the congestion window.
 
-    The receiver decodes each reply once, to validate it, and that
-    decode is the result: its [bytes] (READ data, for one) were copied
-    out of the reply's mbufs, which are released at once, and belong to
-    the caller alone.  A well-formed RPC-level rejection raises
+    Each transmission is {!Renofs_mbuf.Mbuf.share} of the encoded
+    request, which lends a call's WRITE data: the caller must not
+    change those bytes until it copies them out of use.  The receiver
+    decodes each reply once, to validate it, and that decode is the
+    result.  The reply's mbufs are released at once; its [bytes] are
+    copied out of them, except READ data that arrived as one lent
+    buffer, which is that buffer, shared with the server (see
+    {!Nfs_proto.decode_reply}), and must not be mutated.  A well-formed
+    RPC-level rejection raises
     {!Rpc_error} (["rpc denied"], or ["rpc accepted with error"] for an
     accepted reply other than success). *)
 

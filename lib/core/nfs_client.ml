@@ -116,7 +116,9 @@ type cblock = {
       (* [Bytes.empty] until the block is first written or fetched; a
          fetch installs new storage, often the READ reply's own bytes *)
   mutable lent : bool;
-      (* [read] returned [data] itself: a write copies it first *)
+      (* someone else may hold [data] ([read] returned it, a WRITE lent
+         it, or it is a READ reply's lent buffer): copy it before any
+         change *)
   mutable valid : bool;
   mutable dirty : (int * int) option;
   mutable lru : int;
@@ -467,7 +469,17 @@ let rec write_range t cf b ~lo ~hi =
   if lo < hi then begin
     let n = min (hi - lo) (max 1024 t.xfer_size) in
     let off = (b.b_blk * t.opts.bsize) + lo in
-    let payload = Bytes.sub b.data lo n in
+    (* A whole block is lent to the WRITE (and, through it, to the
+       server's file) and marked so, so a write landing while the RPC is
+       queued or in flight copies the block first; a partial range is
+       copied. *)
+    let payload =
+      if lo = 0 && n = Bytes.length b.data then begin
+        b.lent <- true;
+        b.data
+      end
+      else Bytes.sub b.data lo n
+    in
     let call =
       if t.opts.v3 then
         (* Write-through demands stability now; everything else goes
@@ -877,15 +889,25 @@ let mount_path ~udp ?tcp ~server ~path opts =
 (* Reads                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Make [buf] the block's storage.  Locally-written bytes win over the
-   server's copy until they are pushed, so the dirty range carries over. *)
-let install_block b buf =
-  (match b.dirty with
-  | Some (lo, hi) -> Bytes.blit b.data lo buf lo (hi - lo)
-  | None -> ());
+(* The block's storage, ready to change: a lent block is copied first. *)
+let own_data b =
+  if b.lent then begin
+    b.data <- Bytes.copy b.data;
+    b.lent <- false
+  end;
+  b.data
+
+(* Make [buf] the block's storage, [lent] when others may hold it.
+   Locally-written bytes win over the server's copy until they are
+   pushed, so the dirty range carries over. *)
+let install_block b buf ~lent =
+  let old = b.data in
   b.data <- buf;
-  b.lent <- false;
-  b.valid <- true
+  b.lent <- lent;
+  b.valid <- true;
+  match b.dirty with
+  | Some (lo, hi) -> Bytes.blit old lo (own_data b) lo (hi - lo)
+  | None -> ()
 
 let rec ensure_block t cf blk =
   let b = get_or_create_block t cf blk in
@@ -906,11 +928,11 @@ let rec ensure_block t cf blk =
         in
         (* Fetch the block in [xfer_size] pieces; a short reply is EOF.
            A first reply holding the whole block becomes the block's
-           storage (the transport decoded it into bytes nobody else
-           holds); otherwise the pieces are staged in one buffer whose
-           tail past EOF reads as zeros. *)
+           storage, marked lent: it may be the server's own chunk, lent
+           through the reply's mbufs.  Otherwise the pieces are staged
+           in one buffer whose tail past EOF reads as zeros. *)
         let rec fetch buf pos =
-          if pos >= bs then buf
+          if pos >= bs then install_block b buf ~lent:false
           else begin
             let want = min (bs - pos) (max 1024 t.xfer_size) in
             match
@@ -923,20 +945,20 @@ let rec ensure_block t cf blk =
                 if cf.cached_mtime = 0.0 then cf.cached_mtime <- mtime_of a;
                 note_size cf a;
                 note_transfer t;
-                if pos = 0 && n = bs then data
+                if pos = 0 && n = bs then install_block b data ~lent:true
                 else begin
                   let buf = if pos = 0 then Bytes.create bs else buf in
                   Bytes.blit data 0 buf pos n;
                   if n < want then begin
                     Bytes.fill buf (pos + n) (bs - pos - n) '\000';
-                    buf
+                    install_block b buf ~lent:false
                   end
                   else fetch buf (pos + n)
                 end
             | failed -> finish_err (error_of failed)
           end
         in
-        install_block b (fetch Bytes.empty 0);
+        fetch Bytes.empty 0;
         b.fetching <- None;
         Proc.Ivar.fill iv ()
       end;
@@ -1039,10 +1061,8 @@ let write t fd ~off data =
     (* A buf holds a single dirty region: push the old one first if the
        new range cannot merge with it. *)
     if not (mergeable b lo hi) then push_block t cf b ~wait:true;
-    if Bytes.length b.data = 0 then b.data <- Bytes.make bs '\000'
-    else if b.lent then b.data <- Bytes.copy b.data;
-    b.lent <- false;
-    Bytes.blit data !pos b.data lo n;
+    if Bytes.length b.data = 0 then b.data <- Bytes.make bs '\000';
+    Bytes.blit data !pos (own_data b) lo n;
     let range =
       match b.dirty with
       | Some (dlo, dhi) -> (min lo dlo, max hi dhi)

@@ -157,9 +157,16 @@ val read : t -> fd -> off:int -> len:int -> bytes
 (** Short at EOF.  The result may share the mount's block cache (a read
     of exactly one whole aligned block returns the cached block itself,
     still charged as a copy) and must not be mutated; later writes
-    never change it, as with {!Renofs_vfs.Fs.read}. *)
+    never change it, as with {!Renofs_vfs.Fs.read}.  A cached block may
+    itself be the server's file chunk: a READ reply that holds a whole
+    block is adopted as the block without a copy. *)
 
 val write : t -> fd -> off:int -> bytes -> unit
+(** A whole dirty block is lent to its WRITE, and through it to the
+    server's file, without a copy; the block is copied before any later
+    change, so the server receives the bytes the block held when it was
+    pushed.  A partial range is copied. *)
+
 val fsync : t -> fd -> unit
 val close : t -> fd -> unit
 val fd_size : t -> fd -> int

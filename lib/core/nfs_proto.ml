@@ -528,7 +528,7 @@ let encode_reply enc reply =
       enc_result enc r (fun (a, data) ->
           enc_fattr enc a;
           (* The data copy out of the buffer cache into mbufs, counted by
-             the encoder's copy counters. *)
+             the encoder's copy counters; the host lends the bytes. *)
           Xdr.Enc.opaque enc data)
   | Rstat st -> enc_status enc st
   | Rreaddir r ->

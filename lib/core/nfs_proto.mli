@@ -223,6 +223,16 @@ val is_idempotent : int -> bool
 (** Getattr/lookup/read-style procedures may be repeated harmlessly;
     remove/create/rename-style ones may not [Juszczak89]. *)
 
+(** File data is lent, not copied, on the host.  The encoders lend
+    WRITE and WRITE3 data and READ reply data
+    ({!Renofs_xdr.Xdr.Enc.opaque}), so the caller must not change
+    those bytes while the chain lives; the chain's layout and copy
+    counts are those of a copy.  The decoders return such data as the
+    lent buffer itself when it arrived whole
+    ({!Renofs_xdr.Xdr.Dec.opaque}): a server's file chunk in a READ
+    reply, a client's cached block in a WRITE.  Decoded data must never
+    be mutated; copy it first. *)
+
 val encode_call : Renofs_xdr.Xdr.Enc.t -> call -> unit
 
 val decode_call : proc:int -> Renofs_xdr.Xdr.Dec.t -> call

@@ -440,9 +440,10 @@ let execute t ~client ~uid ~gid (call : P.call) : P.reply =
   | P.Write { P.write_file; write_offset; data } ->
       let v = vn t write_file in
       check t ~uid ~gid v ~want:w_ok;
-      (* mbuf to buffer cache copy before the synchronous write. *)
+      (* mbuf to buffer cache copy before the synchronous write; the
+         host adopts a whole aligned chunk instead. *)
       charge_copy t (Bytes.length data);
-      Fs.write t.fs v ~off:write_offset data;
+      Fs.write_lent t.fs v ~off:write_offset [ data ];
       let a = attr t v in
       trace_committed t ~file:write_file ~off:write_offset data
         ~mtime:(P.float_of_time a.P.mtime) (fun () -> Trace.digest data);
@@ -571,7 +572,7 @@ let execute t ~client ~uid ~gid (call : P.call) : P.reply =
                    });
             P.Unstable
         | P.Data_sync | P.File_sync ->
-            Fs.write t.fs v ~off:w3_offset w3_data;
+            Fs.write_lent t.fs v ~off:w3_offset [ w3_data ];
             trace_committed t ~file:w3_file ~off:w3_offset w3_data
               ~mtime:(Fs.getattr t.fs v).Fs.mtime (fun () -> Trace.digest w3_data);
             P.File_sync
@@ -605,7 +606,7 @@ let execute t ~client ~uid ~gid (call : P.call) : P.reply =
                 last-writer-wins, matching reads through the overlay. *)
              List.iter
                (fun e ->
-                 Fs.write t.fs v ~off:e.ue_off e.ue_data;
+                 Fs.write_lent t.fs v ~off:e.ue_off [ e.ue_data ];
                  trace_committed t ~file:cm_file ~off:e.ue_off e.ue_data
                    ~mtime:(Fs.getattr t.fs v).Fs.mtime (fun () -> uext_digest e))
                (List.rev covered));
@@ -825,9 +826,10 @@ let start_udp t =
           | Some reply -> Udp.sendto sock ~dst:dg.Udp.src ~dst_port:dg.Udp.src_port reply
           | None -> ());
           (* The request chain is fully decoded (every extracted value is
-             a fresh copy) and any cached reply was copied, so this
-             worker holds the last reference: recycle the storage the
-             client's encoder allocated. *)
+             a fresh copy, or lent data that release leaves alone) and
+             any cached reply was copied, so this worker is done with
+             it: drop its references to the storage the client's
+             encoder allocated. *)
           Mbuf.release ?pool:(Node.pool t.node) dg.Udp.payload;
           serve ()
         in

@@ -291,20 +291,20 @@ let read_file path =
   | content -> Ok content
   | exception Sys_error msg -> Error msg
 
-let load_file path =
-  match read_file path with
-  | Error _ as e -> e
-  | Ok content ->
-      (* Parse errors already carry line/column; add which file. *)
-      Result.map_error
-        (fun msg -> path ^ ": parse error: " ^ msg)
-        (parse content)
+(* Parse errors already carry line/column; add which file. *)
+let parse_located path content =
+  Result.map_error (fun msg -> path ^ ": parse error: " ^ msg) (parse content)
 
-let decode_file path decode =
-  match load_file path with
+let load_file path = Result.bind (read_file path) (parse_located path)
+
+let decode_text ~path content decode =
+  match parse_located path content with
   | Error _ as e -> e
   | Ok doc -> (
       try Ok (decode doc) with Bad msg -> Error (path ^ ": " ^ msg))
+
+let decode_file path decode =
+  Result.bind (read_file path) (fun content -> decode_text ~path content decode)
 
 let decode_line ~path ~lineno line decode =
   match parse line with

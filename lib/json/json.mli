@@ -107,6 +107,10 @@ val decode_file : string -> (json -> 'a) -> ('a, string) result
 (** {!load_file}, then run a decoder that may raise {!Bad}; decoder
     failures come back as ["path: ..."]. *)
 
+val decode_text :
+  path:string -> string -> (json -> 'a) -> ('a, string) result
+(** {!decode_file} of text already read from [path]. *)
+
 val decode_line :
   path:string -> lineno:int -> string -> (json -> 'a) -> ('a, string) result
 (** Parse and decode one JSONL line; both parse and decoder failures

@@ -28,9 +28,16 @@ type mbuf = {
   mutable off : int;
   mutable len : int;
   cluster : bool;
-  writable : bool; (* false for views produced by [split] *)
+  writable : bool; (* false for views: [split], [share], [add_lent] *)
   refs : int ref; (* live records sharing [data]; views share the cell *)
 }
+
+(* The [refs] of every view of lent storage ([add_lent]): the caller's
+   bytes, which belong to no pool.  It stays 0, so [release] never hands
+   the storage to a [Pool], and [split] and [share] do not count views
+   of it.  It is never written, so every domain may share it. *)
+let lent_refs = ref 0
+let is_lent m = m.refs == lent_refs
 
 (* Free lists of recycled storage.  Only exactly pool-sized buffers are
    kept, so storage that came from [of_bytes] of arbitrary data (or from
@@ -109,6 +116,8 @@ let num_clusters t = List.length (List.filter (fun m -> m.cluster) t.rev)
 let cluster_bytes t =
   List.fold_left (fun acc m -> if m.cluster then acc + m.len else acc) 0 t.rev
 
+let layout t = List.rev_map (fun m -> (m.len, m.cluster)) t.rev
+
 let note_copy ctr n =
   match ctr with
   | None -> ()
@@ -158,28 +167,46 @@ let release ?pool t =
 let tail_room m =
   if not m.writable then 0 else Bytes.length m.data - (m.off + m.len)
 
-let add_bytes ?ctr ?pool t src ~off ~len =
+(* Copy as much of [src]'s [len] bytes from [off] as fit in [m]'s tail
+   room; the count copied. *)
+let fill m src off len =
+  let n = Int.min len (tail_room m) in
+  Bytes.blit src off m.data (m.off + m.len) n;
+  m.len <- m.len + n;
+  n
+
+(* Append [src]'s range, copying as the kernel does: fill the tail,
+   then allocate (clusters once the remainder is large).  With [lend],
+   each whole fresh cluster the copy would fill is a read-only view of
+   [src] instead, with the same length, cluster flag and tail room.  A
+   top-level loop, so an append allocates no closure. *)
+let rec append_range ~lend ctr pool t src off len =
+  if len > 0 then begin
+    let n =
+      match t.rev with
+      | m :: _ when tail_room m > 0 -> fill m src off len
+      | _ when lend && len >= mclbytes ->
+          t.rev <-
+            { data = src; off; len = mclbytes; cluster = true; writable = false; refs = lent_refs }
+            :: t.rev;
+          mclbytes
+      | _ ->
+          let m = alloc ?pool ctr (len >= mincl_size) in
+          t.rev <- m :: t.rev;
+          fill m src off len
+    in
+    t.total <- t.total + n;
+    append_range ~lend ctr pool t src (off + n) (len - n)
+  end
+
+let append ~lend ?ctr ?pool t src ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Mbuf.add_bytes: range out of bounds";
   note_copy ctr len;
-  let rec go off len =
-    if len > 0 then begin
-      let m =
-        match t.rev with
-        | m :: _ when tail_room m > 0 -> m
-        | _ ->
-            let m = alloc ?pool ctr (len >= mincl_size) in
-            t.rev <- m :: t.rev;
-            m
-      in
-      let n = Int.min len (tail_room m) in
-      Bytes.blit src off m.data (m.off + m.len) n;
-      m.len <- m.len + n;
-      t.total <- t.total + n;
-      go (off + n) (len - n)
-    end
-  in
-  go off len
+  append_range ~lend ctr pool t src off len
+
+let add_bytes ?ctr ?pool t src ~off ~len = append ~lend:false ?ctr ?pool t src ~off ~len
+let add_lent ?ctr ?pool t src ~off ~len = append ~lend:true ?ctr ?pool t src ~off ~len
 
 let add_string ?ctr ?pool t s =
   add_bytes ?ctr ?pool t (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
@@ -248,7 +275,7 @@ let split t n =
         (* Straddling mbuf: share the underlying storage as two views.
            One record conceptually dies and two are born, so the shared
            reference count grows by exactly one. *)
-        incr m.refs;
+        if not (is_lent m) then incr m.refs;
         let head =
           {
             data = m.data;
@@ -290,6 +317,76 @@ let sub_copy ?ctr ?pool t ~pos ~len =
           want := !want - n
         end
       end);
+  out
+
+(* Whether the [n] bytes from [skip] into the first of [mbufs] all lie
+   in lent views of [b], at consecutive offsets from [off]. *)
+let rec lent_run mbufs skip b off n =
+  n <= 0
+  ||
+  match mbufs with
+  | [] -> false
+  | m :: rest ->
+      is_lent m && m.data == b && m.off + skip = off
+      &&
+      let k = Int.min (m.len - skip) n in
+      lent_run rest 0 b (off + k) (n - k)
+
+(* Blit [n] bytes from [skip] into the first of [mbufs] to [dst] at [pos]. *)
+let rec blit_from mbufs skip dst pos n =
+  match mbufs with
+  | m :: rest when n > 0 ->
+      let k = Int.min (m.len - skip) n in
+      Bytes.blit m.data (m.off + skip) dst pos k;
+      blit_from rest 0 dst (pos + k) (n - k)
+  | _ -> ()
+
+(* [sub_copy] of the whole chain copies each master mbuf with one
+   [add_bytes], which fills the tail and then starts a fresh mbuf, a
+   cluster when at least [mincl_size] bytes of that master mbuf remain.
+   A fresh mbuf keeps filling from the next master mbufs until it is
+   full, so each mbuf of the copy holds the next 112 or 2,048 bytes
+   (fewer at the end).  [share] lays out the same mbufs, but a full one
+   that is exactly one full master mbuf is a view of it, holding a
+   reference, and a full cluster whose bytes all lie in one lent buffer
+   is a lent view of that buffer; the rest are copied. *)
+let share ?pool t =
+  let out = empty () in
+  let push m =
+    out.rev <- m :: out.rev;
+    out.total <- out.total + m.len
+  in
+  let rec go mbufs skip left =
+    match mbufs with
+    | [] -> ()
+    | m :: rest when skip >= m.len -> go rest (skip - m.len) left
+    | m :: _ ->
+        let cluster = m.len - skip >= mincl_size in
+        let cap = if cluster then mclbytes else mlen in
+        let n = Int.min cap left in
+        if n = cap && cluster && lent_run mbufs skip m.data (m.off + skip) cap then
+          push
+            {
+              data = m.data;
+              off = m.off + skip;
+              len = cap;
+              cluster = true;
+              writable = false;
+              refs = lent_refs;
+            }
+        else if skip = 0 && m.len = cap && m.cluster = cluster && not (is_lent m) then begin
+          incr m.refs;
+          push { m with writable = false }
+        end
+        else begin
+          let c = alloc ?pool None cluster in
+          blit_from mbufs skip c.data 0 n;
+          c.len <- n;
+          push c
+        end;
+        go mbufs (skip + n) (left - n)
+  in
+  go (List.rev t.rev) 0 t.total;
   out
 
 (* Native-byte-order loads without bounds checks. *)
@@ -387,7 +484,7 @@ module Cursor = struct
     done;
     c.left <- c.left - len
 
-  let bytes c n =
+  let copy c n =
     (* Bounds-check before allocating: a corrupt 4 GB length must raise
        Underrun here, not Invalid_argument (or a huge allocation) from
        [Bytes.create]. *)
@@ -410,7 +507,7 @@ module Cursor = struct
         u32 c
     | _ ->
         (* The word straddles two mbufs, or fewer than four bytes are left. *)
-        Int32.to_int (Bytes.get_int32_be (bytes c 4) 0) land 0xFFFF_FFFF
+        Int32.to_int (Bytes.get_int32_be (copy c 4) 0) land 0xFFFF_FFFF
 
   let skip c n =
     (* [n < 0] would skip the loop yet grow [c.left] below. *)
@@ -432,4 +529,44 @@ module Cursor = struct
           end
     done;
     c.left <- c.left - n
+
+  (* The buffer of the first lent view among the [n] bytes from [skip]
+     into the first of [mbufs]; [Bytes.empty] when there is none. *)
+  let rec first_lent mbufs skip n =
+    match mbufs with
+    | m :: rest when n > 0 ->
+        let k = Int.min (m.len - skip) n in
+        if k > 0 && is_lent m then m.data else first_lent rest 0 (n - k)
+    | _ -> Bytes.empty
+
+  let rec equal_range a i b j len =
+    if len >= 8 then
+      unsafe_get64 a i = unsafe_get64 b j && equal_range a (i + 8) b (j + 8) (len - 8)
+    else
+      len = 0
+      || (Bytes.unsafe_get a i = Bytes.unsafe_get b j && equal_range a (i + 1) b (j + 1) (len - 1))
+
+  (* Whether bytes [q, n) from [skip] into the first of [mbufs] are [b]'s
+     at the same positions: each lent view is of [b] at its position,
+     and each copied piece holds [b]'s bytes there. *)
+  let rec matches mbufs skip q n b =
+    q >= n
+    ||
+    match mbufs with
+    | [] -> false
+    | m :: rest ->
+        let k = Int.min (m.len - skip) (n - q) in
+        (k = 0
+        || if is_lent m then m.data == b && m.off + skip = q
+           else equal_range m.data (m.off + skip) b q k)
+        && matches rest 0 (q + k) n b
+
+  let bytes c n =
+    if n < 0 || n > c.left then raise Underrun;
+    let b = first_lent c.mbufs c.pos n in
+    if n > 0 && Bytes.length b = n && matches c.mbufs c.pos 0 n b then begin
+      skip c n;
+      b
+    end
+    else copy c n
 end

@@ -6,7 +6,17 @@
     usable bytes each, as in 4.3BSD) and page clusters (2048 bytes),
     with zero-copy {!split} (cluster sharing, as fragmentation does in the
     kernel) and explicit accounting of every memory-to-memory copy — the
-    quantity Section 3 of the paper works to minimise. *)
+    quantity Section 3 of the paper works to minimise.
+
+    File data can also ride in {e lent} views, modelled on Reno's
+    reference-counted external (M_EXT) clusters: {!add_lent} appends
+    read-only views of the caller's bytes where {!add_bytes} would fill
+    whole fresh clusters, {!share} views a chain instead of copying it,
+    and {!Cursor.bytes} hands the lent bytes back at the far end.  A view
+    has the same length, cluster flag and tail room as the copy it stands
+    for, and counts the same copied bytes, so everything the simulation
+    reads of a chain (layout, checksum, copy counters) is the same either
+    way; only the host skips the copy. *)
 
 (** Per-host allocation and copy counters.  Pass the owning host's
     counters to the operations that copy; the host charges CPU time for
@@ -81,11 +91,25 @@ val cluster_bytes : t -> int
 (** Payload bytes held in cluster mbufs; the remainder lives in small
     mbufs.  The NIC model maps clusters but must copy small-mbuf bytes. *)
 
+val layout : t -> (int * bool) list
+(** Each mbuf's payload length and cluster flag, in chain order: the
+    shape that the NIC's cost and IP fragmentation read. *)
+
 val add_bytes : ?ctr:Counters.t -> ?pool:Pool.t -> t -> bytes -> off:int -> len:int -> unit
 (** Append by copying, filling the tail mbuf then allocating new ones
     (clusters once the remainder is large, like [MINCLSIZE]).  With
     [pool], new mbuf storage is grabbed from the free list when one is
     available, allocated fresh otherwise. *)
+
+val add_lent : ?ctr:Counters.t -> ?pool:Pool.t -> t -> bytes -> off:int -> len:int -> unit
+(** {!add_bytes}, but each whole fresh cluster it would fill (2,048
+    bytes) is a read-only view of [bytes] instead: the same length,
+    cluster flag, tail room and [bytes_copied], and no storage taken.
+    Everything else is copied as {!add_bytes} copies it.  Lent storage
+    belongs to no pool: {!release} never hands it to a {!Pool}, however
+    many views of it ({!split}, {!share}) are released.  The caller must
+    never mutate the range while any chain holding a view of it lives;
+    every holder of lent bytes copies them before a change. *)
 
 val add_string : ?ctr:Counters.t -> ?pool:Pool.t -> t -> string -> unit
 
@@ -112,6 +136,16 @@ val split : t -> int -> t * t
 
 val sub_copy : ?ctr:Counters.t -> ?pool:Pool.t -> t -> pos:int -> len:int -> t
 (** Copy out a byte range as a fresh chain. *)
+
+val share : ?pool:Pool.t -> t -> t
+(** The whole chain as {!sub_copy} lays it out, sharing storage where
+    that layout allows.  A full mbuf of that layout (112 bytes in a
+    small, 2,048 in a cluster) that is exactly one full mbuf of [t] is a
+    read-only view of it, holding a reference as a {!split} view does; a
+    full cluster whose bytes are one lent buffer ({!add_lent}) is a view
+    of that buffer; every other byte is copied.  The (length, cluster)
+    sequence and every tail room equal {!sub_copy}'s.  [t] must not
+    change while the result lives. *)
 
 val checksum : t -> int
 (** 16-bit ones-complement sum over the payload (Internet checksum,
@@ -142,5 +176,12 @@ module Cursor : sig
       remain. *)
 
   val bytes : t -> int -> bytes
+  (** The next [n] bytes, in a fresh copy unless they are one lent
+      buffer ({!add_lent}) from end to end: every lent view among them
+      is of that buffer at its own position in the range, the buffer is
+      [n] bytes long, and the copied bytes before and after the views
+      equal it (checked).  Then the buffer itself is returned, and must
+      not be mutated: other holders keep it. *)
+
   val skip : t -> int -> unit
 end

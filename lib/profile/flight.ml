@@ -2,9 +2,18 @@ module Trace = Renofs_trace.Trace
 module Metrics = Renofs_metrics.Metrics
 module Json = Renofs_json.Json
 
-type t = { f_dir : string; f_spec : Json.json; f_seed : int }
+type scenario = [ `Builtin of string | `File of string * string ]
 
-let arm ~dir ~spec ~seed = { f_dir = dir; f_spec = spec; f_seed = seed }
+type t = {
+  f_dir : string;
+  f_spec : Json.json;
+  f_seed : int;
+  f_scenarios : (string * scenario) list;
+}
+
+let arm ~dir ~spec ~seed ~scenarios =
+  { f_dir = dir; f_spec = spec; f_seed = seed; f_scenarios = scenarios }
+
 let tail_records = 20_000
 
 let sanitize label =
@@ -36,6 +45,10 @@ let dump t ~label ~reason ?trace ?metrics ?profile () =
   in
   add "reason.txt" (fun p -> write_string p (reason ^ "\n"));
   add "run_spec.json" (fun p -> write_string p (Json.to_string Compact t.f_spec));
+  let scenario = List.assoc_opt label t.f_scenarios in
+  (match scenario with
+  | Some (`File (_, text)) -> add "scenario.json" (fun p -> write_string p text)
+  | Some (`Builtin _) | None -> ());
   (match trace with
   | Some tr ->
       add "trace_tail.jsonl" (fun p -> Trace.export_jsonl ~last:tail_records tr p)
@@ -49,11 +62,16 @@ let dump t ~label ~reason ?trace ?metrics ?profile () =
   Json.write_file
     (Filename.concat bundle "MANIFEST.json")
     (Obj
-       [
-         ("schema", Str "renofs-flight/1");
-         ("label", Str label);
-         ("seed", Num (float_of_int t.f_seed));
-         ("reason", Str reason);
-         ("members", Arr (List.rev_map (fun m -> Json.Str m) !members));
-       ]);
+       ([
+          ("schema", Json.Str "renofs-flight/1");
+          ("label", Json.Str label);
+          ("seed", Json.Num (float_of_int t.f_seed));
+        ]
+       @ (match scenario with
+         | Some (`Builtin name | `File (name, _)) -> [ ("scenario", Json.Str name) ]
+         | None -> [])
+       @ [
+           ("reason", Json.Str reason);
+           ("members", Json.Arr (List.rev_map (fun m -> Json.Str m) !members));
+         ]));
   bundle

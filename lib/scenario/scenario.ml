@@ -531,15 +531,31 @@ let builtins =
 let builtin_names = List.map (fun sc -> sc.sc_name) builtins
 let find_builtin name = List.find_opt (fun sc -> sc.sc_name = name) builtins
 
+(* A file is read once, so a flight bundle keeps the bytes that ran. *)
 let resolve name =
   match find_builtin name with
-  | Some sc -> Ok sc
-  | None when Sys.file_exists name -> load_file name
+  | Some sc -> Ok (sc, `Builtin name)
+  | None when Sys.file_exists name ->
+      Result.bind (Json.read_file name) (fun text ->
+          Json.decode_text ~path:name text of_json_exn
+          |> Result.map (fun sc -> (sc, `File (name, text))))
   | None ->
       Error
         (Printf.sprintf "%s: not a builtin scenario or a file (builtins: %s)"
            name
            (String.concat ", " builtin_names))
+
+(* slo's arguments; no argument means every builtin.  The first that
+   resolves to nothing is the error. *)
+let resolve_all = function
+  | [] -> Ok (List.map (fun sc -> (sc, `Builtin sc.sc_name)) builtins)
+  | names ->
+      List.fold_right
+        (fun name acc ->
+          match (resolve name, acc) with
+          | Error msg, _ | _, Error msg -> Error msg
+          | Ok given, Ok rest -> Ok (given :: rest))
+        names (Ok [])
 
 (* ------------------------------------------------------------------ *)
 (* The runner cell                                                     *)
@@ -557,8 +573,10 @@ let pct1 v = E.Float (v *. 100.0, E.Percent, 1)
 let scenario_fileset =
   Fileset.generate ~dirs:3 ~files_per_dir:4 ~file_size:8192 ~long_names:false
 
+let label sc = "slo/" ^ sc.sc_name
+
 let cell sc =
-  let label = "slo/" ^ sc.sc_name in
+  let label = label sc in
   {
     E.cell_label = label;
     cell_run =

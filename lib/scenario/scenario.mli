@@ -171,10 +171,22 @@ val of_json : Renofs_json.Json.json -> (t, string) result
 val parse : string -> (t, string) result
 val load_file : string -> (t, string) result
 
-val resolve : string -> (t, string) result
-(** A builtin name if one matches, otherwise a scenario file path. *)
+val resolve : string -> (t * Renofs_profile.Flight.scenario, string) result
+(** A builtin name if one matches, otherwise a scenario file path, read
+    once.  The scenario comes with how it was given, which its flight
+    bundle records: a builtin's name, or the file's path and the bytes
+    it was parsed from. *)
+
+val resolve_all :
+  string list -> ((t * Renofs_profile.Flight.scenario) list, string) result
+(** [nfsbench slo]'s arguments, each {!resolve}d; every builtin when the
+    list is empty.  The first argument that resolves to nothing is the
+    error. *)
 
 (** {1 Running} *)
+
+val label : t -> string
+(** The label of the scenario's cell: ["slo/"] and its name. *)
 
 val cell : t -> Renofs_workload.Experiments.cell
 (** One self-contained cell: build the fleet world, provision and

@@ -93,9 +93,10 @@ val chunk_size : int
 val read : t -> vnode -> off:int -> len:int -> bytes
 (** Short reads at EOF, and an empty result at or past it; raises
     [Err Eisdir] on directories.  The result may share the file's
-    storage (a read of one whole aligned chunk returns the chunk itself)
-    and must not be mutated; later writes, truncations and extensions
-    never change it. *)
+    storage (a read of one whole aligned chunk returns the chunk itself,
+    which the NFS server lends to its READ reply and a client may keep
+    as its cached block) and must not be mutated; later writes,
+    truncations and extensions never change it. *)
 
 val write : t -> vnode -> off:int -> bytes -> unit
 
@@ -103,10 +104,13 @@ val write_lent : t -> vnode -> off:int -> bytes list -> unit
 (** {!write} of the pieces' concatenation, at the same cost and in the
     same simulated time, but storing by reference where it can: a piece
     of exactly {!chunk_size} bytes that starts on a chunk boundary of the
-    file becomes the file's storage there, and is copied before any write, truncation
-    or extension changes it.  Every other piece is copied.  The caller
-    must never mutate a piece afterwards; one piece may be lent to any
-    number of files, filesystems and domains at once. *)
+    file becomes the file's storage there, and is copied before any
+    write, truncation or extension changes it.  Every other piece is
+    copied.  The caller must never mutate a piece afterwards; one piece
+    may be lent to any number of files, filesystems and domains at once.
+    The preload lends shared file bodies this way, and the NFS server
+    the data of every WRITE, which may be the writing client's own
+    cached block. *)
 
 val create_file :
   t -> dir:vnode -> string -> mode:int -> ?uid:int -> ?gid:int -> unit -> vnode

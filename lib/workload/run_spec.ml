@@ -156,7 +156,7 @@ let spec_json t =
            str "flight" t.rs_flight;
          ])
 
-let execute_many ?(print = fun _ -> ()) t specs =
+let execute_many ?(print = fun _ -> ()) ?(scenarios = []) t specs =
   match
     check_outputs
       [
@@ -196,7 +196,7 @@ let execute_many ?(print = fun _ -> ()) t specs =
           let flight =
             match t.rs_flight with
             | Some dir ->
-                Some (Flight.arm ~dir ~spec:(spec_json t) ~seed:(seed t))
+                Some (Flight.arm ~dir ~spec:(spec_json t) ~seed:(seed t) ~scenarios)
             | None -> None
           in
           (match faults with
@@ -249,7 +249,7 @@ let execute_many ?(print = fun _ -> ()) t specs =
           | _ -> ());
           Ok results)
 
-let execute ?print t spec =
+let execute ?print ?scenarios t spec =
   Result.map
     (function [ r ] -> r | _ -> assert false)
-    (execute_many ?print t [ spec ])
+    (execute_many ?print ?scenarios t [ spec ])

@@ -59,6 +59,7 @@ val check_outputs : (string * string option) list -> string option
 
 val execute_many :
   ?print:(Experiments.table -> unit) ->
+  ?scenarios:(string * Renofs_profile.Flight.scenario) list ->
   t ->
   Experiments.spec list ->
   (Experiments.results list, string) result
@@ -67,7 +68,8 @@ val execute_many :
     create the trace sink (when [rs_trace], [rs_report] or
     [rs_perfetto]), metrics sink (when [rs_metrics]) and self-profiler
     (when [rs_profile] or [rs_perfetto]), arm the flight recorder
-    (when [rs_flight]), execute every spec's cells in one pooled sweep
+    (when [rs_flight]; [scenarios], by cell label, for its bundles),
+    execute every spec's cells in one pooled sweep
     via {!Experiments.run_specs}, print each rendered table through
     [print], then export JSON / metrics / trace / profile / perfetto
     and print the report and profile table.  Returns the typed results
@@ -77,6 +79,7 @@ val execute_many :
 
 val execute :
   ?print:(Experiments.table -> unit) ->
+  ?scenarios:(string * Renofs_profile.Flight.scenario) list ->
   t ->
   Experiments.spec ->
   (Experiments.results, string) result

@@ -31,7 +31,7 @@ module Enc = struct
     word t (Int64.to_int v)
 
   let opaque_fixed t b =
-    Mbuf.add_bytes ?ctr:t.ctr ?pool:t.pool t.chain b ~off:0 ~len:(Bytes.length b);
+    Mbuf.add_lent ?ctr:t.ctr ?pool:t.pool t.chain b ~off:0 ~len:(Bytes.length b);
     let pad = pad_len (Bytes.length b) in
     if pad > 0 then
       Mbuf.add_bytes ?ctr:t.ctr ?pool:t.pool t.chain zeros ~off:0 ~len:pad

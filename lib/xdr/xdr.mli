@@ -40,10 +40,15 @@ module Enc : sig
 
   val opaque_fixed : t -> bytes -> unit
   (** Fixed-length opaque: bytes plus zero padding to a 4-byte boundary
-      (no length word). *)
+      (no length word).  The bytes are lent
+      ({!Renofs_mbuf.Mbuf.add_lent}): the chain's layout and copy counts
+      are a copy's, but whole clusters are views of them, so they must
+      not change while the chain lives.  This is how READ replies and
+      WRITE calls carry file data. *)
 
   val opaque : t -> bytes -> unit
-  (** Variable-length opaque: length word, bytes, padding. *)
+  (** Variable-length opaque: length word, bytes, padding.  Lends the
+      bytes as {!opaque_fixed} does. *)
 
   val string : t -> string -> unit
 
@@ -65,10 +70,14 @@ module Dec : sig
   val u64 : t -> int64
 
   val opaque_fixed : t -> int -> bytes
-  (** Read exactly [n] bytes plus padding. *)
+  (** Read exactly [n] bytes plus padding.  When the bytes arrived as
+      one lent buffer from end to end ({!Renofs_mbuf.Mbuf.Cursor.bytes})
+      that buffer itself is returned, not a copy, so the result must
+      not be mutated. *)
 
   val opaque : t -> max:int -> bytes
-  (** Variable-length opaque; rejects lengths above [max]. *)
+  (** Variable-length opaque; rejects lengths above [max].  The result
+      may be lent, as {!opaque_fixed}'s is, and must not be mutated. *)
 
   val string : t -> max:int -> string
 end

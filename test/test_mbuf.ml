@@ -308,6 +308,244 @@ let test_pool_caps_bound_retention () =
   Alcotest.(check bool) "small retention capped" true
     (Mbuf.Pool.small_free pool <= 1)
 
+(* ------------------------------------------------------------------ *)
+(* Lent views                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Packet = Renofs_net.Packet
+module Xdr = Renofs_xdr.Xdr
+module Rpc_msg = Renofs_rpc.Rpc_msg
+module P = Renofs_core.Nfs_proto
+
+(* The tail an append starts from: no mbuf, or a small or cluster mbuf
+   with [free] bytes of room.  A fresh mbuf always takes at least one
+   byte, and a cluster at least MINCLSIZE (208), so a small has 0 to 111
+   bytes free and a cluster 0 to 1,840. *)
+type tail = No_tail | Small of int | Cluster of int
+
+let chain_ending ?pool = function
+  | No_tail -> Mbuf.empty ()
+  | Small free -> Mbuf.of_bytes ?pool (Bytes.make (112 - free) 's')
+  | Cluster free -> Mbuf.of_bytes ?pool (Bytes.make (2048 - free) 'c')
+
+let show_tail = function
+  | No_tail -> "no tail"
+  | Small f -> Printf.sprintf "small, %d free" f
+  | Cluster f -> Printf.sprintf "cluster, %d free" f
+
+let random_bytes seed n =
+  let rng = Random.State.make [| seed |] in
+  Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
+(* What the network reads of a chain: its IP fragments at [mtu]. *)
+let pieces mtu chain =
+  let dg =
+    Packet.make_datagram ~proto:Packet.Udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 ~ip_id:1
+      chain
+  in
+  List.map
+    (fun p ->
+      (p.Packet.frag_off, p.Packet.more, Mbuf.layout p.Packet.payload, Mbuf.checksum p.Packet.payload))
+    (Packet.fragment dg ~mtu)
+
+let prop_lending_append_is_a_copy =
+  QCheck.Test.make ~name:"lending append lays out as add_bytes" ~count:300
+    (QCheck.make
+       ~print:(fun (tail, off, len, _) ->
+         Printf.sprintf "%s, %d bytes at offset %d" (show_tail tail) len off)
+       QCheck.Gen.(
+         let* tail =
+           frequency
+             [
+               (1, return No_tail);
+               (2, map (fun f -> Small f) (int_bound 111));
+               (2, map (fun f -> Cluster f) (int_bound 1840));
+             ]
+         in
+         let* off = int_bound 15 in
+         let* len =
+           frequency
+             [
+               (1, int_bound 300);
+               (3, int_bound 40_000);
+               (2, map2 (fun k d -> max 0 ((k * 2048) + d - 4)) (int_bound 19) (int_bound 8));
+             ]
+         in
+         let* seed = int in
+         return (tail, off, len, seed)))
+    (fun (tail, off, len, seed) ->
+      let src = random_bytes seed (off + len + 5) in
+      let build add =
+        let ctr = Mbuf.Counters.create () in
+        let c = chain_ending tail in
+        add ~ctr c src ~off ~len;
+        (c, ctr)
+      in
+      let lent () = build (fun ~ctr c -> Mbuf.add_lent ~ctr c) in
+      let copy () = build (fun ~ctr c -> Mbuf.add_bytes ~ctr c) in
+      let shape (c, ctr) =
+        ( Mbuf.layout c,
+          Mbuf.num_clusters c,
+          Mbuf.cluster_bytes c,
+          Mbuf.checksum c,
+          ctr.Mbuf.Counters.bytes_copied,
+          Mbuf.to_bytes c )
+      in
+      (* Equal tail room: a further append lays out the same. *)
+      let after (c, _) =
+        Mbuf.add_bytes c (Bytes.make 300 't') ~off:0 ~len:300;
+        Mbuf.layout c
+      in
+      shape (lent ()) = shape (copy ())
+      && List.for_all
+           (fun mtu -> pieces mtu (fst (lent ())) = pieces mtu (fst (copy ())))
+           [ 1006; 1500; 4464 ]
+      && after (lent ()) = after (copy ()))
+
+let sample_fattr =
+  let t = { P.seconds = 1; useconds = 0 } in
+  {
+    P.ftype = P.NFREG;
+    mode = 0o644;
+    nlink = 1;
+    uid = 0;
+    gid = 0;
+    size = 32768;
+    blocksize = 8192;
+    rdev = 0;
+    blocks = 64;
+    fsid = 1;
+    fileid = 7;
+    atime = t;
+    mtime = t;
+    ctime = t;
+  }
+
+(* A READ reply, WRITE or WRITE3 call as the server and the client
+   transport encode them, with [data] lent. *)
+let encode_message ~pool ~machine kind data =
+  let ctr = Mbuf.Counters.create () in
+  let enc =
+    match kind with
+    | `Read_reply -> Rpc_msg.encode_reply ~ctr ~pool ~xid:9l (Rpc_msg.Accepted Rpc_msg.Success)
+    | `Write | `Write3 ->
+        let proc = if kind = `Write then 8 else 20 in
+        Rpc_msg.encode_call ~ctr ~pool
+          {
+            Rpc_msg.xid = 9l;
+            prog = P.program;
+            vers = P.version;
+            proc;
+            cred = Rpc_msg.Auth_unix { stamp = 0; machine; uid = 100; gid = 20 };
+          }
+  in
+  (match kind with
+  | `Read_reply -> P.encode_reply enc (P.Rread (Ok (sample_fattr, data)))
+  | `Write -> P.encode_call enc (P.Write { P.write_file = 3; write_offset = 8192; data })
+  | `Write3 ->
+      P.encode_call enc
+        (P.Write3 { P.w3_file = 3; w3_offset = 0; w3_stable = P.Unstable; w3_data = data }));
+  Xdr.Enc.chain enc
+
+(* The data a message's decode returns. *)
+let decoded_data kind chain =
+  match kind with
+  | `Read_reply -> (
+      let _, _, dec = Rpc_msg.decode_reply chain in
+      match P.decode_reply ~proc:6 dec with
+      | P.Rread (Ok (_, d)) -> d
+      | _ -> Alcotest.fail "not a READ reply")
+  | `Write | `Write3 -> (
+      let hdr, dec = Rpc_msg.decode_call chain in
+      match P.decode_call ~proc:hdr.Rpc_msg.proc dec with
+      | P.Write w -> w.P.data
+      | P.Write3 w -> w.P.w3_data
+      | _ -> Alcotest.fail "not a write")
+
+let prop_share_is_sub_copy =
+  QCheck.Test.make ~name:"share of a READ reply or WRITE lays out as sub_copy" ~count:200
+    (QCheck.make
+       ~print:(fun (kind, mlen, len, _) ->
+         Printf.sprintf "%s, %d-byte machine name, %d data bytes"
+           (match kind with `Read_reply -> "READ reply" | `Write -> "WRITE" | `Write3 -> "WRITE3")
+           mlen len)
+       QCheck.Gen.(
+         let* kind = oneofl [ `Read_reply; `Write; `Write3 ] in
+         let* mlen = int_bound 40 in
+         let* len =
+           frequency
+             [ (1, int_bound 4096); (2, return 8192); (1, return 32768); (2, int_bound 32768) ]
+         in
+         let* seed = int in
+         let len = if kind = `Write then min len P.max_data else len in
+         return (kind, mlen, len, seed)))
+    (fun (kind, mlen, len, seed) ->
+      let pool = Mbuf.Pool.create () in
+      let data = random_bytes seed len in
+      let master = encode_message ~pool ~machine:(String.make mlen 'm') kind data in
+      let total = Mbuf.length master in
+      let shared = Mbuf.share ~pool master in
+      let copied = Mbuf.sub_copy ~pool master ~pos:0 ~len:total in
+      let after c =
+        Mbuf.add_bytes c (Bytes.make 300 't') ~off:0 ~len:300;
+        Mbuf.layout c
+      in
+      let same_layout =
+        Mbuf.layout shared = Mbuf.layout copied
+        && Mbuf.to_bytes shared = Mbuf.to_bytes copied
+        && after (Mbuf.share ~pool master) = after (Mbuf.sub_copy ~pool master ~pos:0 ~len:total)
+      in
+      (* Fragmented and reassembled, a transmission still hands the
+         lent buffer itself to the decoder once the data covers two
+         lent clusters past the header's mbuf: a copy's clusters may
+         start up to a small mbuf's length into the first.  A copy
+         always hands a copy. *)
+      let reassembled =
+        let dg =
+          Packet.make_datagram ~proto:Packet.Udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2
+            ~ip_id:1 (Mbuf.share ~pool master)
+        in
+        let whole = Mbuf.empty () in
+        List.iter
+          (fun p -> Mbuf.append_chain whole p.Packet.payload)
+          (Packet.fragment dg ~mtu:1500);
+        whole
+      in
+      let lent_through = decoded_data kind reassembled in
+      let from_copy = decoded_data kind copied in
+      same_layout
+      && Bytes.equal lent_through data
+      && (if len >= (2 * 2048) + 112 then lent_through == data
+          else len = 0 || len >= 2048 || lent_through != data)
+      && Bytes.equal from_copy data
+      && (len = 0 || from_copy != data))
+
+(* Lent storage belongs to no pool, however it is viewed or released,
+   even when it is exactly cluster-sized; pool storage beside it still
+   recycles. *)
+let test_lent_views_never_pooled () =
+  let pool = Mbuf.Pool.create () in
+  let buf = Bytes.make 2048 'L' in
+  let a = Mbuf.empty () in
+  Mbuf.add_lent ~pool a buf ~off:0 ~len:2048;
+  Alcotest.(check (list (pair int bool))) "one lent cluster" [ (2048, true) ] (Mbuf.layout a);
+  let a1, a2 = Mbuf.split a 1000 in
+  let a3 = Mbuf.share ~pool a in
+  let frags =
+    Packet.fragment
+      (Packet.make_datagram ~proto:Packet.Udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 ~ip_id:1
+         (Mbuf.share ~pool a))
+      ~mtu:1006
+  in
+  List.iter (Mbuf.release ~pool) ([ a; a1; a2; a3 ] @ List.map (fun p -> p.Packet.payload) frags);
+  Alcotest.(check int) "no view of it is recycled" 0 (Mbuf.Pool.recycled pool);
+  let b = Mbuf.of_bytes ~pool (Bytes.make 112 'h') in
+  Mbuf.add_lent ~pool b buf ~off:0 ~len:2048;
+  Alcotest.(check (list (pair int bool)))
+    "a full small, then the lent cluster" [ (112, false); (2048, true) ] (Mbuf.layout b);
+  Mbuf.release ~pool b;
+  Alcotest.(check int) "only the small comes back" 1 (Mbuf.Pool.recycled pool)
+
 let () =
   Alcotest.run "mbuf"
     [
@@ -344,6 +582,7 @@ let () =
           Alcotest.test_case "counters see hits" `Quick test_pool_counts_hits;
           Alcotest.test_case "caps bound retention" `Quick
             test_pool_caps_bound_retention;
+          Alcotest.test_case "lent views never pooled" `Quick test_lent_views_never_pooled;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -353,5 +592,7 @@ let () =
             prop_cursor_chunks;
             prop_checksum_split_invariant;
             prop_checksum_reference;
+            prop_lending_append_is_a_copy;
+            prop_share_is_sub_copy;
           ] );
     ]

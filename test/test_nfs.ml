@@ -884,6 +884,226 @@ let prop_nfs_io_model =
           let actual = Nfs_client.read m fd2 ~off:0 ~len:!model_len in
           Bytes.equal actual (Bytes.sub model 0 !model_len)))
 
+(* ------------------------------------------------------------------ *)
+(* Lending: one buffer shared by server chunks and client blocks      *)
+(* ------------------------------------------------------------------ *)
+
+module Fs = Renofs_vfs.Fs
+
+(* A v3 mount reads 32 KiB blocks, which the server copies out of its
+   8 KiB chunks; with 8 KiB blocks its READs adopt the server's chunk as
+   a reno mount's do, and its WRITE3s lend whole blocks the same way. *)
+let v3_8k_mount = { Nfs_client.v3_mount with Nfs_client.bsize = 8192 }
+
+let lending_mounts =
+  [ ("reno", Nfs_client.reno_mount); ("v3", Nfs_client.v3_mount); ("v3 8K blocks", v3_8k_mount) ]
+
+(* The mounts whose READ adopts the server's own chunk. *)
+let chunk_sharing_mounts =
+  List.filter (fun (name, _) -> name <> "v3") lending_mounts
+
+let size_of opts = opts.Nfs_client.bsize
+
+(* One whole block of [pattern], written straight into the server's
+   file system. *)
+let server_file w ~size =
+  let fs = Nfs_server.fs w.server in
+  let v = Fs.create_file fs ~dir:(Fs.root fs) "lent" ~mode:0o666 () in
+  Fs.write fs v ~off:0 (pattern size);
+  v
+
+(* The server's stable bytes, read in two parts so that the read itself
+   lends (and marks) no chunk. *)
+let stable_bytes w v ~size =
+  let fs = Nfs_server.fs w.server in
+  let half = size / 2 in
+  Bytes.cat (Fs.read fs v ~off:0 ~len:half) (Fs.read fs v ~off:half ~len:(size - half))
+
+(* What a new client reads: the server's view, buffered v3 data and all. *)
+let fresh_read w opts ~size =
+  let o = mount_in w opts in
+  Nfs_client.read o (Nfs_client.open_ o "lent") ~off:0 ~len:size
+
+let w_prefixed b = Bytes.cat (Bytes.make 100 'W') (Bytes.sub b 100 (Bytes.length b - 100))
+
+(* A client that adopted a READ reply as its block, then writes: the
+   server's file changes only by the pushes, not by the client's writes
+   into storage it shares with the server.  The client reads part of
+   the block, so only the fetch marks the block lent ([read] of a whole
+   block marks it too). *)
+let test_lent_client_write (name, opts) () =
+  let w = make_world () in
+  let size = size_of opts in
+  run_client w (fun () ->
+      let v = server_file w ~size in
+      let a = mount_in w opts in
+      let fd = Nfs_client.open_ a "lent" in
+      ignore (Nfs_client.read a fd ~off:0 ~len:100);
+      let q = Bytes.make size 'Q' in
+      (* A whole block: pushed at once, lent to the WRITE. *)
+      Nfs_client.write a fd ~off:0 q;
+      Alcotest.(check bytes) (name ^ ": stable bytes before the push") (pattern size)
+        (stable_bytes w v ~size);
+      Proc.sleep w.sim 2.0;
+      Alcotest.(check bytes) (name ^ ": the push arrived") q (fresh_read w opts ~size);
+      (* Part of a block: delayed until close. *)
+      Nfs_client.write a fd ~off:0 (Bytes.make 100 'W');
+      Alcotest.(check bytes) (name ^ ": served before the second push") q (fresh_read w opts ~size);
+      Nfs_client.close a fd;
+      Alcotest.(check bytes) (name ^ ": served after close") (w_prefixed q)
+        (fresh_read w opts ~size))
+
+(* A client holding the server's chunk keeps its bytes while another
+   client writes the file, until its attribute cache expires. *)
+let test_lent_other_writer (name, opts) () =
+  let w = make_world () in
+  let size = size_of opts in
+  run_client w (fun () ->
+      ignore (server_file w ~size);
+      let a = mount_in w opts in
+      let fa = Nfs_client.open_ a "lent" in
+      let first = Nfs_client.read a fa ~off:0 ~len:size in
+      let b = mount_in w opts in
+      let fb = Nfs_client.open_ b "lent" in
+      Nfs_client.write b fb ~off:0 (Bytes.make 100 'W');
+      Nfs_client.close b fb;
+      Alcotest.(check bytes) (name ^ ": the first read's bytes") (pattern size) first;
+      Alcotest.(check bytes) (name ^ ": cached until revalidation") (pattern size)
+        (Nfs_client.read a fa ~off:0 ~len:size);
+      (* Past the 5 s attribute-cache lifetime. *)
+      Proc.sleep w.sim 6.0;
+      Alcotest.(check bytes) (name ^ ": revalidated") (w_prefixed (pattern size))
+        (Nfs_client.read a fa ~off:0 ~len:size);
+      (* A whole block the first client pushes becomes the server's
+         chunk: the other client's write to it leaves what the first
+         client read of that block alone too. *)
+      let q = Bytes.make size 'Q' in
+      Nfs_client.write a fa ~off:0 q;
+      let pushed = Nfs_client.read a fa ~off:0 ~len:size in
+      Nfs_client.fsync a fa;
+      let fb = Nfs_client.open_ b "lent" in
+      Nfs_client.write b fb ~off:0 (Bytes.make 100 'W');
+      Nfs_client.close b fb;
+      Alcotest.(check bytes) (name ^ ": the pushed block's read") q pushed;
+      Proc.sleep w.sim 6.0;
+      Alcotest.(check bytes) (name ^ ": the pushed block, revalidated") (w_prefixed q)
+        (Nfs_client.read a fa ~off:0 ~len:size))
+
+(* A block rewritten while its WRITE waits for a retransmission: the
+   server receives what the block held when it was pushed, then the
+   rewrite. *)
+let test_lent_rewrite_in_flight (name, opts) () =
+  let w = make_world () in
+  let size = size_of opts in
+  let tr = Trace.create () in
+  Net.Node.attach w.topo.Net.Topology.server { Net.Node.detached with trace = Some tr };
+  let q1 = Bytes.make size '1' and q2 = Bytes.make size '2' in
+  run_client w (fun () ->
+      ignore (server_file w ~size);
+      let a = mount_in w opts in
+      let fd = Nfs_client.open_ a "lent" in
+      ignore (Nfs_client.read a fd ~off:0 ~len:size);
+      (* Down, so the WRITE is lost and waits for its retransmission. *)
+      Nfs_server.crash w.server;
+      Nfs_client.write a fd ~off:0 q1;
+      Proc.sleep w.sim 0.5;
+      Nfs_client.write a fd ~off:0 q2;
+      Nfs_server.reboot w.server;
+      Nfs_client.close a fd);
+  let received =
+    List.filter_map
+      (fun r ->
+        match r.Trace.ev with
+        | Trace.Write_committed { digest; _ } when not opts.Nfs_client.v3 -> Some digest
+        | Trace.Write_unstable { digest; _ } -> Some digest
+        | _ -> None)
+      (Trace.to_list tr)
+  in
+  Alcotest.(check (list int)) (name ^ ": the pushed bytes, then the rewrite")
+    [ Trace.digest q1; Trace.digest q2 ] received
+
+(* Packets carrying lent data are corrupted on the wire: the damage
+   lands on a copy, never on the sender's block or the server's chunk. *)
+let test_lent_data_corrupted (name, opts) () =
+  let w = make_world () in
+  let size = size_of opts in
+  List.iter
+    (fun n ->
+      List.iter (fun l -> Net.Link.set_mangle l ~seed:11 Net.Link.Corrupt 0.1) (Net.Node.links n))
+    w.topo.Net.Topology.all;
+  run_client w (fun () ->
+      let v = server_file w ~size in
+      let o = mount_in w opts and a = mount_in w opts in
+      let fo = Nfs_client.open_ o "lent" and fa = Nfs_client.open_ a "lent" in
+      let seen = Nfs_client.read o fo ~off:0 ~len:size in
+      ignore (Nfs_client.read a fa ~off:0 ~len:100);
+      let q = Bytes.make size 'Q' in
+      Nfs_client.write a fa ~off:0 q;
+      Nfs_client.fsync a fa;
+      Nfs_client.write a fa ~off:0 (Bytes.make 100 'W');
+      Alcotest.(check bytes) (name ^ ": the other client's block") (pattern size) seen;
+      Alcotest.(check bytes) (name ^ ": the server's chunk") q (stable_bytes w v ~size);
+      Alcotest.(check bytes) (name ^ ": the sender's block") (w_prefixed q)
+        (Nfs_client.read a fa ~off:0 ~len:size));
+  let mangled =
+    List.fold_left
+      (fun acc n ->
+        List.fold_left (fun acc l -> acc + (Net.Link.stats l).Net.Link.mangled) acc (Net.Node.links n))
+      0 w.topo.Net.Topology.all
+  in
+  Alcotest.(check bool) (name ^ ": packets were corrupted") true (mangled > 0);
+  Alcotest.(check bool) (name ^ ": and dropped by the checksum") true
+    (Udp.checksum_drops w.client_udp + Udp.checksum_drops (Nfs_server.udp_stack w.server) > 0)
+
+(* The memory gate: 200 reno clients on one server each read the one
+   whole block of the same preloaded 8 KiB file, and each cached block
+   is the server's chunk, not a copy. *)
+let test_cached_reads_share_chunk () =
+  let clients = 200 in
+  let sim = Sim.create () in
+  let topo = Net.Topology.build sim { Net.Topology.shape = Net.Topology.Star; clients; params = quiet } in
+  let server =
+    Nfs_server.create topo.Net.Topology.server ~udp:(Udp.install topo.Net.Topology.server) ()
+  in
+  Nfs_server.start server;
+  let fileset = Fileset.generate ~dirs:1 ~files_per_dir:1 ~file_size:8192 ~long_names:false in
+  let path = List.hd fileset.Fileset.files in
+  let in_process f =
+    let result = ref None in
+    Proc.spawn sim (fun () -> result := Some (f ()));
+    Sim.run ~until:(Sim.now sim +. 600.0) sim;
+    match !result with Some r -> r | None -> Alcotest.fail "process never finished"
+  in
+  in_process (fun () -> Fileset.preload_server server fileset);
+  let opened =
+    in_process (fun () ->
+        List.map
+          (fun node ->
+            let m =
+              Nfs_client.mount ~udp:(Udp.install node) ~server:(Net.Topology.server_id topo)
+                ~root:(Nfs_server.root_fhandle server) Nfs_client.reno_mount
+            in
+            (m, Nfs_client.open_ m path))
+          topo.Net.Topology.clients)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  let blocks =
+    in_process (fun () -> List.map (fun (m, fd) -> Nfs_client.read m fd ~off:0 ~len:8192) opened)
+  in
+  let after = live_words () in
+  ignore (Sys.opaque_identity (opened, blocks));
+  Alcotest.(check bytes) "the preloaded bytes" (Fileset.content ~path ~size:8192) (List.hd blocks);
+  let per_client_kib =
+    float_of_int ((after - before) * (Sys.word_size / 8)) /. float_of_int clients /. 1024.0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "under 4 KiB live per client (%.2f KiB)" per_client_kib)
+    true (per_client_kib < 4.0)
+
 let () =
   Alcotest.run "nfs"
     [
@@ -945,5 +1165,33 @@ let () =
           Alcotest.test_case "symlink loop" `Quick test_symlink_loop_detected;
           Alcotest.test_case "silly rename" `Quick test_silly_rename;
         ] );
+      ( "lending",
+        List.concat
+          [
+            List.map
+              (fun (name, _ as m) ->
+                Alcotest.test_case ("client write leaves the server's file, " ^ name) `Quick
+                  (test_lent_client_write m))
+              lending_mounts;
+            List.map
+              (fun (name, _ as m) ->
+                Alcotest.test_case ("another client's write leaves the cache, " ^ name) `Quick
+                  (test_lent_other_writer m))
+              chunk_sharing_mounts;
+            List.map
+              (fun (name, _ as m) ->
+                Alcotest.test_case ("rewrite during retransmission, " ^ name) `Quick
+                  (test_lent_rewrite_in_flight m))
+              lending_mounts;
+            List.map
+              (fun (name, _ as m) ->
+                Alcotest.test_case ("corruption leaves lent data intact, " ^ name) `Quick
+                  (test_lent_data_corrupted m))
+              chunk_sharing_mounts;
+            [
+              Alcotest.test_case "cached reads share the server's chunk" `Quick
+                test_cached_reads_share_chunk;
+            ];
+          ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_nfs_io_model ]);
     ]

@@ -12,7 +12,6 @@ module Perfetto = Renofs_profile.Perfetto
 module Flight = Renofs_profile.Flight
 module Trace = Renofs_trace.Trace
 module Json = Renofs_json.Json
-module Fault = Renofs_fault.Fault
 module E = Renofs_workload.Experiments
 module R = Renofs_workload.Run_spec
 module Scenario = Renofs_scenario.Scenario
@@ -379,7 +378,7 @@ let one_cell_spec ~id run =
 
 let test_flight_on_driver_stuck () =
   let dir = tmppath "renofs_flight_stuck" "" in
-  let flight = Flight.arm ~dir ~spec:(Json.Obj []) ~seed:7 in
+  let flight = Flight.arm ~dir ~spec:(Json.Obj []) ~seed:7 ~scenarios:[] in
   let spec =
     one_cell_spec ~id:"stuck" (fun _ ->
         raise (E.Driver_stuck "stuck/one: synthetic"))
@@ -394,7 +393,10 @@ let test_flight_on_driver_stuck () =
 
 let test_flight_on_fail_value () =
   let dir = tmppath "renofs_flight_fail" "" in
-  let flight = Flight.arm ~dir ~spec:(Json.Obj []) ~seed:0 in
+  let flight =
+    Flight.arm ~dir ~spec:(Json.Obj []) ~seed:0
+      ~scenarios:[ ("failcell/one", `Builtin "diurnal") ]
+  in
   let spec =
     one_cell_spec ~id:"failcell" (fun _ -> [ E.Text "FAIL: synthetic" ])
   in
@@ -402,6 +404,11 @@ let test_flight_on_fail_value () =
   Alcotest.(check int) "run completes" 1 (List.length results.E.r_rows);
   let bundle = Filename.concat dir "failcell_one" in
   check_bundle bundle;
+  (* A builtin is named, not copied. *)
+  Alcotest.(check bool) "manifest names the builtin" true
+    (contains "\"scenario\":\"diurnal\"" (read_all (Filename.concat bundle "MANIFEST.json")));
+  Alcotest.(check bool) "no scenario file for a builtin" false
+    (member bundle "scenario.json");
   Alcotest.(check bool) "reason carries the verdict" true
     (contains "FAIL: synthetic"
        (read_all (Filename.concat bundle "reason.txt")));
@@ -419,28 +426,23 @@ let test_flight_on_fail_value () =
   Alcotest.(check bool) "no bundle for a passing cell" false
     (Sys.file_exists (Filename.concat dir "failname_one"))
 
-(* The full CLI path: an SLO-breaching scenario under Run_spec with
-   rs_flight set leaves a bundle, exactly what
-   [nfsbench slo ... --flight DIR] does. *)
+(* The full CLI path: an SLO-breaching scenario file under Run_spec
+   with rs_flight set leaves a bundle, exactly what
+   [nfsbench slo FILE --flight DIR] does. *)
 let test_flight_on_slo_breach () =
-  match Scenario.find_builtin "crash-at-peak" with
-  | None -> Alcotest.fail "crash-at-peak builtin missing"
-  | Some sc ->
-      let sc =
-        {
-          sc with
-          Scenario.sc_name = "crash-noreboot";
-          sc_faults =
-            [
-              Fault.Server_crash
-                { at = 12.0; downtime = 9999.0; server = "server0" };
-            ];
-        }
-      in
+  let path = "../examples/crash_noreboot.scenario.json" in
+  match Scenario.resolve_all [ path ] with
+  | Error msg -> Alcotest.fail msg
+  | Ok given ->
+      let scenarios = List.map fst given in
       let dir = tmppath "renofs_flight_slo" "" in
       let rs = { R.empty with R.rs_jobs = Some 1; rs_flight = Some dir } in
-      let spec = Scenario.suite_spec [ sc ] in
-      (match R.execute rs spec with
+      let spec = Scenario.suite_spec scenarios in
+      (match
+         R.execute
+           ~scenarios:(List.map (fun (sc, how) -> (Scenario.label sc, how)) given)
+           rs spec
+       with
       | Error msg -> Alcotest.fail msg
       | Ok results ->
           Alcotest.(check int) "the SLO breach is reported" 1
@@ -458,6 +460,24 @@ let test_flight_on_slo_breach () =
           let manifest = read_all (Filename.concat bundle "MANIFEST.json") in
           Alcotest.(check bool) "manifest schema" true
             (contains "renofs-flight/1" manifest);
+          (* The manifest names the scenario as slo was given it, and
+             the bundle holds the file, which slo replays. *)
+          (match Json.load_file (Filename.concat bundle "MANIFEST.json") with
+          | Ok doc ->
+              let o = Json.obj ~ctx:"MANIFEST.json" doc in
+              Alcotest.(check string) "manifest names the scenario" path
+                (Json.str ~ctx:"scenario" (Json.member ~ctx:"MANIFEST.json" "scenario" o))
+          | Error msg -> Alcotest.fail msg);
+          let copy = Filename.concat bundle "scenario.json" in
+          Alcotest.(check string) "the scenario file, byte for byte" (read_all path)
+            (read_all copy);
+          (match Scenario.resolve_all [ copy ] with
+          | Ok [ (sc, `File (p, _)) ] ->
+              Alcotest.(check string) "replays by path" copy p;
+              Alcotest.(check string) "the same scenario" "crash-noreboot"
+                sc.Scenario.sc_name
+          | Ok _ -> Alcotest.fail "the copy is not one file scenario"
+          | Error msg -> Alcotest.fail msg);
           (* The bundle's run spec, less its schema, is a run section
              a scenario file accepts. *)
           (match Json.load_file (Filename.concat bundle "run_spec.json") with

@@ -386,7 +386,7 @@ let test_builtins_resolve () =
   List.iter
     (fun name ->
       match Scenario.resolve name with
-      | Ok sc -> Alcotest.(check string) "resolves to itself" name sc.Scenario.sc_name
+      | Ok (sc, _) -> Alcotest.(check string) "resolves to itself" name sc.Scenario.sc_name
       | Error msg -> Alcotest.failf "builtin %s: %s" name msg)
     Scenario.builtin_names;
   match Scenario.resolve "no-such-scenario" with
@@ -513,6 +513,7 @@ let test_crash_at_peak_exact_over_wrapped_ring () =
   Sys.remove dir;
   let flight =
     Renofs_profile.Flight.arm ~dir ~spec:(Renofs_json.Json.Obj []) ~seed:0
+      ~scenarios:[]
   in
   let trace = ring () in
   let verdict, _ = run_verdict ~trace ~flight (crash_noreboot ()) in
