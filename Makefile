@@ -37,8 +37,10 @@
 # RPCs/s over the fixed graph5 full cell set) and fails if either rate
 # drops more than 30% below the committed BENCH_perf.json — wide
 # because container clocks are noisy, but tight enough to catch a real
-# hot-path regression.  Refresh with `make perf-baseline` after an
-# intentional engine change (run it on a quiet machine).
+# hot-path regression — or if any cell's event, RPC or minor-word count
+# differs from the baseline's at all: those are exact for a build.
+# Refresh with `make perf-baseline` after an intentional engine or
+# allocation change (run it on a quiet machine).
 # `make profile-smoke` exercises the observability additions: a
 # profiled + Perfetto-exported run whose renofs-profile/1 file must
 # validate (validation includes the self-time-sums-to-wall accounting

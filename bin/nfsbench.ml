@@ -5,6 +5,7 @@
      nfsbench run graph5               run one experiment (Quick scale)
      nfsbench run table1 -f            run one experiment at Full scale
      nfsbench run graph1 --jobs 4      run its cells across 4 domains
+     nfsbench run fleet -f --cell fleet-10000c-16s   run one cell's row
      nfsbench run graph1 --json g.json write typed results as JSON
      nfsbench run graph5 --report      append the nfsstat-style trace report
      nfsbench run graph5 --trace t.jsonl   export the raw event trace
@@ -59,15 +60,19 @@ let run_result = function
   | Ok () -> `Ok ()
   | Error msg -> `Error (false, msg)
 
-let run_one id rs =
+let run_one id cell rs =
   match E.spec ~scale:(R.scale rs) id with
   | None ->
       `Error
         ( false,
           Printf.sprintf "unknown experiment %S; try one of: %s" id
             (String.concat ", " (List.map fst E.specs)) )
-  | Some spec ->
-      run_result (Result.map ignore (R.execute ~print:print_with_chart rs spec))
+  | Some spec -> (
+      match Option.fold ~none:(Ok spec) ~some:(E.select spec) cell with
+      | Error msg -> `Error (false, msg)
+      | Ok spec ->
+          run_result
+            (Result.map ignore (R.execute ~print:print_with_chart rs spec)))
 
 let run_all rs =
   let scale = R.scale rs in
@@ -211,7 +216,8 @@ let diff_perf old_path new_path tolerance_pct =
       if v.Perf.regressions <> [] then
         `Error
           ( false,
-            Printf.sprintf "%d rate(s) regressed beyond %g%%"
+            Printf.sprintf
+              "%d regression(s): a rate beyond %g%% or an exact count"
               (List.length v.Perf.regressions)
               tolerance_pct )
       else `Ok ()
@@ -290,7 +296,9 @@ let run_perf json_path baseline_path tolerance_pct =
                 if v.Perf.regressions <> [] then
                   `Error
                     ( false,
-                      Printf.sprintf "perf: %d rate(s) regressed beyond %g%%"
+                      Printf.sprintf
+                        "perf: %d regression(s): a rate beyond %g%% or an \
+                         exact count"
                         (List.length v.Perf.regressions)
                         tolerance_pct )
                 else `Ok ())
@@ -488,11 +496,23 @@ let id_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT"
        ~doc:"Experiment id, e.g. graph1 or table5.")
 
+let cell_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "cell" ] ~docv:"LABEL"
+        ~doc:
+          "Run only the cell labelled $(docv), e.g. $(b,fleet-10000c-16s), and \
+           print its row.  The experiment's rows must each come from one \
+           cell.")
+
 let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment and print its table")
     Term.(
-      ret (const run_one $ id_arg $ spec_term ~scale:true ~seed:false ~faults:true))
+      ret
+        (const run_one $ id_arg $ cell_arg
+        $ spec_term ~scale:true ~seed:false ~faults:true))
 
 let plot_cmd =
   let metrics_file =
@@ -604,7 +624,8 @@ let perf_cmd =
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
             "A renofs-perf/1 file to gate against: exits non-zero when \
-             events/s or RPCs/s fall more than the tolerance below it.")
+             events/s or RPCs/s fall more than the tolerance below it, or \
+             when any cell's events, RPCs or minor words differ from its.")
   in
   let tolerance =
     Arg.(

@@ -58,6 +58,11 @@ type tcp_state = {
   mutable reconnecting : bool;
 }
 
+(* The congestion window on outstanding requests (dynamic mode only).
+   All-float, so the per-reply update stores in place: as float fields
+   of [t] each update would box. *)
+type window = { mutable cwnd : float; cwnd_max : float; mutable last_cut : float }
+
 type mode =
   | Udp_fixed
   | Udp_dynamic of estimators
@@ -74,10 +79,7 @@ type t = {
   cred : Rpc_msg.auth;
   mutable next_xid : int32;
   pending : (int32, pending) Hashtbl.t;
-  (* congestion window on outstanding requests (dynamic mode only) *)
-  mutable cwnd : float;
-  cwnd_max : float;
-  mutable last_cwnd_cut : float;
+  win : window;
   mutable outstanding : int;
   mutable gate : (unit -> unit) list;
   (* statistics *)
@@ -214,13 +216,13 @@ and on_udp_timeout t p =
             (* One window cut per congestion event, as TCP does: a burst
                of outstanding requests timing out together is one event,
                not ten. *)
-            if Sim.now t.sim -. t.last_cwnd_cut > 1.0 then begin
-              t.cwnd <- Float.max 1.0 (t.cwnd /. 2.0);
-              t.last_cwnd_cut <- Sim.now t.sim;
+            if Sim.now t.sim -. t.win.last_cut > 1.0 then begin
+              t.win.cwnd <- Float.max 1.0 (t.win.cwnd /. 2.0);
+              t.win.last_cut <- Sim.now t.sim;
               match Node.trace t.node with
               | Some tr ->
                   Trace.record tr ~time:(Sim.now t.sim) ~node:(Node.id t.node)
-                    (Trace.Cwnd_update { cwnd = t.cwnd })
+                    (Trace.Cwnd_update { cwnd = t.win.cwnd })
               | None -> ()
             end;
             (match estimator_for est p.p_proc with
@@ -257,7 +259,8 @@ let complete t p chain outcome =
   | Udp_dynamic _ ->
       (* +1 per round trip, approximated as +1/cwnd per reply; the
          paper's scheme with slow start removed. *)
-      t.cwnd <- Float.min t.cwnd_max (t.cwnd +. (1.0 /. Float.max 1.0 t.cwnd))
+      let w = t.win in
+      w.cwnd <- Float.min w.cwnd_max (w.cwnd +. (1.0 /. Float.max 1.0 w.cwnd))
   | Udp_fixed | Tcp_stream _ -> ());
   (match Node.trace t.node with
   | Some tr ->
@@ -267,7 +270,7 @@ let complete t p chain outcome =
         (Trace.Rpc_reply { xid = p.p_xid; proc = p.p_proc; rtt = time -. p.sent_at });
       (match t.mode with
       | Udp_dynamic _ ->
-          Trace.record tr ~time ~node (Trace.Cwnd_update { cwnd = t.cwnd })
+          Trace.record tr ~time ~node (Trace.Cwnd_update { cwnd = t.win.cwnd })
       | Udp_fixed | Tcp_stream _ -> ())
   | None -> ());
   t.outstanding <- t.outstanding - 1;
@@ -434,7 +437,7 @@ let register_metrics t =
       | Udp_fixed | Tcp_stream _ -> ()
       | Udp_dynamic est ->
           Metrics.register run ~name:(p "cwnd") ~unit_:"count"
-            ~kind:Metrics.Gauge (fun () -> t.cwnd);
+            ~kind:Metrics.Gauge (fun () -> t.win.cwnd);
           List.iter
             (fun (cls, e) ->
               let ms f () = if Rtt.initialized e.e_rtt then f () *. 1e3 else nan in
@@ -468,9 +471,7 @@ let base node ~mode ~sock ~server ~timeo ?max_retries ?(uid = 100) ?(gid = 100)
     cred = Rpc_msg.Auth_unix { stamp = 0; machine = "renofs-client"; uid; gid };
     next_xid = 1l;
     pending = Hashtbl.create 32;
-    cwnd = cwnd_init;
-    cwnd_max;
-    last_cwnd_cut = -1.0;
+    win = { cwnd = cwnd_init; cwnd_max; last_cut = -1.0 };
     outstanding = 0;
     gate = [];
     proc_calls = Array.make P.n_procs 0;
@@ -527,7 +528,7 @@ let gate_wait t =
   match t.mode with
   | Udp_dynamic _ ->
       let rec wait () =
-        if float_of_int t.outstanding >= t.cwnd then begin
+        if float_of_int t.outstanding >= t.win.cwnd then begin
           Proc.suspend (fun resume -> t.gate <- t.gate @ [ resume ]);
           wait ()
         end
@@ -598,7 +599,7 @@ let summary t =
 
 let retransmits t = t.n_retransmits
 let garbled t = t.n_garbled
-let congestion_window t = t.cwnd
+let congestion_window t = t.win.cwnd
 
 let calls_by_proc t =
   Array.to_list t.proc_calls

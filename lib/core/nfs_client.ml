@@ -740,7 +740,7 @@ let mount ~udp ?tcp ~server ~root opts =
       files = Hashtbl.create 64;
       attrs = Attrcache.create (Node.sim node) ~timeout:attr_timeout ();
       names = (if opts.name_cache then Some (Namecache.create ()) else None);
-      name_stamps = Hashtbl.create 32;
+      name_stamps = Hashtbl.create 16;
       biods = Biod.create (Node.sim node) ~count:opts.num_biods;
       lru_clock = 0;
       total_blocks = 0;
@@ -821,7 +821,9 @@ let mount ~udp ?tcp ~server ~root opts =
 exception Mount_failed of string
 
 (* One-shot RPC exchange with the mount daemon: its own little socket
-   and a fixed-timeout retry loop (mount(8) does the same). *)
+   and a fixed-timeout retry loop (mount(8) does the same).  The
+   listener ends when the socket closes, so a mounted client keeps no
+   fiber parked on it. *)
 let mount_path ~udp ?tcp ~server ~path opts =
   let node = Udp.node udp in
   let sim = Node.sim node in
@@ -833,7 +835,7 @@ let mount_path ~udp ?tcp ~server ~path opts =
         reply := Some dg.Udp.payload;
         listen ()
       in
-      try listen () with _ -> ());
+      try listen () with Udp.Closed -> ());
   let call = Mount_proto.Mnt path in
   let xid = 77l in
   let attempt () =

@@ -6,7 +6,9 @@ type priority = Interrupt | Normal
    of records: the float array stores work unboxed, so queueing a job
    allocates nothing (the old shape cost a record, an option, a queue
    cell and a boxed float per job, on a path taken several times per
-   packet). *)
+   packet).  A ring starts at two entries and doubles when full: most
+   nodes never queue more than a job or two, and a fleet has thousands
+   of them. *)
 type ring = {
   mutable works : float array;
   mutable fins : (unit -> unit) array;
@@ -15,7 +17,7 @@ type ring = {
 }
 
 let ring_create () =
-  { works = Array.make 16 0.0; fins = Array.make 16 ignore; head = 0; tail = 0 }
+  { works = Array.make 2 0.0; fins = Array.make 2 ignore; head = 0; tail = 0 }
 
 let ring_grow r =
   let cap = Array.length r.works in

@@ -281,15 +281,25 @@ let reject_unknown ~ctx known o =
 (* Located file/line decoding                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Every error names the file.  [open_in_bin] puts the path in its
+   message and a later read does not; a directory opens and then fails
+   its read with a cause that names neither ("Value too large for
+   defined data type"). *)
 let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | content -> Ok content
-  | exception Sys_error msg -> Error msg
+  match Sys.is_directory path with
+  | true -> Error (path ^ ": is a directory")
+  | false | (exception Sys_error _) -> (
+      match
+        let ic = open_in_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      with
+      | content -> Ok content
+      | exception Sys_error msg ->
+          Error
+            (if String.starts_with ~prefix:(path ^ ": ") msg then msg
+             else path ^ ": " ^ msg))
 
 (* Parse errors already carry line/column; add which file. *)
 let parse_located path content =

@@ -97,7 +97,8 @@ val reject_unknown : ctx:string -> string list -> (string * json) list -> unit
     input identically. *)
 
 val read_file : string -> (string, string) result
-(** Whole-file read; [Error] carries the [Sys_error] message. *)
+(** Whole-file read; [Error] is ["path: cause"], e.g.
+    ["examples: is a directory"]. *)
 
 val load_file : string -> (json, string) result
 (** {!read_file} + {!parse}; parse failures come back as

@@ -19,7 +19,7 @@ let create sim ?(timeout = 15.0) () =
   {
     sim;
     timeout;
-    table = Hashtbl.create 32;
+    table = Hashtbl.create 16;
     timeout_count = 0;
     on_timeout = (fun ~src:_ ~ip_id:_ -> ());
   }

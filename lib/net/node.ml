@@ -45,7 +45,9 @@ type t = {
   rng : Rng.t;
   forward_cost : float;
   mutable ifaces : iface list; (* in attachment order *)
-  routes : (int, iface) Hashtbl.t;
+  mutable routes : (int, iface) Hashtbl.t option;
+      (* per-destination first hops, for the nodes [auto_routes] runs a
+         BFS from; a single-homed host routes by [default_route] *)
   mutable default_route : (iface * (int, unit) Hashtbl.t) option;
       (* single-homed shortcut: (only iface, ids reachable through it) *)
   (* One-entry route cache: a router forwards long runs of packets to
@@ -76,7 +78,7 @@ let create sim ~id ~name ~mips ~nic ~rng ?(forward_cost = 0.3e-3) () =
     rng;
     forward_cost;
     ifaces = [];
-    routes = Hashtbl.create 16;
+    routes = None;
     default_route = None;
     rc_dst = min_int;
     rc_iface = None;
@@ -178,7 +180,7 @@ let set_proto_handler t ?(needs_fiber = true) proto h =
   | Packet.Tcp -> t.tcp_handler <- Some h
 
 let route_slow t dst =
-  match Hashtbl.find_opt t.routes dst with
+  match match t.routes with Some r -> Hashtbl.find_opt r dst | None -> None with
   | Some _ as r -> r
   | None -> (
       match t.default_route with
@@ -312,7 +314,7 @@ let auto_routes nodes =
               end)
             node.ifaces
     done;
-    Hashtbl.iter (fun dst iface -> Hashtbl.replace src.routes dst iface) first_hop
+    src.routes <- Some first_hop
   in
   (* A single-homed host's whole table would say "via my one link"; a
      shared membership set of its connected component replaces the

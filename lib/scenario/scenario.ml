@@ -712,5 +712,5 @@ let suite_spec scenarios =
         "verdict";
       ];
     sp_cells = List.map cell scenarios;
-    sp_assemble = (fun outs -> outs);
+    sp_assemble = None;
   }

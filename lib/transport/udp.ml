@@ -168,10 +168,13 @@ let try_recv sock =
       sock.queued_bytes <- sock.queued_bytes - Mbuf.length dg.payload;
       Some dg
 
+exception Closed
+
 let rec recv sock =
   match try_recv sock with
   | Some dg -> dg
   | None ->
+      if sock.closed then raise Closed;
       Proc.suspend (fun resume -> sock.waiters <- sock.waiters @ [ resume ]);
       recv sock
 
@@ -181,4 +184,7 @@ let checksum_drops stack = stack.checksum_drops
 
 let close sock =
   sock.closed <- true;
-  Hashtbl.remove sock.stack.sockets sock.port
+  Hashtbl.remove sock.stack.sockets sock.port;
+  let parked = sock.waiters in
+  sock.waiters <- [];
+  List.iter (fun resume -> resume ()) parked

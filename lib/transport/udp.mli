@@ -46,8 +46,11 @@ val bind_ephemeral : ?recv_buffer:int -> stack -> socket
 val sendto : socket -> dst:int -> dst_port:int -> Renofs_mbuf.Mbuf.t -> unit
 (** Transmit one datagram (process context; consumes CPU). *)
 
+exception Closed
+
 val recv : socket -> datagram
-(** Block until a datagram arrives. *)
+(** Block until a datagram arrives.  Raises [Closed] once the socket is
+    closed and its queue is empty. *)
 
 val pending : socket -> int
 
@@ -58,3 +61,7 @@ val checksum_drops : stack -> int
 (** Datagrams discarded for a checksum or length mismatch. *)
 
 val close : socket -> unit
+(** Unbind the port.  A fiber blocked in {!recv} on the socket resumes
+    at once, inside [close] rather than from the event queue, and its
+    [recv] raises [Closed]: closing ends the receiver without
+    scheduling an event. *)

@@ -68,6 +68,14 @@ type dirents = {
 
 type body = File of file_data | Directory of dirents | Symlink of string
 
+(* A vnode's times sit in their own all-float record, stored unboxed:
+   as float fields of the mixed vnode each would point at a boxed
+   float, and every read, write or directory change would leave the
+   vnode holding a fresh box. *)
+type times = { mutable atime : float; mutable mtime : float; mutable ctime : float }
+
+let times_at ts = { atime = ts; mtime = ts; ctime = ts }
+
 type vnode = {
   v_ino : int;
   mutable body : body;
@@ -75,9 +83,7 @@ type vnode = {
   mutable nlink : int;
   mutable uid : int;
   mutable gid : int;
-  mutable atime : float;
-  mutable mtime : float;
-  mutable ctime : float;
+  times : times;
   mutable parent : int; (* directory containing this node; for dirs, ".." *)
 }
 
@@ -142,9 +148,7 @@ let create sim cpu disk config =
       nlink = 2;
       uid = 0;
       gid = 0;
-      atime = now;
-      mtime = now;
-      ctime = now;
+      times = times_at now;
       parent = root_ino;
     }
   in
@@ -177,9 +181,9 @@ let attrs_of v =
     gid = v.gid;
     size = size_of v;
     ino = v.v_ino;
-    atime = v.atime;
-    mtime = v.mtime;
-    ctime = v.ctime;
+    atime = v.times.atime;
+    mtime = v.times.mtime;
+    ctime = v.times.ctime;
   }
 
 let dir_of v =
@@ -281,11 +285,11 @@ let setattr t v ?mode ?uid ?gid ?size ?mtime () =
           if s > max_file_size then raise (Err Efbig);
           if s < f.len then clear f ~off:s ~len:(f.len - s);
           f.len <- s;
-          v.mtime <- now t
+          v.times.mtime <- now t
       | Directory _ | Symlink _ -> raise (Err Einval))
   | None -> ());
-  (match mtime with Some m -> v.mtime <- m | None -> ());
-  v.ctime <- now t;
+  (match mtime with Some m -> v.times.mtime <- m | None -> ());
+  v.times.ctime <- now t;
   Disk.write t.disk ~bytes:512;
   attrs_of v
 
@@ -352,7 +356,7 @@ let read t v ~off ~len =
         Bcache.insert t.bcache ~ino:v.v_ino ~blk
       end)
     (blocks_in_range ~off ~len);
-  v.atime <- now t;
+  v.times.atime <- now t;
   let ci = off / chunk_size in
   if len = chunk_size && off mod chunk_size = 0 && Bytes.length (chunk f ci) > 0
   then begin
@@ -391,8 +395,8 @@ let store t v ~off ~len fill =
       ignore (Bcache.lookup t.bcache ~ino:v.v_ino ~blk);
       Bcache.insert t.bcache ~ino:v.v_ino ~blk)
     touched;
-  v.mtime <- now t;
-  v.ctime <- v.mtime;
+  v.times.mtime <- now t;
+  v.times.ctime <- now t;
   if t.config.sync_data then begin
     (* Data block(s), the inode, and one indirect block when the file
        has grown past the direct blocks: the paper's 1-3 disk writes. *)
@@ -433,9 +437,7 @@ let alloc_vnode t ~body ~mode ?(uid = 0) ?(gid = 0) ~parent () =
       nlink = 1;
       uid;
       gid;
-      atime = ts;
-      mtime = ts;
-      ctime = ts;
+      times = times_at ts;
       parent;
     }
   in
@@ -446,8 +448,8 @@ let add_entry t dirv name ino_ =
   let d = dir_of dirv in
   Hashtbl.replace d.names name ino_;
   d.order <- name :: d.order;
-  dirv.mtime <- now t;
-  dirv.ctime <- dirv.mtime;
+  dirv.times.mtime <- now t;
+  dirv.times.ctime <- now t;
   (match t.namecache with
   | Some nc -> Namecache.enter nc ~dir:dirv.v_ino name ino_
   | None -> ());
@@ -518,8 +520,8 @@ let drop_entry t dirv name =
   (match t.namecache with
   | Some nc -> Namecache.remove nc ~dir:dirv.v_ino name
   | None -> ());
-  dirv.mtime <- now t;
-  dirv.ctime <- dirv.mtime;
+  dirv.times.mtime <- now t;
+  dirv.times.ctime <- now t;
   flush_dir_update t dirv
 
 let forget t v =
@@ -583,7 +585,7 @@ let rename t ~src_dir name ~dst_dir new_name =
     dst_dir.nlink <- dst_dir.nlink + 1
   end;
   moved.parent <- dst_dir.v_ino;
-  moved.ctime <- now t
+  moved.times.ctime <- now t
 
 let link t ~src ~dir name =
   charge t (base_op_instr +. 120.0);
@@ -591,7 +593,7 @@ let link t ~src ~dir name =
   (match src.body with Directory _ -> raise (Err Eisdir) | File _ | Symlink _ -> ());
   check_absent t dir name;
   src.nlink <- src.nlink + 1;
-  src.ctime <- now t;
+  src.times.ctime <- now t;
   add_entry t dir name src.v_ino
 
 let readdir t v ~cookie ~count =

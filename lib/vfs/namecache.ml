@@ -10,10 +10,14 @@ type t = {
 (* 4.3BSD Reno's NCHNAMLEN. *)
 let max_name_len = 31
 
+(* The table starts at Hashtbl's minimum and grows with its entries:
+   [capacity] bounds it, and most caches never come near that.  Nothing
+   iterates it in an order that reaches output ([invalidate_dir] only
+   collects the keys it removes). *)
 let create ?(capacity = 256) () =
   {
     capacity;
-    table = Hashtbl.create capacity;
+    table = Hashtbl.create 16;
     order = Queue.create ();
     stats = { hits = 0; misses = 0; too_long = 0 };
   }

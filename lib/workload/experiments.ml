@@ -121,7 +121,7 @@ type spec = {
   sp_title : string;
   sp_header : string list;
   sp_cells : cell list;
-  sp_assemble : value list list -> value list list;
+  sp_assemble : (value list list -> value list list) option;
 }
 
 type results = {
@@ -236,7 +236,9 @@ let run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight specs =
           r_id = s.sp_id;
           r_title = s.sp_title;
           r_header = s.sp_header;
-          r_rows = s.sp_assemble (List.filteri (fun i _ -> i < k) outs);
+          r_rows =
+            (let outs = List.filteri (fun i _ -> i < k) outs in
+             match s.sp_assemble with None -> outs | Some f -> f outs);
         }
         :: split (List.filteri (fun i _ -> i >= k) outs) rest
   in
@@ -244,6 +246,22 @@ let run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight specs =
 
 let run_spec ?jobs ?trace ?faults ?metrics ?profile ?flight spec =
   List.hd (run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight [ spec ])
+
+let select spec label =
+  match List.filter (fun c -> c.cell_label = label) spec.sp_cells with
+  | [] ->
+      Error
+        (Printf.sprintf "%s has no cell %S; its cells are %s" spec.sp_id label
+           (String.concat ", " (List.map (fun c -> c.cell_label) spec.sp_cells)))
+  | cells -> (
+      match spec.sp_assemble with
+      | None -> Ok { spec with sp_cells = cells }
+      | Some _ ->
+          Error
+            (Printf.sprintf
+               "%s builds each row from several cells, so cell %S cannot run \
+                alone"
+               spec.sp_id label))
 
 (* ------------------------------------------------------------------ *)
 (* World plumbing                                                     *)
@@ -438,12 +456,13 @@ let grid ~id ~title ~header ~rows ~columns run =
         (fun (cell_label, cell_run) -> { cell_label; cell_run })
         (grid_points ~id ~rows ~columns run);
     sp_assemble =
-      (fun outs ->
-        let outs = Array.of_list outs in
-        List.mapi
-          (fun i (_, head, _) ->
-            head :: List.concat (Array.to_list (Array.sub outs (i * width) width)))
-          rows);
+      Some
+        (fun outs ->
+          let outs = Array.of_list outs in
+          List.mapi
+            (fun i (_, head, _) ->
+              head :: List.concat (Array.to_list (Array.sub outs (i * width) width)))
+            rows);
   }
 
 let load_rows loads = List.map (fun l -> (Printf.sprintf "load%g" l, rate1 l, l)) loads
@@ -619,12 +638,13 @@ let graph7_spec scale =
     sp_header = [ "time(s)"; "rtt(ms)"; "rto(ms)" ];
     sp_cells = [ cell ];
     sp_assemble =
-      (fun outs ->
-        let rec rows = function
-          | t :: rtt :: rto :: rest -> [ t; rtt; rto ] :: rows rest
-          | _ -> []
-        in
-        rows (List.concat outs));
+      Some
+        (fun outs ->
+          let rec rows = function
+            | t :: rtt :: rto :: rest -> [ t; rtt; rto ] :: rows rest
+            | _ -> []
+          in
+          rows (List.concat outs));
   }
 
 let server_comparison ~id ~title ~mix ~scale =
@@ -701,12 +721,10 @@ let mab_times_spec ~id ~title ~client_mips ~client_nic runs scale =
                   run_andrew ~ctx ~label:name ~scale ~client_opts:opts
                     ~server_profile:profile ~client_mips ~client_nic ()
                 in
-                [ sec1 r.Andrew.time_i_iv; sec1 r.Andrew.time_v ]);
+                [ txt name; sec1 r.Andrew.time_i_iv; sec1 r.Andrew.time_v ]);
           })
         runs;
-    sp_assemble =
-      (fun outs ->
-        List.map2 (fun (name, _, _) out -> txt name :: out) runs outs);
+    sp_assemble = None;
   }
 
 let table2_spec =
@@ -769,10 +787,11 @@ let table3_spec scale =
     sp_header = "RPC" :: List.map (fun (n, _, _) -> n) runs;
     sp_cells = cells;
     sp_assemble =
-      (fun outs ->
-        List.mapi
-          (fun i label -> txt label :: List.map (fun col -> List.nth col i) outs)
-          row_labels);
+      Some
+        (fun outs ->
+          List.mapi
+            (fun i label -> txt label :: List.map (fun col -> List.nth col i) outs)
+            row_labels);
   }
 
 let table4_spec =
@@ -862,17 +881,18 @@ let section3_spec scale =
     sp_header = [ "driver"; "CPU(ms/rpc)"; "bytes copied/rpc" ];
     sp_cells = [ nic_cell "stock" Nic.deqna_stock; nic_cell "tuned" Nic.deqna_tuned ];
     sp_assemble =
-      (fun outs ->
-        match outs with
-        | [ ([ stock_cpu; _ ] as stock); ([ tuned_cpu; _ ] as tuned) ] ->
-            let sc = float_of_value stock_cpu and tc = float_of_value tuned_cpu in
-            let reduction = if sc > 0.0 then (sc -. tc) /. sc *. 100.0 else 0.0 in
-            [
-              txt "stock (copy + tx intr)" :: stock;
-              txt "tuned (map, no tx intr)" :: tuned;
-              [ txt "reduction"; pct_raw reduction; txt "-" ];
-            ]
-        | _ -> invalid_arg "section3: unexpected cell shape");
+      Some
+        (fun outs ->
+          match outs with
+          | [ ([ stock_cpu; _ ] as stock); ([ tuned_cpu; _ ] as tuned) ] ->
+              let sc = float_of_value stock_cpu and tc = float_of_value tuned_cpu in
+              let reduction = if sc > 0.0 then (sc -. tc) /. sc *. 100.0 else 0.0 in
+              [
+                txt "stock (copy + tx intr)" :: stock;
+                txt "tuned (map, no tx intr)" :: tuned;
+                [ txt "reduction"; pct_raw reduction; txt "-" ];
+              ]
+          | _ -> invalid_arg "section3: unexpected cell shape");
   }
 
 (* ------------------------------------------------------------------ *)
@@ -915,6 +935,7 @@ let leases_spec scale =
               in
               let c n = try List.assoc n mab.Andrew.rpc_counts with Not_found -> 0 in
               [
+                txt name;
                 count (c "write");
                 count (c "read");
                 count (c "getattr" + c "getlease");
@@ -928,8 +949,7 @@ let leases_spec scale =
     sp_title = "Lease consistency ablation: MAB RPCs and Create-Delete 100K";
     sp_header = [ "client"; "MAB writes"; "MAB reads"; "MAB getattr+lease"; "CD-100K (ms)" ];
     sp_cells = cells;
-    sp_assemble =
-      (fun outs -> List.map2 (fun (name, _) out -> txt name :: out) runs outs);
+    sp_assemble = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -984,6 +1004,7 @@ let scaling_spec scale =
           let since_time, since_busy = !load_start in
           let util = Cpu.utilization cpu ~since_time ~since_busy in
           [
+            count n;
             rate1 (float_of_int n *. per_client_rate);
             rate1 !achieved;
             ms (!latency /. float_of_int n);
@@ -996,8 +1017,7 @@ let scaling_spec scale =
     sp_title = "Server characterization: aggregate throughput vs client count";
     sp_header = [ "clients"; "offered (op/s)"; "achieved (op/s)"; "mean latency (ms)"; "server CPU" ];
     sp_cells = List.map client_cell counts;
-    sp_assemble =
-      (fun outs -> List.map2 (fun n out -> count n :: out) counts outs);
+    sp_assemble = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1096,6 +1116,8 @@ let fleet_cell ~clients:n ~servers:n_srv ~duration ~per_client_rate =
             Float.min (Stats.Hist.quantile hist 0.95) 10_000.0
         in
         [
+          count n;
+          count n_srv;
           rate1 (float_of_int n *. per_client_rate);
           rate1 !achieved;
           msr p95;
@@ -1131,9 +1153,7 @@ let fleet_spec scale =
       List.map
         (fun (c, s) -> fleet_cell ~clients:c ~servers:s ~duration ~per_client_rate)
         matrix;
-    sp_assemble =
-      (fun outs ->
-        List.map2 (fun (c, s) out -> count c :: count s :: out) matrix outs);
+    sp_assemble = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1246,7 +1266,7 @@ let chaos_spec ?seed scale =
               chaos_cell ?seed ~schedule ~tname ~opts ~duration ())
             (robustness_mounts ~topology:"lan"))
         schedules;
-    sp_assemble = (fun outs -> outs);
+    sp_assemble = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1383,7 +1403,7 @@ let fuzz_spec ?(seeds = 20) ?(base_seed = 0) ?(checksum = true) scale =
           in
           fuzz_cell ~seed:(base_seed + i) ~profile ~mk_actions ~tname ~opts
             ~checksum ~duration);
-    sp_assemble = (fun outs -> outs);
+    sp_assemble = None;
   }
 
 (* ------------------------------------------------------------------ *)

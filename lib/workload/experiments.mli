@@ -65,8 +65,10 @@ type spec = {
   sp_title : string;
   sp_header : string list;
   sp_cells : cell list;
-  sp_assemble : value list list -> value list list;
-      (** per-cell outputs, in cell order, to table rows *)
+  sp_assemble : (value list list -> value list list) option;
+      (** [None] when each cell's output is its own table row, so any
+          subset of the cells runs alone (see {!select}); [Some f] when
+          the rows are built from every cell's output, in cell order *)
 }
 
 type results = {
@@ -80,6 +82,12 @@ val specs : (string * (scale -> spec)) list
 (** Every experiment, keyed by id ("graph1" ... "table5", "section3",
     plus the extensions "leases", "scaling" and "fleet").  Building a
     spec is cheap — no simulation runs until {!run_specs}. *)
+
+val select : spec -> string -> (spec, string) result
+(** [select spec label] is [spec] with only the cell labelled [label]:
+    its run prints that cell's row exactly as the whole spec's run does.
+    An error names the label when no cell has it, or when the spec's
+    rows are assembled from several cells. *)
 
 val spec : ?scale:scale -> string -> spec option
 (** Look up and build one spec ([Quick] by default).  The extra id

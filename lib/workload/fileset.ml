@@ -43,16 +43,22 @@ let content ~path ~size = periodic ~base:(base_of path) ~stride:31 ~size
 (* [content] repeats every 256 bytes, and [Fs.chunk_size] is a multiple
    of 256, so every whole chunk of a body is its base's first chunk.
    Each base's is built at its first preload and lent to every file with
-   that base; domains that race to build it agree on the first stored. *)
-let pieces = Array.init 256 (fun _ -> Atomic.make None)
+   that base; domains that race to build it agree on the first stored.
+   An empty slot holds [Bytes.empty], not [None]: building a piece then
+   allocates only its bytes, which go straight to the major heap, so a
+   run's minor words do not depend on which pieces earlier runs in the
+   process built. *)
+let pieces = Array.init 256 (fun _ -> Atomic.make Bytes.empty)
 
 let piece base =
   let slot = pieces.(base) in
-  if Option.is_none (Atomic.get slot) then
+  let p = Atomic.get slot in
+  if Bytes.length p > 0 then p
+  else begin
     ignore
-      (Atomic.compare_and_set slot None
-         (Some (periodic ~base ~stride:31 ~size:Fs.chunk_size)));
-  Option.get (Atomic.get slot)
+      (Atomic.compare_and_set slot p (periodic ~base ~stride:31 ~size:Fs.chunk_size));
+    Atomic.get slot
+  end
 
 (* [content ~path ~size] as [Fs.write_lent] takes it: the shared piece
    for each whole chunk, then a tail of its own. *)

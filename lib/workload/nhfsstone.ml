@@ -96,7 +96,7 @@ let run_program ?latency_hist mount fileset program =
   let completed = ref 0 and reads_done = ref 0 in
   let op_latency = Stats.Welford.create () in
   (* Shared open-file table, filled lazily. *)
-  let fds = Hashtbl.create 64 in
+  let fds = Hashtbl.create 16 in
   let fd_of path =
     match Hashtbl.find_opt fds path with
     | Some fd -> fd

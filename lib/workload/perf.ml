@@ -4,7 +4,8 @@
    of real time over a fixed cell set (the graph5 full sweep — the
    timer-heavy 56K WAN world whose RTO churn exercises the scheduler
    hardest), so engine speedups are earned once and then kept by
-   `make perf-gate`. *)
+   `make perf-gate`.  Each cell's events, RPCs and minor words are
+   exact for a given build, so those are gated exactly too. *)
 
 module Sim = Renofs_engine.Sim
 module Nfs_server = Renofs_core.Nfs_server
@@ -17,6 +18,7 @@ type cell = {
   c_wall_s : float;
   c_events : int;
   c_rpcs : int;
+  c_minor_words : int;
 }
 
 type t = {
@@ -24,6 +26,7 @@ type t = {
   wall_s : float;
   events : int;
   rpcs : int;
+  minor_words : int;
   events_per_s : float;
   rpcs_per_s : float;
   p_profile : Profile.snapshot option;
@@ -45,8 +48,16 @@ let run ?(progress = ignore) ?(profile = false) () =
       (fun ((label, _) as pt) ->
         progress label;
         let t0 = Unix.gettimeofday () in
+        let w0 = Gc.minor_words () in
         let events, rpcs = run_point pt in
-        { c_label = label; c_wall_s = Unix.gettimeofday () -. t0; c_events = events; c_rpcs = rpcs })
+        let w1 = Gc.minor_words () in
+        {
+          c_label = label;
+          c_wall_s = Unix.gettimeofday () -. t0;
+          c_events = events;
+          c_rpcs = rpcs;
+          c_minor_words = int_of_float (w1 -. w0);
+        })
       points
   in
   (* The gate timings above run detached.  Attribution comes from a
@@ -69,11 +80,13 @@ let run ?(progress = ignore) ?(profile = false) () =
   let wall_s = List.fold_left (fun a c -> a +. c.c_wall_s) 0.0 cells in
   let events = List.fold_left (fun a c -> a + c.c_events) 0 cells in
   let rpcs = List.fold_left (fun a c -> a + c.c_rpcs) 0 cells in
+  let minor_words = List.fold_left (fun a c -> a + c.c_minor_words) 0 cells in
   {
     cells;
     wall_s;
     events;
     rpcs;
+    minor_words;
     events_per_s = (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0);
     rpcs_per_s = (if wall_s > 0.0 then float_of_int rpcs /. wall_s else 0.0);
     p_profile;
@@ -91,6 +104,7 @@ let to_json r =
        ("wall_s", Num r.wall_s);
        ("events", int r.events);
        ("rpcs", int r.rpcs);
+       ("minor_words", int r.minor_words);
        ("events_per_s", Num r.events_per_s);
        ("rpcs_per_s", Num r.rpcs_per_s);
        ( "cells",
@@ -103,6 +117,7 @@ let to_json r =
                     ("wall_s", Num c.c_wall_s);
                     ("events", int c.c_events);
                     ("rpcs", int c.c_rpcs);
+                    ("minor_words", int c.c_minor_words);
                   ])
               r.cells) );
      ]
@@ -129,6 +144,7 @@ let of_json ~ctx j =
           c_wall_s = num co "wall_s";
           c_events = int co "events";
           c_rpcs = int co "rpcs";
+          c_minor_words = int co "minor_words";
         })
       (Json.arr ~ctx (Json.member ~ctx "cells" o))
   in
@@ -142,6 +158,7 @@ let of_json ~ctx j =
     wall_s = num o "wall_s";
     events = int o "events";
     rpcs = int o "rpcs";
+    minor_words = int o "minor_words";
     events_per_s = num o "events_per_s";
     rpcs_per_s = num o "rpcs_per_s";
     p_profile;
@@ -151,9 +168,10 @@ let read_file path = Json.decode_file path (of_json ~ctx:path)
 
 (* The gate: wall-clock throughput may wobble with container noise, so
    only a large drop (default 30%) in either rate counts as a
-   regression.  Simulated-event and RPC *counts* are deterministic and
-   compared exactly — a count drift means the workload changed and the
-   baseline needs a deliberate refresh, not that the machine was slow. *)
+   regression.  Each cell's event, RPC and minor-word counts are exact
+   for a given build and compared exactly: any drift is a regression.
+   A change that moves them on purpose rewrites the baseline
+   ([make perf-baseline]) and says why. *)
 type verdict = {
   regressions : string list;
   notes : string list;
@@ -175,31 +193,26 @@ let diff ~tolerance ~baseline ~current =
   in
   rate "events/s" baseline.events_per_s current.events_per_s;
   rate "rpcs/s" baseline.rpcs_per_s current.rpcs_per_s;
-  if baseline.events <> current.events then
-    notes :=
-      Printf.sprintf
-        "event count changed: %d -> %d (simulation behavior changed; refresh \
-         the baseline deliberately)"
-        baseline.events current.events
-      :: !notes;
-  if baseline.rpcs <> current.rpcs then
-    notes :=
-      Printf.sprintf "rpc count changed: %d -> %d" baseline.rpcs current.rpcs
-      :: !notes;
+  let exact label name old_n new_n =
+    if old_n <> new_n then
+      regressions :=
+        Printf.sprintf "%s%s %d -> %d (exact; refresh the baseline if meant)"
+          label name old_n new_n
+        :: !regressions
+  in
   (* Per-cell localization: which cell moved?  Cells are matched by
-     label; a single cell's wall clock is far noisier than the
-     aggregate, so beyond-tolerance cells are reported as notes — the
-     aggregate rates above remain the gate. *)
+     label.  A single cell's wall clock is far noisier than the
+     aggregate, so its beyond-tolerance rate is a note — the aggregate
+     rates above remain the rate gate. *)
   List.iter
     (fun bc ->
       match List.find_opt (fun c -> c.c_label = bc.c_label) current.cells with
-      | None -> notes := Printf.sprintf "cell %s: gone" bc.c_label :: !notes
+      | None -> regressions := Printf.sprintf "cell %s: gone" bc.c_label :: !regressions
       | Some cc ->
-          if bc.c_events <> cc.c_events then
-            notes :=
-              Printf.sprintf "cell %s: event count %d -> %d" bc.c_label
-                bc.c_events cc.c_events
-              :: !notes;
+          let cell = Printf.sprintf "cell %s: " bc.c_label in
+          exact cell "events" bc.c_events cc.c_events;
+          exact cell "rpcs" bc.c_rpcs cc.c_rpcs;
+          exact cell "minor words" bc.c_minor_words cc.c_minor_words;
           let b_rate =
             if bc.c_wall_s > 0.0 then float_of_int bc.c_events /. bc.c_wall_s
             else 0.0
@@ -217,7 +230,7 @@ let diff ~tolerance ~baseline ~current =
   List.iter
     (fun (cc : cell) ->
       if not (List.exists (fun bc -> bc.c_label = cc.c_label) baseline.cells)
-      then notes := Printf.sprintf "cell %s: new" cc.c_label :: !notes)
+      then regressions := Printf.sprintf "cell %s: new" cc.c_label :: !regressions)
     current.cells;
   (* When both sides carry a self-profile, report subsystem-share
      shifts: "events/s fell and the server slot's share doubled" is a

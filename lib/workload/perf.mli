@@ -11,13 +11,15 @@
     [nfsbench perf] runs it; [make perf-baseline] commits the result as
     [BENCH_perf.json]; [make perf-gate] fails when either rate drops
     more than the tolerance below the baseline (wide, because container
-    wall clocks are noisy — see {!diff}). *)
+    wall clocks are noisy), or when any cell's event, RPC or minor-word
+    count differs from the baseline's at all (see {!diff}). *)
 
 type cell = {
   c_label : string;
   c_wall_s : float;  (** real seconds this cell took *)
   c_events : int;  (** simulator events processed *)
   c_rpcs : int;  (** NFS RPCs the server completed *)
+  c_minor_words : int;  (** words allocated on the minor heap ([Gc.minor_words]) *)
 }
 
 type t = {
@@ -25,6 +27,7 @@ type t = {
   wall_s : float;  (** sum over cells *)
   events : int;
   rpcs : int;
+  minor_words : int;
   events_per_s : float;
   rpcs_per_s : float;
   p_profile : Renofs_profile.Profile.snapshot option;
@@ -43,7 +46,8 @@ val run : ?progress:(string -> unit) -> ?profile:bool -> unit -> t
 
 val write_file : path:string -> t -> unit
 (** Deterministic field order: [schema], [wall_s], [events], [rpcs],
-    [events_per_s], [rpcs_per_s], [cells], then [profile] (the
+    [minor_words], [events_per_s], [rpcs_per_s], [cells] (each with
+    [label], [wall_s], [events], [rpcs], [minor_words]), then [profile] (the
     {!Renofs_profile.Profile.to_json} document) when there is one.
     Numbers keep every digit.  (The wall-clock values themselves are of
     course not reproducible.) *)
@@ -54,16 +58,15 @@ val read_file : string -> (t, string) result
 
 type verdict = {
   regressions : string list;
-      (** a rate fell more than [tolerance] below the baseline *)
+      (** a rate fell more than [tolerance] below the baseline; a
+          cell's event, RPC or minor-word count differs from the
+          baseline's (these are exact for a build, so a change that
+          moves them on purpose runs [make perf-baseline] and says
+          why); a cell is missing or new *)
   notes : string list;
-      (** informational: rate movement within tolerance, exact
-          event/RPC count drift (count drift means the simulation
-          changed and the baseline wants a deliberate
-          [make perf-baseline], not that the machine was slow),
-          per-cell localization (count drift, beyond-tolerance rate
-          moves — a single cell's wall clock is too noisy to gate on),
-          and subsystem-share shifts when both files carry a
-          self-profile *)
+      (** informational: rate movement within tolerance, a single
+          cell's beyond-tolerance rate (too noisy to gate on), and
+          subsystem-share shifts when both files carry a self-profile *)
 }
 
 val diff : tolerance:float -> baseline:t -> current:t -> verdict

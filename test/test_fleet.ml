@@ -251,6 +251,46 @@ let test_fleet_family_jobs_determinism () =
   let run jobs = Bench_json.emit ~scale:E.Quick ~jobs:1 [ E.run_spec ~jobs spec ] in
   Alcotest.(check string) "JSON byte-identical across jobs" (run 1) (run 2)
 
+(* One cell alone prints the row the whole spec prints for it; a label
+   no cell has is refused by name, by the library and by the CLI. *)
+let test_fleet_cell_alone () =
+  let spec = Option.get (E.spec "fleet-quick") in
+  let label = "fleet-100c-4s" in
+  let table s = E.render (E.run_spec ~jobs:1 s) in
+  let index =
+    let rec find i = function
+      | [] -> Alcotest.failf "no cell %s" label
+      | c :: rest -> if c.E.cell_label = label then i else find (i + 1) rest
+    in
+    find 0 spec.E.sp_cells
+  in
+  let whole = table spec in
+  (match E.select spec label with
+  | Error msg -> Alcotest.fail msg
+  | Ok one ->
+      let t = table one in
+      Alcotest.(check (list string)) "header" whole.E.header t.E.header;
+      Alcotest.(check (list (list string))) "the cell's row"
+        [ List.nth whole.E.rows index ] t.E.rows);
+  (match E.select spec "fleet-7c-3s" with
+  | Ok _ -> Alcotest.fail "selected a cell that does not exist"
+  | Error msg ->
+      Alcotest.(check bool) ("names the label: " ^ msg) true
+        (String.starts_with ~prefix:"fleet has no cell \"fleet-7c-3s\"" msg));
+  let err = Filename.temp_file "renofs-nfsbench" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/nfsbench.exe run fleet --cell fleet-7c-3s > /dev/null 2> %s"
+         (Filename.quote err))
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  Alcotest.(check bool) "the CLI exits non-zero" true (code <> 0);
+  let sub = "no cell \"fleet-7c-3s\"" in
+  let n = String.length sub in
+  let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+  Alcotest.(check bool) ("the CLI names the label: " ^ text) true (go 0)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -272,5 +312,6 @@ let () =
         [
           Alcotest.test_case "deterministic at any --jobs" `Quick
             test_fleet_family_jobs_determinism;
+          Alcotest.test_case "one cell runs alone" `Quick test_fleet_cell_alone;
         ] );
     ]

@@ -373,7 +373,7 @@ let one_cell_spec ~id run =
     sp_title = id;
     sp_header = [ "result" ];
     sp_cells = [ { E.cell_label = id ^ "/one"; cell_run = run } ];
-    sp_assemble = (fun rows -> rows);
+    sp_assemble = None;
   }
 
 let test_flight_on_driver_stuck () =

@@ -381,6 +381,35 @@ let test_example_files_load () =
       | Error msg -> Alcotest.fail msg)
     [ "../examples/busy.scenario.json"; "../examples/crash_noreboot.scenario.json" ]
 
+(* Run the nfsbench binary; its exit code and what it wrote on stderr. *)
+let nfsbench args =
+  let err = Filename.temp_file "renofs-nfsbench" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/nfsbench.exe %s > /dev/null 2> %s" args (Filename.quote err))
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (code, text)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A directory named as a scenario: the error says which path and why,
+   and slo exits non-zero. *)
+let test_slo_on_directory () =
+  (match Scenario.resolve_all [ "../examples" ] with
+  | Error msg -> Alcotest.(check string) "resolve" "../examples: is a directory" msg
+  | Ok _ -> Alcotest.fail "resolved a directory");
+  let code, err = nfsbench "slo ../examples" in
+  Alcotest.(check bool) "exits non-zero" true (code <> 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "names the path and the cause: %S" err)
+    true
+    (contains ~sub:"../examples: is a directory" err)
+
 let test_builtins_resolve () =
   Alcotest.(check int) "five builtins" 5 (List.length Scenario.builtins);
   List.iter
@@ -567,6 +596,7 @@ let () =
           Alcotest.test_case "rejects" `Quick test_parse_rejects;
           Alcotest.test_case "builtins resolve" `Quick test_builtins_resolve;
           Alcotest.test_case "example files load" `Quick test_example_files_load;
+          Alcotest.test_case "slo on a directory" `Quick test_slo_on_directory;
         ] );
       ( "run-spec",
         [

@@ -180,6 +180,98 @@ let test_fileset_preload_memory_per_shard () =
     (Printf.sprintf "under 8 KiB live per shard (%.1f KiB)" per_shard_kib)
     true (per_shard_kib < 8.0)
 
+(* The memory gate for fleet clients: 200 reno clients on 2 servers
+   behind renobench's 2x4 fat tree, each mounting its own preloaded
+   shard.  Live heap after a full major collection is read at three
+   points: the world built and preloaded, the mount storm done, and one
+   simulated second of the read-lookup mix run.  Each phase's growth
+   per client has its own bound, about 1.5 times what it measures: a
+   client's tables, and the state its fibers hold, show up in the mount
+   phase. *)
+let test_fleet_live_heap_per_client_by_phase () =
+  let module Topology = Net.Topology in
+  let module Fleet = Renofs_fleet.Fleet in
+  let n = 200 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let kib_per_client words =
+    float_of_int (words * (Sys.word_size / 8)) /. float_of_int n /. 1024.0
+  in
+  let fileset = Fileset.generate ~dirs:2 ~files_per_dir:2 ~file_size:8192 ~long_names:false in
+  let base = live_words () in
+  let sim = Sim.create () in
+  let topo =
+    Topology.build_graph sim
+      {
+        Topology.g_servers = 2;
+        g_clients = n;
+        g_tier = Topology.Fat_tree { spines = 2; leaves = 4 };
+        g_wan_fraction = 0.0;
+        g_params = Topology.default_params;
+      }
+  in
+  let fleet = Fleet.create ~policy:Fleet.Hash ~shards:n topo.Topology.servers in
+  let udps = List.map Udp.install topo.Topology.clients in
+  let ready = Proc.Ivar.create sim and go = Proc.Ivar.create sim in
+  Proc.spawn sim (fun () ->
+      Fleet.provision fleet;
+      Fleet.iter_shards fleet (fun ~shard ~server ->
+          Fileset.preload_under server ~path:shard fileset);
+      Proc.Ivar.fill ready ());
+  let mounted = ref 0 and finished = ref 0 and ops = ref 0 in
+  List.iteri
+    (fun i udp ->
+      Proc.spawn sim (fun () ->
+          Proc.Ivar.read ready;
+          Proc.sleep sim (float_of_int i *. 0.003);
+          let m =
+            Fleet.mount_shard fleet ~udp ~shard:(Printf.sprintf "/home%d" i)
+              Nfs_client.reno_mount
+          in
+          incr mounted;
+          Proc.Ivar.read go;
+          let r =
+            Nhfsstone.run m fileset
+              {
+                Nhfsstone.rate = 6.0;
+                duration = 1.0;
+                children = 1;
+                mix = Nhfsstone.read_lookup_mix;
+                seed = 31 + i;
+              }
+          in
+          ops := !ops + r.Nhfsstone.ops_completed;
+          incr finished))
+    udps;
+  let run_until is_done =
+    while not (is_done ()) do
+      Sim.run ~until:(Sim.now sim +. 0.25) sim
+    done
+  in
+  run_until (fun () -> Proc.Ivar.is_full ready);
+  let built = live_words () in
+  run_until (fun () -> !mounted = n);
+  let mounts = live_words () in
+  Proc.Ivar.fill go ();
+  run_until (fun () -> !finished = n);
+  let loaded = live_words () in
+  ignore (Sys.opaque_identity (topo, fleet, udps));
+  Alcotest.(check bool) "the load ran" true (!ops > n);
+  List.iter
+    (fun (phase, words, bound) ->
+      let per_client = kib_per_client words in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: under %.1f KiB live per client (%.2f KiB)" phase bound
+           per_client)
+        true (per_client < bound))
+    [
+      ("build and preload", built - base, 10.0);
+      ("mount storm", mounts - built, 4.0);
+      ("one second of load", loaded - mounts, 1.5);
+    ]
+
 (* MD5s of [Fileset.content] as the per-byte formula produced it, for
    sizes on each side of the 256-byte period and of an 8 KB block. *)
 let content_md5s =
@@ -630,24 +722,34 @@ let read_perf path =
   match Perf.read_file path with Ok r -> r | Error e -> Alcotest.fail e
 
 let cell_counts r =
-  List.map (fun c -> (c.Perf.c_label, c.Perf.c_events, c.Perf.c_rpcs)) r.Perf.cells
+  List.map
+    (fun c -> (c.Perf.c_label, (c.Perf.c_events, c.Perf.c_rpcs, c.Perf.c_minor_words)))
+    r.Perf.cells
 
-(* The timed cells are graph5's full sweep: the same labels, events and
-   RPCs as the committed baseline, cell for cell. *)
+(* The timed cells are graph5's full sweep: the same labels, events,
+   RPCs and minor words as the committed baseline, cell for cell. *)
 let test_perf_cells_match_baseline () =
   let baseline = read_perf baseline_path and r = Perf.run () in
-  Alcotest.(check (list (triple string int int)))
-    "labels, events and RPCs" (cell_counts baseline) (cell_counts r);
+  Alcotest.(check (list (pair string (triple int int int))))
+    "labels, events, RPCs and minor words" (cell_counts baseline) (cell_counts r);
   Alcotest.(check int) "events" baseline.Perf.events r.Perf.events;
   Alcotest.(check int) "rpcs" baseline.Perf.rpcs r.Perf.rpcs;
+  Alcotest.(check int) "minor words" baseline.Perf.minor_words r.Perf.minor_words;
   Alcotest.(check bool) "no profile unless asked" true (r.Perf.p_profile = None)
 
-(* A perf result from (label, wall seconds, events) cells, 10 RPCs each. *)
+(* A perf result from (label, wall seconds, events) cells, 10 RPCs and
+   100 minor words each. *)
 let perf_of cells =
   let cells =
     List.map
       (fun (label, wall, events) ->
-        { Perf.c_label = label; c_wall_s = wall; c_events = events; c_rpcs = 10 })
+        {
+          Perf.c_label = label;
+          c_wall_s = wall;
+          c_events = events;
+          c_rpcs = 10;
+          c_minor_words = 100;
+        })
       cells
   in
   let wall_s = List.fold_left (fun a c -> a +. c.Perf.c_wall_s) 0.0 cells in
@@ -658,6 +760,7 @@ let perf_of cells =
     wall_s;
     events;
     rpcs;
+    minor_words = 100 * List.length cells;
     events_per_s = float_of_int events /. wall_s;
     rpcs_per_s = float_of_int rpcs /. wall_s;
     p_profile = None;
@@ -675,16 +778,31 @@ let test_perf_diff_rules () =
   let v = diff base [ ("a", 1.1, 1000); ("b", 1.1, 1000) ] in
   Alcotest.(check (list string)) "a drop within tolerance" [] v.Perf.regressions;
   Alcotest.(check bool) "is a note" true (has_note v "events/s");
+  let regressed v sub = List.exists (fun n -> contains n sub) v.Perf.regressions in
   let v = diff base [ ("a", 1.0, 1100); ("b", 1.0, 1000) ] in
-  Alcotest.(check (list string)) "an event-count change" [] v.Perf.regressions;
-  Alcotest.(check bool) "is noted in total" true (has_note v "event count changed");
-  Alcotest.(check bool) "and per cell" true (has_note v "cell a: event count 1000 -> 1100");
+  Alcotest.(check int) "an event-count change regresses, in its cell only" 1
+    (List.length v.Perf.regressions);
+  Alcotest.(check bool) "named with both counts" true
+    (regressed v "cell a: events 1000 -> 1100");
+  let v =
+    Perf.diff ~tolerance:0.30 ~baseline:(perf_of base)
+      ~current:
+        (let p = perf_of base in
+         {
+           p with
+           Perf.cells =
+             List.map
+               (fun c ->
+                 if c.Perf.c_label = "b" then { c with Perf.c_minor_words = 101 } else c)
+               p.Perf.cells;
+         })
+  in
+  Alcotest.(check bool) "a minor-word change regresses" true
+    (regressed v "cell b: minor words 100 -> 101");
   let v = diff base [ ("a", 1.0, 1000) ] in
-  Alcotest.(check (list string)) "a missing cell" [] v.Perf.regressions;
-  Alcotest.(check bool) "is noted" true (has_note v "cell b: gone");
+  Alcotest.(check bool) "a missing cell regresses" true (regressed v "cell b: gone");
   let v = diff base (base @ [ ("c", 1.0, 1000) ]) in
-  Alcotest.(check (list string)) "a new cell" [] v.Perf.regressions;
-  Alcotest.(check bool) "is noted" true (has_note v "cell c: new")
+  Alcotest.(check bool) "a new cell regresses" true (regressed v "cell c: new")
 
 let test_perf_json_round_trip () =
   let r = read_perf baseline_path in
@@ -712,6 +830,11 @@ let () =
             test_fileset_preload_memory_per_shard;
           Alcotest.test_case "content known answers" `Quick test_fileset_content_known_answers;
           QCheck_alcotest.to_alcotest prop_periodic_matches_formula;
+        ] );
+      ( "fleet",
+        [
+          Alcotest.test_case "live heap per client by phase" `Quick
+            test_fleet_live_heap_per_client_by_phase;
         ] );
       ( "nhfsstone",
         [
